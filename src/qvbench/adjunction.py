@@ -10,7 +10,7 @@ the functorial action chase through.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
@@ -217,7 +217,6 @@ class FreeExtension:
         return is_embedding(self.unit)
 
 
-@lru_cache(maxsize=None)
 def free_extension(
     A: FiniteAlgebra, E: ExpansionSpec, product_cap: int = DEFAULT_PRODUCT_CAP
 ) -> FreeExtension:
@@ -225,6 +224,17 @@ def free_extension(
     expanded generator and a base-language homomorphism of A into its reduct;
     generate from the element tuples.  An empty index set degenerates to the
     one-element algebra with constant unit."""
+    factor_count, gen = _reflection(A, E, product_cap)
+    F = replace(gen.algebra, name=f"F({A.name})", signature=E.expanded.signature)
+    unit = Homomorphism(A, F, E.base.signature, gen.seed_index)
+    return FreeExtension(F, unit, factor_count, replace(gen, algebra=F))
+
+
+@lru_cache(maxsize=None)
+def _reflection(A: FiniteAlgebra, E: ExpansionSpec, product_cap: int) -> tuple[int, GenResult]:
+    """The factor count and generation result behind `free_extension`.  The
+    cache key compares algebras and specs by structure, so `free_extension`
+    names the result."""
     if not E.expanded.is_generated:
         raise ValueError("free extensions need a generated expanded presentation")
     if not membership(A, E.base).holds:
@@ -236,16 +246,14 @@ def free_extension(
             factors.append(G)
             homs.append(h)
     if not factors:
-        F = trivial_algebra(E.expanded.signature, name=f"F({A.name})")
-        unit = Homomorphism(A, F, E.base.signature, (0,) * A.size)
-        gen = GenResult(F, ((),), (0,) * A.size, (("seed", 0),))
-        return FreeExtension(F, unit, 0, gen)
+        F = trivial_algebra(E.expanded.signature)
+        return 0, GenResult(F, ((),), (0,) * A.size, (("seed", 0),))
     seeds = [tuple(h(a) for h in homs) for a in range(A.size)]
-    gen = generate_in_product(
-        factors, seeds, E.expanded.signature, product_cap, name=f"F({A.name})"
-    )
-    unit = Homomorphism(A, gen.algebra, E.base.signature, gen.seed_index)
-    return FreeExtension(gen.algebra, unit, len(factors), gen)
+    return len(factors), generate_in_product(factors, seeds, E.expanded.signature, product_cap)
+
+
+# bench/spans.py reads the cache statistics of the public call.
+free_extension.cache_info = _reflection.cache_info
 
 
 def _chase_trace(fe: FreeExtension, seed_images: list[int], target: FiniteAlgebra) -> tuple[int, ...]:

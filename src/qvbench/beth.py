@@ -27,7 +27,7 @@ from .core import (
     reduct,
     subalgebra,
 )
-from .logic import App, Equation, Term, Var, eval_term, term_variables
+from .logic import App, Term, Var, compile_term, term_variables
 from .adjunction import (
     CounitInstance,
     ExpansionSpec,
@@ -49,6 +49,7 @@ from .quasivariety import (
     DEFAULT_MEMBER_CAP,
     NotFoundWithinBound,
     Quasivariety,
+    label_classes,
     members_up_to,
     membership,
 )
@@ -108,12 +109,8 @@ def apply_translation(tr: TermTranslation, B: FiniteAlgebra) -> FiniteAlgebra:
         raise SignatureError(f"{B.name!r} is not over the translation target")
     tables = []
     for sym, k in tr.source.symbols:
-        term = tr.term_for(sym)
-        table = []
-        for args in iproduct(range(B.size), repeat=k):
-            env = {f"x{i + 1}": a for i, a in enumerate(args)}
-            table.append(eval_term(B, term, env))
-        tables.append(tuple(table))
+        f = compile_term(B.signature, tr.term_for(sym), [f"x{i + 1}" for i in range(k)])
+        tables.append(tuple(f(B.tables, B.size, args) for args in iproduct(range(B.size), repeat=k)))
     return FiniteAlgebra(f"tr({B.name})", tr.source, B.size, tuple(tables))
 
 
@@ -121,14 +118,20 @@ def apply_translation(tr: TermTranslation, B: FiniteAlgebra) -> FiniteAlgebra:
 # Members of a pp expansion at a bound
 
 
-@lru_cache(maxsize=None)
 def expansion_members(P: PpExpansionSpec, bound: int, cap: int | None = None) -> tuple[FiniteAlgebra, ...]:
     """Members of the subalgebra closure of the expanded class up to the bound,
     up to isomorphism: subalgebras of expanded members, enumerated
     deterministically."""
     cap = cap if cap is not None else max(bound, DEFAULT_MEMBER_CAP)
+    members = _expansion_classes(P, bound, cap)
+    return tuple(label_classes(members, f"S({P.base.name})[+]", P.expanded_signature))
+
+
+@lru_cache(maxsize=None)
+def _expansion_classes(P: PpExpansionSpec, bound: int, cap: int) -> tuple[FiniteAlgebra, ...]:
+    """The classes behind `expansion_members`, sorted by (size, tables).  The
+    cache key compares specs by structure, so `expansion_members` names them."""
     registry = IsoRegistry()
-    sig = P.expanded_signature
     for D in members_up_to(P.base, bound, cap=cap):
         C = expand_algebra(D, P, check=False)
         if not isinstance(C, FiniteAlgebra):
@@ -136,8 +139,7 @@ def expansion_members(P: PpExpansionSpec, bound: int, cap: int | None = None) ->
         for sub in all_subuniverses(C, max_size=bound):
             S, _ = subalgebra(C, sub)
             registry.add(S)
-    members = sorted(registry.members, key=lambda A: (A.size, A.tables))
-    return tuple(A.renamed(f"S({P.base.name})[+]/n{A.size}#{i}") for i, A in enumerate(members))
+    return tuple(sorted(registry.members, key=lambda A: (A.size, A.tables)))
 
 
 def _in_class(B: FiniteAlgebra, P: PpExpansionSpec):

@@ -2,7 +2,8 @@
 JSON reports.
 
 Exit codes: 0 all verdicts hold, 1 some verdict fails, 2 some verdict is
-unknown-within-bound (and none fails), 3 usage or parse error.  Reports are
+unknown-within-bound (and none fails), 3 usage or parse error, 4 internal
+error (any other exception; its traceback goes to stderr).  Reports are
 canonical JSON (sorted keys, deterministic arrays, integers only), so identical
 inputs produce byte-identical bytes.
 """
@@ -224,6 +225,12 @@ def parse_map(text: str) -> dict[int, int]:
     return out
 
 
+def _check_elements(A: FiniteAlgebra, values, flag: str) -> None:
+    for v in values:
+        if not 0 <= v < A.size:
+            raise ValueError(f"--{flag}: {A.name} has no element {v} (its elements are 0..{A.size - 1})")
+
+
 def _hom_from_flags(ws: Workspace, source: str, target: str, mapping: str, language) -> Homomorphism:
     A = ws.lookup("algebras", source)
     B = ws.lookup("algebras", target)
@@ -262,7 +269,6 @@ def _bounds(flags: dict) -> dict:
         "max-size": flags.get("max_size", 4),
         "ext-bound": flags.get("ext_bound", 6),
         "product-cap": flags.get("product_cap", 10**6),
-        "jobs": flags.get("jobs", 1),
     }
 
 
@@ -282,6 +288,7 @@ def cmd_cg(ws, flags):
     A = ws.lookup("algebras", flags["algebra"])
     K = ws.lookup("quasivarieties", flags["in"])
     pairs = parse_pairs(flags["pairs"])
+    _check_elements(A, [a for pair in pairs for a in pair], "pairs")
     theta = relative_congruence(A, pairs, K)
     from .core import quotient as _quotient
 
@@ -466,6 +473,9 @@ def cmd_check_extendable(ws, flags):
     K = ws.lookup("quasivarieties", flags["in"])
     A = ws.lookup("algebras", flags["algebra"])
     args = parse_tuple(flags["tuple"])
+    if len(args) != s.arity:
+        raise ValueError(f"--tuple: {s.name} has arity {s.arity}, got {len(args)} entries")
+    _check_elements(A, args, "tuple")
     bound = flags.get("ext_bound", 6)
     result = check_extendable(s, K, A, args, bound, cap=bound)
     if isinstance(result, Extension):
@@ -599,7 +609,6 @@ def build_argparser() -> argparse.ArgumentParser:
         p.add_argument("--product-cap", type=int, default=10**6, dest="product_cap")
         p.add_argument("--report", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--jobs", type=int, default=1)
 
     specs = {
         "membership": ["--algebra", "--in"],
@@ -647,15 +656,20 @@ def main(argv=None) -> int:
     try:
         ws = load_workspace(ns.workspace)
         report, code = run(ns.command, ws, flags)
+        payload = emit_report(report, ns.format)
+        if ns.report:
+            with open(ns.report, "wb") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.buffer.write(payload)
     except (ParseError, PreconditionError, CapExceeded, KeyError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    payload = emit_report(report, ns.format)
-    if ns.report:
-        with open(ns.report, "wb") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.buffer.write(payload)
+    except Exception:
+        import traceback  # only on a crash: the module adds to every start-up
+
+        traceback.print_exc()
+        return 4
     return code
 
 

@@ -7,9 +7,9 @@ travels with the result and no global negative is ever emitted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, product as iproduct
+from itertools import combinations, combinations_with_replacement, islice, product as iproduct
 
 from .core import (
     FiniteAlgebra,
@@ -29,9 +29,9 @@ from .logic import (
     PpFormula,
     Term,
     Var,
-    holds,
+    compile_pp,
+    compile_term,
     rename_equation,
-    satisfies_pp,
     term_variables,
 )
 from .quasivariety import (
@@ -71,15 +71,18 @@ class ImplicitOpSpec:
             raise LogicError(
                 f"{self.name!r}: bound variables must be {expected}, got {self.formula.bound_vars}"
             )
-        allowed = {arg_var(i) for i in range(self.arity)} | {RESULT_VAR}
+        allowed = set(self.variables)
         stray = [v for v in self.formula.free_vars() if v not in allowed]
         if stray:
             raise LogicError(f"{self.name!r}: free variables {stray} violate the x1..xn,y convention")
 
+    @property
+    def variables(self) -> list[str]:
+        """The argument variables, then the result variable."""
+        return [arg_var(i) for i in range(self.arity)] + [RESULT_VAR]
+
     def env(self, args: tuple[int, ...], value: int) -> dict[str, int]:
-        e = {arg_var(i): a for i, a in enumerate(args)}
-        e[RESULT_VAR] = value
-        return e
+        return dict(zip(self.variables, (*args, value)))
 
 
 @dataclass(frozen=True)
@@ -110,22 +113,32 @@ class FunctionalityViolation:
     value_b: int
 
 
-@lru_cache(maxsize=None)
 def induced_partial_op(A: FiniteAlgebra, s: ImplicitOpSpec) -> PartialOperation | FunctionalityViolation:
     """For each argument tuple, collect the values the formula relates it to:
     none = undefined, one = graph entry, two or more = structured violation."""
     if not A.signature.includes(s.signature):
         raise SignatureError(f"{s.name!r} is not over a reduct of {A.signature.name!r}")
+    return replace(_induced(A, s), algebra=A)
+
+
+@lru_cache(maxsize=None)
+def _induced(A: FiniteAlgebra, s: ImplicitOpSpec) -> PartialOperation | FunctionalityViolation:
+    """The result of `induced_partial_op` on the first algebra equal to A: the
+    cache key compares algebras by structure, so the caller's A replaces it."""
+    n = A.size
+    witnesses = compile_pp(A.signature, s.formula, s.variables)
     graph: list[tuple[tuple[int, ...], int]] = []
-    for args in iproduct(range(A.size), repeat=s.arity):
-        values = [
-            b for b in range(A.size) if satisfies_pp(A, s.formula, s.env(args, b))[0]
-        ]
+    for args in iproduct(range(n), repeat=s.arity):
+        values = [b for b in range(n) if next(witnesses(A.tables, n, args + (b,)), None) is not None]
         if len(values) > 1:
             return FunctionalityViolation(A, args, values[0], values[1])
         if values:
             graph.append((args, values[0]))
     return PartialOperation(A, s.arity, tuple(graph))
+
+
+# bench/spans.py reads the cache statistics of the public call.
+induced_partial_op.cache_info = _induced.cache_info
 
 
 def graphs_on(family, A: FiniteAlgebra) -> PartialOperation | FunctionalityViolation:
@@ -268,20 +281,15 @@ def check_unique_witnesses(
     formula must have exactly one witness tuple; with no witness variables the
     empty tuple is trivially unique."""
     cap = cap if cap is not None else max(bound, DEFAULT_MEMBER_CAP)
+    witnesses = compile_pp(K.signature, s.formula, s.variables)
     for A in members_up_to(K, bound, cap=cap):
         op = induced_partial_op(A, s)
         if isinstance(op, FunctionalityViolation):
             return op
         for args, value in op.graph:
-            env = s.env(args, value)
-            witnesses = []
-            for w in iproduct(range(A.size), repeat=s.witness_count):
-                full = dict(env)
-                full.update(zip(s.formula.bound_vars, w))
-                if all(holds(A, eq, full) for eq in s.formula.body):
-                    witnesses.append(w)
-                    if len(witnesses) > 1:
-                        return UniqueWitnessViolation(A, args, witnesses[0], witnesses[1])
+            found = list(islice(witnesses(A.tables, A.size, args + (value,)), 2))
+            if len(found) > 1:
+                return UniqueWitnessViolation(A, args, found[0], found[1])
     return "ok"
 
 
@@ -352,29 +360,17 @@ class _MaskTarget:
     equation masks.  The body matches the expected graph when, for every
     argument block, exactly the expected value has a nonzero witness chunk."""
 
-    def __init__(self, A: FiniteAlgebra, expected: PartialOperation, terms, variables, w: int):
+    def __init__(self, A: FiniteAlgebra, expected: PartialOperation, variables, w: int):
         self.size = A.size
         self.chunk = A.size**w
-        n_vars = len(variables)
-        count = A.size**n_vars
-        assignments = list(iproduct(range(A.size), repeat=n_vars))
-        var_index = {v: i for i, v in enumerate(variables)}
+        assignments = list(iproduct(range(A.size), repeat=len(variables)))
         vectors: dict[Term, list[int]] = {}
 
         def vec(t: Term) -> list[int]:
-            if t in vectors:
-                return vectors[t]
-            if isinstance(t, Var):
-                i = var_index[t.name]
-                out = [a[i] for a in assignments]
-            else:
-                child = [vec(c) for c in t.args]
-                out = [
-                    A.apply(t.symbol, tuple(cv[i] for cv in child))
-                    for i in range(count)
-                ]
-            vectors[t] = out
-            return out
+            if t not in vectors:
+                f = compile_term(A.signature, t, variables)
+                vectors[t] = [f(A.tables, A.size, a) for a in assignments]
+            return vectors[t]
 
         self.eq_mask: dict[tuple[int, int], int] = {}
         self.term_vec = vec
@@ -449,7 +445,7 @@ def bounded_pp_definability_search(
                     RESULT_VAR in term_variables(terms[i]) | term_variables(terms[j])
                 )
         targets = [
-            _MaskTarget(A, g, terms, variables, w) for A, g in all_targets
+            _MaskTarget(A, g, variables, w) for A, g in all_targets
         ]
         for count in range(1, width + 1):
             for body in combinations(range(len(equations)), count):

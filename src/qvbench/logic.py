@@ -1,6 +1,10 @@
 """Terms, equations, quasiequations, and primitive positive formulas, with
 evaluation on finite algebras.
 
+Every evaluation goes through `compile_term`, which turns a term into one
+function of flat table lookups; the checks here compile once per call and
+then enumerate assignments.
+
 Conjunctions are flat lists: satisfaction does not depend on bracketing or
 order.  Existential witnesses are reported lexicographically least, so every
 search result is deterministic.
@@ -8,9 +12,11 @@ search result is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
+from typing import Callable
 
-from .core import FiniteAlgebra, SignatureError
+from .core import FiniteAlgebra, Signature, SignatureError
 
 
 class LogicError(ValueError):
@@ -89,21 +95,83 @@ def rename_equation(eq: Equation, renaming: dict[str, str]) -> Equation:
     return Equation(rename_term(eq.left, renaming), rename_term(eq.right, renaming))
 
 
+def compile_term(signature: Signature, t: Term, variables) -> Callable:
+    """The one term evaluator.  Compiles `t` into `f(tables, n, values)`, a
+    single expression of table lookups on flat row-major indices (last
+    argument fastest, as in `FiniteAlgebra.tables`): `tables` follow
+    `signature.symbols`, `n` is the universe size and `values[i]` is the value
+    of `variables[i]`.  `f` returns None when it reads an unassigned (None)
+    cell.  Unbound variables and symbol or arity mismatches raise here, at
+    compile time."""
+    position = {v: i for i, v in enumerate(variables)}
+    slot = {sym: i for i, (sym, _) in enumerate(signature.symbols)}
+
+    def source(u: Term) -> str:
+        if isinstance(u, Var):
+            if u.name not in position:
+                raise UnboundVariableError(f"unbound variable {u.name!r}")
+            return f"v[{position[u.name]}]"
+        k = signature.arity(u.symbol)
+        if k != len(u.args):
+            raise SignatureError(f"{u.symbol}/{k} applied to {len(u.args)} arguments")
+        index = "0"
+        for i, child in enumerate(u.args):
+            index = source(child) if i == 0 else f"({index})*n+{source(child)}"
+        return f"T[{slot[u.symbol]}][{index}]"
+
+    return _function(source(t))
+
+
+@lru_cache(maxsize=4096)
+def _function(expression: str) -> Callable:
+    """One function per distinct expression.  The expression holds only
+    integers and fixed names, so equal terms at equal table slots and variable
+    positions share it.  A None read surfaces as the TypeError of using None
+    as an index or in the index arithmetic."""
+    scope: dict = {}
+    exec(
+        "def f(T, n, v):\n"
+        "    try:\n"
+        f"        return {expression}\n"
+        "    except TypeError:\n"
+        "        return None\n",
+        scope,
+    )
+    return scope["f"]
+
+
+def _compile_equation(signature: Signature, eq: Equation, variables) -> tuple[Callable, Callable]:
+    return compile_term(signature, eq.left, variables), compile_term(signature, eq.right, variables)
+
+
 def eval_term(A: FiniteAlgebra, t: Term, assignment: dict[str, int]) -> int:
-    """Structural recursion over the operation tables."""
-    if isinstance(t, Var):
-        try:
-            return assignment[t.name]
-        except KeyError:
-            raise UnboundVariableError(f"unbound variable {t.name!r}") from None
-    k = A.signature.arity(t.symbol)
-    if k != len(t.args):
-        raise SignatureError(f"{t.symbol}/{k} applied to {len(t.args)} arguments")
-    return A.apply(t.symbol, tuple(eval_term(A, a, assignment) for a in t.args))
+    f = compile_term(A.signature, t, list(assignment))
+    return f(A.tables, A.size, list(assignment.values()))
 
 
 def holds(A: FiniteAlgebra, eq: Equation, assignment: dict[str, int]) -> bool:
     return eval_term(A, eq.left, assignment) == eval_term(A, eq.right, assignment)
+
+
+def compile_pp(signature: Signature, phi: PpFormula, free) -> Callable:
+    """Compile the body of `phi` for the assigned variables `free`.  Returns
+    `witnesses(tables, n, values)`: a generator, in lexicographic order, of the
+    witness tuples that satisfy the body on total tables when `free` take
+    `values`."""
+    body = [_compile_equation(signature, eq, [*free, *phi.bound_vars]) for eq in phi.body]
+    width = len(phi.bound_vars)
+
+    def witnesses(tables, n: int, values):
+        values = tuple(values)
+        for witness in iproduct(range(n), repeat=width):
+            env = values + witness
+            for left, right in body:
+                if left(tables, n, env) != right(tables, n, env):
+                    break
+            else:
+                yield witness
+
+    return witnesses
 
 
 def satisfies_pp(
@@ -111,15 +179,36 @@ def satisfies_pp(
 ) -> tuple[bool, dict[str, int] | None]:
     """Existential search over all witness tuples; returns the first witness in
     lexicographic order when satisfied."""
-    for name in phi.free_vars():
-        if name not in assignment:
-            raise UnboundVariableError(f"free variable {name!r} not assigned")
-    for witness in iproduct(range(A.size), repeat=len(phi.bound_vars)):
-        env = dict(assignment)
-        env.update(zip(phi.bound_vars, witness))
-        if all(holds(A, eq, env) for eq in phi.body):
-            return True, dict(zip(phi.bound_vars, witness))
-    return False, None
+    witnesses = compile_pp(A.signature, phi, list(assignment))
+    witness = next(witnesses(A.tables, A.size, list(assignment.values())), None)
+    if witness is None:
+        return False, None
+    return True, dict(zip(phi.bound_vars, witness))
+
+
+def compile_quasiequation(signature: Signature, q: Quasiequation) -> Callable:
+    """Compile `q`.  Returns `first_violation(tables, n)`: the least
+    assignment (variables sorted by name) under which every premise evaluates
+    to equal values and the conclusion to two different ones, or None.  An
+    unassigned cell leaves an instance undecided, so on partial tables only
+    decided refutations count."""
+    names = sorted(equations_variables((*q.premises, q.conclusion)))
+    premises = [_compile_equation(signature, p, names) for p in q.premises]
+    left, right = _compile_equation(signature, q.conclusion, names)
+
+    def first_violation(tables, n: int) -> dict[str, int] | None:
+        for values in iproduct(range(n), repeat=len(names)):
+            for p_left, p_right in premises:
+                a = p_left(tables, n, values)
+                if a is None or a != p_right(tables, n, values):
+                    break
+            else:
+                a, b = left(tables, n, values), right(tables, n, values)
+                if a is not None and b is not None and a != b:
+                    return dict(zip(names, values))
+        return None
+
+    return first_violation
 
 
 def check_quasiequation(
@@ -128,11 +217,5 @@ def check_quasiequation(
     """Full enumeration over assignments to the occurring variables; a failure
     reports the lexicographically least violating assignment (variables sorted
     by name)."""
-    names = sorted(
-        equations_variables(q.premises) | equations_variables((q.conclusion,))
-    )
-    for values in iproduct(range(A.size), repeat=len(names)):
-        env = dict(zip(names, values))
-        if all(holds(A, p, env) for p in q.premises) and not holds(A, q.conclusion, env):
-            return False, env
-    return True, None
+    violation = compile_quasiequation(A.signature, q)(A.tables, A.size)
+    return violation is None, violation

@@ -289,23 +289,10 @@ class _Parser:
             self.fail("expected 'over'", kw)
         sig = self._ref(ws, "signatures", "signature name")
         self.expect(":=")
-        kw = self.expect_ident()
-        if kw.value != "exists":
-            self.fail("expected 'exists'", kw)
-        self.expect("[")
-        bound = []
-        while not self.accept("]"):
-            bound.append(self.expect_ident("witness variable").value)
-            if self.peek().kind != "]":
-                self.expect(",")
-        self.expect(".")
         at = self.peek()
-        body = [self.parse_equation(sig)]
-        while self.accept("&"):
-            body.append(self.parse_equation(sig))
         try:
-            formula = PpFormula(tuple(bound), tuple(body))
-            return ImplicitOpSpec(name, sig, arity, len(bound), formula)
+            formula = self.parse_pp(sig)
+            return ImplicitOpSpec(name, sig, arity, len(formula.bound_vars), formula)
         except LogicError as exc:
             self.fail(f"in ppop {name!r}: {exc}", at)
 

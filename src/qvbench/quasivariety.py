@@ -10,7 +10,7 @@ generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -31,7 +31,7 @@ from .core import (
     subalgebra,
     trivial_algebra,
 )
-from .logic import Quasiequation, check_quasiequation, eval_term, term_variables
+from .logic import Quasiequation, check_quasiequation, compile_quasiequation, eval_term
 
 DEFAULT_MEMBER_CAP = 4
 DEFAULT_PRODUCT_CAP = 10**6
@@ -254,27 +254,6 @@ def free_algebra(
 # Member enumeration
 
 
-def _partial_eval(tables, signature, size, t, env):
-    """Term evaluation over partially filled tables; None when an entry is
-    still unassigned."""
-    from .logic import App, Var
-
-    if isinstance(t, Var):
-        return env[t.name]
-    idx = 0
-    args = []
-    for child in t.args:
-        v = _partial_eval(tables, signature, size, child, env)
-        if v is None:
-            return None
-        args.append(v)
-    sym_i = [s for s, _ in signature.symbols].index(t.symbol)
-    flat = 0
-    for a in args:
-        flat = flat * size + a
-    return tables[sym_i][flat]
-
-
 def _axiomatic_models(signature: Signature, axioms, size: int) -> list[FiniteAlgebra]:
     """All size-`size` models of the axioms, by cell-wise backtracking with
     quasiequation propagation on the partially filled tables."""
@@ -283,38 +262,12 @@ def _axiomatic_models(signature: Signature, axioms, size: int) -> list[FiniteAlg
         for flat in range(size**k):
             cells.append((i, flat))
     tables = [[None] * (size**k) for _, k in signature.symbols]
-
-    axiom_vars = [
-        sorted(
-            set().union(
-                *(term_variables(p.left) | term_variables(p.right) for p in q.premises),
-                term_variables(q.conclusion.left) | term_variables(q.conclusion.right),
-            )
-        )
-        for q in axioms
-    ]
+    # Unassigned cells leave a ground instance undecided, so only decided
+    # refutations prune.
+    checks = [compile_quasiequation(signature, q) for q in axioms]
 
     def violated() -> bool:
-        # A ground instance refutes the candidate only when every premise is
-        # fully evaluable and true while the conclusion evaluates to a
-        # disequality; unassigned cells leave the instance undecided.
-        for q, names in zip(axioms, axiom_vars):
-            for values in iproduct(range(size), repeat=len(names)):
-                env = dict(zip(names, values))
-                decided = True
-                for p in q.premises:
-                    lv = _partial_eval(tables, signature, size, p.left, env)
-                    rv = _partial_eval(tables, signature, size, p.right, env)
-                    if lv is None or rv is None or lv != rv:
-                        decided = False
-                        break
-                if not decided:
-                    continue
-                lv = _partial_eval(tables, signature, size, q.conclusion.left, env)
-                rv = _partial_eval(tables, signature, size, q.conclusion.right, env)
-                if lv is not None and rv is not None and lv != rv:
-                    return True
-        return False
+        return any(first_violation(tables, size) is not None for first_violation in checks)
 
     found: list[FiniteAlgebra] = []
 
@@ -340,7 +293,8 @@ def _axiomatic_models(signature: Signature, axioms, size: int) -> list[FiniteAlg
 @lru_cache(maxsize=None)
 def _member_classes(K: Quasivariety, max_size: int) -> tuple[FiniteAlgebra, ...]:
     """All members of K of size <= max_size, up to isomorphism, sorted by
-    (size, tables)."""
+    (size, tables).  The cache key compares presentations by structure, so
+    the names here are placeholders: `members_up_to` applies K's."""
     registry = IsoRegistry()
     if K.is_generated:
         # Every finite member of ISP(gens) of size <= N is a subalgebra of
@@ -361,24 +315,28 @@ def _member_classes(K: Quasivariety, max_size: int) -> tuple[FiniteAlgebra, ...]
         for size in range(1, max_size + 1):
             for model in _axiomatic_models(K.signature, K.axioms, size):
                 registry.add(model)
-    members = sorted(registry.members, key=lambda A: (A.size, A.tables))
-    return tuple(
-        A.renamed(f"{K.name}/n{A.size}#{i}")
+    return tuple(sorted(registry.members, key=lambda A: (A.size, A.tables)))
+
+
+def label_classes(members, prefix: str, signature: Signature) -> list[FiniteAlgebra]:
+    """Name cached classes `{prefix}/n{size}#{index}` over the caller's
+    signature object, so names never depend on which equal key filled a
+    cache first."""
+    return [
+        replace(A, name=f"{prefix}/n{A.size}#{i}", signature=signature)
         for i, A in enumerate(members)
-    )
+    ]
 
 
 def members_up_to(K: Quasivariety, max_size: int, cap: int = DEFAULT_MEMBER_CAP) -> list[FiniteAlgebra]:
     if max_size > cap:
         raise CapExceeded(f"member bound {max_size} exceeds cap {cap}")
-    return list(_member_classes(K, max_size))
+    return label_classes(_member_classes(K, max_size), K.name, K.signature)
 
 
 def enumerate_members(K: Quasivariety, n: int, cap: int = DEFAULT_MEMBER_CAP) -> list[FiniteAlgebra]:
     """All size-n members of K up to isomorphism, deterministically ordered."""
-    if n > cap:
-        raise CapExceeded(f"member bound {n} exceeds cap {cap}")
-    return [A for A in _member_classes(K, n) if A.size == n]
+    return [A for A in members_up_to(K, n, cap) if A.size == n]
 
 
 @dataclass(frozen=True)

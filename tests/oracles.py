@@ -1,0 +1,114 @@
+"""Brute-force oracles shared by the tests.  None of them calls the code it
+checks: each recomputes its answer from the definitions, by exhaustive search
+or direct recursion over the operation tables."""
+from dataclasses import dataclass
+from itertools import product as iproduct
+
+from qvbench.core import Signature, SignatureError
+from qvbench.logic import UnboundVariableError, Var
+
+
+@dataclass(frozen=True)
+class PartialTables:
+    """Operation tables in which some cells are unassigned (None), laid out
+    like `FiniteAlgebra.tables`."""
+    signature: Signature
+    size: int
+    tables: tuple
+
+    def apply(self, sym, args):
+        i = [s for s, _ in self.signature.symbols].index(sym)
+        flat = 0
+        for a in args:
+            flat = flat * self.size + a
+        return self.tables[i][flat]
+
+
+def eval_term(A, t, assignment):
+    """Structural recursion over the operation tables of a FiniteAlgebra or
+    PartialTables; None when it reads an unassigned cell."""
+    if isinstance(t, Var):
+        try:
+            return assignment[t.name]
+        except KeyError:
+            raise UnboundVariableError(f"unbound variable {t.name!r}") from None
+    k = A.signature.arity(t.symbol)
+    if k != len(t.args):
+        raise SignatureError(f"{t.symbol}/{k} applied to {len(t.args)} arguments")
+    args = tuple(eval_term(A, a, assignment) for a in t.args)
+    if None in args:
+        return None
+    return A.apply(t.symbol, args)
+
+
+def brute_homs(A, B, language):
+    out = []
+    for mapping in iproduct(range(B.size), repeat=A.size):
+        ok = True
+        for sym, k in language.symbols:
+            for args in iproduct(range(A.size), repeat=k):
+                if mapping[A.apply(sym, args)] != B.apply(sym, tuple(mapping[a] for a in args)):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.append(mapping)
+    return out
+
+
+def naive_tuple_closure(factors, seeds, signature):
+    """Closure of seed tuples under componentwise operations, by repeated full
+    scans (independent of the production generation code)."""
+    current = set(seeds)
+    for sym, k in signature.symbols:
+        if k == 0:
+            current.add(tuple(f.apply(sym, ()) for f in factors))
+    changed = True
+    while changed:
+        changed = False
+        for sym, k in signature.symbols:
+            if k == 0:
+                continue
+            for args in iproduct(sorted(current), repeat=k):
+                value = tuple(
+                    f.apply(sym, tuple(a[i] for a in args)) for i, f in enumerate(factors)
+                )
+                if value not in current:
+                    current.add(value)
+                    changed = True
+    return current
+
+
+def all_partitions(n):
+    out = []
+
+    def rec(i, labels, blocks):
+        if i == n:
+            out.append(tuple(labels))
+            return
+        for b in range(blocks + 1):
+            labels.append(b)
+            rec(i + 1, labels, max(blocks, b + 1))
+            labels.pop()
+
+    rec(0, [], 0)
+    return out
+
+
+def layered_term_values(A, seed, depth):
+    """Oracle for generated subuniverses: iterate value layers, evaluating all
+    operations on everything reached so far, `depth` times."""
+    current = set(seed)
+    for sym, k in A.signature.symbols:
+        if k == 0:
+            current.add(A.apply(sym, ()))
+    for _ in range(depth):
+        layer = set(current)
+        for sym, k in A.signature.symbols:
+            if k == 0:
+                continue
+            for args in iproduct(sorted(current), repeat=k):
+                layer.add(A.apply(sym, args))
+        current = layer
+    return current

@@ -37,8 +37,11 @@ from qvbench.core import (
     trivial_algebra,
 )
 from qvbench.implicit import check_totalizable, check_unique_witnesses, induced_partial_op
-from qvbench.logic import App, Var, eval_term, satisfies_pp
+from qvbench.logic import App, Var, satisfies_pp
 from qvbench.quasivariety import free_algebra, members_up_to, membership, relative_congruence
+
+import oracles
+from oracles import all_partitions, brute_homs, layered_term_values, naive_tuple_closure
 
 
 class Timer:
@@ -55,45 +58,6 @@ class Timer:
         print(f"ACCEPTANCE {self.number} ({self.label}): {status} ({elapsed:.2f}s)")
         if exc_type is None:
             assert elapsed < self.limit, f"criterion {self.number} exceeded {self.limit}s"
-
-
-def brute_homs(A, B, language):
-    out = []
-    for mapping in iproduct(range(B.size), repeat=A.size):
-        ok = True
-        for sym, k in language.symbols:
-            for args in iproduct(range(A.size), repeat=k):
-                if mapping[A.apply(sym, args)] != B.apply(sym, tuple(mapping[a] for a in args)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(mapping)
-    return out
-
-
-def naive_tuple_closure(factors, seeds, signature):
-    """Closure of seed tuples under componentwise operations, by repeated full
-    scans (independent of the production generation code)."""
-    current = set(seeds)
-    for sym, k in signature.symbols:
-        if k == 0:
-            current.add(tuple(f.apply(sym, ()) for f in factors))
-    changed = True
-    while changed:
-        changed = False
-        for sym, k in signature.symbols:
-            if k == 0:
-                continue
-            for args in iproduct(sorted(current), repeat=k):
-                value = tuple(
-                    f.apply(sym, tuple(a[i] for a in args)) for i, f in enumerate(factors)
-                )
-                if value not in current:
-                    current.add(value)
-                    changed = True
-    return current
 
 
 def test_acceptance_1_booleanization():
@@ -148,22 +112,6 @@ def test_acceptance_3_main_theorem_consistency():
             assert r.simple.holds and r.unit_counit.holds and r.mono_reflective.holds
 
 
-def all_partitions(n):
-    out = []
-
-    def rec(i, labels, blocks):
-        if i == n:
-            out.append(tuple(labels))
-            return
-        for b in range(blocks + 1):
-            labels.append(b)
-            rec(i + 1, labels, max(blocks, b + 1))
-            labels.pop()
-
-    rec(0, [], 0)
-    return out
-
-
 def test_acceptance_4_relative_congruence_oracle():
     with Timer(4, "relative congruence: axiomatic = generated = brute force", 60.0):
         for A in members_up_to(fx.DL, 4):
@@ -200,24 +148,6 @@ def test_acceptance_5_free_algebra_cardinalities():
                 assert len(homs) == U.size ** len(names)
                 images = sorted(tuple(h(gens[n]) for n in names) for h in homs)
                 assert images == sorted(iproduct(range(U.size), repeat=len(names)))
-
-
-def layered_term_values(A, seed, depth):
-    """Oracle for generated subuniverses: iterate value layers, evaluating all
-    operations on everything reached so far, `depth` times."""
-    current = set(seed)
-    for sym, k in A.signature.symbols:
-        if k == 0:
-            current.add(A.apply(sym, ()))
-    for _ in range(depth):
-        layer = set(current)
-        for sym, k in A.signature.symbols:
-            if k == 0:
-                continue
-            for args in iproduct(sorted(current), repeat=k):
-                layer.add(A.apply(sym, args))
-        current = layer
-    return current
 
 
 def test_acceptance_6_interpolation_criterion():
@@ -298,7 +228,8 @@ def test_acceptance_7_pp_evaluation_oracle():
                             full = dict(env)
                             full.update(zip(phi.bound_vars, w))
                             if all(
-                                eval_term(A, eq.left, full) == eval_term(A, eq.right, full)
+                                oracles.eval_term(A, eq.left, full)
+                                == oracles.eval_term(A, eq.right, full)
                                 for eq in phi.body
                             ):
                                 expanded, first = True, dict(zip(phi.bound_vars, w))

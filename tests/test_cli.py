@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from qvbench import cli
 from qvbench.cli import (
     Report,
     emit_report,
@@ -202,6 +203,30 @@ class TestMainEntry:
     def test_unknown_object_exit_three(self):
         code = main(["membership", "--workspace", WS, "--algebra", "Nope", "--in", "DL"])
         assert code == 3
+
+    def test_element_out_of_range_exit_three(self, capsys):
+        code = main([
+            "cg", "--workspace", WS, "--algebra", "Chain3", "--in", "DL", "--pairs", "(0,9)",
+        ])
+        assert code == 3
+        assert "no element 9" in capsys.readouterr().err
+
+    def test_tuple_out_of_range_or_wrong_arity_exit_three(self, capsys):
+        base = ["check-extendable", "--workspace", WS, "--ppop", "compl", "--in", "DL",
+                "--algebra", "Chain3", "--tuple"]
+        assert main(base + ["(7)"]) == 3
+        assert "no element 7" in capsys.readouterr().err
+        assert main(base + ["(0,1)"]) == 3
+        assert "arity 1" in capsys.readouterr().err
+
+    def test_crash_exit_four(self, monkeypatch, capsys):
+        def crash(ws, flags):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "membership", crash)
+        code = main(["membership", "--workspace", WS, "--algebra", "Chain3", "--in", "DL"])
+        assert code == 4
+        assert "RuntimeError: boom" in capsys.readouterr().err
 
     def test_subprocess_runs(self):
         proc = subprocess.run(

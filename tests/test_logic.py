@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qvbench import fixtures as fx
-from qvbench.core import FiniteAlgebra, congruence_closure, quotient
+from qvbench.core import FiniteAlgebra, Signature, SignatureError, congruence_closure, quotient
 from qvbench.logic import (
     App,
     Equation,
@@ -13,10 +13,13 @@ from qvbench.logic import (
     UnboundVariableError,
     Var,
     check_quasiequation,
+    compile_term,
     eval_term,
     holds,
     satisfies_pp,
 )
+
+import oracles
 
 MEET_XY = App("meet", (Var("x"), Var("y")))
 
@@ -28,7 +31,7 @@ def naive_pp(A, phi, assignment):
         env = dict(assignment)
         env.update(zip(phi.bound_vars, witness))
         if all(
-            eval_term(A, eq.left, env) == eval_term(A, eq.right, env)
+            oracles.eval_term(A, eq.left, env) == oracles.eval_term(A, eq.right, env)
             for eq in phi.body
         ):
             return True
@@ -43,6 +46,74 @@ def bdl_algebras(draw, max_size=4):
         for _, k in fx.BDL.symbols
     )
     return FiniteAlgebra("H", fx.BDL, n, tables)
+
+
+VARIABLES = ("x", "y", "z")
+MIXED = Signature("Mixed", (("c", 0), ("u", 1), ("b", 2), ("t", 3)))
+
+
+def terms_over(signature, depth):
+    """Terms in x, y, z over the signature, of depth at most `depth`."""
+    leaves = st.sampled_from(
+        [Var(v) for v in VARIABLES] + [App(sym) for sym, k in signature.symbols if k == 0]
+    )
+    if depth == 0:
+        return leaves
+    sub = terms_over(signature, depth - 1)
+    apps = [
+        st.tuples(*[sub] * k).map(lambda args, sym=sym: App(sym, args))
+        for sym, k in signature.symbols
+        if k > 0
+    ]
+    return st.one_of(leaves, *apps)
+
+
+@st.composite
+def tables_over(draw, signature, max_size):
+    """Tables of a random size, total or with unassigned (None) cells."""
+    n = draw(st.integers(1, max_size))
+    value = st.integers(0, n - 1)
+    cell = st.one_of(st.none(), value, value) if draw(st.booleans()) else value
+    tables = tuple(
+        tuple(draw(cell) for _ in range(n**k)) for _, k in signature.symbols
+    )
+    return oracles.PartialTables(signature, n, tables)
+
+
+class TestCompileTerm:
+    """The compiled kernel against the recursive oracle: equal values on
+    total tables, and None exactly when the oracle reads an unassigned cell."""
+
+    @staticmethod
+    def check(P, t, data):
+        values = [data.draw(st.integers(0, P.size - 1), label=v) for v in VARIABLES]
+        f = compile_term(P.signature, t, VARIABLES)
+        assert f(P.tables, P.size, values) == oracles.eval_term(P, t, dict(zip(VARIABLES, values)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(P=tables_over(fx.BDL, 4), t=terms_over(fx.BDL, 3), data=st.data())
+    def test_agrees_with_oracle_on_bdl(self, P, t, data):
+        self.check(P, t, data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(P=tables_over(MIXED, 3), t=terms_over(MIXED, 3), data=st.data())
+    def test_agrees_with_oracle_at_every_arity(self, P, t, data):
+        self.check(P, t, data)
+
+    def test_unassigned_cell_gives_none(self):
+        f = compile_term(fx.BDL, App("join", (MEET_XY, Var("x"))), ["x", "y"])
+        meet = [0, 0, 0, None]
+        join = [0, 1, 1, 1]
+        assert f([meet, join, [0], [1]], 2, [1, 0]) == 1
+        assert f([meet, join, [0], [1]], 2, [1, 1]) is None
+
+    def test_errors_raise_at_compile_time(self):
+        with pytest.raises(UnboundVariableError):
+            compile_term(fx.BDL, MEET_XY, ["x"])
+        with pytest.raises(SignatureError, match="unknown symbol"):
+            compile_term(fx.BDL, App("xor", (Var("x"), Var("x"))), ["x"])
+        with pytest.raises(SignatureError, match="applied to 1 arguments"):
+            compile_term(fx.BDL, App("meet", (Var("x"),)), ["x"])
 
 
 class TestEvalTerm:

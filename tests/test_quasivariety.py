@@ -6,6 +6,7 @@ from qvbench import fixtures as fx
 from qvbench.core import (
     Congruence,
     Homomorphism,
+    Signature,
     are_isomorphic,
     build_algebra,
     congruence_closure,
@@ -17,11 +18,15 @@ from qvbench.core import (
     quotient,
     trivial_algebra,
 )
+from qvbench.adjunction import PpExpansionSpec, free_extension
+from qvbench.beth import expansion_members
+from qvbench.implicit import induced_partial_op
 from qvbench.quasivariety import (
     Amalgam,
     CapExceeded,
     NotFoundWithinBound,
     Quasivariety,
+    _member_classes,
     bounded_amalgamation,
     enumerate_members,
     free_algebra,
@@ -183,13 +188,15 @@ class TestEnumerateMembers:
         assert len(ms2) == 1
         assert are_isomorphic(ms2[0], fx.CHAIN2)
 
-    def test_axiomatic_matches_generated_at_size_three(self):
-        """The axiom list is a complete base for the generated class at desk
-        scale."""
-        gen = enumerate_members(fx.DL, 3)
-        axi = enumerate_members(fx.DLAX, 3)
-        assert len(gen) == len(axi) == 1
-        assert are_isomorphic(gen[0], axi[0])
+    def test_axiomatic_matches_generated_up_to_size_four(self):
+        """The axiom list is a complete base for the generated class at every
+        size up to 4: both presentations list the same classes (1, 1, 1, 2
+        per size, OEIS A006982)."""
+        for n in range(1, 5):
+            gen = enumerate_members(fx.DL, n)
+            axi = enumerate_members(fx.DLAX, n)
+            assert len(gen) == len(axi) == [1, 1, 1, 2][n - 1]
+            assert [A.tables for A in gen] == [A.tables for A in axi]
 
     def test_bool_members(self):
         sizes = [A.size for A in members_up_to(fx.BOOL, 4)]
@@ -234,3 +241,48 @@ class TestBoundedAmalgamation:
         bad = Homomorphism(fx.CHAIN3, fx.CHAIN2, fx.BDL, (0, 0, 1))
         with pytest.raises(ValueError, match="embedding"):
             bounded_amalgamation(fx.CHAIN3, fx.CHAIN2, fx.CHAIN2, bad, bad, fx.DL, 2)
+
+
+class TestCacheNames:
+    """Caches compare keys by structure; names come from the caller, whatever
+    equal key filled a cache first."""
+
+    def test_member_names_do_not_depend_on_call_order(self):
+        lattices = Signature("Lat", fx.BDL.symbols)
+        for order in (("Alpha", "Beta"), ("Beta", "Alpha")):
+            _member_classes.cache_clear()
+            got = {
+                label: members_up_to(Quasivariety(label, lattices, generators=(fx.CHAIN2,)), 3)
+                for label in order
+            }
+            for label, members in got.items():
+                assert [A.name for A in members] == [f"{label}/n1#0", f"{label}/n2#1", f"{label}/n3#2"]
+                assert all(A.signature.name == "Lat" for A in members)
+            assert [A.name for A in enumerate_members(fx.DL, 2)] == ["DL/n2#1"]
+
+    def test_induced_op_carries_the_callers_algebra(self):
+        for names in (("C3a", "C3b"), ("C3b", "C3a")):
+            for name in names:
+                A = fx.CHAIN3.renamed(name)
+                op = induced_partial_op(A, fx.COMPL)
+                assert op.algebra is A
+                assert op.graph == (((0,), 2), ((2,), 0))
+
+    def test_free_extension_named_after_its_argument(self):
+        for names in (("C3a", "C3b"), ("C3b", "C3a")):
+            for name in names:
+                fe = free_extension(fx.CHAIN3.renamed(name), fx.DL_TO_BOOL)
+                assert fe.algebra.name == fe.gen.algebra.name == f"F({name})"
+                assert fe.unit.source.name == name
+                assert fe.algebra.size == 4
+
+    def test_expansion_members_named_after_the_base(self):
+        for names in (("Alpha", "Beta"), ("Beta", "Alpha")):
+            for name in names:
+                base = Quasivariety(name, fx.BDL, generators=(fx.CHAIN2,))
+                P = PpExpansionSpec(base, fx.PP_COMPL.ops)
+                members = expansion_members(P, 4)
+                assert [A.name for A in members] == [
+                    f"S({name})[+]/n{A.size}#{i}" for i, A in enumerate(members)
+                ]
+                assert members and all(A.signature is P.expanded_signature for A in members)
