@@ -231,10 +231,16 @@ def _check_elements(A: FiniteAlgebra, values, flag: str) -> None:
             raise ValueError(f"--{flag}: {A.name} has no element {v} (its elements are 0..{A.size - 1})")
 
 
-def _hom_from_flags(ws: Workspace, source: str, target: str, mapping: str, language) -> Homomorphism:
+def _hom_from_flags(
+    ws: Workspace, source: str, target: str, mapping: str, flag: str, language
+) -> Homomorphism:
     A = ws.lookup("algebras", source)
     B = ws.lookup("algebras", target)
     m = parse_map(mapping)
+    _check_elements(A, m, flag)
+    missing = [a for a in range(A.size) if a not in m]
+    if missing:
+        raise ValueError(f"--{flag}: no image given for element {missing[0]} of {A.name}")
     full = tuple(m[i] for i in range(A.size))
     h = Homomorphism(A, B, language, full)
     if not is_homomorphism(h):
@@ -434,7 +440,7 @@ def cmd_check_beth(ws, flags):
 
 def cmd_check_regular(ws, flags):
     M = ws.lookup("quasivarieties", flags["in"])
-    h = _hom_from_flags(ws, flags["source"], flags["target"], flags["map"], M.signature)
+    h = _hom_from_flags(ws, flags["source"], flags["target"], flags["map"], "map", M.signature)
     if not is_embedding(h):
         raise ValueError("the supplied map is not an embedding")
     bound = flags.get("ext_bound", 6)
@@ -544,8 +550,8 @@ def cmd_amalgamate(ws, flags):
     A = ws.lookup("algebras", flags["apex"])
     B = ws.lookup("algebras", flags["left"])
     C = ws.lookup("algebras", flags["right"])
-    f = _hom_from_flags(ws, flags["apex"], flags["left"], flags["left_map"], K.signature)
-    g = _hom_from_flags(ws, flags["apex"], flags["right"], flags["right_map"], K.signature)
+    f = _hom_from_flags(ws, flags["apex"], flags["left"], flags["left_map"], "left-map", K.signature)
+    g = _hom_from_flags(ws, flags["apex"], flags["right"], flags["right_map"], "right-map", K.signature)
     bound = flags.get("ext_bound", 6)
     result = bounded_amalgamation(A, B, C, f, g, K, bound, cap=bound)
     if isinstance(result, Amalgam):

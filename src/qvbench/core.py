@@ -340,10 +340,13 @@ def reduct(A: FiniteAlgebra, language: Signature) -> FiniteAlgebra:
     return FiniteAlgebra(A.name, language, A.size, tables)
 
 
-def _closure_run(A: FiniteAlgebra, done: list[int], queue: list[int], members: set[int]) -> set[int]:
+def _closure_run(
+    A: FiniteAlgebra, done: list[int], queue: list[int], members: set[int], limit: int
+) -> set[int]:
     """Work loop shared by closure and closure_extend: combine each queued
     element with everything already processed.  Only tuples that mention the
-    new element are generated, and table lookups are inlined."""
+    new element are generated, and table lookups are inlined.  Stops as soon
+    as `members` grows past `limit`."""
     n = A.size
     pos_ops = [
         (k, table)
@@ -362,6 +365,8 @@ def _closure_run(A: FiniteAlgebra, done: list[int], queue: list[int], members: s
                     v = table[flat]
                     if v not in members:
                         members.add(v)
+                        if len(members) > limit:
+                            return members
                         queue.append(v)
         done.append(x)
     return members
@@ -376,17 +381,20 @@ def closure(A: FiniteAlgebra, seed) -> set[int]:
             raise ValueError(f"seed element {x} outside universe")
         members.add(x)
     members.update(A.constants())
-    return _closure_run(A, [], sorted(members), set(members))
+    return _closure_run(A, [], sorted(members), set(members), A.size)
 
 
-def closure_extend(A: FiniteAlgebra, closed, x: int) -> set[int]:
+def closure_extend(A: FiniteAlgebra, closed, x: int, max_size: int | None = None) -> set[int]:
     """Closure of closed | {x} where `closed` is already a closed set (or
-    empty); skips recombining the old elements with each other."""
+    empty); skips recombining the old elements with each other.  With
+    `max_size`, stops as soon as the set has more than `max_size` elements and
+    returns that unfinished set, for callers that drop such sets anyway."""
     members = set(closed)
     if x in members:
         return members
     members.add(x)
-    return _closure_run(A, sorted(closed), [x], members)
+    limit = A.size if max_size is None else max_size
+    return _closure_run(A, sorted(closed), [x], members, limit)
 
 
 def generated_subalgebra(A: FiniteAlgebra, seed) -> frozenset[int]:
@@ -413,24 +421,52 @@ def subalgebra(A: FiniteAlgebra, subset, name: str | None = None) -> tuple[Finit
     return S, Homomorphism(S, A, A.signature, tuple(elems))
 
 
-def all_subuniverses(A: FiniteAlgebra, max_size: int | None = None) -> list[frozenset[int]]:
-    """All nonempty subuniverses of size <= max_size, found by closing single-
-    element extensions of already-closed sets; sorted by (size, elements)."""
+def all_subuniverses(
+    A: FiniteAlgebra, max_size: int | None = None, first_factor: int | None = None
+) -> list[frozenset[int]]:
+    """All nonempty subuniverses of size <= max_size, sorted by (size,
+    elements).  With `first_factor` = |C|, A is read as a product C x G
+    (element e has first coordinate e // (|A| / |C|)) and only the subdirect
+    subuniverses, those whose first projection is all of C, are returned.
+
+    The search closes single-element extensions of already-closed sets,
+    starting from the closure of the empty set.  It is complete: a subuniverse
+    T is reached along a chain of closed sets S inside T, each the closure of
+    its predecessor plus one element of T, and neither prune drops a set on
+    such a chain.  Every S on it has |S| <= |T| <= max_size, so closures stop
+    once they outgrow max_size.  With `first_factor`, a set S is kept only
+    while |S| + (|C| - |pi_1(S)|) <= max_size: a subdirect T containing S
+    holds S and at least one more element for each first coordinate S
+    misses."""
+    limit = A.size if max_size is None else max_size
+    # The least size of a subuniverse the search may return that contains S.
+    if first_factor is None:
+        def least_size(S: frozenset[int]) -> int:
+            return len(S)
+    else:
+        width = A.size // first_factor
+
+        def least_size(S: frozenset[int]) -> int:
+            return len(S) + first_factor - len({e // width for e in S})
+
     base = frozenset(closure(A, ()))
+    if least_size(base) > limit:
+        return []
     seen = {base}
-    queue = [base]
-    while queue:
-        S = queue.pop(0)
+    stack = [base]
+    while stack:
+        S = stack.pop()
         for x in range(A.size):
             if x in S:
                 continue
-            T = frozenset(closure_extend(A, S, x))
-            if max_size is not None and len(T) > max_size:
-                continue
-            if T not in seen:
+            T = frozenset(closure_extend(A, S, x, limit))
+            if T not in seen and least_size(T) <= limit:
                 seen.add(T)
-                queue.append(T)
-    out = [S for S in seen if S and (max_size is None or len(S) <= max_size)]
+                stack.append(T)
+    if first_factor is None:
+        out = [S for S in seen if S]
+    else:
+        out = [S for S in seen if least_size(S) == len(S)]
     return sorted(out, key=lambda S: (len(S), sorted(S)))
 
 

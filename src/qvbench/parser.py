@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .core import FiniteAlgebra, Signature, SignatureError, build_algebra
 from .logic import App, Equation, LogicError, PpFormula, Quasiequation, Term, Var
@@ -37,21 +38,22 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
     col: int
 
 
+# `bad` takes any character the other alternatives cannot start with, so
+# `finditer` covers the text without gaps.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<comment>\#[^\n]*)
-  | (?P<ws>\s+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<int>\d+)
   | (?P<punct>:=|=>|->|[{}()\[\],;/=&:.+])
+  | (?P<skip>\#[^\n]*|\s+)
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -60,29 +62,29 @@ DECL_KEYWORDS = {"signature", "algebra", "quasivariety", "ppop", "expansion", "t
 
 
 def tokenize(text: str) -> list[Token]:
+    """Tokens with 1-based line and column; comments and whitespace are
+    dropped.  Newlines are counted only in the text between two tokens."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        value = m.group(0)
+    line, line_start, last = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "ident":
-            tokens.append(Token("ident", value, line, col))
-        elif kind == "int":
-            tokens.append(Token("int", value, line, col))
-        elif kind == "punct":
-            tokens.append(Token(value, value, line, col))
-        newlines = value.count("\n")
+        if kind == "skip":
+            continue
+        pos = m.start()
+        newlines = text.count("\n", last, pos)
         if newlines:
             line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            line_start = text.rfind("\n", last, pos) + 1
+        last = pos
+        value = m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", line, pos - line_start + 1)
+        tokens.append(Token(value if kind == "punct" else kind, value, line, pos - line_start + 1))
+    newlines = text.count("\n", last)
+    if newlines:
+        line += newlines
+        line_start = text.rfind("\n") + 1
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 

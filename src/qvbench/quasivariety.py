@@ -294,19 +294,27 @@ def _axiomatic_models(signature: Signature, axioms, size: int) -> list[FiniteAlg
 def _member_classes(K: Quasivariety, max_size: int) -> tuple[FiniteAlgebra, ...]:
     """All members of K of size <= max_size, up to isomorphism, sorted by
     (size, tables).  The cache key compares presentations by structure, so
-    the names here are placeholders: `members_up_to` applies K's."""
+    the names here are placeholders: `members_up_to` applies K's.
+
+    Generated presentations start from the trivial algebra and add, for each
+    class C found and each generator G, the subdirect subalgebras of C x G:
+    those whose first projection is all of C.  This is complete at every
+    bound.  A member A of ISP(gens) embeds in a product G_1 x ... x G_k, and
+    its projections A_i onto the first i factors are homomorphic images of
+    A, so |A_i| <= |A|.  Each A_i is a subdirect subalgebra of A_(i-1) x G_i,
+    and A_k is isomorphic to A.  By induction on i every A_i is isomorphic to
+    a class found, from A_0 the trivial algebra up to A_k.  A subalgebra of
+    C x G that projects onto a proper subalgebra of C is a member too, and
+    the induction reaches it through a smaller class, so the search never
+    builds one."""
     registry = IsoRegistry()
     if K.is_generated:
-        # Every finite member of ISP(gens) of size <= N is a subalgebra of
-        # C x G for some already-found member C (its projection) and some
-        # generator G, so closing under that step from the trivial algebra is
-        # complete at every bound.
         worklist = [registry.add(trivial_algebra(K.signature))[0]]
         while worklist:
             C = worklist.pop(0)
             for G in K.generators:
                 P = direct_product([C, G])
-                for sub in all_subuniverses(P, max_size=max_size):
+                for sub in all_subuniverses(P, max_size=max_size, first_factor=C.size):
                     S, _ = subalgebra(P, sub)
                     rep, added = registry.add(S)
                     if added:

@@ -1,11 +1,13 @@
 """Brute-force oracles shared by the tests.  None of them calls the code it
 checks: each recomputes its answer from the definitions, by exhaustive search
 or direct recursion over the operation tables."""
+import re
 from dataclasses import dataclass
 from itertools import product as iproduct
 
 from qvbench.core import Signature, SignatureError
 from qvbench.logic import UnboundVariableError, Var
+from qvbench.parser import ParseError, Token
 
 
 @dataclass(frozen=True)
@@ -112,3 +114,45 @@ def layered_term_values(A, seed, depth):
                 layer.add(A.apply(sym, args))
         current = layer
     return current
+
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<comment>\#[^\n]*)
+  | (?P<ws>\s+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<int>\d+)
+  | (?P<punct>:=|=>|->|[{}()\[\],;/=&:.+])
+    """,
+    re.VERBOSE,
+)
+
+
+def tokenize(text):
+    """Reference tokenizer: anchored matches one after another, with line
+    and column advanced over every character, comments and whitespace
+    included."""
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        value = m.group(0)
+        kind = m.lastgroup
+        if kind == "ident":
+            tokens.append(Token("ident", value, line, col))
+        elif kind == "int":
+            tokens.append(Token("int", value, line, col))
+        elif kind == "punct":
+            tokens.append(Token(value, value, line, col))
+        newlines = value.count("\n")
+        if newlines:
+            line += newlines
+            col = len(value) - value.rfind("\n")
+        else:
+            col += len(value)
+        pos = m.end()
+    tokens.append(Token("eof", "", line, col))
+    return tokens

@@ -4,6 +4,7 @@ enforced and one pass/fail line printed per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s`.
 """
+import hashlib
 import subprocess
 import sys
 import time
@@ -287,6 +288,39 @@ def test_acceptance_9_term_equivalence_suite():
         assert back.apply(sym, args) == got != want == A.apply(sym, args)
 
 
+# SHA-256 of each report `scripts/run_fixture_suite.py` writes.  A change that
+# alters report bytes updates these and says why.
+FIXTURE_SUITE_SHA256 = {
+    "amalgamate-chains.json": "5f765e07f1459d50d933b1d5eb2717bcd6e5cd168b9d08e78769f5c42a65025c",
+    "cg-chain3-total.json": "af92091e7e81bc8a8d51d801aa18b213e12bd1e1f93f9fe5e25df157e173be1b",
+    "cg-chain3-upper.json": "f94f10fdbdbaffb4fb4908bccf2e8609a42b2d28aad308c33e9d0e2302bca6e4",
+    "check-beth-compl.json": "c622fcb9d35dc1462cbedb7f8de9281ec49d7ef60f4ccf976dc2abf5c8068a0b",
+    "check-extendable-chain3.json": "8027ed8a41581cd001f521cccfb181ae01597eb71e8f6536bb55c67bb0878c39",
+    "check-regular-twoba.json": "67e49a8167f9c715101ffa3998cd205087cb4e904d6e5df50cd63f3c0aee5e0c",
+    "check-simple-compl.json": "4e6f47daab51250335fd76d16bb917c1e5e585dc3dfb392b190abaac7b59671f",
+    "check-simple-jc.json": "72368f949dd10a435981cee5c631e19fea4df5ccfb122ddd8e953961490951ea",
+    "check-unique-witnesses-compl.json": "90876df262d1cdcdf7a95b40fb703b9c1e7bb565bbbba54ba1b707b2e199d05e",
+    "check-unique-witnesses-padded.json": "b067c0cfc6cede472808802fa304fcd79052aeb24d5f508a8663775b6a9d80b1",
+    "counit-dl-bool.json": "4eba469cc140e1bfb58f0a15692886da735a3c2c57467c3f9452fcb2dbb40737",
+    "counit-msl-dl.json": "c715c6987f7e8119b6d77ef2339e4d319caaf3e150c417c91c4447f4fd05630d",
+    "cross-validate-dl-bool.json": "a2ea384ad3d2808400f88a253f61f38bf9b9d189dc9543bb2a87a9c6445ac39b",
+    "cross-validate-msl-dl.json": "b016d27d60df978ecd53944da4ccf83fc25b1f112c64d175cd33ed950b987da6",
+    "cross-validate-trivial.json": "879afd31633d307225079868ee95a162653b94bda5692e3b534d4ec034285f2d",
+    "enumerate-dl-4.json": "262bb4d56bde4c6ff9e5282f4a047580d05f72a307daa13625ac3be7ce6ad729",
+    "enumerate-msl-4.json": "cdfe461c3837928a5922026c8c2ae6465ec061becd40c2d3db30b22cfc7e313e",
+    "expand-chain3.json": "561d162fbd9e41cbd86bb8a135c820c8c3bb6434bdd3e3a3542823574f8ee169",
+    "expand-diamond.json": "63ad09e4866d9afb78775a954843dc14461067a5e5ed0a8ccc2009dc2eb9104d",
+    "free-bool-2.json": "b301956fc464c9732cd8ab75879aa17a846134441a2d7d47440ccf74fe522db5",
+    "free-dl-2.json": "2200bfc198c619f6b5374c88f35e8be036dffe4db0c2e8ac5500ff60af96d7ef",
+    "membership-chain3.json": "76c849419ec8eb0b65454bbb25ff7fd52e7a14b70a1196ac5ff74915bbf30875",
+    "reflect-chain3.json": "1dba78d265e0f14e6f6b5fae9f519d9fc6dfa8878b6757b83eca4e2ec6968e51",
+    "reflect-diamond-msl.json": "5ad11239e304b504d206b1196de883f84c9b97487a4b025f799c9371956cd60e",
+    "term-equiv-not-imp.json": "fe7618e395077b38b61f378adf734e48df5cca09adc6fb0ab964fa2be08fefed",
+    "unit-dl-bool.json": "1ded6f0c13a815ab24dfa92355bfbe3ddb32d59fbaa6b105cbf01a34609cc835",
+    "unit-msl-dl.json": "6f4cda959fdb993215f4dcdc6a3f1f16b36126e12c2d4c0162282426f4f779f4",
+}
+
+
 def test_acceptance_10_determinism(tmp_path):
     with Timer(10, "byte-identical reports across repeated runs", 300.0):
         outputs = []
@@ -303,3 +337,5 @@ def test_acceptance_10_determinism(tmp_path):
             assert blobs, "suite produced no reports"
             outputs.append(blobs)
         assert outputs[0] == outputs[1]
+        digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in outputs[0].items()}
+        assert digests == FIXTURE_SUITE_SHA256

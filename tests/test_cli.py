@@ -219,6 +219,29 @@ class TestMainEntry:
         assert main(base + ["(0,1)"]) == 3
         assert "arity 1" in capsys.readouterr().err
 
+    def test_check_regular_map_key_out_of_range_exit_three(self, capsys):
+        code = main([
+            "check-regular", "--workspace", WS, "--in", "BOOL", "--source", "TwoBA",
+            "--target", "FourBA", "--map", "0:0,1:3,7:1",
+        ])
+        assert code == 3
+        assert "--map: TwoBA has no element 7" in capsys.readouterr().err
+        code = main([
+            "check-regular", "--workspace", WS, "--in", "BOOL", "--source", "TwoBA",
+            "--target", "FourBA", "--map", "0:0",
+        ])
+        assert code == 3
+        assert "--map: no image given for element 1 of TwoBA" in capsys.readouterr().err
+
+    def test_amalgamate_map_key_out_of_range_exit_three(self, capsys):
+        code = main([
+            "amalgamate", "--workspace", WS, "--in", "DL", "--apex", "Chain2",
+            "--left", "Chain3", "--right", "Chain3", "--left-map", "0:0,1:2",
+            "--right-map", "0:0,1:2,5:1",
+        ])
+        assert code == 3
+        assert "--right-map: Chain2 has no element 5" in capsys.readouterr().err
+
     def test_crash_exit_four(self, monkeypatch, capsys):
         def crash(ws, flags):
             raise RuntimeError("boom")

@@ -3,7 +3,8 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qvbench import fixtures as fx
+import oracles
+from qvbench import core, fixtures as fx
 from qvbench.core import (
     Congruence,
     FiniteAlgebra,
@@ -178,6 +179,49 @@ class TestSubuniverses:
             if generated_subalgebra(fx.DIAMOND, s) == s:
                 naive.append(s)
         assert sorted(subs, key=sorted) == sorted(naive, key=sorted)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_product_search_matches_brute_force(self, data):
+        """Against every subset closed under the naive tuple closure, with no
+        bound and with a drawn one.  The subdirect search must also extend
+        only sets that pass its deficit prune."""
+        sig = Signature("F", (("f", data.draw(st.sampled_from([1, 2]))),))
+        C = data.draw(algebras(sig, max_size=3))
+        G = data.draw(algebras(sig, max_size=3))
+        P = direct_product([C, G])
+
+        def first(e):
+            return e // G.size
+
+        closed = []
+        for mask in range(1, 2**P.size):
+            S = frozenset(e for e in range(P.size) if mask >> e & 1)
+            tuples = {(first(e), e % G.size) for e in S}
+            if oracles.naive_tuple_closure([C, G], tuples, sig) == tuples:
+                closed.append(S)
+        closed.sort(key=lambda S: (len(S), sorted(S)))
+
+        extended = []
+        original = core.closure_extend
+
+        def recording(A, S, x, *args, **kwargs):
+            extended.append(frozenset(S))
+            return original(A, S, x, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "closure_extend", recording)
+            for max_size in (None, data.draw(st.integers(1, P.size))):
+                limit = P.size if max_size is None else max_size
+                small = [S for S in closed if len(S) <= limit]
+                subdirect = [S for S in small if {first(e) for e in S} == set(range(C.size))]
+                extended.clear()
+                assert all_subuniverses(P, max_size) == small
+                assert all(len(S) <= limit for S in extended)
+                extended.clear()
+                assert all_subuniverses(P, max_size, first_factor=C.size) == subdirect
+                for S in extended:
+                    assert len(S) + C.size - len({first(e) for e in S}) <= limit
 
 
 class TestCongruences:

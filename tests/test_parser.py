@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from qvbench import fixtures as fx
 from qvbench.logic import App, Equation, Var
 from qvbench.parser import (
@@ -17,9 +19,11 @@ from qvbench.parser import (
     parse_quasiequation,
     parse_term,
     parse_workspace,
+    tokenize,
 )
 
 FIXTURES_PATH = "workspaces/fixtures.qvw"
+BENCH_WORKSPACE_PATH = "bench/workspace.qvw"
 
 
 def load_fixture_workspace():
@@ -141,3 +145,46 @@ class TestWorkspace:
         assert format_signature(fx.BDL).startswith("signature BDL {")
         assert "universe 2" in format_algebra(fx.CHAIN2)
         assert format_quasivariety(fx.DL) == "quasivariety DL : BDL = generated(Chain2)"
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+
+
+# Pieces of workspace text, plus characters that end a token early or start
+# none: an unterminated comment, carriage returns, non-ASCII whitespace and
+# digits, and characters outside the grammar.
+_FRAGMENTS = (
+    "signature", "algebra", "x1", "_f", "12", "0", ":=", "=>", "->", ":", "=", "-", ">",
+    "{", "}", "[", "]", "(", ")", ",", ";", "/", "&", ".", "+", " ", "  ", "\t", "\n",
+    "\n\n", "\r\n", "# note", "#", "@", "$", "\0", "\u00a0", "\u2028", "\u0663", "\u00e9",
+)
+
+
+class TestTokenizer:
+    @pytest.mark.parametrize("path", [FIXTURES_PATH, BENCH_WORKSPACE_PATH])
+    def test_matches_reference_on_workspaces(self, path):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert tokenize(text) == oracles.tokenize(text)
+        # The same text cut at every seventh line, bare or with a stray tail.
+        for cut in [i for i, c in enumerate(text) if c == "\n"][::7]:
+            for tail in ("", "@", "# x"):
+                broken = text[:cut] + tail
+                assert _tokens_or_error(tokenize, broken) == _tokens_or_error(
+                    oracles.tokenize, broken
+                )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_FRAGMENTS) | st.text(max_size=3), max_size=30))
+    def test_matches_reference_on_random_text(self, parts):
+        text = "".join(parts)
+        assert _tokens_or_error(tokenize, text) == _tokens_or_error(oracles.tokenize, text)
+
+    def test_error_position(self):
+        with pytest.raises(ParseError) as info:
+            tokenize("signature S {\n  f/1; @ }\n")
+        assert (info.value.line, info.value.col) == (2, 8)

@@ -198,6 +198,17 @@ class TestEnumerateMembers:
             assert len(gen) == len(axi) == [1, 1, 1, 2][n - 1]
             assert [A.tables for A in gen] == [A.tables for A in axi]
 
+    def test_dl_class_counts_match_a006982_up_to_eight(self):
+        """Distributive lattices of n elements up to isomorphism, n = 1..8,
+        are 1, 1, 1, 2, 3, 5, 8, 15 (OEIS A006982).  Each class found is a
+        member and no two of the same size are isomorphic."""
+        members = members_up_to(fx.DL, 8, cap=8)
+        sizes = [A.size for A in members]
+        assert [sizes.count(n) for n in range(1, 9)] == [1, 1, 1, 2, 3, 5, 8, 15]
+        assert all(membership(A, fx.DL).holds for A in members)
+        for A, B in combinations(members, 2):
+            assert not are_isomorphic(A, B)
+
     def test_bool_members(self):
         sizes = [A.size for A in members_up_to(fx.BOOL, 4)]
         assert sizes == [1, 2, 4]
