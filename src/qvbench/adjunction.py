@@ -34,7 +34,6 @@ from .implicit import (
     induced_partial_op,
 )
 from .quasivariety import (
-    DEFAULT_MEMBER_CAP,
     DEFAULT_PRODUCT_CAP,
     GenResult,
     Quasivariety,
@@ -97,11 +96,10 @@ class ExpansionViolation:
     certificate: object
 
 
-def check_expansion(E: ExpansionSpec, bound: int, cap: int | None = None):
+def check_expansion(E: ExpansionSpec, bound: int):
     """Bounded well-definedness of the reduct functor: every member of the
     expanded class up to `bound` must have its base reduct in the base class."""
-    cap = cap if cap is not None else max(bound, DEFAULT_MEMBER_CAP)
-    for B in members_up_to(E.expanded, bound, cap=cap):
+    for B in members_up_to(E.expanded, bound):
         result = membership(reduct(B, E.base.signature), E.base)
         if not result.holds:
             return ExpansionViolation(B, result)
@@ -144,7 +142,7 @@ class PpMembership:
 
 
 def pp_expansion_membership(
-    B: FiniteAlgebra, P: PpExpansionSpec, size_bound: int, cap: int | None = None
+    B: FiniteAlgebra, P: PpExpansionSpec, size_bound: int
 ) -> PpMembership:
     """Classify B against the class of expanded members and its closure under
     subalgebras.  A table value disagreeing with a defined induced value is a
@@ -172,8 +170,7 @@ def pp_expansion_membership(
             total = False
     if total:
         return PpMembership("in-class")
-    cap = cap if cap is not None else max(size_bound, DEFAULT_MEMBER_CAP)
-    for D in members_up_to(P.base, size_bound, cap=cap):
+    for D in members_up_to(P.base, size_bound):
         C = expand_algebra(D, P, check=False)
         if not isinstance(C, FiniteAlgebra):
             continue
@@ -315,7 +312,6 @@ def universal_property_check(
     E: ExpansionSpec,
     bound: int,
     free: FreeExtension | None = None,
-    cap: int | None = None,
 ):
     """For every member B up to the bound and every base-language map
     A -> reduct(B), there must be exactly one expanded-language homomorphism
@@ -326,8 +322,7 @@ def universal_property_check(
     generated = generated_subalgebra(fe.algebra, set(fe.unit.mapping))
     if len(generated) != fe.algebra.size:
         return LiftViolation(fe.algebra, fe.unit, "not-generated")
-    cap = cap if cap is not None else max(bound, DEFAULT_MEMBER_CAP)
-    for B in members_up_to(E.expanded, bound, cap=cap):
+    for B in members_up_to(E.expanded, bound):
         redB = reduct(B, E.base.signature)
         for g in enumerate_homomorphisms(A, redB, E.base.signature):
             mapping = _chase_trace(fe, [g(a) for a in range(A.size)], B)
@@ -346,11 +341,10 @@ class UnitInstance:
     unit: Homomorphism
 
 
-def check_unit_mono(E: ExpansionSpec, bound: int, cap: int | None = None) -> list[UnitInstance]:
+def check_unit_mono(E: ExpansionSpec, bound: int) -> list[UnitInstance]:
     """Per-member injectivity of the unit over the base class up to the bound."""
-    cap = cap if cap is not None else max(bound, DEFAULT_MEMBER_CAP)
     out = []
-    for A in members_up_to(E.base, bound, cap=cap):
+    for A in members_up_to(E.base, bound):
         fe = free_extension(A, E)
         out.append(UnitInstance(A, fe.unit_injective, fe.unit))
     return out
@@ -363,12 +357,11 @@ class CounitInstance:
     counit: Homomorphism
 
 
-def check_counit_iso(E: ExpansionSpec, bound: int, cap: int | None = None) -> list[CounitInstance]:
+def check_counit_iso(E: ExpansionSpec, bound: int) -> list[CounitInstance]:
     """Per-member bijectivity of the counit over the expanded class up to the
     bound (the counit is always surjective here, so bijective = injective)."""
-    cap = cap if cap is not None else max(bound, DEFAULT_MEMBER_CAP)
     out = []
-    for B in members_up_to(E.expanded, bound, cap=cap):
+    for B in members_up_to(E.expanded, bound):
         eps = counit(B, E)
         bij = eps.source.size == B.size and len(set(eps.mapping)) == B.size
         out.append(CounitInstance(B, bij, eps))

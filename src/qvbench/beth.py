@@ -9,7 +9,7 @@ implicit operations is not finitely enumerable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -46,7 +46,6 @@ from .implicit import (
 )
 from .implicit import check_totalizable, check_unique_witnesses
 from .quasivariety import (
-    DEFAULT_MEMBER_CAP,
     NotFoundWithinBound,
     Quasivariety,
     label_classes,
@@ -118,21 +117,20 @@ def apply_translation(tr: TermTranslation, B: FiniteAlgebra) -> FiniteAlgebra:
 # Members of a pp expansion at a bound
 
 
-def expansion_members(P: PpExpansionSpec, bound: int, cap: int | None = None) -> tuple[FiniteAlgebra, ...]:
+def expansion_members(P: PpExpansionSpec, bound: int) -> tuple[FiniteAlgebra, ...]:
     """Members of the subalgebra closure of the expanded class up to the bound,
     up to isomorphism: subalgebras of expanded members, enumerated
     deterministically."""
-    cap = cap if cap is not None else max(bound, DEFAULT_MEMBER_CAP)
-    members = _expansion_classes(P, bound, cap)
+    members = _expansion_classes(P, bound)
     return tuple(label_classes(members, f"S({P.base.name})[+]", P.expanded_signature))
 
 
 @lru_cache(maxsize=None)
-def _expansion_classes(P: PpExpansionSpec, bound: int, cap: int) -> tuple[FiniteAlgebra, ...]:
+def _expansion_classes(P: PpExpansionSpec, bound: int) -> tuple[FiniteAlgebra, ...]:
     """The classes behind `expansion_members`, sorted by (size, tables).  The
     cache key compares specs by structure, so `expansion_members` names them."""
     registry = IsoRegistry()
-    for D in members_up_to(P.base, bound, cap=cap):
+    for D in members_up_to(P.base, bound):
         C = expand_algebra(D, P, check=False)
         if not isinstance(C, FiniteAlgebra):
             continue
@@ -167,12 +165,12 @@ def _in_class(B: FiniteAlgebra, P: PpExpansionSpec):
     return None
 
 
-def check_simple(P: PpExpansionSpec, bound: int, cap: int | None = None) -> Verdict:
+def check_simple(P: PpExpansionSpec, bound: int) -> Verdict:
     """Simplicity of the pp expansion relative to its presenting family: every
     member of the subalgebra closure up to the bound must already be an
     expanded member.  The verdict is family-relative: a closure that fails here
     may still be presentable by a different operation family."""
-    for B in expansion_members(P, bound, cap):
+    for B in expansion_members(P, bound):
         cert = _in_class(B, P)
         if cert is not None:
             return Verdict(
@@ -211,7 +209,6 @@ def check_beth_companion(
     P: PpExpansionSpec,
     ops_under_test: tuple[ImplicitOpSpec, ...],
     bound: int,
-    cap: int | None = None,
 ) -> Verdict:
     """Interpolation for every supplied operation on every member of the
     expansion up to the bound.  The verdict is explicitly relative to the
@@ -224,7 +221,7 @@ def check_beth_companion(
             (("max-size", bound),),
             notes=notes + ("vacuous: empty operation family",),
         )
-    for B in expansion_members(P, bound, cap):
+    for B in expansion_members(P, bound):
         for s in ops_under_test:
             v = check_interpolation_criterion(B, s, P.base.signature)
             if not v.holds:
@@ -248,7 +245,6 @@ def check_regular_mono(
     h: Homomorphism,
     M: Quasivariety,
     size_bound: int | None = None,
-    cap: int | None = None,
 ) -> RegularWitness | NotFoundWithinBound:
     """Search for a parallel pair whose equalizer is exactly the image of the
     embedding.  Positive answers carry the replayable witness; negatives are
@@ -258,9 +254,8 @@ def check_regular_mono(
         raise PreconditionError("the given homomorphism is not an embedding")
     B = h.target
     bound = size_bound if size_bound is not None else B.size**2
-    cap = cap if cap is not None else max(bound, DEFAULT_MEMBER_CAP)
     image = set(h.mapping)
-    for C in members_up_to(M, bound, cap=cap):
+    for C in members_up_to(M, bound):
         homs = enumerate_homomorphisms(B, C, M.signature)
         for i in range(len(homs)):
             for j in range(i, len(homs)):
@@ -271,12 +266,12 @@ def check_regular_mono(
     return NotFoundWithinBound(bound)
 
 
-def check_mono_reflective(E: ExpansionSpec, bound: int, cap: int | None = None) -> Verdict:
+def check_mono_reflective(E: ExpansionSpec, bound: int) -> Verdict:
     """Three bounded sub-checks, all required: (a) fullness of the reduct
     functor (base-language maps between expanded members preserve the extra
-    operations), (b) unit injectivity, (c) counit bijectivity."""
-    cap = cap if cap is not None else max(bound, DEFAULT_MEMBER_CAP)
-    expanded_members = members_up_to(E.expanded, bound, cap=cap)
+    operations), then (b) unit injectivity and (c) counit bijectivity, which
+    are `unit_counit_verdict`."""
+    expanded_members = members_up_to(E.expanded, bound)
     for A in expanded_members:
         for B in expanded_members:
             redA, redB = reduct(A, E.base.signature), reduct(B, E.base.signature)
@@ -289,29 +284,13 @@ def check_mono_reflective(E: ExpansionSpec, bound: int, cap: int | None = None) 
                         (("max-size", bound),),
                         certificate=("not-full", A, B, h.mapping),
                     )
-    for inst in check_unit_mono(E, bound, cap=cap):
-        if not inst.embedding:
-            return Verdict(
-                "mono-reflective",
-                "fails",
-                (("max-size", bound),),
-                certificate=("unit-not-mono", inst),
-            )
-    for inst in check_counit_iso(E, bound, cap=cap):
-        if not inst.bijective:
-            return Verdict(
-                "mono-reflective",
-                "fails",
-                (("max-size", bound),),
-                certificate=("counit-not-iso", inst),
-            )
-    return Verdict("mono-reflective", "holds", (("max-size", bound),))
+    return replace(unit_counit_verdict(E, bound), claim="mono-reflective")
 
 
-def unit_counit_verdict(E: ExpansionSpec, bound: int, cap: int | None = None) -> Verdict:
+def unit_counit_verdict(E: ExpansionSpec, bound: int) -> Verdict:
     """The conjunction: unit componentwise injective and counit componentwise
     bijective, over the enumerated members."""
-    for inst in check_unit_mono(E, bound, cap=cap):
+    for inst in check_unit_mono(E, bound):
         if not inst.embedding:
             return Verdict(
                 "unit-mono-counit-iso",
@@ -319,7 +298,7 @@ def unit_counit_verdict(E: ExpansionSpec, bound: int, cap: int | None = None) ->
                 (("max-size", bound),),
                 certificate=("unit-not-mono", inst),
             )
-    for inst in check_counit_iso(E, bound, cap=cap):
+    for inst in check_counit_iso(E, bound):
         if not inst.bijective:
             return Verdict(
                 "unit-mono-counit-iso",
@@ -337,7 +316,6 @@ def check_faithful_term_equivalence(
     rho: TermTranslation,
     K: Quasivariety,
     bound: int,
-    cap: int | None = None,
 ) -> Verdict:
     """The four conditions of a faithful term equivalence relative to the base:
     translated members land in the other class and the translations compose to
@@ -352,11 +330,10 @@ def check_faithful_term_equivalence(
         raise PreconditionError("tau must translate the first signature into the second")
     if rho.source != M2.signature or rho.target != M1.signature:
         raise PreconditionError("rho must translate the second signature into the first")
-    cap = cap if cap is not None else max(bound, DEFAULT_MEMBER_CAP)
     bounds = (("max-size", bound),)
     # Round-trip failures are reported in preference to membership failures:
     # they replay by pure table evaluation, with no class reasoning.
-    for A in members_up_to(M1, bound, cap=cap):
+    for A in members_up_to(M1, bound):
         rhoA = apply_translation(rho, A)
         back = apply_translation(tau, rhoA)
         if back.tables != A.tables:
@@ -369,7 +346,7 @@ def check_faithful_term_equivalence(
                 "faithful-term-equivalence", "fails", bounds,
                 certificate=("(i) translated member escapes the second class", A),
             )
-    for B in members_up_to(M2, bound, cap=cap):
+    for B in members_up_to(M2, bound):
         tauB = apply_translation(tau, B)
         back = apply_translation(rho, tauB)
         if back.tables != B.tables:
@@ -413,15 +390,14 @@ def cross_validate_main_theorem(
     E: ExpansionSpec,
     P: PpExpansionSpec | None,
     bound: int,
-    cap: int | None = None,
 ) -> MainTheoremReport:
     """Run the three characterizations at the same bound and report agreement.
     The simplicity check is relative to the supplied family, so its
     disagreement with the categorical checks can also mean the closure is
     simple via a different family; the other two must always agree."""
-    simple = check_simple(P, bound, cap) if P is not None else None
-    uc = unit_counit_verdict(E, bound, cap)
-    mr = check_mono_reflective(E, bound, cap)
+    simple = check_simple(P, bound) if P is not None else None
+    uc = unit_counit_verdict(E, bound)
+    mr = check_mono_reflective(E, bound)
     consistent = uc.status == mr.status
     notes = []
     if simple is None:
@@ -443,17 +419,16 @@ def check_simplicity_transfer(
     rho: TermTranslation,
     K: Quasivariety,
     bound: int,
-    cap: int | None = None,
 ) -> Verdict:
     """Once the faithful term equivalence holds at the bound, the categorical
     simplicity verdicts of the two expansions must agree at the same bound."""
-    fte = check_faithful_term_equivalence(M1, M2, tau, rho, K, bound, cap)
+    fte = check_faithful_term_equivalence(M1, M2, tau, rho, K, bound)
     if not fte.holds:
         raise PreconditionError(
             "faithful term equivalence does not hold at this bound", certificate=fte
         )
-    v1 = unit_counit_verdict(ExpansionSpec(K, M1), bound, cap)
-    v2 = unit_counit_verdict(ExpansionSpec(K, M2), bound, cap)
+    v1 = unit_counit_verdict(ExpansionSpec(K, M1), bound)
+    v2 = unit_counit_verdict(ExpansionSpec(K, M2), bound)
     if v1.status == v2.status:
         return Verdict(
             "simplicity-transfer", "holds", (("max-size", bound),),
@@ -477,7 +452,6 @@ def harness_unique_witness_expansions(
     P: PpExpansionSpec,
     bound: int,
     ext_bound: int | None = None,
-    cap: int | None = None,
 ) -> HarnessReport:
     """Consistency harness: when every operation has unique witnesses, every
     member up to the bound totalizes within the extension bound, the witness
@@ -489,34 +463,33 @@ def harness_unique_witness_expansions(
     the implication is family-relative without them and can genuinely fail.
     """
     ext_bound = ext_bound if ext_bound is not None else bound
-    cap = cap if cap is not None else max(bound, ext_bound, DEFAULT_MEMBER_CAP)
     details: list[tuple[str, str]] = []
     established = True
     specs = tuple(spec for _, spec in P.ops)
     projections: list[ImplicitOpSpec] = []
     for spec in specs:
-        uw = check_unique_witnesses(spec, P.base, bound, cap=cap)
+        uw = check_unique_witnesses(spec, P.base, bound)
         if uw != "ok":
             details.append((f"unique-witnesses[{spec.name}]", "fails"))
             established = False
         else:
             details.append((f"unique-witnesses[{spec.name}]", "holds"))
-        for A in members_up_to(P.base, bound, cap=cap):
-            t = check_totalizable(spec, P.base, A, ext_bound, cap=cap)
+        for A in members_up_to(P.base, bound):
+            t = check_totalizable(spec, P.base, A, ext_bound)
             if isinstance(t, NotFoundWithinBound):
                 details.append((f"totalizable[{spec.name}] at {A.name}", "unknown-within-bound"))
                 established = False
         projections.extend(witness_projection_specs(spec))
     for proj in projections:
-        for A in members_up_to(P.base, bound, cap=cap):
+        for A in members_up_to(P.base, bound):
             if isinstance(induced_partial_op(A, proj), FunctionalityViolation):
                 details.append((f"projection-functional[{proj.name}] at {A.name}", "fails"))
                 established = False
-    beth = check_beth_companion(P, specs + tuple(projections), bound, cap=cap)
+    beth = check_beth_companion(P, specs + tuple(projections), bound)
     details.append(("beth-companion[family+projections]", beth.status))
     if not beth.holds:
         established = False
     if not established:
         return HarnessReport(False, tuple(details), None, True)
-    simple = check_simple(P, bound, cap=cap)
+    simple = check_simple(P, bound)
     return HarnessReport(True, tuple(details), simple, simple.holds)

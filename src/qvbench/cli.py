@@ -367,7 +367,7 @@ def cmd_unit(ws, flags):
     E, _ = _expansion_pair(ws, flags["expansion"])
     bound = flags.get("max_size", 4)
     instances = []
-    for item in check_unit_mono(E, bound, cap=bound):
+    for item in check_unit_mono(E, bound):
         instances.append({
             "name": item.algebra.name,
             "bound": bound,
@@ -391,7 +391,7 @@ def cmd_counit(ws, flags):
             "certificate": {"counit-map": list(eps.mapping), "reflected-size": eps.source.size},
         })
     else:
-        for item in check_counit_iso(E, bound, cap=bound):
+        for item in check_counit_iso(E, bound):
             instances.append({
                 "name": item.algebra.name,
                 "bound": bound,
@@ -416,7 +416,7 @@ def cmd_check_simple(ws, flags):
     if not isinstance(spec, PpExpansionSpec):
         raise ValueError("check-simple needs a pp expansion")
     bound = flags.get("max_size", 4)
-    v = check_simple(spec, bound, cap=bound)
+    v = check_simple(spec, bound)
     return [_verdict_instance(flags["expansion"], v, bound)], {
         "expansion": flags["expansion"], **_bounds(flags)
     }
@@ -430,7 +430,7 @@ def cmd_check_beth(ws, flags):
         ws.lookup("ppops", name) for name in flags.get("ops", "").split(",") if name
     )
     bound = flags.get("max_size", 4)
-    v = check_beth_companion(spec, ops, bound, cap=bound)
+    v = check_beth_companion(spec, ops, bound)
     return [_verdict_instance(flags["expansion"], v, bound)], {
         "expansion": flags["expansion"],
         "ops": flags.get("ops", ""),
@@ -454,7 +454,7 @@ def cmd_check_regular(ws, flags):
 def check_regular_mono_cli(h, M, bound) -> dict:
     from .beth import check_regular_mono
 
-    result = check_regular_mono(h, M, size_bound=bound, cap=bound)
+    result = check_regular_mono(h, M, size_bound=bound)
     if isinstance(result, RegularWitness):
         g1, g2 = result.equalizer_of
         return {
@@ -483,7 +483,7 @@ def cmd_check_extendable(ws, flags):
         raise ValueError(f"--tuple: {s.name} has arity {s.arity}, got {len(args)} entries")
     _check_elements(A, args, "tuple")
     bound = flags.get("ext_bound", 6)
-    result = check_extendable(s, K, A, args, bound, cap=bound)
+    result = check_extendable(s, K, A, args, bound)
     if isinstance(result, Extension):
         inst = {"name": A.name, "bound": bound, "verdict": "holds", "certificate": jsonable(result)}
     else:
@@ -497,7 +497,7 @@ def cmd_check_unique_witnesses(ws, flags):
     s = ws.lookup("ppops", flags["ppop"])
     K = ws.lookup("quasivarieties", flags["in"])
     bound = flags.get("max_size", 4)
-    result = check_unique_witnesses(s, K, bound, cap=bound)
+    result = check_unique_witnesses(s, K, bound)
     if result == "ok":
         inst = {"name": s.name, "bound": bound, "verdict": "holds"}
     else:
@@ -512,10 +512,10 @@ def cmd_term_equiv(ws, flags):
     rho = ws.lookup("translations", flags["rho"])
     K = ws.lookup("quasivarieties", flags["in"])
     bound = flags.get("max_size", 4)
-    v = check_faithful_term_equivalence(M1, M2, tau, rho, K, bound, cap=bound)
+    v = check_faithful_term_equivalence(M1, M2, tau, rho, K, bound)
     instances = [_verdict_instance(f"{M1.name}~{M2.name}", v, bound)]
     if flags.get("transfer") and v.holds:
-        t = check_simplicity_transfer(M1, M2, tau, rho, K, bound, cap=bound)
+        t = check_simplicity_transfer(M1, M2, tau, rho, K, bound)
         instances.append(_verdict_instance("simplicity-transfer", t, bound))
     return instances, {
         "m1": M1.name, "m2": M2.name, "tau": flags["tau"], "rho": flags["rho"],
@@ -530,7 +530,7 @@ def cmd_cross_validate(ws, flags):
         if not isinstance(P, PpExpansionSpec):
             raise ValueError("--pp-expansion must name a pp expansion")
     bound = flags.get("max_size", 4)
-    report = cross_validate_main_theorem(E, P, bound, cap=bound)
+    report = cross_validate_main_theorem(E, P, bound)
     instances = []
     if report.simple is not None:
         instances.append(_verdict_instance("simple-pp-expansion", report.simple, bound))
@@ -553,7 +553,7 @@ def cmd_amalgamate(ws, flags):
     f = _hom_from_flags(ws, flags["apex"], flags["left"], flags["left_map"], "left-map", K.signature)
     g = _hom_from_flags(ws, flags["apex"], flags["right"], flags["right_map"], "right-map", K.signature)
     bound = flags.get("ext_bound", 6)
-    result = bounded_amalgamation(A, B, C, f, g, K, bound, cap=bound)
+    result = bounded_amalgamation(A, B, C, f, g, K, bound)
     if isinstance(result, Amalgam):
         inst = {
             "name": f"{B.name}<-{A.name}->{C.name}",
@@ -574,8 +574,7 @@ def cmd_amalgamate(ws, flags):
 def cmd_enumerate(ws, flags):
     K = ws.lookup("quasivarieties", flags["in"])
     n = flags.get("size", flags.get("max_size", 4))
-    cap = max(n, flags.get("max_size", 4))
-    members = enumerate_members(K, n, cap=cap)
+    members = enumerate_members(K, n)
     instances = [
         {"name": A.name, "bound": n, "verdict": "holds", "certificate": {"algebra": algebra_json(A)}}
         for A in members
@@ -603,6 +602,14 @@ _HANDLERS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """A size bound: an integer of at least 1, since a smaller bound admits
+    no member."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_argparser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="qvbench", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
@@ -610,8 +617,8 @@ def build_argparser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--workspace", required=True, help="workspace file to load")
-        p.add_argument("--max-size", type=int, default=4, dest="max_size")
-        p.add_argument("--ext-bound", type=int, default=6, dest="ext_bound")
+        p.add_argument("--max-size", type=_positive_int, default=4, dest="max_size")
+        p.add_argument("--ext-bound", type=_positive_int, default=6, dest="ext_bound")
         p.add_argument("--product-cap", type=int, default=10**6, dest="product_cap")
         p.add_argument("--report", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default="json")
@@ -644,7 +651,7 @@ def build_argparser() -> argparse.ArgumentParser:
             if f.endswith("?flag"):
                 p.add_argument(base, action="store_true", dest=dest)
             elif f.endswith("?int"):
-                p.add_argument(base, type=int, default=None, dest=dest)
+                p.add_argument(base, type=_positive_int, default=None, dest=dest)
             elif optional:
                 p.add_argument(base, default=None, dest=dest)
             else:

@@ -35,7 +35,6 @@ from .logic import (
     term_variables,
 )
 from .quasivariety import (
-    DEFAULT_MEMBER_CAP,
     NotFoundWithinBound,
     Quasivariety,
     members_up_to,
@@ -217,15 +216,13 @@ def check_extendable(
     A: FiniteAlgebra,
     args: tuple[int, ...],
     size_bound: int,
-    cap: int | None = None,
 ) -> Extension | NotFoundWithinBound:
     """Search for a member extending A on which the operation is defined at the
     image of `args`; tuples already in the domain extend trivially."""
     op = induced_partial_op(A, s)
     if isinstance(op, PartialOperation) and op.defined_at(args):
         return Extension(A, identity_homomorphism(A, K.signature))
-    cap = cap if cap is not None else max(size_bound, DEFAULT_MEMBER_CAP)
-    for B in members_up_to(K, size_bound, cap=cap):
+    for B in members_up_to(K, size_bound):
         if B.size < A.size:
             continue
         opB = induced_partial_op(B, s)
@@ -242,7 +239,6 @@ def check_totalizable(
     K: Quasivariety,
     A: FiniteAlgebra,
     size_bound: int,
-    cap: int | None = None,
 ) -> Extension | NotFoundWithinBound:
     """Like check_extendable but the target must make the operation total on
     its whole universe (it then extends the original graph automatically,
@@ -250,8 +246,7 @@ def check_totalizable(
     op = induced_partial_op(A, s)
     if isinstance(op, PartialOperation) and op.is_total:
         return Extension(A, identity_homomorphism(A, K.signature))
-    cap = cap if cap is not None else max(size_bound, DEFAULT_MEMBER_CAP)
-    for B in members_up_to(K, size_bound, cap=cap):
+    for B in members_up_to(K, size_bound):
         if B.size < A.size:
             continue
         opB = induced_partial_op(B, s)
@@ -275,14 +270,12 @@ def check_unique_witnesses(
     s: ImplicitOpSpec,
     K: Quasivariety,
     bound: int,
-    cap: int | None = None,
 ):
     """On every member up to the bound and every defined tuple, the defining
     formula must have exactly one witness tuple; with no witness variables the
     empty tuple is trivially unique."""
-    cap = cap if cap is not None else max(bound, DEFAULT_MEMBER_CAP)
     witnesses = compile_pp(K.signature, s.formula, s.variables)
-    for A in members_up_to(K, bound, cap=cap):
+    for A in members_up_to(K, bound):
         op = induced_partial_op(A, s)
         if isinstance(op, FunctionalityViolation):
             return op

@@ -33,7 +33,6 @@ from .core import (
 )
 from .logic import Quasiequation, check_quasiequation, compile_quasiequation, eval_term
 
-DEFAULT_MEMBER_CAP = 4
 DEFAULT_PRODUCT_CAP = 10**6
 
 
@@ -323,7 +322,8 @@ def _member_classes(K: Quasivariety, max_size: int) -> tuple[FiniteAlgebra, ...]
         for size in range(1, max_size + 1):
             for model in _axiomatic_models(K.signature, K.axioms, size):
                 registry.add(model)
-    return tuple(sorted(registry.members, key=lambda A: (A.size, A.tables)))
+    members = [A for A in registry.members if A.size <= max_size]
+    return tuple(sorted(members, key=lambda A: (A.size, A.tables)))
 
 
 def label_classes(members, prefix: str, signature: Signature) -> list[FiniteAlgebra]:
@@ -336,15 +336,13 @@ def label_classes(members, prefix: str, signature: Signature) -> list[FiniteAlge
     ]
 
 
-def members_up_to(K: Quasivariety, max_size: int, cap: int = DEFAULT_MEMBER_CAP) -> list[FiniteAlgebra]:
-    if max_size > cap:
-        raise CapExceeded(f"member bound {max_size} exceeds cap {cap}")
+def members_up_to(K: Quasivariety, max_size: int) -> list[FiniteAlgebra]:
     return label_classes(_member_classes(K, max_size), K.name, K.signature)
 
 
-def enumerate_members(K: Quasivariety, n: int, cap: int = DEFAULT_MEMBER_CAP) -> list[FiniteAlgebra]:
+def enumerate_members(K: Quasivariety, n: int) -> list[FiniteAlgebra]:
     """All size-n members of K up to isomorphism, deterministically ordered."""
-    return [A for A in members_up_to(K, n, cap) if A.size == n]
+    return [A for A in members_up_to(K, n) if A.size == n]
 
 
 @dataclass(frozen=True)
@@ -362,7 +360,6 @@ def bounded_amalgamation(
     g: Homomorphism,
     K: Quasivariety,
     size_bound: int,
-    cap: int = DEFAULT_MEMBER_CAP,
 ) -> Amalgam | NotFoundWithinBound:
     """Search for D in K (|D| <= size_bound) with embeddings completing the
     span; the negative answer is bound-relative only."""
@@ -370,7 +367,7 @@ def bounded_amalgamation(
         raise ValueError("both legs of the span must be embeddings")
     if f.source != A or g.source != A or f.target != B or g.target != C:
         raise ValueError("span legs do not match the given algebras")
-    for D in members_up_to(K, size_bound, cap=cap):
+    for D in members_up_to(K, size_bound):
         if D.size < max(B.size, C.size):
             continue
         for f2 in enumerate_embeddings(B, D, K.signature):

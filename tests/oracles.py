@@ -3,7 +3,7 @@ checks: each recomputes its answer from the definitions, by exhaustive search
 or direct recursion over the operation tables."""
 import re
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 from qvbench.core import Signature, SignatureError
 from qvbench.logic import UnboundVariableError, Var
@@ -57,6 +57,27 @@ def brute_homs(A, B, language):
         if ok:
             out.append(mapping)
     return out
+
+
+def canonical_form(A):
+    """(size, lexicographically least tables over every relabelling of A),
+    trying all permutations: two algebras over one signature are isomorphic
+    iff their forms are equal."""
+    n = A.size
+    best = None
+    for perm in permutations(range(n)):
+        tables = []
+        for (_, k), table in zip(A.signature.symbols, A.tables):
+            relabelled = [0] * len(table)
+            for flat, args in enumerate(iproduct(range(n), repeat=k)):
+                image = 0
+                for a in args:
+                    image = image * n + perm[a]
+                relabelled[image] = perm[table[flat]]
+            tables.append(tuple(relabelled))
+        if best is None or tuple(tables) < best:
+            best = tuple(tables)
+    return n, best
 
 
 def naive_tuple_closure(factors, seeds, signature):

@@ -211,7 +211,7 @@ def test_acceptance_7_pp_evaluation_oracle():
         suites = [
             (
                 [fx.COMPL, fx.COMPL_PADDED, fx.JOIN_WITH_COMPL],
-                members_up_to(fx.DL, 5, cap=5) + [M3, N5],
+                members_up_to(fx.DL, 5) + [M3, N5],
             ),
             ([fx.INV], min_mons + other_monqs),
         ]
@@ -255,10 +255,10 @@ def test_acceptance_8_unique_witness_harness():
     with Timer(8, "unique-witness expansions are simple at the bound", 60.0):
         assert check_unique_witnesses(fx.COMPL, fx.DL, 4) == "ok"
         for A in members_up_to(fx.DL, 4):
-            result = check_totalizable(fx.COMPL, fx.DL, A, 8, cap=8)
+            result = check_totalizable(fx.COMPL, fx.DL, A, 8)
             assert not isinstance(result, type(None))
             assert hasattr(result, "algebra"), f"{A.name} does not totalize within 8"
-        report = harness_unique_witness_expansions(fx.PP_COMPL, 4, ext_bound=8, cap=8)
+        report = harness_unique_witness_expansions(fx.PP_COMPL, 4, ext_bound=8)
         assert report.premises_established
         assert report.simple is not None and report.simple.holds
         assert report.consistent

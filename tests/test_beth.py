@@ -1,7 +1,7 @@
 import pytest
 
 from qvbench import fixtures as fx
-from qvbench.adjunction import PpExpansionSpec, expand_algebra, induced_expansion
+from qvbench.adjunction import ExpansionSpec, PpExpansionSpec, expand_algebra, induced_expansion
 from qvbench.beth import (
     HarnessReport,
     MainTheoremReport,
@@ -29,9 +29,10 @@ from qvbench.core import (
     generated_subalgebra,
     is_homomorphism,
     reduct,
+    trivial_algebra,
 )
 from qvbench.logic import App, Var
-from qvbench.quasivariety import NotFoundWithinBound, membership
+from qvbench.quasivariety import NotFoundWithinBound, Quasivariety, membership
 
 
 class TestCheckSimple:
@@ -152,6 +153,17 @@ class TestMonoReflective:
         assert v.status == "fails"
         assert v.certificate[0] in ("not-full", "counit-not-iso")
 
+    def test_full_reduct_fails_with_the_unit_counit_certificate(self):
+        """DL into its trivial subclass: one language, so the reduct is full,
+        and the unit collapses every nontrivial lattice."""
+        trivial = Quasivariety("TRIV", fx.BDL, generators=(trivial_algebra(fx.BDL),))
+        E = ExpansionSpec(fx.DL, trivial)
+        v = check_mono_reflective(E, 3)
+        uc = unit_counit_verdict(E, 3)
+        assert v.status == uc.status == "fails"
+        assert v.certificate == uc.certificate
+        assert v.certificate[0] == "unit-not-mono"
+
 
 class TestFaithfulTermEquivalence:
     def test_not_imp_equivalence_holds(self):
@@ -261,7 +273,7 @@ class TestSimplicityTransfer:
 
 class TestHarness:
     def test_complement_expansion_consistent(self):
-        r = harness_unique_witness_expansions(fx.PP_COMPL, 4, ext_bound=8, cap=8)
+        r = harness_unique_witness_expansions(fx.PP_COMPL, 4, ext_bound=8)
         assert r.premises_established
         assert r.simple.holds
         assert r.consistent
@@ -282,7 +294,7 @@ class TestHarness:
         """Without the witness projections the premises would hold while the
         simplicity check fails; the projection's interpolation failure keeps
         the harness sound."""
-        r = harness_unique_witness_expansions(fx.PP_JC, 4, ext_bound=8, cap=8)
+        r = harness_unique_witness_expansions(fx.PP_JC, 4, ext_bound=8)
         assert not r.premises_established
         assert r.consistent
         assert any(k.startswith("beth-companion") and v == "fails" for k, v in r.premise_details)

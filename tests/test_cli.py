@@ -242,6 +242,19 @@ class TestMainEntry:
         assert code == 3
         assert "--right-map: Chain2 has no element 5" in capsys.readouterr().err
 
+    def test_max_size_below_one_exit_three(self, capsys):
+        code = main(["unit", "--workspace", WS, "--expansion", "DLtoBOOL", "--max-size", "0"])
+        assert code == 3
+        assert "argument --max-size: must be an integer of at least 1" in capsys.readouterr().err
+        code = main(["unit", "--workspace", WS, "--expansion", "DLtoBOOL", "--ext-bound", "-3"])
+        assert code == 3
+        assert "argument --ext-bound: must be an integer of at least 1" in capsys.readouterr().err
+
+    def test_enumerate_size_below_one_exit_three(self, capsys):
+        code = main(["enumerate", "--workspace", WS, "--in", "DL", "--size", "0"])
+        assert code == 3
+        assert "argument --size: must be an integer of at least 1" in capsys.readouterr().err
+
     def test_crash_exit_four(self, monkeypatch, capsys):
         def crash(ws, flags):
             raise RuntimeError("boom")

@@ -1,7 +1,7 @@
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from qvbench import core, fixtures as fx
@@ -9,6 +9,7 @@ from qvbench.core import (
     Congruence,
     FiniteAlgebra,
     Homomorphism,
+    IsoRegistry,
     Signature,
     SignatureError,
     all_subuniverses,
@@ -34,9 +35,9 @@ from qvbench.core import (
 
 
 @st.composite
-def algebras(draw, signature=fx.BDL, max_size=3):
+def algebras(draw, signature=fx.BDL, max_size=3, min_size=1):
     """Arbitrary total tables over the signature; no axioms assumed."""
-    n = draw(st.integers(1, max_size))
+    n = draw(st.integers(min_size, max_size))
     tables = tuple(
         tuple(draw(st.integers(0, n - 1)) for _ in range(n**k))
         for _, k in signature.symbols
@@ -44,32 +45,27 @@ def algebras(draw, signature=fx.BDL, max_size=3):
     return FiniteAlgebra("H", signature, n, tables)
 
 
-def brute_force_homs(A, B, language):
-    out = []
-    for mapping in iproduct(range(B.size), repeat=A.size):
-        h = Homomorphism(A, B, language, mapping)
-        if is_homomorphism(h):
-            out.append(mapping)
-    return out
+# A nullary symbol pins values before the hom search.  Random unary algebras
+# of size 5 or 6 often share a fingerprint without being isomorphic.
+BIN_CONST = Signature("bin_const", (("f", 2), ("c", 0)))
+UNARY = Signature("unary", (("g", 1),))
 
 
-def all_partitions(n):
-    """All partitions of range(n) as canonical label tuples."""
-    if n == 0:
-        return [()]
-    out = []
-
-    def rec(i, labels, blocks):
-        if i == n:
-            out.append(tuple(labels))
-            return
-        for b in range(blocks + 1):
-            labels.append(b)
-            rec(i + 1, labels, max(blocks, b + 1))
-            labels.pop()
-
-    rec(0, [], 0)
-    return out
+@st.composite
+def registry_batches(draw):
+    """Random algebras and relabelled copies of them, in random order, on
+    both sides of CANONIZE_LIMIT (sizes 1-5 with a binary and a nullary
+    symbol, 1-6 with one unary symbol), and often many unary algebras of
+    size 5 or 6."""
+    signature, smallest, largest, most = draw(st.sampled_from([
+        (BIN_CONST, 1, 5, 5), (UNARY, 1, 6, 5), (UNARY, 5, 6, 8),
+    ]))
+    batch = []
+    for A in draw(st.lists(algebras(signature, largest, smallest), min_size=1, max_size=most)):
+        batch.append(A)
+        for _ in range(draw(st.integers(0, 2))):
+            batch.append(permuted(A, draw(st.permutations(range(A.size)))))
+    return draw(st.permutations(batch))
 
 
 class TestSignature:
@@ -115,7 +111,7 @@ class TestDirectProduct:
 class TestHomomorphisms:
     def test_chain3_to_chain2_exactly_two(self):
         homs = enumerate_homomorphisms(fx.CHAIN3, fx.CHAIN2, fx.BDL)
-        assert [h.mapping for h in homs] == brute_force_homs(fx.CHAIN3, fx.CHAIN2, fx.BDL)
+        assert [h.mapping for h in homs] == oracles.brute_homs(fx.CHAIN3, fx.CHAIN2, fx.BDL)
         assert [h.mapping for h in homs] == [(0, 0, 1), (0, 1, 1)]
 
     def test_identity_included(self):
@@ -124,14 +120,38 @@ class TestHomomorphisms:
 
     def test_diamond_to_chain2_exactly_two(self):
         homs = enumerate_homomorphisms(fx.DIAMOND, fx.CHAIN2, fx.BDL)
-        assert [h.mapping for h in homs] == brute_force_homs(fx.DIAMOND, fx.CHAIN2, fx.BDL)
+        assert [h.mapping for h in homs] == oracles.brute_homs(fx.DIAMOND, fx.CHAIN2, fx.BDL)
         assert [h.mapping for h in homs] == [(0, 0, 1, 1), (0, 1, 0, 1)]
 
     @settings(max_examples=40, deadline=None)
     @given(A=algebras(max_size=3), B=algebras(max_size=3))
     def test_matches_naive_filter(self, A, B):
         got = [h.mapping for h in enumerate_homomorphisms(A, B, fx.BDL)]
-        assert got == brute_force_homs(A, B, fx.BDL)
+        assert got == oracles.brute_homs(A, B, fx.BDL)
+
+    @settings(max_examples=80, deadline=None)
+    @given(A=algebras(BIN_CONST, max_size=4), data=st.data())
+    def test_search_options_match_filtered_brute_force(self, A, data):
+        """`injective`, `pinned` and `limit` against every homomorphism,
+        filtered and truncated the same way.  B is sometimes a relabelled
+        copy of A, so that injective maps exist."""
+        B = data.draw(st.one_of(
+            algebras(BIN_CONST, max_size=4),
+            st.permutations(range(A.size)).map(lambda perm: permuted(A, perm)),
+        ))
+        injective = data.draw(st.booleans())
+        pinned = data.draw(st.dictionaries(
+            st.integers(0, A.size - 1), st.integers(0, B.size - 1), max_size=2
+        ))
+        limit = data.draw(st.none() | st.integers(1, 3))
+        expected = [
+            m
+            for m in oracles.brute_homs(A, B, BIN_CONST)
+            if (not injective or len(set(m)) == A.size)
+            and all(m[a] == b for a, b in pinned.items())
+        ]
+        got = core._hom_search(A, B, BIN_CONST, injective=injective, pinned=pinned, limit=limit)
+        assert got == expected[:limit]
 
     def test_reduct_homs_across_signatures(self):
         homs = enumerate_homomorphisms(fx.FOUR_BA, fx.CHAIN2, fx.BDL)
@@ -249,7 +269,7 @@ class TestCongruences:
         # oracle: intersection of all compatible partitions containing the pair
         candidates = [
             labels
-            for labels in all_partitions(A.size)
+            for labels in oracles.all_partitions(A.size)
             if labels[pair[0]] == labels[pair[1]] and is_congruence(A, labels)
         ]
         for labels in candidates:
@@ -305,3 +325,24 @@ class TestIsomorphism:
     def test_trivial_algebra(self):
         t = trivial_algebra(fx.BDL)
         assert t.size == 1 and t.apply("meet", (0, 0)) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @example(batch=[  # one fingerprint, not isomorphic: 4 -> 2 -> 0 against 4 -> 3 -> 1 -> 0
+        FiniteAlgebra("H", UNARY, 5, ((0, 0, 0, 1, 2),)),
+        FiniteAlgebra("H", UNARY, 5, ((0, 0, 0, 1, 3),)),
+    ])
+    @given(batch=registry_batches())
+    def test_registry_matches_brute_force_canonical_form(self, batch):
+        """An algebra is added iff no earlier one has its canonical form, and
+        the representative returned is the one kept for that class."""
+        registry = IsoRegistry()
+        kept = {}
+        for A in batch:
+            form = oracles.canonical_form(A)
+            rep, added = registry.add(A)
+            assert added == (form not in kept)
+            if added:
+                assert oracles.canonical_form(rep) == form
+                kept[form] = rep
+            assert rep == kept[form]
+        assert registry.members == list(kept.values())

@@ -148,8 +148,8 @@ class TestTotalizable:
         assert check_totalizable(fx.COMPL, fx.DL, fx.CHAIN3, 3) == NotFoundWithinBound(3)
 
     def test_chain4_needs_size_eight(self):
-        assert isinstance(check_totalizable(fx.COMPL, fx.DL, fx.CHAIN4, 6, cap=6), NotFoundWithinBound)
-        result = check_totalizable(fx.COMPL, fx.DL, fx.CHAIN4, 8, cap=8)
+        assert isinstance(check_totalizable(fx.COMPL, fx.DL, fx.CHAIN4, 6), NotFoundWithinBound)
+        result = check_totalizable(fx.COMPL, fx.DL, fx.CHAIN4, 8)
         assert isinstance(result, Extension)
         assert result.algebra.size == 8
 
@@ -159,7 +159,7 @@ class TestUniqueWitnesses:
         assert check_unique_witnesses(fx.COMPL, fx.DL, 4) == "ok"
 
     def test_inv_vacuously_unique(self):
-        assert check_unique_witnesses(fx.INV, fx.MONQ, 2, cap=2) == "ok"
+        assert check_unique_witnesses(fx.INV, fx.MONQ, 2) == "ok"
 
     def test_padded_witness_violation(self):
         result = check_unique_witnesses(fx.COMPL_PADDED, fx.DL, 4)

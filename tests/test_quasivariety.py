@@ -2,6 +2,7 @@ from itertools import combinations, product as iproduct
 
 import pytest
 
+import oracles
 from qvbench import fixtures as fx
 from qvbench.core import (
     Congruence,
@@ -39,10 +40,8 @@ from qvbench.quasivariety import (
 def intersect_k_congruences(A, pairs, K):
     """Oracle: intersect all compatible partitions that contain the pairs and
     whose quotient passes membership."""
-    from tests.test_core import all_partitions
-
     relations = []
-    for labels in all_partitions(A.size):
+    for labels in oracles.all_partitions(A.size):
         if not all(labels[a] == labels[b] for a, b in pairs):
             continue
         if not is_congruence(A, labels):
@@ -177,9 +176,11 @@ class TestEnumerateMembers:
         for A in members_up_to(fx.DL, 4):
             assert membership(A, fx.DL).holds
 
-    def test_cap_enforced(self):
-        with pytest.raises(CapExceeded):
-            enumerate_members(fx.DL, 5)
+    def test_bound_below_one_gives_no_members(self):
+        """No member is larger than the bound, whichever presentation: the
+        generated search starts from the trivial algebra, which a bound of 0
+        excludes as the axiomatic search does."""
+        assert members_up_to(fx.DL, 0) == members_up_to(fx.DLAX, 0) == []
 
     def test_axiomatic_enumeration_small(self):
         ms1 = enumerate_members(fx.DLAX, 1)
@@ -202,7 +203,7 @@ class TestEnumerateMembers:
         """Distributive lattices of n elements up to isomorphism, n = 1..8,
         are 1, 1, 1, 2, 3, 5, 8, 15 (OEIS A006982).  Each class found is a
         member and no two of the same size are isomorphic."""
-        members = members_up_to(fx.DL, 8, cap=8)
+        members = members_up_to(fx.DL, 8)
         sizes = [A.size for A in members]
         assert [sizes.count(n) for n in range(1, 9)] == [1, 1, 1, 2, 3, 5, 8, 15]
         assert all(membership(A, fx.DL).holds for A in members)
