@@ -31,9 +31,11 @@ from .logic import App, Term, Var, compile_term, term_variables
 from .adjunction import (
     CounitInstance,
     ExpansionSpec,
+    ExpansionViolation,
     PpExpansionSpec,
     UnitInstance,
     check_counit_iso,
+    check_expansion,
     check_unit_mono,
     expand_algebra,
 )
@@ -266,11 +268,29 @@ def check_regular_mono(
     return NotFoundWithinBound(bound)
 
 
+def _reduct_violation(E: ExpansionSpec, bound: int) -> Verdict | None:
+    """A failed `reduct-well-defined` verdict when some expanded member up to
+    the bound has a reduct outside the base class.  The categorical checks
+    presuppose the reduct functor, so they report this instead."""
+    result = check_expansion(E, bound)
+    if isinstance(result, ExpansionViolation):
+        return Verdict(
+            "reduct-well-defined", "fails", (("max-size", bound),), certificate=result,
+            notes=("reduct-well-defined fails: an expanded member has a reduct "
+                   "outside the base class",),
+        )
+    return None
+
+
 def check_mono_reflective(E: ExpansionSpec, bound: int) -> Verdict:
     """Three bounded sub-checks, all required: (a) fullness of the reduct
     functor (base-language maps between expanded members preserve the extra
     operations), then (b) unit injectivity and (c) counit bijectivity, which
-    are `unit_counit_verdict`."""
+    are `unit_counit_verdict`.  A reduct functor that is not well defined
+    fails first, under `reduct-well-defined`."""
+    violation = _reduct_violation(E, bound)
+    if violation is not None:
+        return violation
     expanded_members = members_up_to(E.expanded, bound)
     for A in expanded_members:
         for B in expanded_members:
@@ -289,7 +309,11 @@ def check_mono_reflective(E: ExpansionSpec, bound: int) -> Verdict:
 
 def unit_counit_verdict(E: ExpansionSpec, bound: int) -> Verdict:
     """The conjunction: unit componentwise injective and counit componentwise
-    bijective, over the enumerated members."""
+    bijective, over the enumerated members.  A reduct functor that is not well
+    defined fails first, under `reduct-well-defined`."""
+    violation = _reduct_violation(E, bound)
+    if violation is not None:
+        return violation
     for inst in check_unit_mono(E, bound):
         if not inst.embedding:
             return Verdict(
@@ -394,8 +418,18 @@ def cross_validate_main_theorem(
     """Run the three characterizations at the same bound and report agreement.
     The simplicity check is relative to the supplied family, so its
     disagreement with the categorical checks can also mean the closure is
-    simple via a different family; the other two must always agree."""
+    simple via a different family; the other two must always agree.  All
+    three presuppose a well-defined reduct functor: when some expanded member
+    has a reduct outside the base, both categorical verdicts are that
+    `reduct-well-defined` failure and the report is not consistent."""
     simple = check_simple(P, bound) if P is not None else None
+    violation = _reduct_violation(E, bound)
+    if violation is not None:
+        return MainTheoremReport(
+            simple, violation, violation, False,
+            ("the reduct functor is not well defined within the bound; "
+             "the main theorem does not apply",),
+        )
     uc = unit_counit_verdict(E, bound)
     mr = check_mono_reflective(E, bound)
     consistent = uc.status == mr.status

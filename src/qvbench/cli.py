@@ -262,6 +262,12 @@ def _expansion_pair(ws: Workspace, name: str) -> tuple[ExpansionSpec, PpExpansio
 def run(command: str, ws: Workspace, flags: dict) -> tuple[Report, int]:
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
+    # A size bound below 1 admits no member, so a verdict over it is vacuous.
+    for key in ("max_size", "ext_bound", "size"):
+        value = flags.get(key)
+        if value is not None and (type(value) is not int or value < 1):
+            flag = "--" + key.replace("_", "-")
+            raise ValueError(f"argument {flag}: must be an integer of at least 1, got {str(value)!r}")
     handler = _HANDLERS[command.replace("-", "_")]
     instances, params = handler(ws, flags)
     held = sum(1 for i in instances if i.get("verdict") == "holds")
@@ -602,14 +608,6 @@ _HANDLERS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    """A size bound: an integer of at least 1, since a smaller bound admits
-    no member."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return int(text)
-
-
 def build_argparser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="qvbench", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
@@ -617,8 +615,8 @@ def build_argparser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--workspace", required=True, help="workspace file to load")
-        p.add_argument("--max-size", type=_positive_int, default=4, dest="max_size")
-        p.add_argument("--ext-bound", type=_positive_int, default=6, dest="ext_bound")
+        p.add_argument("--max-size", type=int, default=4, dest="max_size")
+        p.add_argument("--ext-bound", type=int, default=6, dest="ext_bound")
         p.add_argument("--product-cap", type=int, default=10**6, dest="product_cap")
         p.add_argument("--report", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default="json")
@@ -651,7 +649,7 @@ def build_argparser() -> argparse.ArgumentParser:
             if f.endswith("?flag"):
                 p.add_argument(base, action="store_true", dest=dest)
             elif f.endswith("?int"):
-                p.add_argument(base, type=_positive_int, default=None, dest=dest)
+                p.add_argument(base, type=int, default=None, dest=dest)
             elif optional:
                 p.add_argument(base, default=None, dest=dest)
             else:

@@ -75,6 +75,16 @@ class FiniteAlgebra:
             for i, (sym, k) in enumerate(self.signature.symbols)
         }
 
+    @cached_property
+    def _closure_ops(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(arity, table) for each symbol of positive arity, in signature
+        order: what `_closure_run` combines."""
+        return tuple(
+            (k, table)
+            for (_, k), table in zip(self.signature.symbols, self.tables)
+            if k > 0
+        )
+
     def apply(self, sym: str, args: tuple[int, ...]) -> int:
         try:
             k, table = self._ops[sym]
@@ -344,31 +354,42 @@ def _closure_run(
     A: FiniteAlgebra, done: list[int], queue: list[int], members: set[int], limit: int
 ) -> set[int]:
     """Work loop shared by closure and closure_extend: combine each queued
-    element with everything already processed.  Only tuples that mention the
-    new element are generated, and table lookups are inlined.  Stops as soon
-    as `members` grows past `limit`."""
+    element x with everything already processed.  Only argument tuples that
+    mention x are looked up: for a unary symbol table[x], for a binary one the
+    row of x and the column of x over the processed elements, and for higher
+    arities every tuple over them with x in some position.  The closed set
+    does not depend on the order of the queue.  Stops once `members` grows
+    past `limit` and returns that unfinished set."""
     n = A.size
-    pos_ops = [
-        (k, table)
-        for (sym, k), table in zip(A.signature.symbols, A.tables)
-        if k > 0
-    ]
+    done_rows = [y * n for y in done]
     while queue:
         x = queue.pop()
-        for k, table in pos_ops:
-            pool = done + [x]
-            for i in range(k):
-                for rest in iproduct(pool, repeat=k - 1):
-                    flat = 0
-                    for a in rest[:i] + (x,) + rest[i:]:
-                        flat = flat * n + a
-                    v = table[flat]
-                    if v not in members:
-                        members.add(v)
-                        if len(members) > limit:
-                            return members
-                        queue.append(v)
+        row = x * n
+        reached = set()
+        for k, table in A._closure_ops:
+            if k == 1:
+                reached.add(table[x])
+            elif k == 2:
+                get = table.__getitem__
+                reached.update(map(get, map(row.__add__, done)))
+                reached.update(map(get, map(x.__add__, done_rows)))
+                reached.add(table[row + x])
+            else:
+                pool = done + [x]
+                for i in range(k):
+                    for rest in iproduct(pool, repeat=k - 1):
+                        flat = 0
+                        for a in rest[:i] + (x,) + rest[i:]:
+                            flat = flat * n + a
+                        reached.add(table[flat])
+        fresh = reached - members
+        if fresh:
+            members |= fresh
+            if len(members) > limit:
+                return members
+            queue.extend(fresh)
         done.append(x)
+        done_rows.append(row)
     return members
 
 
@@ -394,7 +415,7 @@ def closure_extend(A: FiniteAlgebra, closed, x: int, max_size: int | None = None
         return members
     members.add(x)
     limit = A.size if max_size is None else max_size
-    return _closure_run(A, sorted(closed), [x], members, limit)
+    return _closure_run(A, list(closed), [x], members, limit)
 
 
 def generated_subalgebra(A: FiniteAlgebra, seed) -> frozenset[int]:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product as iproduct
+from operator import add, getitem, itemgetter, mul
 
 from .core import (
     Congruence,
@@ -166,59 +167,100 @@ def generate_in_product(
 ) -> GenResult:
     """Close seed tuples under the componentwise operations of the factors,
     without materializing the full product.  The resulting universe is the set
-    of reached tuples in lexicographic order."""
+    of reached tuples in lexicographic order.
+
+    Reached tuples are visited in a fixed order.  The constants come first, in
+    signature order, then the seeds in their given order.  Each reached tuple
+    is queued when first reached, and the work loop pops the queue last in,
+    first out.  A popped x is combined with the pool of x and every element
+    popped before it: for each symbol of positive arity in signature order,
+    every argument tuple over the pool that has x in some position.  A binary
+    symbol takes (x, y) for each y in the pool, x last, then (y, x) for each
+    earlier y.  trace[i] is the first producer of element i in this order,
+    ("seed", j) for seed j, so the trace is a function of the arguments alone.
+
+    The loop meets every argument tuple over the final universe, so the
+    tables are the results it recorded, renumbered to lexicographic order;
+    no operation is applied twice to the same arguments."""
     potential = math.prod(f.size for f in factors) if factors else 1
     if potential > product_cap:
         raise CapExceeded(f"product of size {potential} exceeds cap {product_cap}")
+    for f in factors:
+        if not f.signature.includes(signature):
+            raise SignatureError(f"factor {f.name!r} is not over {signature.name!r}")
+    sizes = tuple(f.size for f in factors)
+    # Reached tuples are numbered in order of discovery; per id: the tuple,
+    # the tuple times the factor sizes (the row offsets of a binary lookup),
+    # and its first producer.
+    tuples: list[tuple[int, ...]] = []
+    scaled: list[tuple[int, ...]] = []
+    origins: list[tuple] = []
+    ids: dict[tuple[int, ...], int] = {}
+    queue: list[int] = []
 
-    def apply(sym: str, args: list[tuple[int, ...]]) -> tuple[int, ...]:
-        return tuple(
-            f.apply(sym, tuple(a[i] for a in args)) for i, f in enumerate(factors)
-        )
+    def intern(t: tuple[int, ...], head: str, args: tuple) -> int:
+        i = ids.setdefault(t, len(tuples))
+        if i == len(tuples):
+            tuples.append(t)
+            scaled.append(tuple(map(mul, t, sizes)))
+            origins.append((head,) + args)
+            queue.append(i)
+        return i
 
-    reached: dict[tuple[int, ...], tuple] = {}
-    queue: list[tuple[int, ...]] = []
-
-    def add(t: tuple[int, ...], origin: tuple) -> None:
-        if t not in reached:
-            reached[t] = origin
-            queue.append(t)
-
-    for sym, k in signature.symbols:
+    # Per symbol: its arity, the coordinate tables and the results recorded
+    # so far, argument ids to value id.
+    ops = [
+        (sym, k, tuple(f._ops[sym][1] for f in factors), {})
+        for sym, k in signature.symbols
+    ]
+    for sym, k, tabs, results in ops:
         if k == 0:
-            add(apply(sym, []), (sym,))
+            results[()] = intern(tuple(map(itemgetter(0), tabs)), sym, ())
     for j, s in enumerate(seeds):
-        add(s, ("seed", j))
-    pos_ops = [(sym, k) for sym, k in signature.symbols if k > 0]
-    done: list[tuple[int, ...]] = []
+        intern(s, "seed", (j,))
+    done: list[int] = []
     while queue:
         x = queue.pop()
-        for sym, k in pos_ops:
-            pool = done + [x]
-            for i in range(k):
-                for rest in iproduct(pool, repeat=k - 1):
-                    args = rest[:i] + (x,) + rest[i:]
-                    add(apply(sym, list(args)), (sym,) + args)
+        tx, sx = tuples[x], scaled[x]
+        pool = done + [x]
+        for sym, k, tabs, results in ops:
+            if k == 1:
+                results[x,] = intern(tuple(map(getitem, tabs, tx)), sym, (x,))
+            elif k == 2:
+                for y in pool:
+                    args = (x, y)
+                    t = tuple(map(getitem, tabs, map(add, sx, tuples[y])))
+                    results[args] = intern(t, sym, args)
+                for y in done:
+                    args = (y, x)
+                    t = tuple(map(getitem, tabs, map(add, scaled[y], tx)))
+                    results[args] = intern(t, sym, args)
+            elif k > 2:
+                for i in range(k):
+                    for rest in iproduct(pool, repeat=k - 1):
+                        args = rest[:i] + (x,) + rest[i:]
+                        flat = tuples[args[0]]
+                        for a in args[1:]:
+                            flat = map(add, map(mul, flat, sizes), tuples[a])
+                        results[args] = intern(tuple(map(getitem, tabs, flat)), sym, args)
         done.append(x)
 
-    elements = sorted(reached)
-    index = {t: i for i, t in enumerate(elements)}
-    tables = []
-    for sym, k in signature.symbols:
-        table = []
-        for args in iproduct(elements, repeat=k):
-            table.append(index[apply(sym, list(args))])
-        tables.append(tuple(table))
-    algebra = FiniteAlgebra(name, signature, len(elements), tuple(tables))
-    trace = []
-    for t in elements:
-        origin = reached[t]
-        if origin[0] == "seed":
-            trace.append(origin)
-        else:
-            trace.append((origin[0],) + tuple(index[a] for a in origin[1:]))
-    seed_index = tuple(index[s] for s in seeds)
-    return GenResult(algebra, tuple(elements), seed_index, tuple(trace))
+    order = sorted(range(len(tuples)), key=tuples.__getitem__)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    tables = tuple(
+        tuple(map(rank.__getitem__, map(results.__getitem__, iproduct(order, repeat=k))))
+        for _, k, _, results in ops
+    )
+    algebra = FiniteAlgebra(name, signature, len(order), tables)
+    trace = tuple(
+        origins[i] if origins[i][0] == "seed"
+        else (origins[i][0],) + tuple(map(rank.__getitem__, origins[i][1:]))
+        for i in order
+    )
+    seed_index = tuple(rank[ids[s]] for s in seeds)
+    return GenResult(algebra, tuple(map(tuples.__getitem__, order)), seed_index, trace)
 
 
 def free_algebra(

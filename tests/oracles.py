@@ -5,9 +5,10 @@ import re
 from dataclasses import dataclass
 from itertools import permutations, product as iproduct
 
-from qvbench.core import Signature, SignatureError
+from qvbench.core import FiniteAlgebra, Signature, SignatureError
 from qvbench.logic import UnboundVariableError, Var
 from qvbench.parser import ParseError, Token
+from qvbench.quasivariety import CapExceeded, GenResult
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,67 @@ def naive_tuple_closure(factors, seeds, signature):
     return current
 
 
+def generate_in_product(factors, seeds, signature, product_cap, name="gen"):
+    """Reference for `quasivariety.generate_in_product`: the same visiting
+    order, with every coordinate of every product computed by
+    `FiniteAlgebra.apply`, and the tables filled by applying each operation
+    again to every argument tuple over the finished universe."""
+    potential = 1
+    for f in factors:
+        potential *= f.size
+    if potential > product_cap:
+        raise CapExceeded(f"product of size {potential} exceeds cap {product_cap}")
+
+    def apply(sym, args):
+        return tuple(
+            f.apply(sym, tuple(a[i] for a in args)) for i, f in enumerate(factors)
+        )
+
+    reached = {}
+    queue = []
+
+    def add(t, origin):
+        if t not in reached:
+            reached[t] = origin
+            queue.append(t)
+
+    for sym, k in signature.symbols:
+        if k == 0:
+            add(apply(sym, []), (sym,))
+    for j, s in enumerate(seeds):
+        add(s, ("seed", j))
+    pos_ops = [(sym, k) for sym, k in signature.symbols if k > 0]
+    done = []
+    while queue:
+        x = queue.pop()
+        for sym, k in pos_ops:
+            pool = done + [x]
+            for i in range(k):
+                for rest in iproduct(pool, repeat=k - 1):
+                    args = rest[:i] + (x,) + rest[i:]
+                    add(apply(sym, list(args)), (sym,) + args)
+        done.append(x)
+
+    elements = sorted(reached)
+    index = {t: i for i, t in enumerate(elements)}
+    tables = []
+    for sym, k in signature.symbols:
+        table = []
+        for args in iproduct(elements, repeat=k):
+            table.append(index[apply(sym, list(args))])
+        tables.append(tuple(table))
+    algebra = FiniteAlgebra(name, signature, len(elements), tuple(tables))
+    trace = []
+    for t in elements:
+        origin = reached[t]
+        if origin[0] == "seed":
+            trace.append(origin)
+        else:
+            trace.append((origin[0],) + tuple(index[a] for a in origin[1:]))
+    seed_index = tuple(index[s] for s in seeds)
+    return GenResult(algebra, tuple(elements), seed_index, tuple(trace))
+
+
 def all_partitions(n):
     out = []
 
@@ -117,6 +179,25 @@ def all_partitions(n):
 
     rec(0, [], 0)
     return out
+
+
+def closure_fixpoint(A, seed):
+    """Least superset of `seed` closed under every table of A, by full scans
+    until a scan adds nothing.  Reads only A's size, arities and tables."""
+    n = A.size
+    current = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for (_, k), table in zip(A.signature.symbols, A.tables):
+            for args in iproduct(sorted(current), repeat=k):
+                flat = 0
+                for a in args:
+                    flat = flat * n + a
+                if table[flat] not in current:
+                    current.add(table[flat])
+                    changed = True
+    return current
 
 
 def layered_term_values(A, seed, depth):

@@ -13,6 +13,7 @@ from itertools import combinations, product as iproduct
 import pytest
 
 from qvbench import fixtures as fx
+from qvbench.cli import emit_report, load_workspace, run
 from qvbench.adjunction import check_counit_iso, check_unit_mono, counit, free_extension
 from qvbench.beth import (
     check_faithful_term_equivalence,
@@ -319,6 +320,22 @@ FIXTURE_SUITE_SHA256 = {
     "unit-dl-bool.json": "1ded6f0c13a815ab24dfa92355bfbe3ddb32d59fbaa6b105cbf01a34609cc835",
     "unit-msl-dl.json": "6f4cda959fdb993215f4dcdc6a3f1f16b36126e12c2d4c0162282426f4f779f4",
 }
+
+
+# SHA-256 of the `free` reports on workspaces/fixtures.qvw for generator sets
+# larger than the suite's: products of 16 and 8 factors, 168 and 256 elements.
+FREE_REPORT_SHA256 = {
+    ("DL", "w,x,y,z"): "d48515655c41408f49188596604b85ee94cdfa0926da8f0ea3237ab71d4125ad",
+    ("BOOL", "x,y,z"): "83d6bf4381ae1c451d6526acdfd9f0c40db6097af5ac12561d3f9c607b8dd84f",
+}
+
+
+def test_large_free_reports_pinned():
+    for (K, generators), digest in FREE_REPORT_SHA256.items():
+        report, code = run("free", load_workspace("workspaces/fixtures.qvw"),
+                           {"in": K, "generators": generators})
+        assert code == 0
+        assert hashlib.sha256(emit_report(report)).hexdigest() == digest
 
 
 def test_acceptance_10_determinism(tmp_path):

@@ -1,7 +1,13 @@
 import pytest
 
 from qvbench import fixtures as fx
-from qvbench.adjunction import ExpansionSpec, PpExpansionSpec, expand_algebra, induced_expansion
+from qvbench.adjunction import (
+    ExpansionSpec,
+    ExpansionViolation,
+    PpExpansionSpec,
+    expand_algebra,
+    induced_expansion,
+)
 from qvbench.beth import (
     HarnessReport,
     MainTheoremReport,
@@ -25,6 +31,7 @@ from qvbench.beth import (
 from qvbench.core import (
     Homomorphism,
     are_isomorphic,
+    build_algebra,
     enumerate_homomorphisms,
     generated_subalgebra,
     is_homomorphism,
@@ -246,6 +253,25 @@ class TestCrossValidation:
         assert r.unit_counit.holds and r.mono_reflective.holds
         assert r.simple.status == "fails"
         assert any("family-relative" in n for n in r.notes)
+
+
+    def test_ill_defined_reduct_fails_every_categorical_check(self):
+        """BadQ's generator has a lattice part that breaks absorption, so its
+        reduct is not in DL.  Reflecting into it would fail the unit for the
+        wrong reason; every check reports the reduct instead."""
+        bad = build_algebra(
+            "BadBA", fx.BA, 2,
+            {"meet": min, "join": lambda a, b: 1, "bot": 0, "top": 1, "not": lambda a: 1 - a},
+        )
+        E = ExpansionSpec(fx.DL, Quasivariety("BadQ", fx.BA, generators=(bad,)))
+        r = cross_validate_main_theorem(E, None, 2)
+        for v in (unit_counit_verdict(E, 2), check_mono_reflective(E, 2),
+                  r.unit_counit, r.mono_reflective):
+            assert (v.claim, v.status) == ("reduct-well-defined", "fails")
+            assert isinstance(v.certificate, ExpansionViolation)
+            assert not membership(reduct(v.certificate.algebra, fx.BDL), fx.DL).holds
+        assert not r.consistent
+        assert any("not well defined" in n for n in r.notes)
 
 
 class TestSimplicityTransfer:

@@ -18,6 +18,31 @@ from qvbench.cli import (
 
 WS = "workspaces/fixtures.qvw"
 
+# DL expanded by the class generated by a two-element "Boolean algebra" whose
+# join is constantly top, so its lattice reduct is not in DL.
+BAD_REDUCT_WORKSPACE = """
+signature BDL { meet/2; join/2; bot/0; top/0 }
+signature BA { meet/2; join/2; bot/0; top/0; not/1 }
+algebra Chain2 : BDL {
+  universe 2
+  op meet = [[0,0],[0,1]]
+  op join = [[0,1],[1,1]]
+  op bot = 0
+  op top = 1
+}
+algebra BadBA : BA {
+  universe 2
+  op meet = [[0,0],[0,1]]
+  op join = [[1,1],[1,1]]
+  op bot = 0
+  op top = 1
+  op not = [1,0]
+}
+quasivariety DL : BDL = generated(Chain2)
+quasivariety BadQ : BA = generated(BadBA)
+expansion DLtoBad := DL -> BadQ
+"""
+
 
 @pytest.fixture(scope="module")
 def ws():
@@ -254,6 +279,40 @@ class TestMainEntry:
         code = main(["enumerate", "--workspace", WS, "--in", "DL", "--size", "0"])
         assert code == 3
         assert "argument --size: must be an integer of at least 1" in capsys.readouterr().err
+
+    def test_in_process_bounds_below_one_rejected(self, ws):
+        """`run` is the entry the fixture suite and the benchmark call, so it
+        checks the bounds itself: a bound of 0 admits no member, and a
+        verdict over no member is vacuous."""
+        for command, flags in [
+            ("check-simple", {"expansion": "DLcompl", "max_size": 0}),
+            ("unit", {"expansion": "DLtoBOOL", "max_size": 0}),
+        ]:
+            with pytest.raises(
+                ValueError, match="argument --max-size: must be an integer of at least 1, got '0'"
+            ):
+                run(command, ws, flags)
+        with pytest.raises(ValueError, match="argument --size: must be an integer of at least 1"):
+            run("enumerate", ws, {"in": "DL", "size": -1})
+
+    def test_cross_validate_ill_defined_reduct(self, tmp_path):
+        """An expansion whose generator's reduct is not a lattice: the
+        categorical checks fail on the reduct and the report is not
+        consistent."""
+        workspace = tmp_path / "bad.qvw"
+        workspace.write_text(BAD_REDUCT_WORKSPACE)
+        report = tmp_path / "r.json"
+        code = main([
+            "cross-validate", "--workspace", str(workspace), "--expansion", "DLtoBad",
+            "--max-size", "2", "--report", str(report),
+        ])
+        assert code == 1
+        verdicts = {i["name"]: i for i in json.loads(report.read_text())["instances"]}
+        for name in ("unit-mono-counit-iso", "mono-reflective"):
+            assert verdicts[name]["verdict"] == "fails"
+            assert "reduct-well-defined" in verdicts[name]["notes"][0]
+            assert verdicts[name]["certificate"]["certificate"]["inseparable"] == [0, 1]
+        assert verdicts["consistency"]["verdict"] == "fails"
 
     def test_crash_exit_four(self, monkeypatch, capsys):
         def crash(ws, flags):

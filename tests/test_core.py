@@ -190,6 +190,43 @@ class TestGeneratedSubalgebra:
         assert generated_subalgebra(A, g1) == g1
 
 
+# Symbols of every arity from 0 to 3, for closures of algebras that are not
+# products.
+CLOSURE_SIG = Signature("closure", (("c", 0), ("u", 1), ("f", 2), ("t", 3)))
+
+
+@st.composite
+def closure_inputs(draw):
+    """A random algebra of size 1-5 over a drawn sub-signature of CLOSURE_SIG
+    and a random seed set."""
+    symbols = tuple(s for s in CLOSURE_SIG.symbols if draw(st.booleans()))
+    A = draw(algebras(Signature("closure", symbols), max_size=5))
+    return A, draw(st.sets(st.integers(0, A.size - 1), max_size=3))
+
+
+class TestClosure:
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=closure_inputs(), data=st.data())
+    def test_matches_fixpoint(self, inputs, data):
+        """closure, and closure_extend from a closed set (possibly empty),
+        against a naive fixpoint.  With max_size, closure_extend returns the
+        full closure when it has at most max_size elements, and otherwise a
+        set of the closure with more than max_size."""
+        A, seed = inputs
+        assert core.closure(A, seed) == oracles.closure_fixpoint(A, seed)
+        closed = oracles.closure_fixpoint(A, seed)
+        x = data.draw(st.integers(0, A.size - 1))
+        full = oracles.closure_fixpoint(A, closed | {x})
+        assert core.closure_extend(A, closed, x) == full
+        max_size = data.draw(st.integers(1, A.size))
+        bounded = core.closure_extend(A, closed, x, max_size)
+        assert bounded <= full
+        if len(full) <= max_size:
+            assert bounded == full
+        else:
+            assert len(bounded) > max_size
+
+
 class TestSubuniverses:
     def test_subuniverses_are_closed_and_complete(self):
         subs = all_subuniverses(fx.DIAMOND)

@@ -1,13 +1,17 @@
+import math
 from itertools import combinations, product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from qvbench import fixtures as fx
 from qvbench.core import (
     Congruence,
+    FiniteAlgebra,
     Homomorphism,
     Signature,
+    SignatureError,
     are_isomorphic,
     build_algebra,
     congruence_closure,
@@ -31,6 +35,7 @@ from qvbench.quasivariety import (
     bounded_amalgamation,
     enumerate_members,
     free_algebra,
+    generate_in_product,
     members_up_to,
     membership,
     relative_congruence,
@@ -156,6 +161,74 @@ class TestFreeAlgebra:
     def test_product_cap(self):
         with pytest.raises(CapExceeded):
             free_algebra(fx.DL, ["x", "y"], product_cap=3)
+
+
+# One shared signature for product generation: every arity from 0 to 3, and
+# random tables make `f` non-commutative.
+GEN_SIG = Signature("gen", (("c", 0), ("u", 1), ("f", 2), ("t", 3)))
+
+
+@st.composite
+def product_inputs(draw):
+    """Factors over a sub-signature of GEN_SIG that keeps `f`: 1-4 factors
+    of sizes 1-4, a factor sometimes repeated, and 0-5 seed tuples, sometimes
+    none and sometimes with a repeat.  The product stays small enough for
+    the reference to visit every argument tuple: at most 64 elements, 12
+    with the ternary symbol."""
+    symbols = tuple(s for s in GEN_SIG.symbols if s[0] == "f" or draw(st.booleans()))
+    signature = Signature("gen", symbols)
+    most = 12 if ("t", 3) in symbols else 64
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        room = most // max(1, math.prod(f.size for f in factors))
+        if factors and draw(st.booleans()) and factors[-1].size <= room:
+            factors.append(factors[-1])
+            continue
+        if room < 1:
+            break
+        n = draw(st.integers(1, min(4, room)))
+        tables = tuple(
+            tuple(draw(st.integers(0, n - 1)) for _ in range(n**k)) for _, k in symbols
+        )
+        factors.append(FiniteAlgebra("P", signature, n, tables))
+    seed = st.tuples(*(st.integers(0, f.size - 1) for f in factors))
+    seeds = draw(st.lists(seed, min_size=1, max_size=4))
+    if draw(st.integers(0, 5)) == 0:
+        seeds = []
+    elif draw(st.booleans()):
+        seeds.append(draw(st.sampled_from(seeds)))
+    return factors, seeds, signature
+
+
+def _outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except (CapExceeded, ValueError) as exc:
+        return type(exc), str(exc)
+    return result, result.algebra.name
+
+
+class TestGenerateInProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=product_inputs(), data=st.data())
+    def test_matches_reference_generation(self, inputs, data):
+        """The same elements, tables, seed indices and first-producer trace
+        as the reference, which applies every operation coordinate by
+        coordinate and fills the tables by applying them again; also the
+        same refusal when the product exceeds the cap, and when nothing is
+        generated."""
+        factors, seeds, signature = inputs
+        potential = math.prod(f.size for f in factors)
+        cap = data.draw(st.sampled_from([potential - 1, potential, 10**6]))
+        args = (factors, seeds, signature, cap, "G")
+        got = _outcome(generate_in_product, *args)
+        assert got == _outcome(oracles.generate_in_product, *args)
+        if cap < potential:
+            assert got[0] is CapExceeded
+
+    def test_factor_outside_the_signature_rejected(self):
+        with pytest.raises(SignatureError):
+            generate_in_product([fx.CHAIN2], [(0,), (1,)], fx.BA)
 
 
 class TestEnumerateMembers:
