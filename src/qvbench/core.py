@@ -7,7 +7,6 @@ operation is a pure function.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product as iproduct
@@ -305,27 +304,34 @@ def direct_product(factors: list[FiniteAlgebra], name: str | None = None) -> Fin
     for f in factors[1:]:
         if f.signature != sig:
             raise SignatureError("product factors must share a signature")
-    sizes = [f.size for f in factors]
-    total = math.prod(sizes)
-    tables = []
-    for idx, (sym, k) in enumerate(sig.symbols):
-        table = []
-        for args in iproduct(range(total), repeat=k):
-            decoded = [decode_product_element(sizes, a) for a in args]
-            value = tuple(
-                f.apply(sym, tuple(d[i] for d in decoded)) for i, f in enumerate(factors)
-            )
-            table.append(encode_product_element(sizes, value))
-        tables.append(tuple(table))
+    size, tables = factors[0].size, factors[0].tables
+    for f in factors[1:]:
+        tables = _pair_tables(sig, size, tables, f.size, f.tables)
+        size *= f.size
     name = name or "x".join(f.name for f in factors)
-    return FiniteAlgebra(name, sig, total, tuple(tables))
+    return FiniteAlgebra(name, sig, size, tables)
 
 
-def encode_product_element(sizes: list[int], coords: tuple[int, ...]) -> int:
-    e = 0
-    for n, c in zip(sizes, coords):
-        e = e * n + c
-    return e
+def _pair_tables(sig: Signature, a: int, left, b: int, right) -> tuple[tuple[int, ...], ...]:
+    """Tables of the product of two algebras of sizes a and b, given by their
+    flat tables; (i, j) is encoded as i * b + j.  Folding this over the
+    factors gives the lexicographic encoding of `direct_product`."""
+    coords = [divmod(p, b) for p in range(a * b)]
+    rows = [(i * a, j * b) for i, j in coords]
+    tables = []
+    for (_, k), tl, tr in zip(sig.symbols, left, right):
+        if k == 2:
+            table = [tl[ri + i] * b + tr[rj + j] for ri, rj in rows for i, j in coords]
+        else:
+            table = []
+            for args in iproduct(coords, repeat=k):
+                fl = fr = 0
+                for i, j in args:
+                    fl = fl * a + i
+                    fr = fr * b + j
+                table.append(tl[fl] * b + tr[fr])
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 def decode_product_element(sizes: list[int], e: int) -> tuple[int, ...]:
@@ -450,15 +456,23 @@ def all_subuniverses(
     (element e has first coordinate e // (|A| / |C|)) and only the subdirect
     subuniverses, those whose first projection is all of C, are returned.
 
-    The search closes single-element extensions of already-closed sets,
-    starting from the closure of the empty set.  It is complete: a subuniverse
-    T is reached along a chain of closed sets S inside T, each the closure of
-    its predecessor plus one element of T, and neither prune drops a set on
-    such a chain.  Every S on it has |S| <= |T| <= max_size, so closures stop
-    once they outgrow max_size.  With `first_factor`, a set S is kept only
-    while |S| + (|C| - |pi_1(S)|) <= max_size: a subdirect T containing S
-    holds S and at least one more element for each first coordinate S
-    misses."""
+    The search is Close-by-One (Kuznetsov, 1993), which lists every closed
+    set exactly once.  A node is a closed set S with a start y; the root is
+    the closure of the empty set with y = 0.  For each x >= y outside S the
+    child T = closure(S | {x}) is kept, with start x + 1, when it is
+    canonical: every element T adds to S is >= x.  Every closed T other than
+    the root is the canonical child of exactly one node, and that node's set
+    is a closed proper subset of T, so following parents from T reaches the
+    root through closed subsets of T.
+
+    The prunes drop a node only when no set at or below it is returned.
+    Both measures grow with the set: |S| <= |T|, and the least size of a
+    returned set containing S, |S| + (|C| - |pi_1(S)|) with `first_factor`
+    (a subdirect T containing S holds S and at least one more element for
+    each first coordinate S misses), never falls when an element is added.
+    So every ancestor of a set within max_size is within it too, and no
+    pruned node is the ancestor of a returned set.  Closures stop once they
+    outgrow max_size, since such a child is dropped anyway."""
     limit = A.size if max_size is None else max_size
     # The least size of a subuniverse the search may return that contains S.
     if first_factor is None:
@@ -473,21 +487,21 @@ def all_subuniverses(
     base = frozenset(closure(A, ()))
     if least_size(base) > limit:
         return []
-    seen = {base}
-    stack = [base]
+    found = [base]
+    stack = [(base, 0)]
     while stack:
-        S = stack.pop()
-        for x in range(A.size):
+        S, y = stack.pop()
+        for x in range(y, A.size):
             if x in S:
                 continue
             T = frozenset(closure_extend(A, S, x, limit))
-            if T not in seen and least_size(T) <= limit:
-                seen.add(T)
-                stack.append(T)
+            if len(T) <= limit and min(T - S) == x and least_size(T) <= limit:
+                found.append(T)
+                stack.append((T, x + 1))
     if first_factor is None:
-        out = [S for S in seen if S]
+        out = [S for S in found if S]
     else:
-        out = [S for S in seen if least_size(S) == len(S)]
+        out = [S for S in found if least_size(S) == len(S)]
     return sorted(out, key=lambda S: (len(S), sorted(S)))
 
 

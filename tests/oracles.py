@@ -81,6 +81,42 @@ def canonical_form(A):
     return n, best
 
 
+def direct_product(factors, name=None):
+    """Reference for `core.direct_product`: every argument tuple over the
+    product decoded into coordinates, and every coordinate of every value
+    computed by `FiniteAlgebra.apply`."""
+    if not factors:
+        raise ValueError("direct_product needs at least one factor")
+    sig = factors[0].signature
+    for f in factors[1:]:
+        if f.signature != sig:
+            raise SignatureError("product factors must share a signature")
+    sizes = [f.size for f in factors]
+    total = 1
+    for n in sizes:
+        total *= n
+
+    def decode(e):
+        coords = []
+        for n in reversed(sizes):
+            coords.append(e % n)
+            e //= n
+        return tuple(reversed(coords))
+
+    tables = []
+    for sym, k in sig.symbols:
+        table = []
+        for args in iproduct(range(total), repeat=k):
+            decoded = [decode(a) for a in args]
+            value = 0
+            for i, f in enumerate(factors):
+                value = value * sizes[i] + f.apply(sym, tuple(d[i] for d in decoded))
+            table.append(value)
+        tables.append(tuple(table))
+    name = name or "x".join(f.name for f in factors)
+    return FiniteAlgebra(name, sig, total, tuple(tables))
+
+
 def naive_tuple_closure(factors, seeds, signature):
     """Closure of seed tuples under componentwise operations, by repeated full
     scans (independent of the production generation code)."""
@@ -179,6 +215,32 @@ def all_partitions(n):
 
     rec(0, [], 0)
     return out
+
+
+def least_congruence(A, pairs):
+    """Least congruence of A relating every pair, as the canonical array of
+    `core.Congruence.partition` (each element labelled by the least element
+    of its block): the meet of every partition from `all_partitions` that
+    relates the pairs and that every operation respects, the compatibility
+    checked here over all argument tuples."""
+    n = A.size
+
+    def compatible(labels):
+        for (_, k), table in zip(A.signature.symbols, A.tables):
+            values = {}
+            for flat, args in enumerate(iproduct(range(n), repeat=k)):
+                key = tuple(labels[a] for a in args)
+                if values.setdefault(key, labels[table[flat]]) != labels[table[flat]]:
+                    return False
+        return True
+
+    related = [[True] * n for _ in range(n)]
+    for labels in all_partitions(n):
+        if all(labels[a] == labels[b] for a, b in pairs) and compatible(labels):
+            for a in range(n):
+                for b in range(n):
+                    related[a][b] = related[a][b] and labels[a] == labels[b]
+    return tuple(next(b for b in range(n) if related[a][b]) for a in range(n))
 
 
 def closure_fixpoint(A, seed):

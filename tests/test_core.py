@@ -51,6 +51,38 @@ BIN_CONST = Signature("bin_const", (("f", 2), ("c", 0)))
 UNARY = Signature("unary", (("g", 1),))
 
 
+# Symbols of every arity from 0 to 3, for algebras that are not products.
+CLOSURE_SIG = Signature("closure", (("c", 0), ("u", 1), ("f", 2), ("t", 3)))
+
+
+@st.composite
+def closure_signatures(draw):
+    return Signature("closure", tuple(s for s in CLOSURE_SIG.symbols if draw(st.booleans())))
+
+
+@st.composite
+def closure_algebras(draw):
+    """A random algebra of size 1-5 over a drawn sub-signature of
+    CLOSURE_SIG."""
+    return draw(algebras(draw(closure_signatures()), max_size=5))
+
+
+@st.composite
+def closure_inputs(draw):
+    """A random algebra from `closure_algebras` and a random seed set."""
+    A = draw(closure_algebras())
+    return A, draw(st.sets(st.integers(0, A.size - 1), max_size=3))
+
+
+@st.composite
+def product_factors(draw):
+    """1-3 random algebras of sizes 1-4 over one drawn sub-signature of
+    CLOSURE_SIG, each with its own name."""
+    signature = draw(closure_signatures())
+    factors = draw(st.lists(algebras(signature, max_size=4), min_size=1, max_size=3))
+    return [A.renamed(f"F{i}") for i, A in enumerate(factors)]
+
+
 @st.composite
 def registry_batches(draw):
     """Random algebras and relabelled copies of them, in random order, on
@@ -100,6 +132,27 @@ class TestDirectProduct:
     def test_signature_mismatch(self):
         with pytest.raises(SignatureError):
             direct_product([fx.CHAIN2, fx.CHAIN2_MS])
+
+    @pytest.mark.parametrize("factors, error", [
+        ([], ValueError),
+        ([fx.CHAIN2, fx.CHAIN2_MS], SignatureError),
+        ([fx.CHAIN2, fx.CHAIN3, fx.CHAIN2_MS], SignatureError),
+    ])
+    def test_errors_match_oracle(self, factors, error):
+        for product in (direct_product, oracles.direct_product):
+            with pytest.raises(error) as raised:
+                product(factors)
+            assert raised.type is error
+
+    @settings(max_examples=40, deadline=None)
+    @given(factors=product_factors(), name=st.sampled_from([None, "P"]))
+    def test_matches_coordinatewise_oracle(self, factors, name):
+        """The whole algebra and its name, against every coordinate computed
+        by `FiniteAlgebra.apply`, for symbols of arities 0-3."""
+        got = direct_product(factors, name)
+        expected = oracles.direct_product(factors, name)
+        assert got == expected
+        assert got.name == expected.name
 
     def test_projections_are_homomorphisms(self):
         factors = [fx.CHAIN2, fx.CHAIN3]
@@ -190,20 +243,6 @@ class TestGeneratedSubalgebra:
         assert generated_subalgebra(A, g1) == g1
 
 
-# Symbols of every arity from 0 to 3, for closures of algebras that are not
-# products.
-CLOSURE_SIG = Signature("closure", (("c", 0), ("u", 1), ("f", 2), ("t", 3)))
-
-
-@st.composite
-def closure_inputs(draw):
-    """A random algebra of size 1-5 over a drawn sub-signature of CLOSURE_SIG
-    and a random seed set."""
-    symbols = tuple(s for s in CLOSURE_SIG.symbols if draw(st.booleans()))
-    A = draw(algebras(Signature("closure", symbols), max_size=5))
-    return A, draw(st.sets(st.integers(0, A.size - 1), max_size=3))
-
-
 class TestClosure:
     @settings(max_examples=150, deadline=None)
     @given(inputs=closure_inputs(), data=st.data())
@@ -280,6 +319,24 @@ class TestSubuniverses:
                 for S in extended:
                     assert len(S) + C.size - len({first(e) for e in S}) <= limit
 
+    @settings(max_examples=100, deadline=None)
+    @given(A=closure_algebras(), data=st.data())
+    def test_search_without_product_matches_fixpoint(self, A, data):
+        """The path `beth._expansion_classes` takes: no `first_factor`, on
+        algebras that are not products, against every nonempty subset closed
+        under the fixpoint, with no bound and with a drawn one.  A constant
+        makes the closure of the empty set nonempty, so the search then
+        starts above the empty set."""
+        closed = []
+        for mask in range(1, 2**A.size):
+            S = frozenset(e for e in range(A.size) if mask >> e & 1)
+            if oracles.closure_fixpoint(A, S) == S:
+                closed.append(S)
+        closed.sort(key=lambda S: (len(S), sorted(S)))
+        for max_size in (None, data.draw(st.integers(1, A.size))):
+            limit = A.size if max_size is None else max_size
+            assert all_subuniverses(A, max_size) == [S for S in closed if len(S) <= limit]
+
 
 class TestCongruences:
     def test_empty_pairs_identity(self):
@@ -312,6 +369,15 @@ class TestCongruences:
         for labels in candidates:
             other = Congruence.from_labels(A, labels)
             assert theta.finer_or_equal(other)
+
+    @settings(max_examples=100, deadline=None)
+    @given(A=closure_algebras(), data=st.data())
+    def test_matches_meet_of_compatible_partitions(self, A, data):
+        """Exactly the meet of every compatible partition relating 1-3 drawn
+        pairs, on algebras with symbols of arities 0-3."""
+        element = st.integers(0, A.size - 1)
+        pairs = data.draw(st.lists(st.tuples(element, element), min_size=1, max_size=3))
+        assert congruence_closure(A, pairs).partition == oracles.least_congruence(A, pairs)
 
     def test_quotient_projection_kernel(self):
         theta = congruence_closure(fx.CHAIN3, [(0, 1)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from qvbench import fixtures as fx
+from qvbench import core, fixtures as fx
 from qvbench.core import (
     Congruence,
     FiniteAlgebra,
@@ -272,16 +272,35 @@ class TestEnumerateMembers:
             assert len(gen) == len(axi) == [1, 1, 1, 2][n - 1]
             assert [A.tables for A in gen] == [A.tables for A in axi]
 
-    def test_dl_class_counts_match_a006982_up_to_eight(self):
-        """Distributive lattices of n elements up to isomorphism, n = 1..8,
-        are 1, 1, 1, 2, 3, 5, 8, 15 (OEIS A006982).  Each class found is a
-        member and no two of the same size are isomorphic."""
-        members = members_up_to(fx.DL, 8)
+    def test_dl_class_counts_match_a006982_up_to_nine(self):
+        """Distributive lattices of n elements up to isomorphism, n = 1..9,
+        are 1, 1, 1, 2, 3, 5, 8, 15, 26 (OEIS A006982).  Each class found is
+        a member and no two of the same size are isomorphic."""
+        members = members_up_to(fx.DL, 9)
         sizes = [A.size for A in members]
-        assert [sizes.count(n) for n in range(1, 9)] == [1, 1, 1, 2, 3, 5, 8, 15]
+        assert [sizes.count(n) for n in range(1, 10)] == [1, 1, 1, 2, 3, 5, 8, 15, 26]
         assert all(membership(A, fx.DL).holds for A in members)
         for A, B in combinations(members, 2):
             assert not are_isomorphic(A, B)
+
+    def test_dl_member_search_closure_work_is_pinned(self, monkeypatch):
+        """A cold enumeration of DL up to size 8 makes exactly 12,963 calls
+        to `closure_extend`, one per candidate extension the subuniverse
+        search tries; the count is deterministic.  The search without its
+        canonicity test fails here, and so does the `seen` search that tried
+        every extension of every set found (45,828 calls)."""
+        calls = 0
+        original = core.closure_extend
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(core, "closure_extend", counting)
+        members = _member_classes.__wrapped__(fx.DL, 8)
+        assert len(members) == 36
+        assert calls == 12_963
 
     def test_bool_members(self):
         sizes = [A.size for A in members_up_to(fx.BOOL, 4)]
