@@ -56,6 +56,7 @@ from .parser import ParseError, Workspace, parse_workspace
 from .quasivariety import (
     Amalgam,
     CapExceeded,
+    DEFAULT_PRODUCT_CAP,
     NotFoundWithinBound,
     Quasivariety,
     bounded_amalgamation,
@@ -268,6 +269,8 @@ def run(command: str, ws: Workspace, flags: dict) -> tuple[Report, int]:
         if value is not None and (type(value) is not int or value < 1):
             flag = "--" + key.replace("_", "-")
             raise ValueError(f"argument {flag}: must be an integer of at least 1, got {str(value)!r}")
+    if "product_cap" in flags and command not in ("free", "reflect"):
+        raise ValueError(f"argument --product-cap: only free and reflect take it, not {command}")
     handler = _HANDLERS[command.replace("-", "_")]
     instances, params = handler(ws, flags)
     held = sum(1 for i in instances if i.get("verdict") == "holds")
@@ -280,7 +283,6 @@ def _bounds(flags: dict) -> dict:
     return {
         "max-size": flags.get("max_size", 4),
         "ext-bound": flags.get("ext_bound", 6),
-        "product-cap": flags.get("product_cap", 10**6),
     }
 
 
@@ -322,7 +324,8 @@ def cmd_cg(ws, flags):
 def cmd_free(ws, flags):
     K = ws.lookup("quasivarieties", flags["in"])
     names = [n for n in flags["generators"].split(",") if n]
-    T, gen_map = free_algebra(K, names, product_cap=flags.get("product_cap", 10**6))
+    cap = flags.get("product_cap", DEFAULT_PRODUCT_CAP)
+    T, gen_map = free_algebra(K, names, product_cap=cap)
     inst = {
         "name": f"T_{K.name}({len(names)})",
         "bound": None,
@@ -333,7 +336,9 @@ def cmd_free(ws, flags):
             "algebra": algebra_json(T),
         },
     }
-    return [inst], {"quasivariety": K.name, "generators": flags["generators"], **_bounds(flags)}
+    return [inst], {
+        "quasivariety": K.name, "generators": flags["generators"], "product-cap": cap, **_bounds(flags)
+    }
 
 
 def cmd_expand(ws, flags):
@@ -353,7 +358,8 @@ def cmd_expand(ws, flags):
 def cmd_reflect(ws, flags):
     A = ws.lookup("algebras", flags["algebra"])
     E, _ = _expansion_pair(ws, flags["expansion"])
-    fe = free_extension(A, E, product_cap=flags.get("product_cap", 10**6))
+    cap = flags.get("product_cap", DEFAULT_PRODUCT_CAP)
+    fe = free_extension(A, E, product_cap=cap)
     inst = {
         "name": A.name,
         "bound": None,
@@ -366,7 +372,9 @@ def cmd_reflect(ws, flags):
             "reflected": algebra_json(fe.algebra),
         },
     }
-    return [inst], {"algebra": A.name, "expansion": flags["expansion"], **_bounds(flags)}
+    return [inst], {
+        "algebra": A.name, "expansion": flags["expansion"], "product-cap": cap, **_bounds(flags)
+    }
 
 
 def cmd_unit(ws, flags):
@@ -617,16 +625,15 @@ def build_argparser() -> argparse.ArgumentParser:
         p.add_argument("--workspace", required=True, help="workspace file to load")
         p.add_argument("--max-size", type=int, default=4, dest="max_size")
         p.add_argument("--ext-bound", type=int, default=6, dest="ext_bound")
-        p.add_argument("--product-cap", type=int, default=10**6, dest="product_cap")
         p.add_argument("--report", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     specs = {
         "membership": ["--algebra", "--in"],
         "cg": ["--algebra", "--in", "--pairs"],
-        "free": ["--in", "--generators"],
+        "free": ["--in", "--generators", "--product-cap?int"],
         "expand": ["--algebra", "--expansion"],
-        "reflect": ["--algebra", "--expansion"],
+        "reflect": ["--algebra", "--expansion", "--product-cap?int"],
         "unit": ["--expansion"],
         "counit": ["--expansion", "--algebra?"],
         "check-simple": ["--expansion"],

@@ -186,36 +186,20 @@ def satisfies_pp(
     return True, dict(zip(phi.bound_vars, witness))
 
 
-def compile_quasiequation(signature: Signature, q: Quasiequation) -> Callable:
-    """Compile `q`.  Returns `first_violation(tables, n)`: the least
-    assignment (variables sorted by name) under which every premise evaluates
-    to equal values and the conclusion to two different ones, or None.  An
-    unassigned cell leaves an instance undecided, so on partial tables only
-    decided refutations count."""
-    names = sorted(equations_variables((*q.premises, q.conclusion)))
-    premises = [_compile_equation(signature, p, names) for p in q.premises]
-    left, right = _compile_equation(signature, q.conclusion, names)
-
-    def first_violation(tables, n: int) -> dict[str, int] | None:
-        for values in iproduct(range(n), repeat=len(names)):
-            for p_left, p_right in premises:
-                a = p_left(tables, n, values)
-                if a is None or a != p_right(tables, n, values):
-                    break
-            else:
-                a, b = left(tables, n, values), right(tables, n, values)
-                if a is not None and b is not None and a != b:
-                    return dict(zip(names, values))
-        return None
-
-    return first_violation
-
-
 def check_quasiequation(
     A: FiniteAlgebra, q: Quasiequation
 ) -> tuple[bool, dict[str, int] | None]:
     """Full enumeration over assignments to the occurring variables; a failure
     reports the lexicographically least violating assignment (variables sorted
-    by name)."""
-    violation = compile_quasiequation(A.signature, q)(A.tables, A.size)
-    return violation is None, violation
+    by name): every premise evaluates to equal values and the conclusion to
+    two different ones."""
+    names = sorted(equations_variables((*q.premises, q.conclusion)))
+    premises = [_compile_equation(A.signature, p, names) for p in q.premises]
+    left, right = _compile_equation(A.signature, q.conclusion, names)
+    T, n = A.tables, A.size
+    for values in iproduct(range(n), repeat=len(names)):
+        if left(T, n, values) != right(T, n, values) and all(
+            p_left(T, n, values) == p_right(T, n, values) for p_left, p_right in premises
+        ):
+            return False, dict(zip(names, values))
+    return True, None

@@ -32,7 +32,13 @@ from .core import (
     subalgebra,
     trivial_algebra,
 )
-from .logic import Quasiequation, check_quasiequation, compile_quasiequation, eval_term
+from .logic import (
+    Quasiequation,
+    _compile_equation,
+    check_quasiequation,
+    equations_variables,
+    eval_term,
+)
 
 DEFAULT_PRODUCT_CAP = 10**6
 
@@ -296,38 +302,94 @@ def free_algebra(
 
 
 def _axiomatic_models(signature: Signature, axioms, size: int) -> list[FiniteAlgebra]:
-    """All size-`size` models of the axioms, by cell-wise backtracking with
-    quasiequation propagation on the partially filled tables."""
-    cells: list[tuple[int, int]] = []
-    for i, (sym, k) in enumerate(signature.symbols):
-        for flat in range(size**k):
-            cells.append((i, flat))
-    tables = [[None] * (size**k) for _, k in signature.symbols]
-    # Unassigned cells leave a ground instance undecided, so only decided
-    # refutations prune.
-    checks = [compile_quasiequation(signature, q) for q in axioms]
+    """Size-`size` models of the axioms, at least one per isomorphism class,
+    by cell-wise backtracking over the operation tables.
 
-    def violated() -> bool:
-        return any(first_violation(tables, size) is not None for first_violation in checks)
+    Cells are filled in order of their largest argument: the constants
+    first, then the cells whose largest argument is 0, then 1, and so on;
+    ties go by symbol, then by flat index.  Let mx be the largest element
+    among the arguments of the current cell and the arguments and values of
+    the cells already filled.  The cell tries only the values up to mx+1
+    (the least-number heuristic).  This loses no class.  No element above mx
+    occurs in the filled cells or in the current cell, so swapping two such
+    elements maps every model that extends the filled cells to an
+    isomorphic model that extends them too, and the current cell keeps its
+    arguments.  A model whose current cell holds some v > mx+1 is therefore
+    isomorphic, by swapping v and mx+1, to one that the search reaches
+    through the value mx+1; by induction on the cells left, every model
+    has an isomorphic copy among the leaves.  `IsoRegistry` removes the
+    copies that remain.
+
+    Each axiom is compiled once, and its ground instances are (axiom,
+    assignment of elements to its variables).  A node keeps the instances
+    still undecided on its branch and evaluates only those after its cell
+    is filled, on the partial tables: a term that reads an unfilled cell is
+    undecided.  An instance whose premises all hold and whose conclusion
+    fails is violated, and the branch is pruned.  One with a false premise
+    or a holding conclusion is decided: filled cells are never changed
+    below the node, so the values it read are the same in every model the
+    branch reaches, and the instance holds in all of them.  The child gets
+    only the instances that are still undecided.  At a leaf every cell is
+    filled, no instance is undecided, and the tables satisfy every
+    axiom."""
+    n = size
+    cells = sorted(
+        (max(args, default=-1), i, flat)
+        for i, (_, k) in enumerate(signature.symbols)
+        for flat, args in enumerate(iproduct(range(n), repeat=k))
+    )
+    instances = []
+    for q in axioms:
+        names = sorted(equations_variables((*q.premises, q.conclusion)))
+        premises = tuple(_compile_equation(signature, p, names) for p in q.premises)
+        left, right = _compile_equation(signature, q.conclusion, names)
+        instances += [
+            (left, right, premises, values)
+            for values in iproduct(range(n), repeat=len(names))
+        ]
+    tables = [[None] * n**k for _, k in signature.symbols]
+
+    def undecided(pending: list) -> list | None:
+        """The pending instances still undecided, or None if one is violated."""
+        rest = []
+        for instance in pending:
+            left, right, premises, values = instance
+            a, b = left(tables, n, values), right(tables, n, values)
+            if a is not None and a == b:
+                continue
+            unknown = a is None or b is None
+            for p_left, p_right in premises:
+                c, d = p_left(tables, n, values), p_right(tables, n, values)
+                if c is None or d is None:
+                    unknown = True
+                elif c != d:
+                    break
+            else:
+                if not unknown:
+                    return None
+                rest.append(instance)
+        return rest
 
     found: list[FiniteAlgebra] = []
 
-    def rec(ci: int) -> None:
+    def rec(ci: int, pending: list, mx: int) -> None:
         if ci == len(cells):
             found.append(
-                FiniteAlgebra(
-                    f"model{size}", signature, size, tuple(tuple(t) for t in tables)
-                )
+                FiniteAlgebra(f"model{n}", signature, n, tuple(map(tuple, tables)))
             )
             return
-        sym_i, flat = cells[ci]
-        for v in range(size):
-            tables[sym_i][flat] = v
-            if not violated():
-                rec(ci + 1)
-            tables[sym_i][flat] = None
+        top, i, flat = cells[ci]
+        mx = max(mx, top)
+        for v in range(min(n, mx + 2)):
+            tables[i][flat] = v
+            rest = undecided(pending)
+            if rest is not None:
+                rec(ci + 1, rest, max(mx, v))
+        tables[i][flat] = None
 
-    rec(0)
+    pending = undecided(instances)
+    if pending is not None:
+        rec(0, pending, -1)
     return found
 
 

@@ -3,6 +3,7 @@ checks: each recomputes its answer from the definitions, by exhaustive search
 or direct recursion over the operation tables."""
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, product as iproduct
 
 from qvbench.core import FiniteAlgebra, Signature, SignatureError
@@ -38,10 +39,10 @@ def eval_term(A, t, assignment):
     k = A.signature.arity(t.symbol)
     if k != len(t.args):
         raise SignatureError(f"{t.symbol}/{k} applied to {len(t.args)} arguments")
-    args = tuple(eval_term(A, a, assignment) for a in t.args)
+    args = [eval_term(A, a, assignment) for a in t.args]
     if None in args:
         return None
-    return A.apply(t.symbol, args)
+    return A.apply(t.symbol, tuple(args))
 
 
 def brute_homs(A, B, language):
@@ -79,6 +80,58 @@ def canonical_form(A):
         if best is None or tuple(tables) < best:
             best = tuple(tables)
     return n, best
+
+
+def _variables(t):
+    if isinstance(t, Var):
+        return {t.name}
+    return set().union(*map(_variables, t.args))
+
+
+def axiomatic_models(signature, axioms, n):
+    """Canonical forms of the size-n models of the quasiequations `axioms`:
+    every assignment of every table cell, kept when each quasiequation holds
+    under every assignment of elements to its variables, as evaluated by
+    `eval_term`."""
+    def holds(A, eq, env):
+        return eval_term(A, eq.left, env) == eval_term(A, eq.right, env)
+
+    def satisfies(A, q, names):
+        for values in iproduct(range(n), repeat=len(names)):
+            env = dict(zip(names, values))
+            if all(holds(A, p, env) for p in q.premises) and not holds(A, q.conclusion, env):
+                return False
+        return True
+
+    algebras = _every_algebra(signature, n)
+    kept = range(len(algebras))
+    for q in axioms:
+        if q.conclusion.left == q.conclusion.right:
+            continue  # holds under every assignment; tests draw many such
+        equations = (*q.premises, q.conclusion)
+        names = sorted(set().union(*(_variables(e.left) | _variables(e.right) for e in equations)))
+        kept = [i for i in kept if satisfies(algebras[i], q, names)]
+    return {_form(signature, n, i) for i in kept}
+
+
+@lru_cache(maxsize=None)
+def _every_algebra(signature, n):
+    """Every algebra on 0..n-1 over `signature`, one per table assignment."""
+    shapes = [n**k for _, k in signature.symbols]
+    out = []
+    for cells in iproduct(range(n), repeat=sum(shapes)):
+        tables, start = [], 0
+        for width in shapes:
+            tables.append(cells[start:start + width])
+            start += width
+        out.append(FiniteAlgebra("M", signature, n, tuple(tables)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _form(signature, n, i):
+    """`canonical_form` of the i-th of `_every_algebra(signature, n)`."""
+    return canonical_form(_every_algebra(signature, n)[i])
 
 
 def direct_product(factors, name=None):

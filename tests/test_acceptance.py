@@ -292,33 +292,33 @@ def test_acceptance_9_term_equivalence_suite():
 # SHA-256 of each report `scripts/run_fixture_suite.py` writes.  A change that
 # alters report bytes updates these and says why.
 FIXTURE_SUITE_SHA256 = {
-    "amalgamate-chains.json": "5f765e07f1459d50d933b1d5eb2717bcd6e5cd168b9d08e78769f5c42a65025c",
-    "cg-chain3-total.json": "af92091e7e81bc8a8d51d801aa18b213e12bd1e1f93f9fe5e25df157e173be1b",
-    "cg-chain3-upper.json": "f94f10fdbdbaffb4fb4908bccf2e8609a42b2d28aad308c33e9d0e2302bca6e4",
-    "check-beth-compl.json": "c622fcb9d35dc1462cbedb7f8de9281ec49d7ef60f4ccf976dc2abf5c8068a0b",
-    "check-extendable-chain3.json": "8027ed8a41581cd001f521cccfb181ae01597eb71e8f6536bb55c67bb0878c39",
-    "check-regular-twoba.json": "67e49a8167f9c715101ffa3998cd205087cb4e904d6e5df50cd63f3c0aee5e0c",
-    "check-simple-compl.json": "4e6f47daab51250335fd76d16bb917c1e5e585dc3dfb392b190abaac7b59671f",
-    "check-simple-jc.json": "72368f949dd10a435981cee5c631e19fea4df5ccfb122ddd8e953961490951ea",
-    "check-unique-witnesses-compl.json": "90876df262d1cdcdf7a95b40fb703b9c1e7bb565bbbba54ba1b707b2e199d05e",
-    "check-unique-witnesses-padded.json": "b067c0cfc6cede472808802fa304fcd79052aeb24d5f508a8663775b6a9d80b1",
-    "counit-dl-bool.json": "4eba469cc140e1bfb58f0a15692886da735a3c2c57467c3f9452fcb2dbb40737",
-    "counit-msl-dl.json": "c715c6987f7e8119b6d77ef2339e4d319caaf3e150c417c91c4447f4fd05630d",
-    "cross-validate-dl-bool.json": "a2ea384ad3d2808400f88a253f61f38bf9b9d189dc9543bb2a87a9c6445ac39b",
-    "cross-validate-msl-dl.json": "b016d27d60df978ecd53944da4ccf83fc25b1f112c64d175cd33ed950b987da6",
-    "cross-validate-trivial.json": "879afd31633d307225079868ee95a162653b94bda5692e3b534d4ec034285f2d",
-    "enumerate-dl-4.json": "262bb4d56bde4c6ff9e5282f4a047580d05f72a307daa13625ac3be7ce6ad729",
-    "enumerate-msl-4.json": "cdfe461c3837928a5922026c8c2ae6465ec061becd40c2d3db30b22cfc7e313e",
-    "expand-chain3.json": "561d162fbd9e41cbd86bb8a135c820c8c3bb6434bdd3e3a3542823574f8ee169",
-    "expand-diamond.json": "63ad09e4866d9afb78775a954843dc14461067a5e5ed0a8ccc2009dc2eb9104d",
+    "amalgamate-chains.json": "598bde31e38bc5d7e19d5872f19e4c1f3064b10a99656ff483b93a0bd751fc6f",
+    "cg-chain3-total.json": "f3b9b7f727df6956eaac8e59569f6e01f6cd7c8f38f87dc391cfef7b0e97ebc0",
+    "cg-chain3-upper.json": "3271781f378a8c08e8a08b6c56ec3e2fddf0910d1f8c13c92e86a299230fc1c0",
+    "check-beth-compl.json": "d56f7141a01b1e39c71df980600ed13bf8709c020c9f09949a610af3c6e644c9",
+    "check-extendable-chain3.json": "42331401c58b49a036af2a4a8b27f7c69c8086c40a1c0b2178fa8404fbdc1901",
+    "check-regular-twoba.json": "b6d9d602d51c830a03a1300e3a926a6bbac68e9131a56c5eea04a79d754b1a88",
+    "check-simple-compl.json": "57082c1369fbbdedf04571e48a11e5bdab3a748eb283f876c526064ff5f8fc5c",
+    "check-simple-jc.json": "b3cdb969af402a2c6e8c473dd6c014601ea787007497600f6b2b3ea4f9c957af",
+    "check-unique-witnesses-compl.json": "453c1b74fe253697564c84f76fa88a6a5bc7b2db65e89dc7ccf55647d8959788",
+    "check-unique-witnesses-padded.json": "f334e1f772fb9607a4ac3fc3a85988634eb43b6642cf6711b3624f21fabcb29a",
+    "counit-dl-bool.json": "efbceef7e98a543fb33cd07487c54ba0be03bcd68cb70da3d33db47691477d97",
+    "counit-msl-dl.json": "9dc39fe0cbc457bdfac6aa609f35cbb55dc4f4fe974ac1259f5830e311f73156",
+    "cross-validate-dl-bool.json": "3471d26f45e55241ef363fe834b7bd250a866de96bbaec1d75f6c350a92fa01d",
+    "cross-validate-msl-dl.json": "6cd0d1666aa65cba375712c581d657daca1963d036457dae4dc289b99c24c2b6",
+    "cross-validate-trivial.json": "a1d7074f69c5d7cc3bdffeb4bf58a79bd50ee52ffeaa994fe7b2604d184769ec",
+    "enumerate-dl-4.json": "a04d0afd1d01bc924f7012c3e7340bfbd55ce59041fa36c11ec4ed38ce36c21f",
+    "enumerate-msl-4.json": "8aa73340c41449704cdd96a35a0a65824a4aef3664e88675e9853209a8f8fdf6",
+    "expand-chain3.json": "026e76711390a3d9c02e7265a4320be694e2ea681cbffc6a9e95342e5739dcc1",
+    "expand-diamond.json": "eaa1e26d48000e236c8e6e36700877c010dda0110e4d91052dcb4c7b87b5b992",
     "free-bool-2.json": "b301956fc464c9732cd8ab75879aa17a846134441a2d7d47440ccf74fe522db5",
     "free-dl-2.json": "2200bfc198c619f6b5374c88f35e8be036dffe4db0c2e8ac5500ff60af96d7ef",
-    "membership-chain3.json": "76c849419ec8eb0b65454bbb25ff7fd52e7a14b70a1196ac5ff74915bbf30875",
+    "membership-chain3.json": "9caa70ed77117a68b72265345cde5be0929215aa22ea1434e27b3a0ab56f9cc5",
     "reflect-chain3.json": "1dba78d265e0f14e6f6b5fae9f519d9fc6dfa8878b6757b83eca4e2ec6968e51",
     "reflect-diamond-msl.json": "5ad11239e304b504d206b1196de883f84c9b97487a4b025f799c9371956cd60e",
-    "term-equiv-not-imp.json": "fe7618e395077b38b61f378adf734e48df5cca09adc6fb0ab964fa2be08fefed",
-    "unit-dl-bool.json": "1ded6f0c13a815ab24dfa92355bfbe3ddb32d59fbaa6b105cbf01a34609cc835",
-    "unit-msl-dl.json": "6f4cda959fdb993215f4dcdc6a3f1f16b36126e12c2d4c0162282426f4f779f4",
+    "term-equiv-not-imp.json": "5de54920504e3e073752a1f792483163a7068016c645f557138d1c8446b93c62",
+    "unit-dl-bool.json": "c74e1b419309f83b52bdf27a710bab5bf1999c36e37ae0baefce7376a81abcde",
+    "unit-msl-dl.json": "56c756641e77ecadf65b5bed32750bf8c4459d10eb7db844dae88b2ab6c2378f",
 }
 
 

@@ -280,6 +280,28 @@ class TestMainEntry:
         assert code == 3
         assert "argument --size: must be an integer of at least 1" in capsys.readouterr().err
 
+    def test_product_cap_only_for_free_and_reflect(self, ws, capsys):
+        """Only `free` and `reflect` build a product under the cap, so only
+        they take --product-cap and report it; any other command refuses it
+        with exit 3, on the command line and in process."""
+        code = main(["unit", "--workspace", WS, "--expansion", "DLtoBOOL", "--product-cap", "3"])
+        assert code == 3
+        assert "unrecognized arguments: --product-cap 3" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="argument --product-cap: only free and reflect take it"):
+            run("unit", ws, {"expansion": "DLtoBOOL", "product_cap": 3})
+        code = main(["free", "--workspace", WS, "--in", "DL", "--generators", "x,y",
+                     "--product-cap", "16"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["params"]["product-cap"] == 16
+        code = main(["reflect", "--workspace", WS, "--algebra", "Chain3",
+                     "--expansion", "DLtoBOOL", "--product-cap", "3"])
+        assert code == 3
+        assert "product of size 4 exceeds cap 3" in capsys.readouterr().err
+        report, _ = run("reflect", ws, {"algebra": "Chain3", "expansion": "DLtoBOOL"})
+        assert report.params["product-cap"] == 10**6
+        report, _ = run("unit", ws, {"expansion": "DLtoBOOL"})
+        assert "product-cap" not in report.params
+
     def test_in_process_bounds_below_one_rejected(self, ws):
         """`run` is the entry the fixture suite and the benchmark call, so it
         checks the bounds itself: a bound of 0 admits no member, and a

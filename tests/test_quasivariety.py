@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from test_logic import terms_over
 from qvbench import core, fixtures as fx
 from qvbench.core import (
     Congruence,
@@ -26,11 +27,13 @@ from qvbench.core import (
 from qvbench.adjunction import PpExpansionSpec, free_extension
 from qvbench.beth import expansion_members
 from qvbench.implicit import induced_partial_op
+from qvbench.logic import App, Equation, Quasiequation, Var, check_quasiequation
 from qvbench.quasivariety import (
     Amalgam,
     CapExceeded,
     NotFoundWithinBound,
     Quasivariety,
+    _axiomatic_models,
     _member_classes,
     bounded_amalgamation,
     enumerate_members,
@@ -231,6 +234,30 @@ class TestGenerateInProduct:
             generate_in_product([fx.CHAIN2], [(0,), (1,)], fx.BA)
 
 
+_x, _y, _z = Var("x"), Var("y"), Var("z")
+
+
+def _semilattice_axioms(op, unit, bottom=None):
+    """Idempotent, commutative and associative `op` with `unit` as its
+    identity, and `bottom` absorbing when given."""
+    def f(a, b):
+        return App(op, (a, b))
+
+    pairs = [
+        (f(_x, _x), _x),
+        (f(_x, _y), f(_y, _x)),
+        (f(f(_x, _y), _z), f(_x, f(_y, _z))),
+        (f(_x, App(unit)), _x),
+    ]
+    if bottom is not None:
+        pairs.append((f(_x, App(bottom)), App(bottom)))
+    return tuple(Quasiequation((), Equation(lhs, rhs)) for lhs, rhs in pairs)
+
+
+MSLAX = Quasivariety("MSLAX", fx.MSL, axioms=_semilattice_axioms("meet", "top", "bot"))
+MONAX = Quasivariety("MONAX", fx.MON, axioms=_semilattice_axioms("mul", "e"))
+
+
 class TestEnumerateMembers:
     def test_sizes_one_and_two(self):
         assert len(enumerate_members(fx.DL, 1)) == 1
@@ -262,15 +289,20 @@ class TestEnumerateMembers:
         assert len(ms2) == 1
         assert are_isomorphic(ms2[0], fx.CHAIN2)
 
-    def test_axiomatic_matches_generated_up_to_size_four(self):
+    def test_axiomatic_matches_generated_up_to_size_five(self):
         """The axiom list is a complete base for the generated class at every
-        size up to 4: both presentations list the same classes (1, 1, 1, 2
-        per size, OEIS A006982)."""
-        for n in range(1, 5):
+        size up to 5: both presentations list the same classes (1, 1, 1, 2,
+        3 per size, OEIS A006982).  Up to CANONIZE_LIMIT both keep canonical
+        tables, so the tables are equal; above it each axiomatic class is
+        isomorphic to exactly one generated class."""
+        for n in range(1, 6):
             gen = enumerate_members(fx.DL, n)
             axi = enumerate_members(fx.DLAX, n)
-            assert len(gen) == len(axi) == [1, 1, 1, 2][n - 1]
-            assert [A.tables for A in gen] == [A.tables for A in axi]
+            assert len(gen) == len(axi) == [1, 1, 1, 2, 3][n - 1]
+            if n <= core.CANONIZE_LIMIT:
+                assert [A.tables for A in gen] == [A.tables for A in axi]
+            for A in axi:
+                assert sum(are_isomorphic(A, B) for B in gen) == 1
 
     def test_dl_class_counts_match_a006982_up_to_nine(self):
         """Distributive lattices of n elements up to isomorphism, n = 1..9,
@@ -309,6 +341,94 @@ class TestEnumerateMembers:
     def test_msl_members(self):
         sizes = [A.size for A in members_up_to(fx.MSLQ, 4)]
         assert sizes == [1, 2, 3, 4, 4]
+
+
+F2 = Signature("f2", (("f", 2),))
+CUF = Signature("cuf", (("c", 0), ("u", 1), ("f", 2)))
+CDU = Signature("cdu", (("c", 0), ("d", 0), ("u", 1)))
+
+
+def _f(a, b):
+    return App("f", (a, b))
+
+
+def _u(a):
+    return App("u", (a,))
+
+
+_INJECTIVE_U = Quasiequation((Equation(_u(_x), _u(_y)),), Equation(_x, _y))
+
+
+# Quasiequations random equations rarely give: bases with many models, and
+# premises that a partial table leaves undecided.
+AXIOM_POOL = {
+    F2: (
+        Quasiequation((), Equation(_f(_x, _y), _f(_y, _x))),
+        Quasiequation((), Equation(_f(_x, _x), _x)),
+        Quasiequation((), Equation(_f(_f(_x, _y), _z), _f(_x, _f(_y, _z)))),
+        Quasiequation((Equation(_f(_x, _y), _f(_x, _z)),), Equation(_y, _z)),
+    ),
+}
+AXIOM_POOL[CUF] = AXIOM_POOL[F2] + (
+    _INJECTIVE_U,
+    Quasiequation((Equation(_f(_x, _y), App("c")),), Equation(_x, _u(_y))),
+)
+AXIOM_POOL[CDU] = (_INJECTIVE_U, Quasiequation((), Equation(_u(_u(_x)), _x)))
+
+
+@st.composite
+def axiom_sets(draw):
+    """A signature, 1-3 quasiequations over it and a size: {f/2} and
+    {c/0, d/0, u/1} at sizes 1-3 and {c/0, u/1, f/2} at sizes 1-2, so that
+    the oracle can list every table.  With two constants, the second is a
+    cell whose value can be an element that no argument has shown yet.
+    Each quasiequation is either random, with 0-1 premises and equations of
+    depth at most 2, or drawn from AXIOM_POOL."""
+    signature, most = draw(st.sampled_from([(F2, 3), (CUF, 2), (CDU, 3)]))
+    side = terms_over(signature, 2)
+    equations = st.builds(Equation, side, side)
+    random = st.builds(
+        Quasiequation, st.lists(equations, max_size=1).map(tuple), equations
+    )
+    axioms = draw(st.lists(
+        st.one_of(random, st.sampled_from(AXIOM_POOL[signature])), min_size=1, max_size=3
+    ))
+    return signature, tuple(axioms), draw(st.sampled_from(range(most, 0, -1)))
+
+
+class TestAxiomaticModels:
+    def test_semilattice_axioms_count_a006966_up_to_five(self):
+        """Meet-semilattices with bottom and top (MSL) and idempotent
+        commutative monoids (MON, the unit as top) of n elements up to
+        isomorphism, n = 1..5, are 1, 1, 1, 2, 5 (OEIS A006966: a finite
+        meet-semilattice with top is a lattice).  Both equational bases give
+        these counts, and every class found satisfies its axioms."""
+        for K in (MSLAX, MONAX):
+            members = members_up_to(K, 5)
+            sizes = [A.size for A in members]
+            assert [sizes.count(n) for n in range(1, 6)] == [1, 1, 1, 2, 5]
+            assert all(membership(A, K).holds for A in members)
+
+    def test_axiomatic_search_work_is_pinned(self):
+        """The search returns exactly 3 labelled models of the DL axioms at
+        size 4 and 12 at size 5, for 2 and 3 classes.  The count is
+        deterministic; a search without the least-number heuristic, or with
+        its cells in row-major order, returns more (36 at size 4 without
+        it)."""
+        assert [len(_axiomatic_models(fx.BDL, fx.DL_AXIOMS, n)) for n in (4, 5)] == [3, 12]
+
+    @settings(max_examples=30, deadline=None)
+    @given(inputs=axiom_sets())
+    def test_matches_brute_force_models(self, inputs):
+        """Every model the search returns satisfies every axiom, and its
+        models meet exactly the isomorphism classes of the models found by
+        trying every table assignment."""
+        signature, axioms, n = inputs
+        models = _axiomatic_models(signature, axioms, n)
+        for A in models:
+            assert all(check_quasiequation(A, q)[0] for q in axioms)
+        found = {oracles.canonical_form(A) for A in models}
+        assert found == oracles.axiomatic_models(signature, axioms, n)
 
 
 def embedding(A, B, mapping):
