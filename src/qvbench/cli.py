@@ -271,6 +271,9 @@ def run(command: str, ws: Workspace, flags: dict) -> tuple[Report, int]:
             raise ValueError(f"argument {flag}: must be an integer of at least 1, got {str(value)!r}")
     if "product_cap" in flags and command not in ("free", "reflect"):
         raise ValueError(f"argument --product-cap: only free and reflect take it, not {command}")
+    size, max_size = flags.get("size"), flags.get("max_size")
+    if None not in (size, max_size) and size != max_size:
+        raise ValueError(f"argument --size: {size} conflicts with --max-size {max_size}")
     handler = _HANDLERS[command.replace("-", "_")]
     instances, params = handler(ws, flags)
     held = sum(1 for i in instances if i.get("verdict") == "holds")
@@ -623,7 +626,9 @@ def build_argparser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--workspace", required=True, help="workspace file to load")
-        p.add_argument("--max-size", type=int, default=4, dest="max_size")
+        # No default here: `run` tells a given --max-size from an absent one,
+        # and every command falls back to 4.
+        p.add_argument("--max-size", type=int, default=None, dest="max_size")
         p.add_argument("--ext-bound", type=int, default=6, dest="ext_bound")
         p.add_argument("--report", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default="json")

@@ -1,9 +1,12 @@
 """Terms, equations, quasiequations, and primitive positive formulas, with
 evaluation on finite algebras.
 
-Every evaluation goes through `compile_term`, which turns a term into one
-function of flat table lookups; the checks here compile once per call and
-then enumerate assignments.
+Every evaluation goes through `compile_term`'s expression builder
+`_lookups`, the only translator from terms to table lookups.  `compile_term`
+wraps one term's expression in a function, which also reads tables with
+unassigned cells; `compile_pp` wraps a pp body in one generated search with
+a loop per bound variable, which works on total tables only.  The checks
+here compile once per call and then enumerate assignments.
 
 Conjunctions are flat lists: satisfaction does not depend on bracketing or
 order.  Existential witnesses are reported lexicographically least, so every
@@ -95,22 +98,20 @@ def rename_equation(eq: Equation, renaming: dict[str, str]) -> Equation:
     return Equation(rename_term(eq.left, renaming), rename_term(eq.right, renaming))
 
 
-def compile_term(signature: Signature, t: Term, variables) -> Callable:
-    """The one term evaluator.  Compiles `t` into `f(tables, n, values)`, a
-    single expression of table lookups on flat row-major indices (last
-    argument fastest, as in `FiniteAlgebra.tables`): `tables` follow
-    `signature.symbols`, `n` is the universe size and `values[i]` is the value
-    of `variables[i]`.  `f` returns None when it reads an unassigned (None)
-    cell.  Unbound variables and symbol or arity mismatches raise here, at
-    compile time."""
-    position = {v: i for i, v in enumerate(variables)}
+def _lookups(signature: Signature, t: Term, name) -> str:
+    """The one translator from terms to lookups: `t` as a single Python
+    expression of table lookups on flat row-major indices (last argument
+    fastest, as in `FiniteAlgebra.tables`), where `T[i]` is the table of
+    `signature.symbols[i]`, `n` the universe size and `name[v]` the
+    expression that reads variable v.  Unbound variables and symbol or arity
+    mismatches raise here, at compile time."""
     slot = {sym: i for i, (sym, _) in enumerate(signature.symbols)}
 
     def source(u: Term) -> str:
         if isinstance(u, Var):
-            if u.name not in position:
+            if u.name not in name:
                 raise UnboundVariableError(f"unbound variable {u.name!r}")
-            return f"v[{position[u.name]}]"
+            return name[u.name]
         k = signature.arity(u.symbol)
         if k != len(u.args):
             raise SignatureError(f"{u.symbol}/{k} applied to {len(u.args)} arguments")
@@ -119,24 +120,31 @@ def compile_term(signature: Signature, t: Term, variables) -> Callable:
             index = source(child) if i == 0 else f"({index})*n+{source(child)}"
         return f"T[{slot[u.symbol]}][{index}]"
 
-    return _function(source(t))
+    return source(t)
 
 
-@lru_cache(maxsize=4096)
-def _function(expression: str) -> Callable:
-    """One function per distinct expression.  The expression holds only
-    integers and fixed names, so equal terms at equal table slots and variable
-    positions share it.  A None read surfaces as the TypeError of using None
-    as an index or in the index arithmetic."""
-    scope: dict = {}
-    exec(
+def compile_term(signature: Signature, t: Term, variables) -> Callable:
+    """The one term evaluator.  Compiles `t` into `f(tables, n, values)`, the
+    expression of `_lookups` with `values[i]` the value of `variables[i]`.
+    `f` returns None when it reads an unassigned (None) cell: that surfaces
+    as the TypeError of using None as an index or in the index arithmetic."""
+    expression = _lookups(signature, t, {v: f"v[{i}]" for i, v in enumerate(variables)})
+    return _define(
         "def f(T, n, v):\n"
         "    try:\n"
         f"        return {expression}\n"
         "    except TypeError:\n"
-        "        return None\n",
-        scope,
+        "        return None\n"
     )
+
+
+@lru_cache(maxsize=4096)
+def _define(source: str) -> Callable:
+    """The function `f` that `source` defines, one per distinct source.  The
+    source holds only integers and fixed names, so equal terms or bodies at
+    equal table slots and variable positions share it."""
+    scope: dict = {}
+    exec(source, scope)
     return scope["f"]
 
 
@@ -157,28 +165,41 @@ def compile_pp(signature: Signature, phi: PpFormula, free) -> Callable:
     """Compile the body of `phi` for the assigned variables `free`.  Returns
     `witnesses(tables, n, values)`: a generator, in lexicographic order, of the
     witness tuples that satisfy the body on total tables when `free` take
-    `values`."""
-    body = [_compile_equation(signature, eq, [*free, *phi.bound_vars]) for eq in phi.body]
-    width = len(phi.bound_vars)
+    `values`.
 
-    def witnesses(tables, n: int, values):
-        values = tuple(values)
-        for witness in iproduct(range(n), repeat=width):
-            env = values + witness
-            for left, right in body:
-                if left(tables, n, env) != right(tables, n, env):
-                    break
-            else:
-                yield witness
-
-    return witnesses
+    The generator is one generated function with a nested loop per bound
+    variable, in the order of `phi.bound_vars`.  Each equation is tested in
+    the loop of its last bound variable, so a failing partial witness prunes
+    every extension of it; an equation over assigned variables alone is
+    tested once, before any loop."""
+    name = {v: f"a{i}" for i, v in enumerate(free)}
+    name.update((v, f"w{j}") for j, v in enumerate(phi.bound_vars))
+    depth = {v: j + 1 for j, v in enumerate(phi.bound_vars)}
+    tests: list[list[str]] = [[] for _ in range(len(phi.bound_vars) + 1)]
+    for eq in phi.body:
+        d = max((depth.get(v, 0) for v in equations_variables([eq])), default=0)
+        left, right = (_lookups(signature, side, name) for side in (eq.left, eq.right))
+        tests[d].append(f"{left} != {right}")
+    lines = ["def f(T, n, v):"]
+    if free:
+        lines.append(f"    {''.join(f'a{i}, ' for i in range(len(free)))}= v")
+    for d, conditions in enumerate(tests):
+        pad = "    " * (d + 1)
+        if d:
+            lines.append(f"{pad[4:]}for w{d - 1} in range(n):")
+        if conditions:
+            lines.append(f"{pad}if {' or '.join(conditions)}:")
+            lines.append(f"{pad}    {'continue' if d else 'return'}")
+    witness = "".join(f"w{j}, " for j in range(len(phi.bound_vars)))
+    lines.append(f"{pad}yield ({witness})")
+    return _define("\n".join(lines) + "\n")
 
 
 def satisfies_pp(
     A: FiniteAlgebra, phi: PpFormula, assignment: dict[str, int]
 ) -> tuple[bool, dict[str, int] | None]:
-    """Existential search over all witness tuples; returns the first witness in
-    lexicographic order when satisfied."""
+    """Existential search with the `compile_pp` kernel; returns the first
+    witness in lexicographic order when satisfied."""
     witnesses = compile_pp(A.signature, phi, list(assignment))
     witness = next(witnesses(A.tables, A.size, list(assignment.values())), None)
     if witness is None:

@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import permutations, product as iproduct
 
 from qvbench.core import FiniteAlgebra, Signature, SignatureError
-from qvbench.logic import UnboundVariableError, Var
+from qvbench.logic import UnboundVariableError, Var, _compile_equation
 from qvbench.parser import ParseError, Token
 from qvbench.quasivariety import CapExceeded, GenResult
 
@@ -43,6 +43,27 @@ def eval_term(A, t, assignment):
     if None in args:
         return None
     return A.apply(t.symbol, tuple(args))
+
+
+def pp_witnesses(signature, phi, free):
+    """Reference for `logic.compile_pp`: every witness tuple in lexicographic
+    order, each checked against the equations in body order, evaluated by
+    `compile_term` (which `eval_term` checks) on the assigned values followed
+    by the witness."""
+    body = [_compile_equation(signature, eq, [*free, *phi.bound_vars]) for eq in phi.body]
+    width = len(phi.bound_vars)
+
+    def witnesses(tables, n: int, values):
+        values = tuple(values)
+        for witness in iproduct(range(n), repeat=width):
+            env = values + witness
+            for left, right in body:
+                if left(tables, n, env) != right(tables, n, env):
+                    break
+            else:
+                yield witness
+
+    return witnesses
 
 
 def brute_homs(A, B, language):

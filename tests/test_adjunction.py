@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from itertools import product as iproduct
 
 import pytest
@@ -306,3 +308,16 @@ class TestInducedExpansion:
         P = PpExpansionSpec(DL3, (("not", fx.COMPL),))
         with pytest.raises(ValueError, match="not total"):
             induced_expansion(P)
+
+
+def test_booleanization_demo_runs():
+    """The walk-through script runs and prints the counit dichotomy: among
+    the DL members, one whose counit is not iso and one whose counit is."""
+    proc = subprocess.run(
+        [sys.executable, "scripts/booleanization_demo.py"], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.strip() for line in proc.stdout.splitlines()]
+    verdicts = [line.rsplit(": ", 1)[1] for line in lines if line.startswith("DL/")]
+    assert "NOT iso" in verdicts
+    assert "iso" in verdicts

@@ -302,6 +302,28 @@ class TestMainEntry:
         report, _ = run("unit", ws, {"expansion": "DLtoBOOL"})
         assert "product-cap" not in report.params
 
+    def test_enumerate_conflicting_bounds_exit_three(self, capsys):
+        """`enumerate` takes its bound from --size or --max-size; two
+        different values are a usage error, not a report of the wrong one."""
+        code = main(["enumerate", "--workspace", WS, "--in", "DL", "--size", "3", "--max-size", "8"])
+        assert code == 3
+        assert "argument --size: 3 conflicts with --max-size 8" in capsys.readouterr().err
+
+    def test_enumerate_conflicting_bounds_rejected_in_process(self, ws):
+        with pytest.raises(ValueError, match="argument --size: 3 conflicts with --max-size 8"):
+            run("enumerate", ws, {"in": "DL", "size": 3, "max_size": 8})
+
+    @pytest.mark.parametrize("given, max_size", [
+        (["--size", "3"], 4),
+        (["--max-size", "3"], 3),
+        (["--size", "3", "--max-size", "3"], 3),
+    ])
+    def test_enumerate_one_bound_reports_as_before(self, capsys, given, max_size):
+        code = main(["enumerate", "--workspace", WS, "--in", "DL", *given])
+        assert code == 0
+        params = json.loads(capsys.readouterr().out)["params"]
+        assert params == {"quasivariety": "DL", "size": 3, "max-size": max_size, "ext-bound": 6}
+
     def test_in_process_bounds_below_one_rejected(self, ws):
         """`run` is the entry the fixture suite and the benchmark call, so it
         checks the bounds itself: a bound of 0 admits no member, and a

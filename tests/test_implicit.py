@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from qvbench import fixtures as fx
@@ -9,6 +11,7 @@ from qvbench.implicit import (
     PartialOperation,
     PreservationViolation,
     UniqueWitnessViolation,
+    _induced,
     bounded_pp_definability_search,
     check_extendable,
     check_preservation,
@@ -20,6 +23,7 @@ from qvbench.implicit import (
     witness_projection_specs,
 )
 from qvbench.logic import LogicError, PpFormula, satisfies_pp
+from qvbench.parser import parse_workspace
 from qvbench.quasivariety import NotFoundWithinBound
 
 
@@ -84,6 +88,34 @@ class TestInducedPartialOp:
         spec = ImplicitOpSpec("halfcompl", fx.BDL, 1, 0, phi)
         result = induced_partial_op(fx.DIAMOND, spec)
         assert isinstance(result, FunctionalityViolation)
+
+
+class CountingTable(tuple):
+    """A table that counts its cell reads."""
+    reads = 0
+
+    def __getitem__(self, i):
+        CountingTable.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+class TestInducedWork:
+    """Deterministic work counts of the graph search, so that a fall back to
+    trying every witness tuple fails without timing anything."""
+
+    @pytest.mark.parametrize("name, reads", [
+        ("Box12", 93_024),  # 681,216 with one brute-force search per value
+        ("Bool8", 24_832),  # 101,440 likewise
+    ])
+    def test_xorpp_cell_reads_pinned(self, name, reads):
+        with open("bench/workspace.qvw", encoding="utf-8") as fh:
+            ws = parse_workspace(fh.read())
+        A = ws.algebras[name]
+        counting = replace(A, tables=tuple(CountingTable(t) for t in A.tables))
+        CountingTable.reads = 0
+        op = _induced.__wrapped__(counting, ws.ppops["xorpp"])  # past the cache
+        assert CountingTable.reads == reads
+        assert op.graph == induced_partial_op(A, ws.ppops["xorpp"]).graph
 
 
 class TestPreservation:

@@ -5,6 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from qvbench import fixtures as fx
 from qvbench.core import FiniteAlgebra, Signature, SignatureError, congruence_closure, quotient
+from qvbench.implicit import (
+    FunctionalityViolation,
+    ImplicitOpSpec,
+    PartialOperation,
+    arg_var,
+    induced_partial_op,
+    witness_var,
+)
 from qvbench.logic import (
     App,
     Equation,
@@ -13,10 +21,12 @@ from qvbench.logic import (
     UnboundVariableError,
     Var,
     check_quasiequation,
+    compile_pp,
     compile_term,
     eval_term,
     satisfies_pp,
 )
+from qvbench.parser import parse_pp_formula
 
 import oracles
 
@@ -49,17 +59,17 @@ def bdl_algebras(draw, max_size=4):
 
 
 VARIABLES = ("x", "y", "z")
-MIXED = Signature("Mixed", (("c", 0), ("u", 1), ("b", 2), ("t", 3)))
+MIXED = Signature("Mixed", (("c", 0), ("u", 1), ("f", 2), ("t", 3)))
 
 
-def terms_over(signature, depth):
-    """Terms in x, y, z over the signature, of depth at most `depth`."""
+def terms_over(signature, depth, variables=VARIABLES):
+    """Terms in `variables` over the signature, of depth at most `depth`."""
     leaves = st.sampled_from(
-        [Var(v) for v in VARIABLES] + [App(sym) for sym, k in signature.symbols if k == 0]
+        [Var(v) for v in variables] + [App(sym) for sym, k in signature.symbols if k == 0]
     )
     if depth == 0:
         return leaves
-    sub = terms_over(signature, depth - 1)
+    sub = terms_over(signature, depth - 1, variables)
     apps = [
         st.tuples(*[sub] * k).map(lambda args, sym=sym: App(sym, args))
         for sym, k in signature.symbols
@@ -180,6 +190,104 @@ class TestSatisfiesPp:
         least = naive_pp(A, phi, assignment)
         assert ok == (least is not None)
         assert witness == least
+
+
+@st.composite
+def mixed_algebras(draw, max_size=3):
+    n = draw(st.integers(1, max_size))
+    tables = tuple(
+        tuple(draw(st.integers(0, n - 1)) for _ in range(n**k)) for _, k in MIXED.symbols
+    )
+    return FiniteAlgebra("M", MIXED, n, tables)
+
+
+@st.composite
+def mixed_pp_formulas(draw):
+    """Mixed pp formulas: 0-3 bound variables from x, y, z, w (w occurs in no
+    equation), and 1-3 equations of depth at most 2 in x, y, z, so that
+    equations with no bound variable and repeated variables occur."""
+    bound = draw(st.lists(st.sampled_from(VARIABLES + ("w",)), max_size=3, unique=True))
+    side = terms_over(MIXED, 2)
+    body = draw(st.lists(st.builds(Equation, side, side), min_size=1, max_size=3))
+    return PpFormula(tuple(bound), tuple(body))
+
+
+def oracle_graph(A, spec):
+    """The graph of `spec` on A from the brute-force witness search: one
+    search per argument tuple and value, the first tuple related to two
+    values reported with the two least of them."""
+    search = oracles.pp_witnesses(A.signature, spec.formula, spec.variables)
+
+    def related(args, b):
+        return next(search(A.tables, A.size, args + (b,)), None) is not None
+
+    graph = []
+    for args in iproduct(range(A.size), repeat=spec.arity):
+        values = [b for b in range(A.size) if related(args, b)]
+        if len(values) > 1:
+            return FunctionalityViolation(A, args, values[0], values[1])
+        if values:
+            graph.append((args, values[0]))
+    return PartialOperation(A, spec.arity, tuple(graph))
+
+
+@st.composite
+def mixed_specs(draw):
+    """Implicit operations over Mixed: arity 1-2, 0-2 witnesses, a body of
+    1-3 equations in x1.., y, z1.., most often led by y = term."""
+    arity = draw(st.integers(1, 2))
+    width = draw(st.integers(0, 2))
+    names = [arg_var(i) for i in range(arity)] + ["y"] + [witness_var(i) for i in range(width)]
+    side = terms_over(MIXED, 2, names)
+    lead = st.one_of(st.builds(Equation, st.just(Var("y")), side), st.builds(Equation, side, side))
+    body = [draw(lead)] + draw(st.lists(st.builds(Equation, side, side), max_size=2))
+    bound = tuple(witness_var(i) for i in range(width))
+    return ImplicitOpSpec("p", MIXED, arity, width, PpFormula(bound, tuple(body)))
+
+
+class TestCompilePp:
+    """The staged kernel against the brute-force loop it replaced: the same
+    witnesses in the same (lexicographic) order."""
+
+    @staticmethod
+    def check(A, phi, free, values):
+        staged = compile_pp(A.signature, phi, free)(A.tables, A.size, values)
+        brute = oracles.pp_witnesses(A.signature, phi, free)(A.tables, A.size, values)
+        assert list(staged) == list(brute)
+
+    @settings(max_examples=300, deadline=None)
+    @given(A=mixed_algebras(), phi=mixed_pp_formulas(), data=st.data())
+    def test_witness_sequence_agrees_with_oracle(self, A, phi, data):
+        free = data.draw(st.permutations(phi.free_vars()), label="free")
+        values = [data.draw(st.integers(0, A.size - 1), label=v) for v in free]
+        self.check(A, phi, free, values)
+
+    @pytest.mark.parametrize("text", [
+        "exists [] . f(x,y) = u(x)",
+        "exists [x,y,z] . t(x,x,y) = z & f(z,z) = u(y)",
+        "exists [w,x] . u(x) = y",
+        "exists [z,x] . f(y,y) = c & u(z) = f(x,y)",
+        "exists [y,z] . u(z) = x & t(x,y,z) = f(z,y)",
+    ], ids=["no-bound-variable", "three-bound-repeated", "unused-bound-variable",
+            "guard-equation", "test-at-last-bound"])
+    def test_named_shapes_on_every_assignment(self, text):
+        phi = parse_pp_formula(text, MIXED)
+        A = FiniteAlgebra("M3", MIXED, 3, (
+            (1,),
+            (2, 0, 2),
+            (0, 2, 1, 1, 1, 0, 2, 0, 2),
+            tuple((a * b + c) % 3 for a in range(3) for b in range(3) for c in range(3)),
+        ))
+        free = phi.free_vars()
+        for values in iproduct(range(A.size), repeat=len(free)):
+            self.check(A, phi, free, values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(A=mixed_algebras(), spec=mixed_specs())
+    def test_induced_graph_agrees_with_oracle(self, A, spec):
+        """The single y-first search per argument tuple gives the oracle's
+        entries, or its violating tuple and two least values."""
+        assert induced_partial_op(A, spec) == oracle_graph(A, spec)
 
 
 ANTISYMMETRY = Quasiequation(

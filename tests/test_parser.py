@@ -3,10 +3,12 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from qvbench import fixtures as fx
-from qvbench.logic import App, Equation, Var
+from qvbench.core import Signature
+from qvbench.logic import App, Equation, PpFormula, Quasiequation, Var
 from qvbench.parser import (
     ParseError,
     format_algebra,
+    format_equation,
     format_pp_formula,
     format_quasiequation,
     format_quasivariety,
@@ -14,6 +16,7 @@ from qvbench.parser import (
     format_term,
     format_workspace,
     parse,
+    parse_equation,
     parse_equations,
     parse_pp_formula,
     parse_quasiequation,
@@ -66,7 +69,56 @@ class TestFragmentParsing:
             parse("x = y")
 
 
+MIXED = Signature("Mixed", (("c", 0), ("u", 1), ("f", 2), ("t", 3)))
+
+# Any identifier that is not a symbol of MIXED parses as a variable.
+variables = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True).filter(
+    lambda name: name not in MIXED.arities
+)
+terms = st.recursive(
+    st.one_of(variables.map(Var), st.just(App("c"))),
+    lambda sub: st.one_of(
+        sub.map(lambda a: App("u", (a,))),
+        st.tuples(sub, sub).map(lambda args: App("f", args)),
+        st.tuples(sub, sub, sub).map(lambda args: App("t", args)),
+    ),
+    max_leaves=8,
+)
+equations = st.builds(Equation, terms, terms)
+
+
 class TestRoundTrips:
+    """parse . format is the identity on every printable object."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=terms)
+    def test_random_term_round_trip(self, t):
+        assert parse_term(format_term(t), MIXED) == t
+
+    @settings(max_examples=100, deadline=None)
+    @given(eq=equations)
+    def test_random_equation_round_trip(self, eq):
+        assert parse_equation(format_equation(eq), MIXED) == eq
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        bound=st.lists(variables, max_size=3, unique=True),
+        body=st.lists(equations, min_size=1, max_size=3),
+    )
+    def test_random_pp_round_trip(self, bound, body):
+        """Including `exists [] . ...` when nothing is bound."""
+        phi = PpFormula(tuple(bound), tuple(body))
+        assert parse_pp_formula(format_pp_formula(phi), MIXED) == phi
+
+    @settings(max_examples=100, deadline=None)
+    @given(premises=st.lists(equations, max_size=3), conclusion=equations)
+    def test_random_quasiequation_round_trip(self, premises, conclusion):
+        """Including no premises, printed as `=> s = t`."""
+        q = Quasiequation(tuple(premises), conclusion)
+        text = format_quasiequation(q)
+        assert text.startswith("=> ") == (not premises)
+        assert parse_quasiequation(text, MIXED) == q
+
     def test_term_round_trip(self):
         t = App("meet", (Var("x1"), App("join", (App("bot"), Var("y")))))
         assert parse_term(format_term(t), fx.BDL) == t
@@ -81,7 +133,15 @@ class TestRoundTrips:
             assert parse_quasiequation(format_quasiequation(q), fx.BDL) == q
 
     def test_workspace_round_trip(self):
-        ws = load_fixture_workspace()
+        self.check_workspace(FIXTURES_PATH)
+
+    def test_bench_workspace_round_trip(self):
+        self.check_workspace(BENCH_WORKSPACE_PATH)
+
+    @staticmethod
+    def check_workspace(path):
+        with open(path, encoding="utf-8") as fh:
+            ws = parse_workspace(fh.read())
         reparsed = parse_workspace(format_workspace(ws))
         assert reparsed.signatures == ws.signatures
         assert reparsed.algebras == ws.algebras
