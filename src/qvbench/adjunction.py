@@ -174,7 +174,7 @@ def pp_expansion_membership(
         C = expand_algebra(D, P, check=False)
         if not isinstance(C, FiniteAlgebra):
             continue
-        found = enumerate_embeddings(B, C, sig)
+        found = enumerate_embeddings(B, C, sig, limit=1)
         if found:
             return PpMembership("in-closure", witness=(C, found[0]), bound=size_bound)
     return PpMembership("unknown-within-bound", bound=size_bound)

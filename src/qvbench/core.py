@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 
 
 class SignatureError(ValueError):
@@ -199,12 +199,19 @@ def _hom_search(
     limit: int | None = None,
 ) -> list[tuple[int, ...]]:
     """Backtracking search for language-homomorphisms A -> B, in lexicographic
-    order of the map arrays.  Nullary symbols pin values before the search."""
+    order of the map arrays.  Nullary symbols and `pinned` pre-assign values;
+    the sweep assigns the other positions in increasing order.
+
+    Each operation instance f(args) = res of A is tested exactly once: in
+    the sweep step of the last position among args and res that is not
+    pre-assigned, when all of them have values, or before the sweep when
+    every one of them is pre-assigned.  A test reads B's flat table at the
+    row-major index of the images of args."""
     n, m = A.size, B.size
     mapping = [-1] * n
     for sym, k in language.symbols:
         if k == 0:
-            a, b = A.apply(sym, ()), B.apply(sym, ())
+            a, b = A._ops[sym][1][0], B._ops[sym][1][0]
             if mapping[a] not in (-1, b):
                 return []
             mapping[a] = b
@@ -212,61 +219,70 @@ def _hom_search(
         if mapping[a] not in (-1, b):
             return []
         mapping[a] = b
-    if injective:
-        fixed = [v for v in mapping if v != -1]
-        if len(set(fixed)) != len(fixed):
-            return []
+    used = {v for v in mapping if v != -1}
+    if injective and len(used) != n - mapping.count(-1):
+        return []
 
-    # For each position p, the op instances that mention p (as argument or
-    # result); an instance is checked as soon as its last position is assigned.
-    by_pos: list[list[tuple[str, tuple[int, ...], int]]] = [[] for _ in range(n)]
+    # Step p + 1 tests the instances whose last position is p, step 0 those
+    # tested before the sweep, as (B's table, arguments, result) in one list
+    # per arity: unary, binary (arguments a, b) and higher (an args tuple).
+    # rank[p] is p, or -1 when p is pre-assigned.
+    rank = [p if v == -1 else -1 for p, v in enumerate(mapping)]
+    unary: list[list] = [[] for _ in range(n + 1)]
+    binary: list[list] = [[] for _ in range(n + 1)]
+    higher: list[list] = [[] for _ in range(n + 1)]
     for sym, k in language.symbols:
-        if k == 0:
-            continue
-        for args in iproduct(range(n), repeat=k):
-            res = A.apply(sym, args)
-            for p in set(args) | {res}:
-                by_pos[p].append((sym, args, res))
+        ta, tb = A._ops[sym][1], B._ops[sym][1]
+        if k == 1:
+            for a, r in enumerate(ta):
+                unary[max(rank[a], rank[r]) + 1].append((tb, a, r))
+        elif k == 2:
+            for flat, r in enumerate(ta):
+                a, b = divmod(flat, n)
+                binary[max(rank[a], rank[b], rank[r]) + 1].append((tb, a, b, r))
+        elif k > 2:
+            for args, r in zip(iproduct(range(n), repeat=k), ta):
+                higher[max(rank[r], *map(rank.__getitem__, args)) + 1].append((tb, args, r))
 
-    used = set(v for v in mapping if v != -1)
-    results: list[tuple[int, ...]] = []
-
-    def consistent(p: int) -> bool:
-        for sym, args, res in by_pos[p]:
-            vr = mapping[res]
-            if vr == -1:
-                continue
-            imgs = []
+    def consistent(step: int) -> bool:
+        for tb, a, r in unary[step]:
+            if tb[mapping[a]] != mapping[r]:
+                return False
+        for tb, a, b, r in binary[step]:
+            if tb[mapping[a] * m + mapping[b]] != mapping[r]:
+                return False
+        for tb, args, r in higher[step]:
+            flat = 0
             for a in args:
-                v = mapping[a]
-                if v == -1:
-                    break
-                imgs.append(v)
-            else:
-                if B.apply(sym, tuple(imgs)) != vr:
-                    return False
+                flat = flat * m + mapping[a]
+            if tb[flat] != mapping[r]:
+                return False
         return True
 
-    # Pre-assigned positions participate in the same depth-first sweep so the
-    # emitted order stays lexicographic.  Returns True once the limit is hit.
-    def rec(p: int) -> bool:
-        if p == n:
+    if not consistent(0):
+        return []
+    free = [p for p in range(n) if rank[p] != -1]
+    results: list[tuple[int, ...]] = []
+
+    # Assigns free[i] onwards.  A test reads only pre-assigned positions and
+    # those the sweep set at or before its step, so a backtracked position
+    # needs no reset.  `used` is read only when injective.  Returns True
+    # once the limit is hit.
+    def rec(i: int) -> bool:
+        if i == len(free):
             results.append(tuple(mapping))
             return limit is not None and len(results) >= limit
-        if mapping[p] != -1:
-            if not consistent(p):
-                return False
-            return rec(p + 1)
+        p = free[i]
         for v in range(m):
             if injective and v in used:
                 continue
             mapping[p] = v
-            used.add(v)
-            done = consistent(p) and rec(p + 1)
-            mapping[p] = -1
-            used.discard(v)
-            if done:
-                return True
+            if consistent(p + 1):
+                used.add(v)
+                done = rec(i + 1)
+                used.discard(v)
+                if done:
+                    return True
         return False
 
     rec(0)
@@ -286,12 +302,15 @@ def enumerate_embeddings(
     B: FiniteAlgebra,
     language: Signature,
     pinned: dict[int, int] | None = None,
+    limit: int | None = None,
 ) -> list[Homomorphism]:
+    """Language-embeddings A -> B that agree with `pinned`, in lexicographic
+    order of the map arrays; with `limit`, only the first `limit` of them."""
     if not A.signature.includes(language) or not B.signature.includes(language):
         raise SignatureError("language is not a reduct of both signatures")
     return [
         Homomorphism(A, B, language, m)
-        for m in _hom_search(A, B, language, injective=True, pinned=pinned)
+        for m in _hom_search(A, B, language, injective=True, pinned=pinned, limit=limit)
     ]
 
 
@@ -435,15 +454,25 @@ def subalgebra(A: FiniteAlgebra, subset, name: str | None = None) -> tuple[Finit
     with the inclusion embedding."""
     elems = sorted(set(subset))
     index = {e: i for i, e in enumerate(elems)}
+    n = A.size
     tables = []
-    for sym, k in A.signature.symbols:
-        table = []
-        for args in iproduct(elems, repeat=k):
-            v = A.apply(sym, args)
-            if v not in index:
-                raise ValueError(f"subset not closed under {sym} at {args}")
-            table.append(index[v])
-        tables.append(tuple(table))
+    for (sym, k), table in zip(A.signature.symbols, A.tables):
+        if k == 2:
+            rows = [x * n for x in elems]
+            values = [table[row + y] for row in rows for y in elems]
+        else:
+            values = []
+            for args in iproduct(elems, repeat=k):
+                flat = 0
+                for a in args:
+                    flat = flat * n + a
+                values.append(table[flat])
+        try:
+            tables.append(tuple(map(index.__getitem__, values)))
+        except KeyError:
+            i = next(i for i, v in enumerate(values) if v not in index)
+            args = next(islice(iproduct(elems, repeat=k), i, None))
+            raise ValueError(f"subset not closed under {sym} at {args}") from None
     S = FiniteAlgebra(name or f"{A.name}|{len(elems)}", A.signature, len(elems), tuple(tables))
     return S, Homomorphism(S, A, A.signature, tuple(elems))
 
@@ -472,7 +501,20 @@ def all_subuniverses(
     each first coordinate S misses), never falls when an element is added.
     So every ancestor of a set within max_size is within it too, and no
     pruned node is the ancestor of a returned set.  Closures stop once they
-    outgrow max_size, since such a child is dropped anyway."""
+    outgrow max_size, since such a child is dropped anyway.
+
+    Failed extensions are inherited as in FCbO (Krajca, Outrata and
+    Vychodil, 2010).  When a node's try of x fails, the set D_x it reached
+    (the closure of S | {x}, or the part of it built before the closure
+    outgrew max_size) is recorded, and the node's children receive every
+    failure recorded at it or inherited by it, but never one recorded at a
+    sibling.  A descendant T of S tries x again only when D_x has no
+    element below x outside T and its least size is within max_size.  The
+    skip is sound: closure is monotone, so closure(T | {x}) contains D_x;
+    an element of D_x below x and outside T makes that child non-canonical,
+    and since the least size never falls as a set grows, a D_x beyond the
+    bound puts the child beyond it too.  So a skipped try would have failed,
+    and the search still reaches every returned set."""
     limit = A.size if max_size is None else max_size
     # The least size of a subuniverse the search may return that contains S.
     if first_factor is None:
@@ -488,16 +530,32 @@ def all_subuniverses(
     if least_size(base) > limit:
         return []
     found = [base]
-    stack = [(base, 0)]
+    # A node is (S, y, failed): failed[x] is None when a recorded D_x is
+    # beyond the bound, and otherwise the elements of D_x below x outside
+    # the set of the node that recorded it.  Children hold their parent's
+    # dict, which its loop completes before any child is popped, and copy
+    # it before they record.
+    stack = [(base, 0, {})]
     while stack:
-        S, y = stack.pop()
+        S, y, inherited = stack.pop()
+        failed = dict(inherited)
         for x in range(y, A.size):
             if x in S:
                 continue
+            if x in failed:
+                below = failed[x]
+                if below is None or not below <= S:
+                    continue
             T = frozenset(closure_extend(A, S, x, limit))
-            if len(T) <= limit and min(T - S) == x and least_size(T) <= limit:
+            added = T - S
+            if least_size(T) > limit:
+                failed[x] = None
+            elif min(added) < x:
+                failed[x] = frozenset(e for e in added if e < x)
+            else:
+                failed.pop(x, None)
                 found.append(T)
-                stack.append((T, x + 1))
+                stack.append((T, x + 1, failed))
     if first_factor is None:
         out = [S for S in found if S]
     else:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, groupby, islice, product as iproduct
-from operator import itemgetter
+from itertools import combinations, combinations_with_replacement, islice, product as iproduct
 
 from .core import (
     FiniteAlgebra,
@@ -126,14 +125,15 @@ def _induced(A: FiniteAlgebra, s: ImplicitOpSpec) -> PartialOperation | Function
     """The result of `induced_partial_op` on the first algebra equal to A: the
     cache key compares algebras by structure, so the caller's A replaces it."""
     n = A.size
-    # One search per argument tuple, with y searched first: its witnesses come
-    # grouped by value, least first, so the first two groups give the two
-    # least values.
-    formula = PpFormula((RESULT_VAR, *s.formula.bound_vars), s.formula.body)
+    # One search per argument tuple, with y searched last, so that an
+    # equation without y is tested once per witness tuple rather than once
+    # per value of y.  The search collects every value; the two least are
+    # a violation's certificate.
+    formula = PpFormula((*s.formula.bound_vars, RESULT_VAR), s.formula.body)
     search = compile_pp(A.signature, formula, s.variables[:-1])
     graph: list[tuple[tuple[int, ...], int]] = []
     for args in iproduct(range(n), repeat=s.arity):
-        values = [y for y, _ in islice(groupby(search(A.tables, n, args), itemgetter(0)), 2)]
+        values = sorted({witness[-1] for witness in search(A.tables, n, args)})
         if len(values) > 1:
             return FunctionalityViolation(A, args, values[0], values[1])
         if values:

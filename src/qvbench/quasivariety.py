@@ -476,7 +476,7 @@ def bounded_amalgamation(
             continue
         for f2 in enumerate_embeddings(B, D, K.signature):
             pinned = {g(a): f2(f(a)) for a in range(A.size)}
-            found = enumerate_embeddings(C, D, K.signature, pinned=pinned)
+            found = enumerate_embeddings(C, D, K.signature, pinned=pinned, limit=1)
             if found:
                 return Amalgam(D, f2, found[0])
     return NotFoundWithinBound(size_bound)

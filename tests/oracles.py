@@ -336,6 +336,25 @@ def closure_fixpoint(A, seed):
     return current
 
 
+def subalgebra_tables(A, subset):
+    """Tables of A on `subset`, re-indexed by sorted order, each cell read
+    through `FiniteAlgebra.apply` in signature and lexicographic order.
+    Raises the ValueError of `core.subalgebra` at the first cell whose value
+    leaves the subset."""
+    elems = sorted(subset)
+    index = {e: i for i, e in enumerate(elems)}
+    tables = []
+    for sym, k in A.signature.symbols:
+        table = []
+        for args in iproduct(elems, repeat=k):
+            v = A.apply(sym, args)
+            if v not in index:
+                raise ValueError(f"subset not closed under {sym} at {args}")
+            table.append(index[v])
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 def layered_term_values(A, seed, depth):
     """Oracle for generated subuniverses: iterate value layers, evaluating all
     operations on everything reached so far, `depth` times."""

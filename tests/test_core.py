@@ -49,6 +49,9 @@ def algebras(draw, signature=fx.BDL, max_size=3, min_size=1):
 # of size 5 or 6 often share a fingerprint without being isomorphic.
 BIN_CONST = Signature("bin_const", (("f", 2), ("c", 0)))
 UNARY = Signature("unary", (("g", 1),))
+# Symbols of arities 0-3, two of them constants, for hom searches over a
+# language that is part of the signature.
+WIDE = Signature("wide", (("c", 0), ("u", 1), ("f", 2), ("d", 0), ("t", 3)))
 
 
 # Symbols of every arity from 0 to 3, for algebras that are not products.
@@ -182,14 +185,13 @@ class TestHomomorphisms:
         got = [h.mapping for h in enumerate_homomorphisms(A, B, fx.BDL)]
         assert got == oracles.brute_homs(A, B, fx.BDL)
 
-    @settings(max_examples=80, deadline=None)
-    @given(A=algebras(BIN_CONST, max_size=4), data=st.data())
-    def test_search_options_match_filtered_brute_force(self, A, data):
+    @staticmethod
+    def check_search_options(A, language, max_size, data):
         """`injective`, `pinned` and `limit` against every homomorphism,
         filtered and truncated the same way.  B is sometimes a relabelled
         copy of A, so that injective maps exist."""
         B = data.draw(st.one_of(
-            algebras(BIN_CONST, max_size=4),
+            algebras(A.signature, max_size=max_size),
             st.permutations(range(A.size)).map(lambda perm: permuted(A, perm)),
         ))
         injective = data.draw(st.booleans())
@@ -199,12 +201,30 @@ class TestHomomorphisms:
         limit = data.draw(st.none() | st.integers(1, 3))
         expected = [
             m
-            for m in oracles.brute_homs(A, B, BIN_CONST)
+            for m in oracles.brute_homs(A, B, language)
             if (not injective or len(set(m)) == A.size)
             and all(m[a] == b for a, b in pinned.items())
         ]
-        got = core._hom_search(A, B, BIN_CONST, injective=injective, pinned=pinned, limit=limit)
+        got = core._hom_search(A, B, language, injective=injective, pinned=pinned, limit=limit)
         assert got == expected[:limit]
+
+    @settings(max_examples=80, deadline=None)
+    @given(A=algebras(BIN_CONST, max_size=4), data=st.data())
+    def test_search_options_match_filtered_brute_force(self, A, data):
+        self.check_search_options(A, BIN_CONST, 4, data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(A=algebras(WIDE, max_size=3), data=st.data())
+    def test_search_options_over_sub_signatures(self, A, data):
+        """The same over symbols of arities 0-3 with two constants, in a
+        language that is all of A's signature or a part of it, in any order,
+        as when `enumerate_homomorphisms(A, G, fx.BDL)` maps a Boolean
+        algebra.  With pins and constants, some instances have every
+        position pre-assigned."""
+        language = Signature("part", tuple(data.draw(
+            st.lists(st.sampled_from(WIDE.symbols), unique=True)
+        )))
+        self.check_search_options(A, language, 3, data)
 
     def test_reduct_homs_across_signatures(self):
         homs = enumerate_homomorphisms(fx.FOUR_BA, fx.CHAIN2, fx.BDL)
@@ -221,6 +241,13 @@ class TestEmbeddings:
     def test_chain3_into_diamond(self):
         h = Homomorphism(fx.CHAIN3, fx.DIAMOND, fx.BDL, (0, 1, 3))
         assert is_homomorphism(h) and is_embedding(h)
+
+    def test_limit_keeps_the_least_maps(self):
+        every = [h.mapping for h in enumerate_embeddings(fx.DIAMOND, fx.DIAMOND, fx.BDL)]
+        assert every == [(0, 1, 2, 3), (0, 2, 1, 3)]
+        for limit in (1, 2, 3):
+            found = enumerate_embeddings(fx.DIAMOND, fx.DIAMOND, fx.BDL, limit=limit)
+            assert [h.mapping for h in found] == every[:limit]
 
 
 class TestGeneratedSubalgebra:
@@ -264,6 +291,29 @@ class TestClosure:
             assert bounded == full
         else:
             assert len(bounded) > max_size
+
+
+class TestSubalgebra:
+    @settings(max_examples=100, deadline=None)
+    @given(A=closure_algebras(), data=st.data())
+    def test_matches_apply_oracle(self, A, data):
+        """Tables, inclusion and the error for a subset that is not closed,
+        against cells read through `FiniteAlgebra.apply`, for symbols of
+        arities 0-3 on closed and on arbitrary subsets."""
+        subset = data.draw(st.sets(st.integers(0, A.size - 1), min_size=1))
+        if data.draw(st.booleans()):
+            subset = oracles.closure_fixpoint(A, subset)
+        try:
+            expected = oracles.subalgebra_tables(A, subset)
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                subalgebra(A, subset)
+            assert str(raised.value) == str(error)
+            return
+        S, inclusion = subalgebra(A, subset, "S")
+        assert (S.name, S.tables) == ("S", expected)
+        assert inclusion.mapping == tuple(sorted(subset))
+        assert is_homomorphism(inclusion)
 
 
 class TestSubuniverses:
