@@ -6,6 +6,13 @@ unknown-within-bound (and none fails), 3 usage or parse error, 4 internal
 error (any other exception; its traceback goes to stderr).  Reports are
 canonical JSON (sorted keys, deterministic arrays, integers only), so identical
 inputs produce byte-identical bytes.
+
+Each command takes at most one size bound, echoed in its report's params:
+--max-size (default 4) for unit, counit, check-simple, check-beth,
+check-unique-witnesses, term-equiv and cross-validate; --ext-bound (default 6)
+for check-regular, check-extendable and amalgamate; --size (default 4) for
+enumerate; --product-cap (default 1000000) for free and reflect.  membership,
+cg and expand take none.
 """
 from __future__ import annotations
 
@@ -20,6 +27,7 @@ from .core import (
     Homomorphism,
     is_embedding,
     is_homomorphism,
+    quotient,
 )
 from .adjunction import (
     ExpansionSpec,
@@ -40,6 +48,7 @@ from .beth import (
     Verdict,
     check_beth_companion,
     check_faithful_term_equivalence,
+    check_regular_mono,
     check_simple,
     check_simplicity_transfer,
     cross_validate_main_theorem,
@@ -71,12 +80,34 @@ DISCLAIMER = (
     "instances enumerated within the stated bounds; nothing is claimed beyond them"
 )
 
-COMMANDS = (
-    "membership", "cg", "free", "expand", "reflect", "unit", "counit",
-    "check-simple", "check-beth", "check-regular", "check-extendable",
-    "check-unique-witnesses", "term-equiv", "cross-validate", "amalgamate",
-    "enumerate",
-)
+# Each size bound with its default and help line, and each command with its
+# flags and the one bound it honours (None: it takes none).  `run` and
+# `build_argparser` both read these tables.
+BOUNDS = {
+    "max_size": (4, "largest member size the verdicts range over"),
+    "ext_bound": (6, "largest codomain, extension or amalgam searched for"),
+    "size": (4, "size of the members to list"),
+    "product_cap": (DEFAULT_PRODUCT_CAP, "most elements of a direct product to build"),
+}
+
+COMMANDS = {
+    "membership": (["--algebra", "--in"], None),
+    "cg": (["--algebra", "--in", "--pairs"], None),
+    "free": (["--in", "--generators"], "product_cap"),
+    "expand": (["--algebra", "--expansion"], None),
+    "reflect": (["--algebra", "--expansion"], "product_cap"),
+    "unit": (["--expansion"], "max_size"),
+    "counit": (["--expansion", "--algebra?"], "max_size"),
+    "check-simple": (["--expansion"], "max_size"),
+    "check-beth": (["--expansion", "--ops"], "max_size"),
+    "check-regular": (["--in", "--source", "--target", "--map"], "ext_bound"),
+    "check-extendable": (["--ppop", "--in", "--algebra", "--tuple"], "ext_bound"),
+    "check-unique-witnesses": (["--ppop", "--in"], "max_size"),
+    "term-equiv": (["--m1", "--m2", "--tau", "--rho", "--in", "--transfer?flag"], "max_size"),
+    "cross-validate": (["--expansion", "--pp-expansion?"], "max_size"),
+    "amalgamate": (["--in", "--apex", "--left", "--right", "--left-map", "--right-map"], "ext_bound"),
+    "enumerate": (["--in"], "size"),
+}
 
 
 @dataclass
@@ -222,6 +253,8 @@ def parse_map(text: str) -> dict[int, int]:
         if not part:
             continue
         a, b = part.split(":")
+        if int(a) in out:
+            raise ValueError(f"element {int(a)} is given two images")
         out[int(a)] = int(b)
     return out
 
@@ -237,7 +270,10 @@ def _hom_from_flags(
 ) -> Homomorphism:
     A = ws.lookup("algebras", source)
     B = ws.lookup("algebras", target)
-    m = parse_map(mapping)
+    try:
+        m = parse_map(mapping)
+    except ValueError as exc:
+        raise ValueError(f"--{flag}: {exc}") from None
     _check_elements(A, m, flag)
     missing = [a for a in range(A.size) if a not in m]
     if missing:
@@ -260,33 +296,34 @@ def _expansion_pair(ws: Workspace, name: str) -> tuple[ExpansionSpec, PpExpansio
 # command implementations; each returns (instances, params)
 
 
+def _flag(key: str) -> str:
+    return key.replace("_", "-")
+
+
 def run(command: str, ws: Workspace, flags: dict) -> tuple[Report, int]:
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    # A size bound below 1 admits no member, so a verdict over it is vacuous.
-    for key in ("max_size", "ext_bound", "size"):
-        value = flags.get(key)
-        if value is not None and (type(value) is not int or value < 1):
-            flag = "--" + key.replace("_", "-")
-            raise ValueError(f"argument {flag}: must be an integer of at least 1, got {str(value)!r}")
-    if "product_cap" in flags and command not in ("free", "reflect"):
-        raise ValueError(f"argument --product-cap: only free and reflect take it, not {command}")
-    size, max_size = flags.get("size"), flags.get("max_size")
-    if None not in (size, max_size) and size != max_size:
-        raise ValueError(f"argument --size: {size} conflicts with --max-size {max_size}")
+    bound = COMMANDS[command][1]
+    for key in BOUNDS:
+        if key in flags and key != bound:
+            takes = f"--{_flag(bound)}" if bound else "no bound"
+            raise ValueError(f"argument --{_flag(key)}: {command} takes {takes}")
+    if bound:
+        flags = {bound: BOUNDS[bound][0], **flags}
+        # A bound below 1 admits no member, so a verdict over it is vacuous.
+        value = flags[bound]
+        if type(value) is not int or value < 1:
+            raise ValueError(
+                f"argument --{_flag(bound)}: must be an integer of at least 1, got {str(value)!r}"
+            )
     handler = _HANDLERS[command.replace("-", "_")]
     instances, params = handler(ws, flags)
+    if bound:
+        params[_flag(bound)] = flags[bound]
     held = sum(1 for i in instances if i.get("verdict") == "holds")
     summary = f"{held}/{len(instances)} hold"
     report = Report(check=command, params=params, instances=instances, summary=summary)
     return report, report.exit_code()
-
-
-def _bounds(flags: dict) -> dict:
-    return {
-        "max-size": flags.get("max_size", 4),
-        "ext-bound": flags.get("ext_bound", 6),
-    }
 
 
 def cmd_membership(ws, flags):
@@ -298,7 +335,7 @@ def cmd_membership(ws, flags):
         inst["certificate"] = {"separating-maps": [list(h.mapping) for h in result.separating]}
     if not result.holds:
         inst["certificate"] = jsonable(result)
-    return [inst], {"algebra": A.name, "quasivariety": K.name, **_bounds(flags)}
+    return [inst], {"algebra": A.name, "quasivariety": K.name}
 
 
 def cmd_cg(ws, flags):
@@ -307,9 +344,7 @@ def cmd_cg(ws, flags):
     pairs = parse_pairs(flags["pairs"])
     _check_elements(A, [a for pair in pairs for a in pair], "pairs")
     theta = relative_congruence(A, pairs, K)
-    from .core import quotient as _quotient
-
-    Q, _ = _quotient(A, theta)
+    Q, _ = quotient(A, theta)
     inst = {
         "name": A.name,
         "bound": None,
@@ -321,14 +356,13 @@ def cmd_cg(ws, flags):
             "quotient-size": Q.size,
         },
     }
-    return [inst], {"algebra": A.name, "quasivariety": K.name, "pairs": flags["pairs"], **_bounds(flags)}
+    return [inst], {"algebra": A.name, "quasivariety": K.name, "pairs": flags["pairs"]}
 
 
 def cmd_free(ws, flags):
     K = ws.lookup("quasivarieties", flags["in"])
     names = [n for n in flags["generators"].split(",") if n]
-    cap = flags.get("product_cap", DEFAULT_PRODUCT_CAP)
-    T, gen_map = free_algebra(K, names, product_cap=cap)
+    T, gen_map = free_algebra(K, names, product_cap=flags["product_cap"])
     inst = {
         "name": f"T_{K.name}({len(names)})",
         "bound": None,
@@ -339,9 +373,7 @@ def cmd_free(ws, flags):
             "algebra": algebra_json(T),
         },
     }
-    return [inst], {
-        "quasivariety": K.name, "generators": flags["generators"], "product-cap": cap, **_bounds(flags)
-    }
+    return [inst], {"quasivariety": K.name, "generators": flags["generators"]}
 
 
 def cmd_expand(ws, flags):
@@ -355,14 +387,13 @@ def cmd_expand(ws, flags):
                 "certificate": {"expanded": algebra_json(result)}}
     else:
         inst = {"name": A.name, "bound": None, "verdict": "fails", "certificate": jsonable(result)}
-    return [inst], {"algebra": A.name, "expansion": flags["expansion"], **_bounds(flags)}
+    return [inst], {"algebra": A.name, "expansion": flags["expansion"]}
 
 
 def cmd_reflect(ws, flags):
     A = ws.lookup("algebras", flags["algebra"])
     E, _ = _expansion_pair(ws, flags["expansion"])
-    cap = flags.get("product_cap", DEFAULT_PRODUCT_CAP)
-    fe = free_extension(A, E, product_cap=cap)
+    fe = free_extension(A, E, product_cap=flags["product_cap"])
     inst = {
         "name": A.name,
         "bound": None,
@@ -375,14 +406,12 @@ def cmd_reflect(ws, flags):
             "reflected": algebra_json(fe.algebra),
         },
     }
-    return [inst], {
-        "algebra": A.name, "expansion": flags["expansion"], "product-cap": cap, **_bounds(flags)
-    }
+    return [inst], {"algebra": A.name, "expansion": flags["expansion"]}
 
 
 def cmd_unit(ws, flags):
     E, _ = _expansion_pair(ws, flags["expansion"])
-    bound = flags.get("max_size", 4)
+    bound = flags["max_size"]
     instances = []
     for item in check_unit_mono(E, bound):
         instances.append({
@@ -391,12 +420,12 @@ def cmd_unit(ws, flags):
             "verdict": "holds" if item.embedding else "fails",
             "certificate": {"unit-map": list(item.unit.mapping)},
         })
-    return instances, {"expansion": flags["expansion"], **_bounds(flags)}
+    return instances, {"expansion": flags["expansion"]}
 
 
 def cmd_counit(ws, flags):
     E, _ = _expansion_pair(ws, flags["expansion"])
-    bound = flags.get("max_size", 4)
+    bound = flags["max_size"]
     instances = []
     if flags.get("algebra"):
         B = ws.lookup("algebras", flags["algebra"])
@@ -416,7 +445,7 @@ def cmd_counit(ws, flags):
                 "certificate": {"counit-map": list(item.counit.mapping),
                                 "reflected-size": item.counit.source.size},
             })
-    return instances, {"expansion": flags["expansion"], **_bounds(flags)}
+    return instances, {"expansion": flags["expansion"]}
 
 
 def _verdict_instance(name: str, v: Verdict, bound) -> dict:
@@ -432,11 +461,9 @@ def cmd_check_simple(ws, flags):
     spec = ws.lookup("expansions", flags["expansion"])
     if not isinstance(spec, PpExpansionSpec):
         raise ValueError("check-simple needs a pp expansion")
-    bound = flags.get("max_size", 4)
+    bound = flags["max_size"]
     v = check_simple(spec, bound)
-    return [_verdict_instance(flags["expansion"], v, bound)], {
-        "expansion": flags["expansion"], **_bounds(flags)
-    }
+    return [_verdict_instance(flags["expansion"], v, bound)], {"expansion": flags["expansion"]}
 
 
 def cmd_check_beth(ws, flags):
@@ -446,12 +473,11 @@ def cmd_check_beth(ws, flags):
     ops = tuple(
         ws.lookup("ppops", name) for name in flags.get("ops", "").split(",") if name
     )
-    bound = flags.get("max_size", 4)
+    bound = flags["max_size"]
     v = check_beth_companion(spec, ops, bound)
     return [_verdict_instance(flags["expansion"], v, bound)], {
         "expansion": flags["expansion"],
         "ops": flags.get("ops", ""),
-        **_bounds(flags),
     }
 
 
@@ -460,34 +486,22 @@ def cmd_check_regular(ws, flags):
     h = _hom_from_flags(ws, flags["source"], flags["target"], flags["map"], "map", M.signature)
     if not is_embedding(h):
         raise ValueError("the supplied map is not an embedding")
-    bound = flags.get("ext_bound", 6)
-    result = check_regular_mono_cli(h, M, bound)
-    return [result], {
-        "quasivariety": M.name, "source": flags["source"], "target": flags["target"],
-        "map": flags["map"], **_bounds(flags),
-    }
-
-
-def check_regular_mono_cli(h, M, bound) -> dict:
-    from .beth import check_regular_mono
-
+    bound = flags["ext_bound"]
     result = check_regular_mono(h, M, size_bound=bound)
+    inst = {"name": f"{h.source.name}->{h.target.name}", "bound": bound}
     if isinstance(result, RegularWitness):
         g1, g2 = result.equalizer_of
-        return {
-            "name": f"{h.source.name}->{h.target.name}",
-            "bound": bound,
-            "verdict": "holds",
-            "certificate": {
-                "codomain": algebra_json(result.codomain),
-                "parallel-pair": [list(g1.mapping), list(g2.mapping)],
-            },
+        inst["verdict"] = "holds"
+        inst["certificate"] = {
+            "codomain": algebra_json(result.codomain),
+            "parallel-pair": [list(g1.mapping), list(g2.mapping)],
         }
-    return {
-        "name": f"{h.source.name}->{h.target.name}",
-        "bound": bound,
-        "verdict": "unknown-within-bound",
-        "certificate": jsonable(result),
+    else:
+        inst["verdict"] = "unknown-within-bound"
+        inst["certificate"] = jsonable(result)
+    return [inst], {
+        "quasivariety": M.name, "source": flags["source"], "target": flags["target"],
+        "map": flags["map"],
     }
 
 
@@ -499,7 +513,7 @@ def cmd_check_extendable(ws, flags):
     if len(args) != s.arity:
         raise ValueError(f"--tuple: {s.name} has arity {s.arity}, got {len(args)} entries")
     _check_elements(A, args, "tuple")
-    bound = flags.get("ext_bound", 6)
+    bound = flags["ext_bound"]
     result = check_extendable(s, K, A, args, bound)
     if isinstance(result, Extension):
         inst = {"name": A.name, "bound": bound, "verdict": "holds", "certificate": jsonable(result)}
@@ -507,19 +521,19 @@ def cmd_check_extendable(ws, flags):
         inst = {"name": A.name, "bound": bound, "verdict": "unknown-within-bound",
                 "certificate": jsonable(result)}
     return [inst], {"ppop": s.name, "quasivariety": K.name, "algebra": A.name,
-                    "tuple": flags["tuple"], **_bounds(flags)}
+                    "tuple": flags["tuple"]}
 
 
 def cmd_check_unique_witnesses(ws, flags):
     s = ws.lookup("ppops", flags["ppop"])
     K = ws.lookup("quasivarieties", flags["in"])
-    bound = flags.get("max_size", 4)
+    bound = flags["max_size"]
     result = check_unique_witnesses(s, K, bound)
     if result == "ok":
         inst = {"name": s.name, "bound": bound, "verdict": "holds"}
     else:
         inst = {"name": s.name, "bound": bound, "verdict": "fails", "certificate": jsonable(result)}
-    return [inst], {"ppop": s.name, "quasivariety": K.name, **_bounds(flags)}
+    return [inst], {"ppop": s.name, "quasivariety": K.name}
 
 
 def cmd_term_equiv(ws, flags):
@@ -528,7 +542,7 @@ def cmd_term_equiv(ws, flags):
     tau = ws.lookup("translations", flags["tau"])
     rho = ws.lookup("translations", flags["rho"])
     K = ws.lookup("quasivarieties", flags["in"])
-    bound = flags.get("max_size", 4)
+    bound = flags["max_size"]
     v = check_faithful_term_equivalence(M1, M2, tau, rho, K, bound)
     instances = [_verdict_instance(f"{M1.name}~{M2.name}", v, bound)]
     if flags.get("transfer") and v.holds:
@@ -536,7 +550,7 @@ def cmd_term_equiv(ws, flags):
         instances.append(_verdict_instance("simplicity-transfer", t, bound))
     return instances, {
         "m1": M1.name, "m2": M2.name, "tau": flags["tau"], "rho": flags["rho"],
-        "quasivariety": K.name, **_bounds(flags),
+        "quasivariety": K.name,
     }
 
 
@@ -546,7 +560,7 @@ def cmd_cross_validate(ws, flags):
         P = ws.lookup("expansions", flags["pp_expansion"])
         if not isinstance(P, PpExpansionSpec):
             raise ValueError("--pp-expansion must name a pp expansion")
-    bound = flags.get("max_size", 4)
+    bound = flags["max_size"]
     report = cross_validate_main_theorem(E, P, bound)
     instances = []
     if report.simple is not None:
@@ -559,7 +573,7 @@ def cmd_cross_validate(ws, flags):
         "verdict": "holds" if report.consistent else "fails",
         "notes": list(report.notes),
     })
-    return instances, {"expansion": flags["expansion"], **_bounds(flags)}
+    return instances, {"expansion": flags["expansion"]}
 
 
 def cmd_amalgamate(ws, flags):
@@ -569,7 +583,7 @@ def cmd_amalgamate(ws, flags):
     C = ws.lookup("algebras", flags["right"])
     f = _hom_from_flags(ws, flags["apex"], flags["left"], flags["left_map"], "left-map", K.signature)
     g = _hom_from_flags(ws, flags["apex"], flags["right"], flags["right_map"], "right-map", K.signature)
-    bound = flags.get("ext_bound", 6)
+    bound = flags["ext_bound"]
     result = bounded_amalgamation(A, B, C, f, g, K, bound)
     if isinstance(result, Amalgam):
         inst = {
@@ -585,18 +599,18 @@ def cmd_amalgamate(ws, flags):
     else:
         inst = {"name": f"{B.name}<-{A.name}->{C.name}", "bound": bound,
                 "verdict": "unknown-within-bound", "certificate": jsonable(result)}
-    return [inst], {"quasivariety": K.name, **_bounds(flags)}
+    return [inst], {"quasivariety": K.name}
 
 
 def cmd_enumerate(ws, flags):
     K = ws.lookup("quasivarieties", flags["in"])
-    n = flags.get("size", flags.get("max_size", 4))
+    n = flags["size"]
     members = enumerate_members(K, n)
     instances = [
         {"name": A.name, "bound": n, "verdict": "holds", "certificate": {"algebra": algebra_json(A)}}
         for A in members
     ]
-    return instances, {"quasivariety": K.name, "size": n, **_bounds(flags)}
+    return instances, {"quasivariety": K.name}
 
 
 _HANDLERS = {
@@ -624,45 +638,20 @@ def build_argparser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, (flag_specs, bound) in COMMANDS.items():
+        p = sub.add_parser(name)
         p.add_argument("--workspace", required=True, help="workspace file to load")
-        # No default here: `run` tells a given --max-size from an absent one,
-        # and every command falls back to 4.
-        p.add_argument("--max-size", type=int, default=None, dest="max_size")
-        p.add_argument("--ext-bound", type=int, default=6, dest="ext_bound")
         p.add_argument("--report", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default="json")
-
-    specs = {
-        "membership": ["--algebra", "--in"],
-        "cg": ["--algebra", "--in", "--pairs"],
-        "free": ["--in", "--generators", "--product-cap?int"],
-        "expand": ["--algebra", "--expansion"],
-        "reflect": ["--algebra", "--expansion", "--product-cap?int"],
-        "unit": ["--expansion"],
-        "counit": ["--expansion", "--algebra?"],
-        "check-simple": ["--expansion"],
-        "check-beth": ["--expansion", "--ops"],
-        "check-regular": ["--in", "--source", "--target", "--map"],
-        "check-extendable": ["--ppop", "--in", "--algebra", "--tuple"],
-        "check-unique-witnesses": ["--ppop", "--in"],
-        "term-equiv": ["--m1", "--m2", "--tau", "--rho", "--in", "--transfer?flag"],
-        "cross-validate": ["--expansion", "--pp-expansion?"],
-        "amalgamate": ["--in", "--apex", "--left", "--right", "--left-map", "--right-map"],
-        "enumerate": ["--in", "--size?int"],
-    }
-    for name, flag_specs in specs.items():
-        p = sub.add_parser(name)
-        common(p)
+        if bound:
+            default, text = BOUNDS[bound]
+            p.add_argument(f"--{_flag(bound)}", type=int, dest=bound, help=f"{text} (default {default})")
         for f in flag_specs:
-            optional = f.endswith("?") or "?" in f
             base = f.split("?")[0]
             dest = base.lstrip("-").replace("-", "_")
             if f.endswith("?flag"):
                 p.add_argument(base, action="store_true", dest=dest)
-            elif f.endswith("?int"):
-                p.add_argument(base, type=int, default=None, dest=dest)
-            elif optional:
+            elif "?" in f:
                 p.add_argument(base, default=None, dest=dest)
             else:
                 p.add_argument(base, required=True, dest=dest)

@@ -292,41 +292,41 @@ def test_acceptance_9_term_equivalence_suite():
 # SHA-256 of each report `scripts/run_fixture_suite.py` writes.  A change that
 # alters report bytes updates these and says why.
 FIXTURE_SUITE_SHA256 = {
-    "amalgamate-chains.json": "598bde31e38bc5d7e19d5872f19e4c1f3064b10a99656ff483b93a0bd751fc6f",
-    "cg-chain3-total.json": "f3b9b7f727df6956eaac8e59569f6e01f6cd7c8f38f87dc391cfef7b0e97ebc0",
-    "cg-chain3-upper.json": "3271781f378a8c08e8a08b6c56ec3e2fddf0910d1f8c13c92e86a299230fc1c0",
-    "check-beth-compl.json": "d56f7141a01b1e39c71df980600ed13bf8709c020c9f09949a610af3c6e644c9",
-    "check-extendable-chain3.json": "42331401c58b49a036af2a4a8b27f7c69c8086c40a1c0b2178fa8404fbdc1901",
-    "check-regular-twoba.json": "b6d9d602d51c830a03a1300e3a926a6bbac68e9131a56c5eea04a79d754b1a88",
-    "check-simple-compl.json": "57082c1369fbbdedf04571e48a11e5bdab3a748eb283f876c526064ff5f8fc5c",
-    "check-simple-jc.json": "b3cdb969af402a2c6e8c473dd6c014601ea787007497600f6b2b3ea4f9c957af",
-    "check-unique-witnesses-compl.json": "453c1b74fe253697564c84f76fa88a6a5bc7b2db65e89dc7ccf55647d8959788",
-    "check-unique-witnesses-padded.json": "f334e1f772fb9607a4ac3fc3a85988634eb43b6642cf6711b3624f21fabcb29a",
-    "counit-dl-bool.json": "efbceef7e98a543fb33cd07487c54ba0be03bcd68cb70da3d33db47691477d97",
-    "counit-msl-dl.json": "9dc39fe0cbc457bdfac6aa609f35cbb55dc4f4fe974ac1259f5830e311f73156",
-    "cross-validate-dl-bool.json": "3471d26f45e55241ef363fe834b7bd250a866de96bbaec1d75f6c350a92fa01d",
-    "cross-validate-msl-dl.json": "6cd0d1666aa65cba375712c581d657daca1963d036457dae4dc289b99c24c2b6",
-    "cross-validate-trivial.json": "a1d7074f69c5d7cc3bdffeb4bf58a79bd50ee52ffeaa994fe7b2604d184769ec",
-    "enumerate-dl-4.json": "a04d0afd1d01bc924f7012c3e7340bfbd55ce59041fa36c11ec4ed38ce36c21f",
-    "enumerate-msl-4.json": "8aa73340c41449704cdd96a35a0a65824a4aef3664e88675e9853209a8f8fdf6",
-    "expand-chain3.json": "026e76711390a3d9c02e7265a4320be694e2ea681cbffc6a9e95342e5739dcc1",
-    "expand-diamond.json": "eaa1e26d48000e236c8e6e36700877c010dda0110e4d91052dcb4c7b87b5b992",
-    "free-bool-2.json": "b301956fc464c9732cd8ab75879aa17a846134441a2d7d47440ccf74fe522db5",
-    "free-dl-2.json": "2200bfc198c619f6b5374c88f35e8be036dffe4db0c2e8ac5500ff60af96d7ef",
-    "membership-chain3.json": "9caa70ed77117a68b72265345cde5be0929215aa22ea1434e27b3a0ab56f9cc5",
-    "reflect-chain3.json": "1dba78d265e0f14e6f6b5fae9f519d9fc6dfa8878b6757b83eca4e2ec6968e51",
-    "reflect-diamond-msl.json": "5ad11239e304b504d206b1196de883f84c9b97487a4b025f799c9371956cd60e",
-    "term-equiv-not-imp.json": "5de54920504e3e073752a1f792483163a7068016c645f557138d1c8446b93c62",
-    "unit-dl-bool.json": "c74e1b419309f83b52bdf27a710bab5bf1999c36e37ae0baefce7376a81abcde",
-    "unit-msl-dl.json": "56c756641e77ecadf65b5bed32750bf8c4459d10eb7db844dae88b2ab6c2378f",
+    "amalgamate-chains.json": "8fc096850ea2cb3d4aac82ef53cbdc863da9ffa8e4ff667784bef8f3e153bc2a",
+    "cg-chain3-total.json": "de33ff190554d13863f38e3bcb166135e312816b6d5f4fda075ab599cf06a48d",
+    "cg-chain3-upper.json": "33b2eb228b1618a789193e209a37d18c8d33d5483b8b4edb9d19ca9287f264e3",
+    "check-beth-compl.json": "e214649a8a5f13ba550cfee72594251990eec8c519806e3a5e13829a2a45a52b",
+    "check-extendable-chain3.json": "de7f595ce482f4c12d096e8dff70f2d7b2022bff4a6333cb6a6b8fdc7d696301",
+    "check-regular-twoba.json": "a79cd3ac9d4be09e485d8e5211f661badd93def798e41dbde97d9b93d11eb398",
+    "check-simple-compl.json": "60aa230962c5b74d948674d28cd311925212b362158225ec70915c3695f78a6b",
+    "check-simple-jc.json": "0f69bcda49fc576551e89e63c79572513fc2fcdf6dc795ee1a1c051f8a0b4d4e",
+    "check-unique-witnesses-compl.json": "1f4ad252449e94b090aaea9bff5d3e8b83eeb7e81c16e912a9eb928b0e714d0f",
+    "check-unique-witnesses-padded.json": "9d3d08269b8b485bf51af6ad120b96128403be7fb4320b913981979136efc804",
+    "counit-dl-bool.json": "01bd0574e99393e714f0701c92a1e6eba2372ed188d8454110538eab6154f66b",
+    "counit-msl-dl.json": "10d0afe85bc11c3ad049d076cc01ccdfffebb962c00ab6a7625e609feeec655c",
+    "cross-validate-dl-bool.json": "d8081529cfac60fd2ef04a63807728ec9b647863d4a744b59717a8eabc62ffd6",
+    "cross-validate-msl-dl.json": "5970416c43a256704e2279964d5ec8b0f840e2a67efa4acc851dfe8e4e6acf0c",
+    "cross-validate-trivial.json": "a999fe36db74c5c3ea9c1aab07d38f341e0f55f03a4decbb0809f33db17e160c",
+    "enumerate-dl-4.json": "0448fe9748672bcd77601f6d88339c28c3325fea397099e20bf20b3c2eaa5a73",
+    "enumerate-msl-4.json": "392631284abccc7c46dccdd89dd3830e0baec3ef5a15ffa21c1c64573256d6e5",
+    "expand-chain3.json": "217de28e0cc9f039eebefc937313c43391d5550d2b9004d56ef662f195d9ad38",
+    "expand-diamond.json": "118fbc191d3456cdc9989ed4e00e5ebeaff88554eee2275255356ceca335239f",
+    "free-bool-2.json": "7f9cade5b69507c168e5f54b404f68bc670b4c4cf7355e166391ccec857f8e8f",
+    "free-dl-2.json": "52a45603c48e89b5d802d896a76b3af6d92169e204e3c3e8069e2c28597c02ae",
+    "membership-chain3.json": "d9884fe77549881b3c45871c165e07e24ab8547443e06433826e9f0dec61d134",
+    "reflect-chain3.json": "ae392274a4942a58f479fbe76b8c17c3b27c1c49b8d435cf97973dc1767bcef6",
+    "reflect-diamond-msl.json": "2584d5363e9952264e213df86f08dbe75487489a2288b827a58a9bb7c87c673b",
+    "term-equiv-not-imp.json": "4083afd1dc593b573a2a35a30e4bfe4d5e9b129b9a2acd80bd00f4d46ec50742",
+    "unit-dl-bool.json": "b2f3ab85cee4ed1b23d69b4345103e2f1ea4b36ecc68205aa7a7e2226c589065",
+    "unit-msl-dl.json": "9235f36da853bd11e99b716325af489a203b040df57aaa38552a6e831bb42023",
 }
 
 
 # SHA-256 of the `free` reports on workspaces/fixtures.qvw for generator sets
 # larger than the suite's: products of 16 and 8 factors, 168 and 256 elements.
 FREE_REPORT_SHA256 = {
-    ("DL", "w,x,y,z"): "d48515655c41408f49188596604b85ee94cdfa0926da8f0ea3237ab71d4125ad",
-    ("BOOL", "x,y,z"): "83d6bf4381ae1c451d6526acdfd9f0c40db6097af5ac12561d3f9c607b8dd84f",
+    ("DL", "w,x,y,z"): "04b2a28b6eeff1c7517dd4cb521047e95343b1dd9890844f9cfa3153f15b13d3",
+    ("BOOL", "x,y,z"): "73b4f448e1281c5ef0f446433fe45776b8341dc1e7e1bc08b787006ed859013b",
 }
 
 

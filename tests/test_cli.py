@@ -60,6 +60,8 @@ class TestFlagParsing:
 
     def test_map(self):
         assert parse_map("0:0,1:3") == {0: 0, 1: 3}
+        with pytest.raises(ValueError, match="element 0 is given two images"):
+            parse_map("0:3,0:0,1:3")
 
 
 class TestCommands:
@@ -258,6 +260,23 @@ class TestMainEntry:
         assert code == 3
         assert "--map: no image given for element 1 of TwoBA" in capsys.readouterr().err
 
+    def test_map_repeated_element_exit_three(self, capsys):
+        """A map that gives one element two images is a usage error, not a
+        check of whichever image came last."""
+        code = main([
+            "check-regular", "--workspace", WS, "--in", "BOOL", "--source", "TwoBA",
+            "--target", "FourBA", "--map", "0:3,0:0,1:3", "--ext-bound", "4",
+        ])
+        assert code == 3
+        assert "--map: element 0 is given two images" in capsys.readouterr().err
+        code = main([
+            "amalgamate", "--workspace", WS, "--in", "DL", "--apex", "Chain2",
+            "--left", "Chain3", "--right", "Chain3", "--left-map", "0:0,1:2,1:1",
+            "--right-map", "0:0,1:2",
+        ])
+        assert code == 3
+        assert "--left-map: element 1 is given two images" in capsys.readouterr().err
+
     def test_amalgamate_map_key_out_of_range_exit_three(self, capsys):
         code = main([
             "amalgamate", "--workspace", WS, "--in", "DL", "--apex", "Chain2",
@@ -271,7 +290,10 @@ class TestMainEntry:
         code = main(["unit", "--workspace", WS, "--expansion", "DLtoBOOL", "--max-size", "0"])
         assert code == 3
         assert "argument --max-size: must be an integer of at least 1" in capsys.readouterr().err
-        code = main(["unit", "--workspace", WS, "--expansion", "DLtoBOOL", "--ext-bound", "-3"])
+        code = main([
+            "check-regular", "--workspace", WS, "--in", "BOOL", "--source", "TwoBA",
+            "--target", "FourBA", "--map", "0:0,1:3", "--ext-bound", "-3",
+        ])
         assert code == 3
         assert "argument --ext-bound: must be an integer of at least 1" in capsys.readouterr().err
 
@@ -282,13 +304,8 @@ class TestMainEntry:
 
     def test_product_cap_only_for_free_and_reflect(self, ws, capsys):
         """Only `free` and `reflect` build a product under the cap, so only
-        they take --product-cap and report it; any other command refuses it
-        with exit 3, on the command line and in process."""
-        code = main(["unit", "--workspace", WS, "--expansion", "DLtoBOOL", "--product-cap", "3"])
-        assert code == 3
-        assert "unrecognized arguments: --product-cap 3" in capsys.readouterr().err
-        with pytest.raises(ValueError, match="argument --product-cap: only free and reflect take it"):
-            run("unit", ws, {"expansion": "DLtoBOOL", "product_cap": 3})
+        they report it; a product over the cap is a usage error.  The
+        refusal by other commands is `TestBoundTable`'s."""
         code = main(["free", "--workspace", WS, "--in", "DL", "--generators", "x,y",
                      "--product-cap", "16"])
         assert code == 0
@@ -303,26 +320,15 @@ class TestMainEntry:
         assert "product-cap" not in report.params
 
     def test_enumerate_conflicting_bounds_exit_three(self, capsys):
-        """`enumerate` takes its bound from --size or --max-size; two
-        different values are a usage error, not a report of the wrong one."""
+        """`enumerate` lists the members of exactly --size; a second bound
+        is a usage error, not a report of either one."""
         code = main(["enumerate", "--workspace", WS, "--in", "DL", "--size", "3", "--max-size", "8"])
         assert code == 3
-        assert "argument --size: 3 conflicts with --max-size 8" in capsys.readouterr().err
+        assert "unrecognized arguments: --max-size 8" in capsys.readouterr().err
 
     def test_enumerate_conflicting_bounds_rejected_in_process(self, ws):
-        with pytest.raises(ValueError, match="argument --size: 3 conflicts with --max-size 8"):
+        with pytest.raises(ValueError, match="argument --max-size: enumerate takes --size"):
             run("enumerate", ws, {"in": "DL", "size": 3, "max_size": 8})
-
-    @pytest.mark.parametrize("given, max_size", [
-        (["--size", "3"], 4),
-        (["--max-size", "3"], 3),
-        (["--size", "3", "--max-size", "3"], 3),
-    ])
-    def test_enumerate_one_bound_reports_as_before(self, capsys, given, max_size):
-        code = main(["enumerate", "--workspace", WS, "--in", "DL", *given])
-        assert code == 0
-        params = json.loads(capsys.readouterr().out)["params"]
-        assert params == {"quasivariety": "DL", "size": 3, "max-size": max_size, "ext-bound": 6}
 
     def test_in_process_bounds_below_one_rejected(self, ws):
         """`run` is the entry the fixture suite and the benchmark call, so it
@@ -375,3 +381,63 @@ class TestMainEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["summary"] == "1/1 hold"
+
+
+# The one bound each command honours, as it is echoed in params, with its
+# default; None for a command that takes none.
+DECLARED_BOUND = {
+    **dict.fromkeys(("unit", "counit", "check-simple", "check-beth", "check-unique-witnesses",
+                     "term-equiv", "cross-validate"), ("max-size", 4)),
+    **dict.fromkeys(("check-regular", "check-extendable", "amalgamate"), ("ext-bound", 6)),
+    "enumerate": ("size", 4),
+    "free": ("product-cap", 10**6),
+    "reflect": ("product-cap", 10**6),
+    **dict.fromkeys(("membership", "cg", "expand"), None),
+}
+
+# Flags that make each command run quickly at its default bound.  `counit`
+# is given --algebra, whose instance has no bound, and still echoes one.
+COMMAND_FLAGS = {
+    "membership": {"algebra": "Chain3", "in": "DL"},
+    "cg": {"algebra": "Chain3", "in": "DL", "pairs": "(1,2)"},
+    "free": {"in": "DL", "generators": "x,y"},
+    "expand": {"algebra": "Diamond", "expansion": "DLcompl"},
+    "reflect": {"algebra": "Chain3", "expansion": "DLtoBOOL"},
+    "unit": {"expansion": "DLtoBOOL"},
+    "counit": {"expansion": "DLtoBOOL", "algebra": "FourBA"},
+    "check-simple": {"expansion": "DLcompl"},
+    "check-beth": {"expansion": "DLcompl", "ops": "compl"},
+    "check-regular": {"in": "BOOL", "source": "TwoBA", "target": "FourBA", "map": "0:0,1:3"},
+    "check-extendable": {"ppop": "compl", "in": "DL", "algebra": "Chain3", "tuple": "(1)"},
+    "check-unique-witnesses": {"ppop": "compl", "in": "DL"},
+    "term-equiv": {"m1": "BOOL", "m2": "BIMPQ", "tau": "notToImp", "rho": "impToNot", "in": "DL"},
+    "cross-validate": {"expansion": "DLtriv"},
+    "amalgamate": {"in": "DL", "apex": "Chain2", "left": "Chain3", "right": "Chain3",
+                   "left_map": "0:0,1:2", "right_map": "0:0,1:2"},
+    "enumerate": {"in": "DL"},
+}
+
+BOUND_FLAGS = ("max-size", "ext-bound", "size", "product-cap")
+
+
+class TestBoundTable:
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_one_declared_bound(self, ws, capsys, command):
+        """params echo exactly the command's own bound at its default, or no
+        bound; every other bound flag is refused in process and on the
+        command line."""
+        flags = COMMAND_FLAGS[command]
+        report, _ = run(command, ws, dict(flags))
+        echoed = {k: v for k, v in report.params.items() if k in BOUND_FLAGS}
+        declared = DECLARED_BOUND[command]
+        assert echoed == ({} if declared is None else dict([declared]))
+        argv = [command, "--workspace", WS]
+        for key, value in flags.items():
+            argv += ["--" + key.replace("_", "-"), value]
+        for flag in BOUND_FLAGS:
+            if declared is not None and flag == declared[0]:
+                continue
+            with pytest.raises(ValueError, match=f"argument --{flag}: {command} takes"):
+                run(command, ws, {**flags, flag.replace("-", "_"): 3})
+            assert main(argv + [f"--{flag}", "3"]) == 3
+            assert f"unrecognized arguments: --{flag} 3" in capsys.readouterr().err
