@@ -330,6 +330,21 @@ class TestMainEntry:
         with pytest.raises(ValueError, match="argument --max-size: enumerate takes --size"):
             run("enumerate", ws, {"in": "DL", "size": 3, "max_size": 8})
 
+    @pytest.mark.parametrize("given, size", [
+        ([], 4),
+        (["--size", "3"], 3),
+        (["--size=3"], 3),
+    ])
+    def test_enumerate_one_bound_reports_as_before(self, capsys, given, size):
+        """`enumerate` echoes only its size, default 4, and lists the same
+        members as before: DL has 1 class of size 3 and 2 of size 4
+        (OEIS A006982)."""
+        code = main(["enumerate", "--workspace", WS, "--in", "DL", *given])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["params"] == {"quasivariety": "DL", "size": size}
+        assert [i["bound"] for i in report["instances"]] == [size] * {3: 1, 4: 2}[size]
+
     def test_in_process_bounds_below_one_rejected(self, ws):
         """`run` is the entry the fixture suite and the benchmark call, so it
         checks the bounds itself: a bound of 0 admits no member, and a
