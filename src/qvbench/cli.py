@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
 from .core import (
@@ -128,6 +129,34 @@ class Report:
         return 0
 
 
+def _json(value, newline: str) -> str:
+    """The text of `json.dumps(value, sort_keys=True, indent=2)` for a
+    JSON-native value nested at the indent that `newline` carries, without
+    the pure-Python encoder that `indent` selects: a list of plain ints is
+    one join, and keys and strings go to the C string encoder."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, value)) == {int}:
+            items = map(str, value)
+        else:
+            items = (_json(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = (
+            f"{_encode_str(k if isinstance(k, str) else json.dumps(k))}: {_json(v, inner)}"
+            for k, v in sorted(value.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if type(value) is str:
+        return _encode_str(value)
+    return json.dumps(value)
+
+
 def emit_report(report: Report, format: str = "json") -> bytes:
     if format == "json":
         payload = {
@@ -138,7 +167,7 @@ def emit_report(report: Report, format: str = "json") -> bytes:
             "summary": report.summary,
             "disclaimer": report.disclaimer,
         }
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+        return (_json(payload, "\n") + "\n").encode()
     lines = [f"{report.check} (qvbench {report.version})"]
     for k in sorted(report.params):
         lines.append(f"  {k} = {report.params[k]}")

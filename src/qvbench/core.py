@@ -8,8 +8,9 @@ operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice, product as iproduct
+from operator import or_
 
 
 class SignatureError(ValueError):
@@ -64,7 +65,7 @@ class FiniteAlgebra:
         for (sym, k), table in zip(self.signature.symbols, self.tables):
             if len(table) != self.size**k:
                 raise SignatureError(f"{self.name!r}: table for {sym}/{k} has wrong length")
-            if any(not (0 <= v < self.size) for v in table):
+            if min(table) < 0 or max(table) >= self.size:
                 raise ValueError(f"{self.name!r}: table for {sym} has out-of-universe entries")
 
     @cached_property
@@ -73,16 +74,6 @@ class FiniteAlgebra:
             sym: (k, self.tables[i])
             for i, (sym, k) in enumerate(self.signature.symbols)
         }
-
-    @cached_property
-    def _closure_ops(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(arity, table) for each symbol of positive arity, in signature
-        order: what `_closure_run` combines."""
-        return tuple(
-            (k, table)
-            for (_, k), table in zip(self.signature.symbols, self.tables)
-            if k > 0
-        )
 
     def apply(self, sym: str, args: tuple[int, ...]) -> int:
         try:
@@ -375,47 +366,83 @@ def reduct(A: FiniteAlgebra, language: Signature) -> FiniteAlgebra:
     return FiniteAlgebra(A.name, language, A.size, tables)
 
 
-def _closure_run(
-    A: FiniteAlgebra, done: list[int], queue: list[int], members: set[int], limit: int
-) -> set[int]:
-    """Work loop shared by closure and closure_extend: combine each queued
-    element x with everything already processed.  Only argument tuples that
-    mention x are looked up: for a unary symbol table[x], for a binary one the
-    row of x and the column of x over the processed elements, and for higher
-    arities every tuple over them with x in some position.  The closed set
-    does not depend on the order of the queue.  Stops once `members` grows
-    past `limit` and returns that unfinished set."""
+def _mask_tables(A: FiniteAlgebra, keep: bool) -> tuple:
+    """The tables `_close` reads, over int bitmasks: bit e of a mask stands
+    for element e.  Returns (row, higher, n): row(x)[y] is the mask of f(x, y)
+    and f(y, x) for every binary f, and row(x)[x] adds u(x) for every unary
+    u; higher lists (arity, table) for each symbol of arity >= 3, and n is
+    |A|.  With `keep`, every row is built here, for searches that close many
+    sets; otherwise each row is built when asked for, since one closure
+    reads it once.  Nothing is cached on A: a row holds n masks of n bits."""
     n = A.size
-    done_rows = [y * n for y in done]
+    unary, binary, higher = [], [], []
+    for (_, k), table in zip(A.signature.symbols, A.tables):
+        if k == 1:
+            unary.append(table)
+        elif k == 2:
+            binary.append(table)
+        elif k > 2:
+            higher.append((k, table))
+
+    def row(x: int) -> list[int]:
+        masks = [0] * n
+        for t in binary:
+            masks = [m | 1 << a | 1 << b for m, a, b in zip(masks, t[x * n:x * n + n], t[x::n])]
+        for t in unary:
+            masks[x] |= 1 << t[x]
+        return masks
+
+    if keep:
+        row = [row(x) for x in range(n)].__getitem__
+    return row, tuple(higher), n
+
+
+def _close(tables: tuple, members: int, done: list[int], queue: list[int], limit: int) -> int:
+    """The closure loop of `closure`, `closure_extend` and `all_subuniverses`,
+    over the bitmask `members` with the tables of `_mask_tables`.  Each
+    queued element x is combined with the processed elements `done` and
+    itself: the masks of row(x) at them, and for higher arities every tuple
+    over them with x in some position.  The closed set does not depend on
+    the order of the queue.  `done` ends as the list of the closure's
+    elements, in the order processed.  Stops once the set grows past
+    `limit` and returns that unfinished set."""
+    row, higher, n = tables
+    size = members.bit_count()
     while queue:
         x = queue.pop()
-        row = x * n
-        reached = set()
-        for k, table in A._closure_ops:
-            if k == 1:
-                reached.add(table[x])
-            elif k == 2:
-                get = table.__getitem__
-                reached.update(map(get, map(row.__add__, done)))
-                reached.update(map(get, map(x.__add__, done_rows)))
-                reached.add(table[row + x])
-            else:
-                pool = done + [x]
-                for i in range(k):
-                    for rest in iproduct(pool, repeat=k - 1):
-                        flat = 0
-                        for a in rest[:i] + (x,) + rest[i:]:
-                            flat = flat * n + a
-                        reached.add(table[flat])
-        fresh = reached - members
+        masks = row(x)
+        reached = reduce(or_, map(masks.__getitem__, done), masks[x])
+        for k, table in higher:
+            pool = done + [x]
+            for i in range(k):
+                for rest in iproduct(pool, repeat=k - 1):
+                    flat = 0
+                    for a in rest[:i] + (x,) + rest[i:]:
+                        flat = flat * n + a
+                    reached |= 1 << table[flat]
+        fresh = reached & ~members
         if fresh:
             members |= fresh
-            if len(members) > limit:
+            size += fresh.bit_count()
+            if size > limit:
                 return members
-            queue.extend(fresh)
+            queue.extend(_elements(fresh))
         done.append(x)
-        done_rows.append(row)
     return members
+
+
+def _elements(mask: int) -> list[int]:
+    """The elements of a bitmask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _mask(elements) -> int:
+    return reduce(or_, (1 << e for e in elements), 0)
 
 
 def closure(A: FiniteAlgebra, seed) -> set[int]:
@@ -427,7 +454,8 @@ def closure(A: FiniteAlgebra, seed) -> set[int]:
             raise ValueError(f"seed element {x} outside universe")
         members.add(x)
     members.update(A.constants())
-    return _closure_run(A, [], sorted(members), set(members), A.size)
+    closed = _close(_mask_tables(A, False), _mask(members), [], sorted(members), A.size)
+    return set(_elements(closed))
 
 
 def closure_extend(A: FiniteAlgebra, closed, x: int, max_size: int | None = None) -> set[int]:
@@ -440,7 +468,8 @@ def closure_extend(A: FiniteAlgebra, closed, x: int, max_size: int | None = None
         return members
     members.add(x)
     limit = A.size if max_size is None else max_size
-    return _closure_run(A, list(closed), [x], members, limit)
+    grown = _close(_mask_tables(A, False), _mask(members), list(closed), [x], limit)
+    return set(_elements(grown))
 
 
 def generated_subalgebra(A: FiniteAlgebra, seed) -> frozenset[int]:
@@ -484,6 +513,8 @@ def all_subuniverses(
     elements).  With `first_factor` = |C|, A is read as a product C x G
     (element e has first coordinate e // (|A| / |C|)) and only the subdirect
     subuniverses, those whose first projection is all of C, are returned.
+    Without it A is read as 1 x A, whose subdirect subuniverses are the
+    nonempty ones.
 
     The search is Close-by-One (Kuznetsov, 1993), which lists every closed
     set exactly once.  A node is a closed set S with a start y; the root is
@@ -494,73 +525,91 @@ def all_subuniverses(
     is a closed proper subset of T, so following parents from T reaches the
     root through closed subsets of T.
 
+    Sets are int bitmasks (bit e for element e), closed by `_close` over
+    the rows of `_mask_tables`, built once per call.  A node carries its
+    elements in a list and the mask of the first coordinates it covers.
+
     The prunes drop a node only when no set at or below it is returned.
-    Both measures grow with the set: |S| <= |T|, and the least size of a
-    returned set containing S, |S| + (|C| - |pi_1(S)|) with `first_factor`
-    (a subdirect T containing S holds S and at least one more element for
-    each first coordinate S misses), never falls when an element is added.
-    So every ancestor of a set within max_size is within it too, and no
-    pruned node is the ancestor of a returned set.  Closures stop once they
-    outgrow max_size, since such a child is dropped anyway.
+    The least size of a returned set containing S is ls(S) = |S| + (|C| -
+    |pi_1(S)|): a subdirect T containing S holds S and at least one more
+    element for each first coordinate S misses.  It never falls when an
+    element is added, so every ancestor of a returned set is within
+    max_size, and no pruned node is the ancestor of a returned set.  Before
+    closing S | {x}, the search tests ls(S | {x}) = ls(S) + [x's first
+    coordinate is covered by S] against max_size: closure(S | {x}) contains
+    S | {x}, so a child that fails this test would be beyond the bound too.
+    Closures stop once they outgrow max_size, since such a child is dropped
+    anyway.
 
     Failed extensions are inherited as in FCbO (Krajca, Outrata and
     Vychodil, 2010).  When a node's try of x fails, the set D_x it reached
     (the closure of S | {x}, or the part of it built before the closure
-    outgrew max_size) is recorded, and the node's children receive every
-    failure recorded at it or inherited by it, but never one recorded at a
-    sibling.  A descendant T of S tries x again only when D_x has no
-    element below x outside T and its least size is within max_size.  The
-    skip is sound: closure is monotone, so closure(T | {x}) contains D_x;
-    an element of D_x below x and outside T makes that child non-canonical,
-    and since the least size never falls as a set grows, a D_x beyond the
-    bound puts the child beyond it too.  So a skipped try would have failed,
-    and the search still reaches every returned set."""
-    limit = A.size if max_size is None else max_size
-    # The least size of a subuniverse the search may return that contains S.
-    if first_factor is None:
-        def least_size(S: frozenset[int]) -> int:
-            return len(S)
-    else:
-        width = A.size // first_factor
-
-        def least_size(S: frozenset[int]) -> int:
-            return len(S) + first_factor - len({e // width for e in S})
-
-    base = frozenset(closure(A, ()))
-    if least_size(base) > limit:
+    outgrew max_size, or S | {x} when the test before closing failed) is
+    recorded, and the node's children receive every failure recorded at it
+    or inherited by it, but never one recorded at a sibling.  A descendant T
+    of S tries x again only when D_x has no element below x outside T and
+    its least size is within max_size.  The skip is sound: closure is
+    monotone, so closure(T | {x}) contains D_x; an element of D_x below x
+    and outside T makes that child non-canonical, and since the least size
+    never falls as a set grows, a D_x beyond the bound puts the child beyond
+    it too.  So a skipped try would have failed, and the search still
+    reaches every returned set."""
+    n = A.size
+    limit = n if max_size is None else max_size
+    parts = first_factor or 1
+    width = n // parts
+    coordinate = [1 << (e // width) for e in range(n)]
+    tables = _mask_tables(A, True)
+    # The root is the closure of the constants, under the same test before
+    # closing as every other node.  A closure cut at the bound leaves its
+    # element list unfinished, but then its size alone is beyond the bound.
+    constants = sorted(set(A.constants()))
+    covered = reduce(or_, map(coordinate.__getitem__, constants), 0)
+    if len(constants) + parts - covered.bit_count() > limit:
         return []
-    found = [base]
-    # A node is (S, y, failed): failed[x] is None when a recorded D_x is
-    # beyond the bound, and otherwise the elements of D_x below x outside
-    # the set of the node that recorded it.  Children hold their parent's
-    # dict, which its loop completes before any child is popped, and copy
-    # it before they record.
-    stack = [(base, 0, {})]
+    elements: list[int] = []
+    base = _close(tables, _mask(constants), elements, constants, limit)
+    covered = reduce(or_, map(coordinate.__getitem__, elements), 0)
+    if base.bit_count() + parts - covered.bit_count() > limit:
+        return []
+    found = [elements] if covered.bit_count() == parts else []
+    # A node is (S, its elements, the first coordinates it covers, y,
+    # failed): failed[x] is None when a recorded D_x is beyond the bound,
+    # and otherwise the mask of the elements of D_x below x outside the set
+    # of the node that recorded it.  Children hold their parent's dict,
+    # which its loop completes before any child is popped, and copy it
+    # before they record.
+    stack = [(base, elements, covered, 0, {})]
     while stack:
-        S, y, inherited = stack.pop()
+        S, elements, covered, y, inherited = stack.pop()
         failed = dict(inherited)
-        for x in range(y, A.size):
-            if x in S:
+        least = len(elements) + parts - covered.bit_count()
+        for x in range(y, n):
+            bit = 1 << x
+            if S & bit:
                 continue
             if x in failed:
                 below = failed[x]
-                if below is None or not below <= S:
+                if below is None or below & ~S:
                     continue
-            T = frozenset(closure_extend(A, S, x, limit))
-            added = T - S
-            if least_size(T) > limit:
+            if least + (covered & coordinate[x] != 0) > limit:
                 failed[x] = None
-            elif min(added) < x:
-                failed[x] = frozenset(e for e in added if e < x)
+                continue
+            grown = elements.copy()
+            T = _close(tables, S | bit, grown, [x], limit)
+            reached = covered | reduce(or_, map(coordinate.__getitem__, grown[len(elements):]), 0)
+            below = (T ^ S) & (bit - 1)
+            if T.bit_count() + parts - reached.bit_count() > limit:
+                failed[x] = None
+            elif below:
+                failed[x] = below
             else:
                 failed.pop(x, None)
-                found.append(T)
-                stack.append((T, x + 1, failed))
-    if first_factor is None:
-        out = [S for S in found if S]
-    else:
-        out = [S for S in found if least_size(S) == len(S)]
-    return sorted(out, key=lambda S: (len(S), sorted(S)))
+                if reached.bit_count() == parts:
+                    found.append(grown)
+                stack.append((T, grown, reached, x + 1, failed))
+    out = sorted(map(sorted, found), key=lambda S: (len(S), S))
+    return [frozenset(S) for S in out]
 
 
 @dataclass(frozen=True)

@@ -409,7 +409,12 @@ def _member_classes(K: Quasivariety, max_size: int) -> tuple[FiniteAlgebra, ...]
     a class found, from A_0 the trivial algebra up to A_k.  A subalgebra of
     C x G that projects onto a proper subalgebra of C is a member too, and
     the induction reaches it through a smaller class, so the search never
-    builds one."""
+    builds one.
+
+    A subdirect subuniverse S with |S| = |C| is neither built nor looked up.
+    Its first projection is onto C and one-to-one, so S is the graph of a
+    homomorphism C -> G, and that projection is an isomorphism S -> C.  C is
+    already a class of the registry, so adding S would change nothing."""
     registry = IsoRegistry()
     if K.is_generated:
         worklist = [registry.add(trivial_algebra(K.signature))[0]]
@@ -418,6 +423,8 @@ def _member_classes(K: Quasivariety, max_size: int) -> tuple[FiniteAlgebra, ...]
             for G in K.generators:
                 P = direct_product([C, G])
                 for sub in all_subuniverses(P, max_size=max_size, first_factor=C.size):
+                    if len(sub) == C.size:
+                        continue
                     S, _ = subalgebra(P, sub)
                     rep, added = registry.add(S)
                     if added:

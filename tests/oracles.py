@@ -336,6 +336,83 @@ def closure_fixpoint(A, seed):
     return current
 
 
+def _set_closure(A, done, queue, members, limit):
+    """Set-based closure loop: combine each queued element x with the
+    processed elements `done` and itself, over every argument tuple that
+    mentions x.  Stops once `members` grows past `limit` and returns that
+    unfinished set."""
+    n = A.size
+    while queue:
+        x = queue.pop()
+        pool = done + [x]
+        reached = set()
+        for (_, k), table in zip(A.signature.symbols, A.tables):
+            for i in range(k):
+                for rest in iproduct(pool, repeat=k - 1):
+                    flat = 0
+                    for a in rest[:i] + (x,) + rest[i:]:
+                        flat = flat * n + a
+                    reached.add(table[flat])
+        fresh = reached - members
+        if fresh:
+            members |= fresh
+            if len(members) > limit:
+                return members
+            queue.extend(fresh)
+        done.append(x)
+    return members
+
+
+def fcbo_subuniverses(A, max_size=None, first_factor=None):
+    """The set-based FCbO search that `core.all_subuniverses` replaced with
+    its bitmask search: the same tree, with frozensets for sets, each
+    candidate closed before its least size is tested, and the least size
+    recounted from the first coordinates of the whole set.  The same
+    contract: nonempty subuniverses of size <= max_size, only the subdirect
+    ones with `first_factor`, sorted by (size, elements)."""
+    limit = A.size if max_size is None else max_size
+    if first_factor is None:
+        def least_size(S):
+            return len(S)
+    else:
+        width = A.size // first_factor
+
+        def least_size(S):
+            return len(S) + first_factor - len({e // width for e in S})
+
+    constants = {table[0] for (_, k), table in zip(A.signature.symbols, A.tables) if k == 0}
+    base = frozenset(_set_closure(A, [], sorted(constants), set(constants), A.size))
+    if least_size(base) > limit:
+        return []
+    found = [base]
+    stack = [(base, 0, {})]
+    while stack:
+        S, y, inherited = stack.pop()
+        failed = dict(inherited)
+        for x in range(y, A.size):
+            if x in S:
+                continue
+            if x in failed:
+                below = failed[x]
+                if below is None or not below <= S:
+                    continue
+            T = frozenset(_set_closure(A, list(S), [x], set(S) | {x}, limit))
+            added = T - S
+            if least_size(T) > limit:
+                failed[x] = None
+            elif min(added) < x:
+                failed[x] = frozenset(e for e in added if e < x)
+            else:
+                failed.pop(x, None)
+                found.append(T)
+                stack.append((T, x + 1, failed))
+    if first_factor is None:
+        out = [S for S in found if S]
+    else:
+        out = [S for S in found if least_size(S) == len(S)]
+    return sorted(out, key=lambda S: (len(S), sorted(S)))
+
+
 def subalgebra_tables(A, subset):
     """Tables of A on `subset`, re-indexed by sorted order, each cell read
     through `FiniteAlgebra.apply` in signature and lexicographic order.

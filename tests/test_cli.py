@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qvbench import cli
 from qvbench.cli import (
@@ -174,6 +175,21 @@ class TestReports:
         parsed = json.loads(payload)
         again = (json.dumps(parsed, sort_keys=True, indent=2) + "\n").encode()
         assert payload == again
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text()
+        | st.floats(allow_nan=False, allow_infinity=False),
+        lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+        | st.dictionaries(st.text(), inner) | st.dictionaries(st.integers(), inner),
+        max_leaves=30,
+    ))
+    def test_emitter_matches_json_dumps(self, value):
+        """The report emitter writes the bytes of `json.dumps` with sorted
+        keys and an indent of 2 for JSON-native values: nested lists, tuples
+        and dicts (string or integer keys) over None, bools, ints, floats
+        and non-ASCII strings, with lists of plain ints among them."""
+        assert cli._json(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
 
     def test_report_schema_fields(self, ws):
         report, _ = run("enumerate", ws, {"in": "DL", "size": 2})

@@ -114,6 +114,15 @@ class TestSignature:
         assert fx.BDL.includes(fx.MSL)
 
 
+class TestAlgebra:
+    @pytest.mark.parametrize("table", [(0, 1, 2, 1), (0, -1, 1, 1)])
+    def test_out_of_universe_entries_rejected(self, table):
+        """An entry above the universe or below 0, in a table of the right
+        length, is refused with the message naming the algebra and symbol."""
+        with pytest.raises(ValueError, match=r"^'H': table for f has out-of-universe entries$"):
+            FiniteAlgebra("H", Signature("s", (("f", 2),)), 2, (table,))
+
+
 class TestDirectProduct:
     def test_unary_product_isomorphic_to_factor(self):
         P = direct_product([fx.CHAIN2])
@@ -330,8 +339,8 @@ class TestSubuniverses:
     @given(data=st.data())
     def test_product_search_matches_brute_force(self, data):
         """Against every subset closed under the naive tuple closure, with no
-        bound and with a drawn one.  The subdirect search must also extend
-        only sets that pass its deficit prune."""
+        bound and with a drawn one.  Every set the search closes must also
+        pass its size prune, or with `first_factor` its least-size prune."""
         sig = Signature("F", (("f", data.draw(st.sampled_from([1, 2]))),))
         C = data.draw(algebras(sig, max_size=3))
         G = data.draw(algebras(sig, max_size=3))
@@ -349,14 +358,14 @@ class TestSubuniverses:
         closed.sort(key=lambda S: (len(S), sorted(S)))
 
         extended = []
-        original = core.closure_extend
+        original = core._close
 
-        def recording(A, S, x, *args, **kwargs):
-            extended.append(frozenset(S))
-            return original(A, S, x, *args, **kwargs)
+        def recording(tables, members, *args):
+            extended.append(frozenset(e for e in range(P.size) if members >> e & 1))
+            return original(tables, members, *args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "closure_extend", recording)
+            mp.setattr(core, "_close", recording)
             for max_size in (None, data.draw(st.integers(1, P.size))):
                 limit = P.size if max_size is None else max_size
                 small = [S for S in closed if len(S) <= limit]
@@ -368,6 +377,20 @@ class TestSubuniverses:
                 assert all_subuniverses(P, max_size, first_factor=C.size) == subdirect
                 for S in extended:
                     assert len(S) + C.size - len({first(e) for e in S}) <= limit
+
+    @settings(max_examples=100, deadline=None)
+    @given(factors=product_factors(), data=st.data())
+    def test_bitmask_search_matches_set_search(self, factors, data):
+        """Against the set-based FCbO search it replaced, on one factor of
+        size 1-4 or the product of two, over a drawn sub-signature of
+        CLOSURE_SIG (a constant and symbols of arity 1, 2 and 3): with and
+        without `first_factor`, with no bound and with a drawn one."""
+        C = factors[0]
+        P = direct_product(factors[:2])
+        max_size = data.draw(st.one_of(st.none(), st.integers(1, P.size)))
+        first_factor = data.draw(st.sampled_from([None, C.size]))
+        expected = oracles.fcbo_subuniverses(P, max_size, first_factor)
+        assert all_subuniverses(P, max_size, first_factor) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(A=closure_algebras(), data=st.data())

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from test_logic import terms_over
-from qvbench import core, fixtures as fx
+from qvbench import core, fixtures as fx, quasivariety
 from qvbench.core import (
     Congruence,
     FiniteAlgebra,
@@ -304,37 +304,58 @@ class TestEnumerateMembers:
             for A in axi:
                 assert sum(are_isomorphic(A, B) for B in gen) == 1
 
-    def test_dl_class_counts_match_a006982_up_to_nine(self):
-        """Distributive lattices of n elements up to isomorphism, n = 1..9,
-        are 1, 1, 1, 2, 3, 5, 8, 15, 26 (OEIS A006982).  Each class found is
-        a member and no two of the same size are isomorphic."""
-        members = members_up_to(fx.DL, 9)
+    def test_dl_class_counts_match_a006982_up_to_ten(self):
+        """Distributive lattices of n elements up to isomorphism, n = 1..10,
+        are 1, 1, 1, 2, 3, 5, 8, 15, 26, 47 (OEIS A006982).  Each class
+        found is a member and no two of the same size are isomorphic."""
+        members = members_up_to(fx.DL, 10)
         sizes = [A.size for A in members]
-        assert [sizes.count(n) for n in range(1, 10)] == [1, 1, 1, 2, 3, 5, 8, 15, 26]
+        assert [sizes.count(n) for n in range(1, 11)] == [1, 1, 1, 2, 3, 5, 8, 15, 26, 47]
         assert all(membership(A, fx.DL).holds for A in members)
         for A, B in combinations(members, 2):
             assert not are_isomorphic(A, B)
 
     def test_dl_member_search_closure_work_is_pinned(self, monkeypatch):
-        """A cold enumeration of DL up to size 8 makes exactly 7,954 calls
-        to `closure_extend`, one per candidate extension the subuniverse
-        search tries; the count is deterministic.  The search without its
-        canonicity test fails here, and so do Close-by-One without inherited
-        failures (12,963 calls), a skip that compares the size of a failed
-        closure with the bound in place of its least size, and the `seen`
-        search that tried every extension of every set found (45,828)."""
+        """A cold enumeration of DL up to size 8 makes exactly 6,988 calls
+        to `core._close`, the closure loop: one per candidate extension the
+        subuniverse search closes (6,952) and one closure of the constants
+        per search (36); the count is deterministic.  The search without its
+        canonicity test fails here, and so do the set-based search that
+        closed each candidate before testing its least size (7,954
+        extensions), Close-by-One without inherited failures, a skip that
+        compares the size of a failed closure with the bound in place of its
+        least size, and the `seen` search that tried every extension of
+        every set found."""
         calls = 0
-        original = core.closure_extend
+        original = core._close
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             nonlocal calls
             calls += 1
-            return original(*args, **kwargs)
+            return original(*args)
 
-        monkeypatch.setattr(core, "closure_extend", counting)
+        monkeypatch.setattr(core, "_close", counting)
         members = _member_classes.__wrapped__(fx.DL, 8)
         assert len(members) == 36
-        assert calls == 7_954
+        assert calls == 6_988
+
+    def test_dl_member_search_builds_only_new_classes(self, monkeypatch):
+        """A cold enumeration of DL up to size 8 builds exactly 143
+        subalgebras.  Of the 297 subdirect subuniverses of some C x G found,
+        154 have |C| elements; each is isomorphic to C, so it is not built.
+        The count is deterministic."""
+        calls = 0
+        original = quasivariety.subalgebra
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(quasivariety, "subalgebra", counting)
+        members = _member_classes.__wrapped__(fx.DL, 8)
+        assert len(members) == 36
+        assert calls == 143
 
     def test_bool_members(self):
         sizes = [A.size for A in members_up_to(fx.BOOL, 4)]
