@@ -35,6 +35,7 @@ from .implicit import (
 )
 from .quasivariety import (
     DEFAULT_PRODUCT_CAP,
+    CapExceeded,
     GenResult,
     Quasivariety,
     generate_in_product,
@@ -341,11 +342,24 @@ class UnitInstance:
     unit: Homomorphism
 
 
-def check_unit_mono(E: ExpansionSpec, bound: int) -> list[UnitInstance]:
+@dataclass(frozen=True)
+class ProductTooLarge:
+    """A member whose reflection needs a product of `size` elements, over the
+    cap of `cap`: its instance is unknown within the bound, not a failure."""
+    algebra: FiniteAlgebra
+    size: int
+    cap: int
+
+
+def check_unit_mono(E: ExpansionSpec, bound: int) -> list[UnitInstance | ProductTooLarge]:
     """Per-member injectivity of the unit over the base class up to the bound."""
     out = []
     for A in members_up_to(E.base, bound):
-        fe = free_extension(A, E)
+        try:
+            fe = free_extension(A, E)
+        except CapExceeded as exc:
+            out.append(ProductTooLarge(A, exc.size, exc.cap))
+            continue
         out.append(UnitInstance(A, fe.unit_injective, fe.unit))
     return out
 
@@ -357,12 +371,17 @@ class CounitInstance:
     counit: Homomorphism
 
 
-def check_counit_iso(E: ExpansionSpec, bound: int) -> list[CounitInstance]:
-    """Per-member bijectivity of the counit over the expanded class up to the
-    bound (the counit is always surjective here, so bijective = injective)."""
-    out = []
-    for B in members_up_to(E.expanded, bound):
+def counit_instance(B: FiniteAlgebra, E: ExpansionSpec) -> CounitInstance | ProductTooLarge:
+    """Bijectivity of the counit at B (the counit is always surjective here,
+    so bijective = injective)."""
+    try:
         eps = counit(B, E)
-        bij = eps.source.size == B.size and len(set(eps.mapping)) == B.size
-        out.append(CounitInstance(B, bij, eps))
-    return out
+    except CapExceeded as exc:
+        return ProductTooLarge(B, exc.size, exc.cap)
+    return CounitInstance(B, eps.source.size == B.size and len(set(eps.mapping)) == B.size, eps)
+
+
+def check_counit_iso(E: ExpansionSpec, bound: int) -> list[CounitInstance | ProductTooLarge]:
+    """Per-member bijectivity of the counit over the expanded class up to the
+    bound."""
+    return [counit_instance(B, E) for B in members_up_to(E.expanded, bound)]

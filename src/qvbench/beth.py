@@ -33,6 +33,7 @@ from .adjunction import (
     ExpansionSpec,
     ExpansionViolation,
     PpExpansionSpec,
+    ProductTooLarge,
     UnitInstance,
     check_counit_iso,
     check_expansion,
@@ -310,12 +311,17 @@ def check_mono_reflective(E: ExpansionSpec, bound: int) -> Verdict:
 def unit_counit_verdict(E: ExpansionSpec, bound: int) -> Verdict:
     """The conjunction: unit componentwise injective and counit componentwise
     bijective, over the enumerated members.  A reduct functor that is not well
-    defined fails first, under `reduct-well-defined`."""
+    defined fails first, under `reduct-well-defined`.  A member whose
+    reflection exceeds the product cap leaves the verdict unknown within the
+    bound, unless another member fails."""
     violation = _reduct_violation(E, bound)
     if violation is not None:
         return violation
+    too_large = None
     for inst in check_unit_mono(E, bound):
-        if not inst.embedding:
+        if isinstance(inst, ProductTooLarge):
+            too_large = too_large or inst
+        elif not inst.embedding:
             return Verdict(
                 "unit-mono-counit-iso",
                 "fails",
@@ -323,13 +329,22 @@ def unit_counit_verdict(E: ExpansionSpec, bound: int) -> Verdict:
                 certificate=("unit-not-mono", inst),
             )
     for inst in check_counit_iso(E, bound):
-        if not inst.bijective:
+        if isinstance(inst, ProductTooLarge):
+            too_large = too_large or inst
+        elif not inst.bijective:
             return Verdict(
                 "unit-mono-counit-iso",
                 "fails",
                 (("max-size", bound),),
                 certificate=("counit-not-iso", inst),
             )
+    if too_large is not None:
+        return Verdict(
+            "unit-mono-counit-iso",
+            "unknown-within-bound",
+            (("max-size", bound),),
+            certificate=("product-too-large", too_large),
+        )
     return Verdict("unit-mono-counit-iso", "holds", (("max-size", bound),))
 
 
@@ -418,10 +433,12 @@ def cross_validate_main_theorem(
     """Run the three characterizations at the same bound and report agreement.
     The simplicity check is relative to the supplied family, so its
     disagreement with the categorical checks can also mean the closure is
-    simple via a different family; the other two must always agree.  All
-    three presuppose a well-defined reduct functor: when some expanded member
-    has a reduct outside the base, both categorical verdicts are that
-    `reduct-well-defined` failure and the report is not consistent."""
+    simple via a different family; the other two must always agree.  An
+    unknown verdict, such as a reflection over the product cap, contradicts
+    neither of the others.  All three presuppose a well-defined reduct
+    functor: when some expanded member has a reduct outside the base, both
+    categorical verdicts are that `reduct-well-defined` failure and the
+    report is not consistent."""
     simple = check_simple(P, bound) if P is not None else None
     violation = _reduct_violation(E, bound)
     if violation is not None:
@@ -432,18 +449,23 @@ def cross_validate_main_theorem(
         )
     uc = unit_counit_verdict(E, bound)
     mr = check_mono_reflective(E, bound)
-    consistent = uc.status == mr.status
+    consistent = not _disagree(uc, mr)
     notes = []
     if simple is None:
         notes.append("no operation family supplied; simplicity check not applicable")
-    else:
-        consistent = consistent and simple.status == uc.status
-        if simple.status != uc.status:
-            notes.append(
-                "family-relative simplicity disagrees with the categorical checks; "
-                "the closure may be simple via a different family"
-            )
+    elif _disagree(simple, uc):
+        consistent = False
+        notes.append(
+            "family-relative simplicity disagrees with the categorical checks; "
+            "the closure may be simple via a different family"
+        )
     return MainTheoremReport(simple, uc, mr, consistent, tuple(notes))
+
+
+def _disagree(a: Verdict, b: Verdict) -> bool:
+    """Both verdicts are decided within the bound, and differ: an unknown
+    verdict contradicts neither."""
+    return a.status != b.status and "unknown-within-bound" not in (a.status, b.status)
 
 
 def check_simplicity_transfer(

@@ -12,7 +12,10 @@ Each command takes at most one size bound, echoed in its report's params:
 check-unique-witnesses, term-equiv and cross-validate; --ext-bound (default 6)
 for check-regular, check-extendable and amalgamate; --size (default 4) for
 enumerate; --product-cap (default 1000000) for free and reflect.  membership,
-cg and expand take none.
+cg and expand take none.  A product over the cap is a usage error in free
+and reflect, whose cap is that flag; in unit, counit and cross-validate it
+leaves the member's instance unknown-within-bound, with the product's size
+and the cap in its certificate.
 """
 from __future__ import annotations
 
@@ -34,10 +37,11 @@ from .adjunction import (
     ExpansionSpec,
     FreeExtension,
     PpExpansionSpec,
+    ProductTooLarge,
     UndefinedAt,
     check_counit_iso,
     check_unit_mono,
-    counit,
+    counit_instance,
     expand_algebra,
     free_extension,
     induced_expansion,
@@ -133,28 +137,38 @@ def _json(value, newline: str) -> str:
     """The text of `json.dumps(value, sort_keys=True, indent=2)` for a
     JSON-native value nested at the indent that `newline` carries, without
     the pure-Python encoder that `indent` selects: a list of plain ints is
-    one join, and keys and strings go to the C string encoder."""
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+    one join, and keys and strings go to the C string encoder.  The pieces
+    go to one list, joined once, so a large table is copied once, not once
+    per level of nesting; those copies needed fresh memory, and their cost
+    depended on what the process had freed before."""
+    out: list[str] = []
+    _pieces(value, newline, out)
+    return "".join(out)
+
+
+def _pieces(value, newline: str, out: list[str]) -> None:
+    if isinstance(value, (list, tuple, dict)) and not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, (list, tuple)):
         inner = newline + "  "
         if set(map(type, value)) == {int}:
-            items = map(str, value)
-        else:
-            items = (_json(v, inner) for v in value)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
+            out += ("[", inner, ("," + inner).join(map(str, value)), newline, "]")
+            return
+        for i, v in enumerate(value):
+            out.append("," + inner if i else "[" + inner)
+            _pieces(v, inner, out)
+        out += (newline, "]")
+    elif isinstance(value, dict):
         inner = newline + "  "
-        items = (
-            f"{_encode_str(k if isinstance(k, str) else json.dumps(k))}: {_json(v, inner)}"
-            for k, v in sorted(value.items())
-        )
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if type(value) is str:
-        return _encode_str(value)
-    return json.dumps(value)
+        for i, (k, v) in enumerate(sorted(value.items())):
+            key = _encode_str(k if isinstance(k, str) else json.dumps(k))
+            out += ("," + inner if i else "{" + inner, key, ": ")
+            _pieces(v, inner, out)
+        out += (newline, "}")
+    elif type(value) is str:
+        out.append(_encode_str(value))
+    else:
+        out.append(json.dumps(value))
 
 
 def emit_report(report: Report, format: str = "json") -> bytes:
@@ -443,6 +457,9 @@ def cmd_unit(ws, flags):
     bound = flags["max_size"]
     instances = []
     for item in check_unit_mono(E, bound):
+        if isinstance(item, ProductTooLarge):
+            instances.append(_too_large_instance(item, bound))
+            continue
         instances.append({
             "name": item.algebra.name,
             "bound": bound,
@@ -455,26 +472,30 @@ def cmd_unit(ws, flags):
 def cmd_counit(ws, flags):
     E, _ = _expansion_pair(ws, flags["expansion"])
     bound = flags["max_size"]
-    instances = []
     if flags.get("algebra"):
-        B = ws.lookup("algebras", flags["algebra"])
-        eps = counit(B, E)
-        bij = eps.source.size == B.size and len(set(eps.mapping)) == B.size
-        instances.append({
-            "name": B.name, "bound": None,
-            "verdict": "holds" if bij else "fails",
-            "certificate": {"counit-map": list(eps.mapping), "reflected-size": eps.source.size},
-        })
+        items, item_bound = [counit_instance(ws.lookup("algebras", flags["algebra"]), E)], None
     else:
-        for item in check_counit_iso(E, bound):
-            instances.append({
-                "name": item.algebra.name,
-                "bound": bound,
-                "verdict": "holds" if item.bijective else "fails",
-                "certificate": {"counit-map": list(item.counit.mapping),
-                                "reflected-size": item.counit.source.size},
-            })
+        items, item_bound = check_counit_iso(E, bound), bound
+    instances = []
+    for item in items:
+        if isinstance(item, ProductTooLarge):
+            instances.append(_too_large_instance(item, item_bound))
+            continue
+        instances.append({
+            "name": item.algebra.name,
+            "bound": item_bound,
+            "verdict": "holds" if item.bijective else "fails",
+            "certificate": {"counit-map": list(item.counit.mapping),
+                            "reflected-size": item.counit.source.size},
+        })
     return instances, {"expansion": flags["expansion"]}
+
+
+def _too_large_instance(item: ProductTooLarge, bound) -> dict:
+    """A member whose reflection exceeds the product cap: unknown within the
+    bound, with the product's size and the cap."""
+    return {"name": item.algebra.name, "bound": bound, "verdict": "unknown-within-bound",
+            "certificate": {"product-cap": item.cap, "product-size": item.size}}
 
 
 def _verdict_instance(name: str, v: Verdict, bound) -> dict:

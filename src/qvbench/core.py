@@ -368,12 +368,14 @@ def reduct(A: FiniteAlgebra, language: Signature) -> FiniteAlgebra:
 
 def _mask_tables(A: FiniteAlgebra, keep: bool) -> tuple:
     """The tables `_close` reads, over int bitmasks: bit e of a mask stands
-    for element e.  Returns (row, higher, n): row(x)[y] is the mask of f(x, y)
-    and f(y, x) for every binary f, and row(x)[x] adds u(x) for every unary
-    u; higher lists (arity, table) for each symbol of arity >= 3, and n is
-    |A|.  With `keep`, every row is built here, for searches that close many
-    sets; otherwise each row is built when asked for, since one closure
-    reads it once.  Nothing is cached on A: a row holds n masks of n bits."""
+    for element e.  Returns (rows, reach, higher, n); higher lists (arity,
+    table) for each symbol of arity >= 3, and n is |A|.  With `keep`, for
+    searches that close many sets, rows[x][y] is the mask of f(x, y) and
+    f(y, x) for every binary f, rows[x][x] adds u(x) for every unary u, and
+    reach is None.  Otherwise rows is None and reach(x, done) is the union
+    of rows[x] over `done` and x itself, read from the cells at x and `done`
+    alone, since one closure meets each pair once.  Nothing is cached on A:
+    a row holds n masks of n bits."""
     n = A.size
     unary, binary, higher = [], [], []
     for (_, k), table in zip(A.signature.symbols, A.tables):
@@ -384,34 +386,47 @@ def _mask_tables(A: FiniteAlgebra, keep: bool) -> tuple:
         elif k > 2:
             higher.append((k, table))
 
-    def row(x: int) -> list[int]:
-        masks = [0] * n
-        for t in binary:
-            masks = [m | 1 << a | 1 << b for m, a, b in zip(masks, t[x * n:x * n + n], t[x::n])]
-        for t in unary:
-            masks[x] |= 1 << t[x]
-        return masks
-
     if keep:
-        row = [row(x) for x in range(n)].__getitem__
-    return row, tuple(higher), n
+        def row(x: int) -> list[int]:
+            masks = [0] * n
+            for t in binary:
+                masks = [m | 1 << a | 1 << b for m, a, b in zip(masks, t[x * n:x * n + n], t[x::n])]
+            for t in unary:
+                masks[x] |= 1 << t[x]
+            return masks
+
+        return [row(x) for x in range(n)], None, tuple(higher), n
+
+    def reach(x: int, done: list[int]) -> int:
+        xn = x * n
+        mask = 0
+        for t in binary:
+            mask |= reduce(or_, [1 << t[xn + y] | 1 << t[y * n + x] for y in done], 1 << t[xn + x])
+        for t in unary:
+            mask |= 1 << t[x]
+        return mask
+
+    return None, reach, tuple(higher), n
 
 
 def _close(tables: tuple, members: int, done: list[int], queue: list[int], limit: int) -> int:
     """The closure loop of `closure`, `closure_extend` and `all_subuniverses`,
     over the bitmask `members` with the tables of `_mask_tables`.  Each
     queued element x is combined with the processed elements `done` and
-    itself: the masks of row(x) at them, and for higher arities every tuple
-    over them with x in some position.  The closed set does not depend on
-    the order of the queue.  `done` ends as the list of the closure's
-    elements, in the order processed.  Stops once the set grows past
-    `limit` and returns that unfinished set."""
-    row, higher, n = tables
+    itself: the masks of rows[x] at them, or reach(x, done), and for higher
+    arities every tuple over them with x in some position.  The closed set
+    does not depend on the order of the queue.  `done` ends as the list of
+    the closure's elements, in the order processed.  Stops once the set
+    grows past `limit` and returns that unfinished set."""
+    rows, reach, higher, n = tables
     size = members.bit_count()
     while queue:
         x = queue.pop()
-        masks = row(x)
-        reached = reduce(or_, map(masks.__getitem__, done), masks[x])
+        if rows is None:
+            reached = reach(x, done)
+        else:
+            masks = rows[x]
+            reached = reduce(or_, map(masks.__getitem__, done), masks[x])
         for k, table in higher:
             pool = done + [x]
             for i in range(k):

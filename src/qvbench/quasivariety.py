@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import product as iproduct
-from operator import add, getitem, itemgetter, mul
+from itertools import chain, product as iproduct, zip_longest
+from typing import Callable
 
 from .core import (
     Congruence,
@@ -35,6 +35,7 @@ from .core import (
 from .logic import (
     Quasiequation,
     _compile_equation,
+    _define,
     check_quasiequation,
     equations_variables,
     eval_term,
@@ -44,7 +45,11 @@ DEFAULT_PRODUCT_CAP = 10**6
 
 
 class CapExceeded(ValueError):
-    pass
+    """A product of `size` elements, over the cap of `cap`."""
+
+    def __init__(self, size: int, cap: int) -> None:
+        super().__init__(f"product of size {size} exceeds cap {cap}")
+        self.size, self.cap = size, cap
 
 
 @dataclass(frozen=True)
@@ -164,6 +169,101 @@ class GenResult:
     trace: tuple[tuple, ...]
 
 
+def _literal(values, s: int, planes) -> str:
+    """The indicator of `values`, a set of elements of a factor of size s, at
+    one argument whose plane v >= 1 is read as `planes[v]`: "" when it holds
+    for every value, else an OR of planes, or the complement of one when the
+    set holds 0."""
+    if len(values) == s:
+        return ""
+    if 0 in values:
+        return "~" + _any(planes[v] for v in range(1, s) if v not in values)
+    return _any(planes[v] for v in sorted(values))
+
+
+def _any(names) -> str:
+    names = list(names)
+    return names[0] if len(names) == 1 else f"({'|'.join(names)})"
+
+
+def _cover(points, s: int, planes) -> str | None:
+    """The indicator of a set of argument tuples over a factor of size s as
+    an `&`/`|` expression over the arguments' planes, `planes[j][v]` for
+    argument j: None for the empty set, "" for every tuple.  Each distinct
+    set B of tails that follows some first argument gives one term: the
+    first arguments whose tails include B, and the cover of B.  The terms
+    hold only on `points`, and each point lies in the term of its own
+    tails."""
+    if not points:
+        return None
+    if not planes:
+        return ""
+    if len(planes) == 1:
+        return _literal({p[0] for p in points}, s, planes[0])
+    tails: dict[int, frozenset] = {}
+    for p in sorted(points):
+        tails[p[0]] = tails.get(p[0], frozenset()) | {p[1:]}
+    terms = []
+    for B in dict.fromkeys(tails.values()):
+        heads = {a for a, tail in tails.items() if B <= tail}
+        x, y = _literal(heads, s, planes[0]), _cover(B, s, planes[1:])
+        if not (x or y):
+            return ""
+        terms.append(f"{x}&({y})" if x and y else x or y)
+    return "|".join(terms)
+
+
+def _plane_expressions(tables, k: int, planes, width: int) -> str:
+    """The result of a k-ary symbol as one expression: its planes 1..width,
+    a bare int when width is 1 and a tuple otherwise.  `tables` holds
+    (size, table) per group of coordinates, whose mask is `G{g}`; a group's
+    part is and-ed with its mask unless it is the only group and its part
+    has no complement, which then stays inside the arguments' bits."""
+    out = []
+    for v in range(1, width + 1):
+        parts = []
+        for g, (s, t) in enumerate(tables):
+            points = [args for args, value in zip(iproduct(range(s), repeat=k), t) if value == v]
+            e = _cover(points, s, planes)
+            if e == "":
+                parts.append(f"G{g}")
+            elif e is not None:
+                parts.append(e if len(tables) == 1 and "~" not in e else f"G{g}&({e})")
+        out.append("|".join(parts) or "0")
+    return out[0] if width == 1 else f"({', '.join(out)},)"
+
+
+def _plane_names(arg: str, width: int) -> dict[int, str]:
+    return {1: arg} if width == 1 else {v: f"{arg}_{v}" for v in range(1, width + 1)}
+
+
+def _kernel(tables, k: int, width: int) -> Callable:
+    """The generated kernel of a symbol of arity k, through the package's one
+    code cache.  A binary kernel is `f(x, pool, *masks)`: the row of f(x, y)
+    for each y in `pool`, then of f(y, x) for each y in `pool`.  Any other
+    kernel is `f(*args, *masks)`, one result.  Elements are their plane
+    tuples (bare ints when width is 1); masks are arguments, so one kernel
+    serves every factor count of the same factor tables."""
+    # The symbol's expression is built once, with argument j as the format
+    # field {j}, and named per use.
+    fields = [_plane_names(f"{{{j}}}", width) for j in range(k)]
+    expression = _plane_expressions(tables, k, fields, width)
+    args = ["x", "y"] if k == 2 else [f"a{j}" for j in range(k)]
+    masks = [f"G{g}" for g in range(len(tables))]
+    planes = {a: ", ".join(_plane_names(a, width).values()) + "," * (width > 1) for a in args}
+    if k == 2:
+        lines = [f"def f({', '.join(['x', 'pool'] + masks)}):"]
+        each = f"for {planes['y']} in pool"
+        body = f"[{expression.format('x', 'y')} {each}] + [{expression.format('y', 'x')} {each}]"
+    else:
+        lines = [f"def f({', '.join(args + masks)}):"]
+        body = expression.format(*args)
+    if width > 1:
+        lines += [f"    {planes[a]} = {a}" for a in args if a != "y"]
+    lines.append(f"    return {body}")
+    return _define("\n".join(lines) + "\n")
+
+
 def generate_in_product(
     factors: list[FiniteAlgebra],
     seeds: list[tuple[int, ...]],
@@ -185,87 +285,143 @@ def generate_in_product(
     earlier y.  trace[i] is the first producer of element i in this order,
     ("seed", j) for seed j, so the trace is a function of the arguments alone.
 
+    Tuples are bit-sliced.  Coordinate i of the product is bit i, and a
+    reached tuple is stored as its value planes: for each value v >= 1 of
+    the largest factor, the int whose bit i is set when coordinate i holds v
+    (a bare int when every factor has at most 2 elements).  Plane 0 is the
+    complement of the others.  Coordinates whose factors have equal tables
+    form a group with one mask, and each symbol is one `&`/`|` expression
+    per group over the planes of its arguments, so one application computes
+    every coordinate at once.  A binary symbol computes a popped x's whole
+    row, (x, y) over the pool, then (y, x) over the pool (its last entry
+    repeats (x, x)), in one generated comprehension; the results are looked
+    up in one pass and the misses interned in row order.  Other symbols
+    take one kernel call per argument tuple.  The planes determine the
+    tuple, so the elements reached, the order they are queued and popped in
+    and their first producers are those of the tuple-at-a-time loop; only
+    the representation changed.  Tuples are decoded once, at the end, for
+    the lexicographic order.
+
     The loop meets every argument tuple over the final universe, so the
     tables are the results it recorded, renumbered to lexicographic order;
     no operation is applied twice to the same arguments."""
     potential = math.prod(f.size for f in factors) if factors else 1
     if potential > product_cap:
-        raise CapExceeded(f"product of size {potential} exceeds cap {product_cap}")
+        raise CapExceeded(potential, product_cap)
     for f in factors:
         if not f.signature.includes(signature):
             raise SignatureError(f"factor {f.name!r} is not over {signature.name!r}")
+    m = len(factors)
     sizes = tuple(f.size for f in factors)
-    # Reached tuples are numbered in order of discovery; per id: the tuple,
-    # the tuple times the factor sizes (the row offsets of a binary lookup),
-    # and its first producer.
-    tuples: list[tuple[int, ...]] = []
-    scaled: list[tuple[int, ...]] = []
+    width = max(max(sizes, default=1), 2) - 1
+    # Coordinates are grouped by their factor's size and tables.
+    groups: dict[tuple, int] = {}
+    for i, f in enumerate(factors):
+        own = f._ops
+        key = (f.size, tuple(own[sym][1] for sym, _ in signature.symbols))
+        groups[key] = groups.get(key, 0) | 1 << i
+    masks = tuple(groups.values())
+
+    # Reached elements are numbered in order of discovery; per id: its
+    # planes and its first producer.
+    keys: list = []
     origins: list[tuple] = []
-    ids: dict[tuple[int, ...], int] = {}
+    ids: dict = {}
     queue: list[int] = []
 
-    def intern(t: tuple[int, ...], head: str, args: tuple) -> int:
-        i = ids.setdefault(t, len(tuples))
-        if i == len(tuples):
-            tuples.append(t)
-            scaled.append(tuple(map(mul, t, sizes)))
-            origins.append((head,) + args)
+    def intern(key, origin: tuple) -> int:
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(keys)
+            keys.append(key)
+            origins.append(origin)
             queue.append(i)
         return i
 
-    # Per symbol: its arity, the coordinate tables and the results recorded
-    # so far, argument ids to value id.
-    ops = [
-        (sym, k, tuple(f._ops[sym][1] for f in factors), {})
-        for sym, k in signature.symbols
-    ]
-    for sym, k, tabs, results in ops:
+    # Per symbol: its arity, its kernel and the results recorded: for a
+    # binary symbol the row of each pop, otherwise argument ids to value id.
+    ops = []
+    for slot, (sym, k) in enumerate(signature.symbols):
+        tables = [(size, tabs[slot]) for size, tabs in groups]
+        ops.append((sym, k, _kernel(tables, k, width), [] if k == 2 else {}))
+    for sym, k, apply, results in ops:
         if k == 0:
-            results[()] = intern(tuple(map(itemgetter(0), tabs)), sym, ())
-    for j, s in enumerate(seeds):
-        intern(s, "seed", (j,))
-    done: list[int] = []
+            results[()] = intern(apply(*masks), (sym,))
+    seed_ids = []
+    for j, t in enumerate(seeds):
+        if len(t) != m or not all(0 <= v < size for v, size in zip(t, sizes)):
+            raise ValueError(f"seed {t!r} is not an element of the product")
+        planes = [0] * width
+        for i, v in enumerate(t):
+            if v:
+                planes[v - 1] |= 1 << i
+        seed_ids.append(intern(planes[0] if width == 1 else tuple(planes), ("seed", j)))
+
+    done: list[int] = []  # ids in the order popped
+    pool: list = []       # their planes
     while queue:
         x = queue.pop()
-        tx, sx = tuples[x], scaled[x]
-        pool = done + [x]
-        for sym, k, tabs, results in ops:
-            if k == 1:
-                results[x,] = intern(tuple(map(getitem, tabs, tx)), sym, (x,))
-            elif k == 2:
-                for y in pool:
-                    args = (x, y)
-                    t = tuple(map(getitem, tabs, map(add, sx, tuples[y])))
-                    results[args] = intern(t, sym, args)
-                for y in done:
-                    args = (y, x)
-                    t = tuple(map(getitem, tabs, map(add, scaled[y], tx)))
-                    results[args] = intern(t, sym, args)
-            elif k > 2:
-                for i in range(k):
-                    for rest in iproduct(pool, repeat=k - 1):
-                        args = rest[:i] + (x,) + rest[i:]
-                        flat = tuples[args[0]]
-                        for a in args[1:]:
-                            flat = map(add, map(mul, flat, sizes), tuples[a])
-                        results[args] = intern(tuple(map(getitem, tabs, flat)), sym, args)
+        kx = keys[x]
         done.append(x)
+        pool.append(kx)
+        p = len(done) - 1
+        for sym, k, apply, results in ops:
+            if k == 2:
+                row = apply(kx, pool, *masks)
+                got = list(map(ids.get, row))
+                if None in got:
+                    for j, i in enumerate(got):
+                        if i is None:
+                            args = (x, done[j]) if j <= p else (done[j - p - 1], x)
+                            got[j] = intern(row[j], (sym,) + args)
+                results.append(got)
+            elif k:
+                for i in range(k):
+                    for rest in iproduct(done, repeat=k - 1):
+                        args = rest[:i] + (x,) + rest[i:]
+                        value = apply(*map(keys.__getitem__, args), *masks)
+                        results[args] = intern(value, (sym,) + args)
 
-    order = sorted(range(len(tuples)), key=tuples.__getitem__)
-    rank = [0] * len(order)
+    top = 1 << m
+    digits = [bytes.maketrans(b"01", bytes((0, v))) for v in range(1, width + 1)]
+
+    def decode(key) -> tuple[int, ...]:
+        bits = [bin(plane | top)[:2:-1].encode().translate(d)
+                for plane, d in zip([key] if width == 1 else key, digits)]
+        return tuple(bits[0]) if width == 1 else tuple(map(max, *bits))
+
+    tuples = list(map(decode, keys))
+    order = sorted(range(len(keys)), key=tuples.__getitem__)
+    n = len(order)
+    rank = [0] * n
     for r, i in enumerate(order):
         rank[i] = r
-    tables = tuple(
-        tuple(map(rank.__getitem__, map(results.__getitem__, iproduct(order, repeat=k))))
-        for _, k, _, results in ops
-    )
-    algebra = FiniteAlgebra(name, signature, len(order), tables)
+    position = [0] * n
+    for a, i in enumerate(done):
+        position[i] = a
+    popped = [position[i] for i in order]  # pop position of each rank
+    tables = []
+    for _, k, _, results in ops:
+        if k == 2:
+            # Row a holds f(x_a, x_b) for b <= a, then f(x_b, x_a) for b <= a;
+            # the second halves, transposed, give f(x_a, x_b) for b > a.
+            rows = [list(map(rank.__getitem__, row)) for row in results]
+            columns = list(zip_longest(*(row[a + 1:] for a, row in enumerate(rows))))
+            full = [row[:a + 1] + list(columns[a][a + 1:]) for a, row in enumerate(rows)]
+            tables.append(tuple(chain.from_iterable(
+                map(full[a].__getitem__, popped) for a in popped
+            )))
+        else:
+            tables.append(tuple(
+                map(rank.__getitem__, map(results.__getitem__, iproduct(order, repeat=k)))
+            ))
+    algebra = FiniteAlgebra(name, signature, n, tuple(tables))
     trace = tuple(
         origins[i] if origins[i][0] == "seed"
         else (origins[i][0],) + tuple(map(rank.__getitem__, origins[i][1:]))
         for i in order
     )
-    seed_index = tuple(rank[ids[s]] for s in seeds)
+    seed_index = tuple(map(rank.__getitem__, seed_ids))
     return GenResult(algebra, tuple(map(tuples.__getitem__, order)), seed_index, trace)
 
 

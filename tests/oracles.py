@@ -223,7 +223,7 @@ def generate_in_product(factors, seeds, signature, product_cap, name="gen"):
     for f in factors:
         potential *= f.size
     if potential > product_cap:
-        raise CapExceeded(f"product of size {potential} exceeds cap {product_cap}")
+        raise CapExceeded(potential, product_cap)
 
     def apply(sym, args):
         return tuple(

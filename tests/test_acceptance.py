@@ -338,6 +338,19 @@ def test_large_free_reports_pinned():
         assert hashlib.sha256(emit_report(report)).hexdigest() == digest
 
 
+# SHA-256 of `reflect --algebra Chain8 --expansion DLtoBOOL` on the
+# unrelabelled bench/workspace.qvw: 7 factors, a seeded generation with a
+# unary symbol, 128 elements.
+REFLECT_CHAIN8_SHA256 = "768f2142e07eb7c24cc1bb3b5226e4d9dc087766c276e79578b1fea7c13546a8"
+
+
+def test_chain8_reflection_report_pinned():
+    report, code = run("reflect", load_workspace("bench/workspace.qvw"),
+                       {"algebra": "Chain8", "expansion": "DLtoBOOL"})
+    assert code == 0
+    assert hashlib.sha256(emit_report(report)).hexdigest() == REFLECT_CHAIN8_SHA256
+
+
 def test_acceptance_10_determinism(tmp_path):
     with Timer(10, "byte-identical reports across repeated runs", 300.0):
         outputs = []

@@ -44,6 +44,26 @@ quasivariety BadQ : BA = generated(BadBA)
 expansion DLtoBad := DL -> BadQ
 """
 
+# Sets (one identity operation) expanded by a second identity operation,
+# both generated by a 3-element algebra: the reflection of an n-element set
+# has one factor per map into it, 3^n of them.
+SETS_WORKSPACE = """
+signature S { f/1 }
+signature T { f/1; g/1 }
+algebra ThreeS : S {
+  universe 3
+  op f = [0,1,2]
+}
+algebra Three : T {
+  universe 3
+  op f = [0,1,2]
+  op g = [0,1,2]
+}
+quasivariety Sets : S = generated(ThreeS)
+quasivariety TwoOps : T = generated(Three)
+expansion SetsToTwoOps := Sets -> TwoOps
+"""
+
 
 @pytest.fixture(scope="module")
 def ws():
@@ -394,6 +414,45 @@ class TestMainEntry:
             assert "reduct-well-defined" in verdicts[name]["notes"][0]
             assert verdicts[name]["certificate"]["certificate"]["inseparable"] == [0, 1]
         assert verdicts["consistency"]["verdict"] == "fails"
+
+    def test_cap_hit_is_unknown_within_bound(self, tmp_path, capsys):
+        """A member whose reflection needs a product over the cap leaves its
+        instance unknown within the bound (exit 2) in unit, counit and
+        cross-validate; `reflect`, whose cap is a flag, still refuses it as a
+        usage error (exit 3).  Every map of an n-set into the 3-element
+        generator is a homomorphism, so the product has 3^(3^n) elements:
+        19,683 for n = 2, over 10^6 from n = 3."""
+        workspace = tmp_path / "sets.qvw"
+        workspace.write_text(SETS_WORKSPACE)
+        big = {2: 19_683, 3: 3**27, 4: 3**81}
+        for args in (["unit"], ["counit"], ["counit", "--algebra", "Three"], ["cross-validate"]):
+            report = tmp_path / "r.json"
+            code = main([*args, "--workspace", str(workspace), "--expansion", "SetsToTwoOps",
+                         "--report", str(report)])
+            assert code == 2, args
+            instances = json.loads(report.read_text())["instances"]
+            if args[0] == "cross-validate":
+                verdicts = {i["name"]: i for i in instances}
+                for name in ("unit-mono-counit-iso", "mono-reflective"):
+                    assert verdicts[name]["verdict"] == "unknown-within-bound"
+                    kind, member = verdicts[name]["certificate"]
+                    assert kind == "product-too-large"
+                    assert (member["algebra"]["size"], member["size"], member["cap"]) == (3, 3**27, 10**6)
+                assert verdicts["consistency"]["verdict"] == "holds"
+                continue
+            # One member per size, in order; --algebra names the 3-element one.
+            sizes = [3] if "--algebra" in args else [1, 2, 3, 4]
+            assert len(instances) == len(sizes)
+            for size, inst in zip(sizes, instances):
+                if size <= 2:
+                    assert inst["verdict"] == "holds"
+                else:
+                    assert inst["verdict"] == "unknown-within-bound"
+                    assert inst["certificate"] == {"product-cap": 10**6, "product-size": big[size]}
+        code = main(["reflect", "--workspace", str(workspace), "--algebra", "ThreeS",
+                     "--expansion", "SetsToTwoOps"])
+        assert code == 3
+        assert f"product of size {3**27} exceeds cap 1000000" in capsys.readouterr().err
 
     def test_crash_exit_four(self, monkeypatch, capsys):
         def crash(ws, flags):

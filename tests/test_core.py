@@ -279,6 +279,15 @@ class TestGeneratedSubalgebra:
         assert generated_subalgebra(A, g1) == g1
 
 
+class CellCountingTable(tuple):
+    """A table that counts the cells read from it, a slice by its length."""
+    reads = 0
+
+    def __getitem__(self, i):
+        CellCountingTable.reads += len(range(*i.indices(len(self)))) if isinstance(i, slice) else 1
+        return tuple.__getitem__(self, i)
+
+
 class TestClosure:
     @settings(max_examples=150, deadline=None)
     @given(inputs=closure_inputs(), data=st.data())
@@ -300,6 +309,22 @@ class TestClosure:
             assert bounded == full
         else:
             assert len(bounded) > max_size
+
+    def test_one_off_closure_reads_only_processed_cells(self):
+        """Closing 4 seeds of CHAIN3^4 (81 elements) to 10 elements reads,
+        per binary table, the cells of each popped x against the elements
+        popped before it and itself: 2 * (0 + 1 + ... + 9) + 10 = 100, and
+        one cell per constant.  A row of all 81 masks per popped element
+        would read 2 * 81 cells per table instead."""
+        P = direct_product([fx.CHAIN3] * 4)
+        counting = FiniteAlgebra(
+            P.name, P.signature, P.size, tuple(CellCountingTable(t) for t in P.tables)
+        )
+        CellCountingTable.reads = 0
+        closed = core.closure(counting, [15, 37, 38, 70])
+        assert CellCountingTable.reads == 2 * 100 + 2
+        assert closed == oracles.closure_fixpoint(P, {15, 37, 38, 70})
+        assert len(closed) == 10
 
 
 class TestSubalgebra:

@@ -24,11 +24,12 @@ from qvbench.core import (
     quotient,
     trivial_algebra,
 )
-from qvbench.adjunction import PpExpansionSpec, free_extension
+from qvbench.adjunction import PpExpansionSpec, _reflection, free_extension
 from qvbench.beth import expansion_members
 from qvbench.implicit import induced_partial_op
-from qvbench.logic import App, Equation, Quasiequation, Var, check_quasiequation
+from qvbench.logic import App, Equation, Quasiequation, Var, _define, check_quasiequation
 from qvbench.quasivariety import (
+    DEFAULT_PRODUCT_CAP,
     Amalgam,
     CapExceeded,
     NotFoundWithinBound,
@@ -232,6 +233,57 @@ class TestGenerateInProduct:
     def test_factor_outside_the_signature_rejected(self):
         with pytest.raises(SignatureError):
             generate_in_product([fx.CHAIN2], [(0,), (1,)], fx.BA)
+
+
+def _gen_factor(n, c, u, f, t):
+    """A factor over GEN_SIG with the constant c and the tables of u, f, t."""
+    cells = lambda k, op: tuple(op(*args) for args in iproduct(range(n), repeat=k))  # noqa: E731
+    return FiniteAlgebra(f"P{n}", GEN_SIG, n, ((c,), cells(1, u), cells(2, f), cells(3, t)))
+
+
+class TestBitSlicedGeneration:
+    """Paths of the bit-sliced generation that no fixture reaches: every
+    fixture generator has 2 elements, so it never needs more than one value
+    plane, and it never mixes factor tables."""
+
+    P3 = _gen_factor(3, 0, lambda a: (2 * a + 1) % 3,
+                     lambda a, b: a if a == b else (a + 2 * b) % 3, lambda a, b, d: (a * b + d) % 3)
+    P2 = _gen_factor(2, 1, lambda a: a, lambda a, b: a & (1 - b), lambda a, b, d: a ^ b ^ d)
+    Q2 = _gen_factor(2, 0, lambda a: 1 - a, lambda a, b: a | b,
+                     lambda a, b, d: (a & b) | (a & d) | (b & d))
+
+    @pytest.mark.parametrize("seeds, size", [
+        ([], 12),                          # the constants generate half the product
+        ([(1, 0, 0, 1), (2, 1, 1, 0)], 24),
+    ], ids=["constants", "seeded"])
+    def test_mixed_factors_match_reference(self, seeds, size):
+        """A 3-element factor (two value planes) and two different 2-element
+        factors, one repeated (three groups, one of two coordinates), under
+        a constant and symbols of arity 1, 2 and 3."""
+        factors = [self.P3, self.P2, self.Q2, self.P2]
+        got = generate_in_product(factors, seeds, GEN_SIG, 10**6, "G")
+        assert got == oracles.generate_in_product(factors, seeds, GEN_SIG, 10**6, "G")
+        assert got.algebra.size == size
+
+    def test_kernels_shared_across_factor_counts(self):
+        """A kernel depends on the factor tables alone, not on how many
+        factors share them: once free DL on one generator (2 factors) and
+        the Boolean reflection of Chain2 (1 factor) have compiled a kernel
+        per symbol, free DL on 2 and 3 generators (4 and 8 factors) and the
+        reflection of Chain3 (2 factors) add none to the code cache."""
+        free_algebra(fx.DL, ["x"])
+        _reflection.__wrapped__(fx.CHAIN2, fx.DL_TO_BOOL, DEFAULT_PRODUCT_CAP)  # past the cache
+        misses = _define.cache_info().misses
+        free_algebra(fx.DL, ["x", "y"])
+        free_algebra(fx.DL, ["x", "y", "z"])
+        _reflection.__wrapped__(fx.CHAIN3, fx.DL_TO_BOOL, DEFAULT_PRODUCT_CAP)
+        assert _define.cache_info().misses == misses
+
+    def test_seed_outside_the_product_rejected(self):
+        with pytest.raises(ValueError, match="not an element of the product"):
+            generate_in_product([fx.CHAIN2, fx.CHAIN3], [(1, 3)], fx.BDL)
+        with pytest.raises(ValueError, match="not an element of the product"):
+            generate_in_product([fx.CHAIN2, fx.CHAIN3], [(1,)], fx.BDL)
 
 
 _x, _y, _z = Var("x"), Var("y"), Var("z")
