@@ -16,14 +16,21 @@ nullary symbols take a bare element.  pp operation formulas follow the fixed
 variable convention (arguments x1..xn, result y, witnesses z1..zm), which the
 parser enforces.  Printing followed by parsing is the identity on every
 workspace object.
+
+A parse scans the text once, with `findall` of the one token grammar, into
+two parallel lists, the tokens' values and kinds, and builds no object per
+token.  Lines and columns are worked out only to be reported: an error, or
+the first line of a duplicate name, re-scans the text with `tokenize`.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
-from .core import FiniteAlgebra, Signature, SignatureError, build_algebra
+from .core import FiniteAlgebra, Signature, SignatureError
 from .logic import App, Equation, LogicError, PpFormula, Quasiequation, Term, Var
 from .adjunction import ExpansionSpec, PpExpansionSpec
 from .beth import TermTranslation
@@ -45,41 +52,62 @@ class Token(NamedTuple):
     col: int
 
 
-# `bad` takes any character the other alternatives cannot start with, so
-# `finditer` covers the text without gaps.
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>\d+)
-  | (?P<punct>:=|=>|->|[{}()\[\],;/=&:.+])
-  | (?P<skip>\#[^\n]*|\s+)
-  | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+# The one token grammar.  Group 1 is a token: an identifier, an int, a
+# punctuation mark or, failing those, one character other than `#` and
+# whitespace, which is bad.  A comment matches with group 1 empty, and
+# whitespace matches nothing, so a search steps over it.
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|\d+|:=|=>|->|[^\s#])|\#[^\n]*")
+# A token's kind from its first character: "ident", "int", or else the
+# token itself, which is punctuation unless it is a bad character or digits
+# beyond ASCII.
+_KIND = dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident")
+_KIND.update(dict.fromkeys("0123456789", "int"))
+_KINDS = frozenset(["ident", "int", "eof", ":=", "=>", "->", *"{}()[],;/=&:.+"])
 
-DECL_KEYWORDS = {"signature", "algebra", "quasivariety", "ppop", "expansion", "translation"}
+# Each declaration keyword and the `Workspace` field it fills.
+DECL_KEYWORDS = {
+    "signature": "signatures", "algebra": "algebras", "quasivariety": "quasivarieties",
+    "ppop": "ppops", "expansion": "expansions", "translation": "translations",
+}
+
+
+def _kinds(values: list[str]) -> tuple[list[str], bool]:
+    """The kind of each token, and whether none is a bad character, which
+    keeps itself as its kind."""
+    kinds = list(map(_KIND.get, map(itemgetter(0), values), values))
+    if _KINDS.issuperset(kinds):
+        return kinds, True
+    kinds = ["int" if k.isdecimal() else k for k in kinds]  # digits beyond ASCII
+    return kinds, _KINDS.issuperset(kinds)
+
+
+@lru_cache(maxsize=256)
+def _table_kinds(arity: int, size: int) -> list[str]:
+    """The kinds of a table of arity >= 1 over a universe of size >= 1:
+    `[`, then `size` rows of one arity less, or ints, separated by `,`, then
+    `]`.  Callers share the list and only compare with it."""
+    row = _table_kinds(arity - 1, size) if arity > 1 else ["int"]
+    return ["["] + (row + [","]) * (size - 1) + row + ["]"]
 
 
 def tokenize(text: str) -> list[Token]:
-    """Tokens with 1-based line and column; comments and whitespace are
-    dropped.  Newlines are counted only in the text between two tokens."""
+    """Tokens with 1-based line and column, from the matches of the token
+    grammar and their starts; comments and whitespace are dropped.  Newlines
+    are counted only in the text between two tokens."""
+    matches = [m for m in _TOKEN_RE.finditer(text) if m.group(1)]
+    values = [m.group(1) for m in matches]
     tokens: list[Token] = []
     line, line_start, last = 1, 0, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
+    for m, value, kind in zip(matches, values, _kinds(values)[0]):
         pos = m.start()
         newlines = text.count("\n", last, pos)
         if newlines:
             line += newlines
             line_start = text.rfind("\n", last, pos) + 1
         last = pos
-        value = m.group()
-        if kind == "bad":
+        if kind not in _KINDS:
             raise ParseError(f"unexpected character {value!r}", line, pos - line_start + 1)
-        tokens.append(Token(value if kind == "punct" else kind, value, line, pos - line_start + 1))
+        tokens.append(Token(kind, value, line, pos - line_start + 1))
     newlines = text.count("\n", last)
     if newlines:
         line += newlines
@@ -106,192 +134,190 @@ class Workspace:
 
 
 class _Parser:
+    """Recursive descent over two parallel lists from one `findall` of the
+    token grammar: `values`, the tokens' text, and `kinds`, each "ident",
+    "int" or the punctuation itself, then "eof" with value "".  A token is
+    its index in them, and `pos` is the index of the next one.  Positions
+    are lazy: the `Token` at an index, with its line and column, comes from
+    re-scanning the text with `tokenize`, at most once per parse and only to
+    report an error or the first line of a duplicate name."""
+
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        self.text = text
+        self.values = list(filter(None, _TOKEN_RE.findall(text)))
+        self.kinds, clean = _kinds(self.values)
+        if not clean:
+            tokenize(text)  # raises at the first bad character
+        self.values.append("")
+        self.kinds.append("eof")
         self.pos = 0
+        self.tokens: list[Token] | None = None
 
     # -- token plumbing
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def token(self, i: int) -> Token:
+        if self.tokens is None:
+            self.tokens = tokenize(self.text)
+        return self.tokens[i]
 
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def fail(self, message: str, token: Token | None = None):
-        t = token or self.peek()
+    def fail(self, message: str, at: int | None = None):
+        t = self.token(self.pos if at is None else at)
         raise ParseError(message, t.line, t.col)
 
-    def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            what = t.value or "end of input"
-            self.fail(f"expected {kind!r}, found {what!r}")
-        return self.next()
+    def expect(self, kind: str, what: str = "") -> int:
+        """Consume the next token, which must be of `kind`; its index."""
+        i = self.pos
+        if self.kinds[i] != kind:
+            self.fail(f"expected {what or repr(kind)}, found {self.values[i] or 'end of input'!r}")
+        self.pos = i + 1
+        return i
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        t = self.peek()
-        if t.kind != "ident":
-            self.fail(f"expected {what}, found {t.value or 'end of input'!r}")
-        return self.next()
+    def word(self, what: str = "identifier") -> str:
+        return self.values[self.expect("ident", what)]
+
+    def keyword(self, word: str, message: str = "") -> None:
+        i = self.expect("ident", "identifier")
+        if self.values[i] != word:
+            self.fail(message or f"expected {word!r}", i)
 
     def expect_int(self) -> int:
-        return int(self.expect("int").value)
+        return int(self.values[self.expect("int")])
 
     def accept(self, kind: str) -> bool:
-        if self.peek().kind == kind:
-            self.next()
+        if self.kinds[self.pos] == kind:
+            self.pos += 1
             return True
         return False
+
+    def items(self, close: str, sep: str):
+        """Yield once per item of a list that ends at `close`; an item not
+        followed by `close` must be followed by `sep`."""
+        while not self.accept(close):
+            yield
+            if self.kinds[self.pos] != close:
+                self.expect(sep)
+
+    def whole(self, rule: str, sig: Signature):
+        """Parse `rule` from the whole text: no token may follow it."""
+        result = getattr(self, rule)(sig)
+        if self.kinds[self.pos] != "eof":
+            self.fail(f"unexpected trailing input {self.values[self.pos]!r}")
+        return result
 
     # -- workspace
 
     def parse_workspace(self) -> Workspace:
         ws = Workspace()
-        defined: dict[str, int] = {}
-        while self.peek().kind != "eof":
-            t = self.peek()
-            if t.kind != "ident" or t.value not in DECL_KEYWORDS:
+        defined: dict[str, int] = {}  # name to the index of its first definition
+        while self.kinds[self.pos] != "eof":
+            keyword = self.values[self.pos]
+            if self.kinds[self.pos] != "ident" or keyword not in DECL_KEYWORDS:
                 self.fail("expected a declaration keyword")
-            keyword = self.next().value
-            name_tok = self.expect_ident("name")
-            name = name_tok.value
+            self.pos += 1
+            at = self.expect("ident", "name")
+            name = self.values[at]
             if name in defined:
-                self.fail(
-                    f"duplicate name {name!r}: first defined at line {defined[name]}",
-                    name_tok,
-                )
-            defined[name] = name_tok.line
-            if keyword == "signature":
-                ws.signatures[name] = self.parse_signature_body(name)
-            elif keyword == "algebra":
-                ws.algebras[name] = self.parse_algebra_body(name, ws)
-            elif keyword == "quasivariety":
-                ws.quasivarieties[name] = self.parse_quasivariety_body(name, ws)
-            elif keyword == "ppop":
-                ws.ppops[name] = self.parse_ppop_body(name, ws)
-            elif keyword == "expansion":
-                ws.expansions[name] = self.parse_expansion_body(name, ws)
-            else:
-                ws.translations[name] = self.parse_translation_body(name, ws)
+                first = self.token(defined[name]).line
+                self.fail(f"duplicate name {name!r}: first defined at line {first}", at)
+            defined[name] = at
+            body = getattr(self, f"parse_{keyword}_body")(name, ws)
+            getattr(ws, DECL_KEYWORDS[keyword])[name] = body
         return ws
 
-    def parse_signature_body(self, name: str) -> Signature:
+    def parse_signature_body(self, name: str, ws: Workspace) -> Signature:
         self.expect("{")
         symbols = []
-        while not self.accept("}"):
-            sym = self.expect_ident("symbol").value
+        for _ in self.items("}", ";"):
+            sym = self.word("symbol")
             self.expect("/")
-            arity = self.expect_int()
-            symbols.append((sym, arity))
-            if self.peek().kind != "}":
-                self.expect(";")
+            symbols.append((sym, self.expect_int()))
         try:
             return Signature(name, tuple(symbols))
         except SignatureError as exc:
             self.fail(str(exc))
 
     def _ref(self, ws: Workspace, kind: str, what: str):
-        tok = self.expect_ident(what)
+        i = self.expect("ident", what)
         try:
-            return ws.lookup(kind, tok.value)
+            return ws.lookup(kind, self.values[i])
         except KeyError as exc:
-            self.fail(str(exc), tok)
+            self.fail(str(exc), i)
 
     def parse_algebra_body(self, name: str, ws: Workspace) -> FiniteAlgebra:
         self.expect(":")
         sig = self._ref(ws, "signatures", "signature name")
         self.expect("{")
-        kw = self.expect_ident()
-        if kw.value != "universe":
-            self.fail("expected 'universe'", kw)
+        self.keyword("universe")
         size = self.expect_int()
-        ops: dict[str, object] = {}
+        tables: dict[str, tuple[int, ...]] = {}
         while not self.accept("}"):
-            kw = self.expect_ident()
-            if kw.value != "op":
-                self.fail("expected 'op' or '}'", kw)
-            sym_tok = self.expect_ident("operation symbol")
-            sym = sym_tok.value
+            self.keyword("op", "expected 'op' or '}'")
+            at = self.expect("ident", "operation symbol")
+            sym = self.values[at]
             if sym not in sig.arities:
-                self.fail(f"symbol {sym!r} is not in signature {sig.name!r}", sym_tok)
+                self.fail(f"symbol {sym!r} is not in signature {sig.name!r}", at)
             self.expect("=")
-            ops[sym] = self.parse_table(sig.arity(sym), size, sym_tok)
-        missing = [s for s, _ in sig.symbols if s not in ops]
+            tables[sym] = tuple(self.parse_table(sig.arity(sym), size, sym))
+        missing = [s for s, _ in sig.symbols if s not in tables]
         if missing:
             self.fail(f"missing tables for {missing} in algebra {name!r}")
         try:
-            return build_algebra(name, sig, size, ops)
+            return FiniteAlgebra(name, sig, size, tuple(tables[s] for s, _ in sig.symbols))
         except (SignatureError, ValueError) as exc:
             self.fail(f"in algebra {name!r}: {exc}")
 
-    def parse_table(self, arity: int, size: int, at: Token):
+    def parse_table(self, arity: int, size: int, sym: str) -> list[int]:
+        """The table's cells, flat and row-major.  A well-formed table is
+        read off the lists in one step; any other input takes the loop."""
         if arity == 0:
-            return self.expect_int()
-        tok = self.expect("[")
-        rows = []
-        while not self.accept("]"):
-            if arity == 1:
-                rows.append(self.expect_int())
-            else:
-                rows.append(self.parse_table(arity - 1, size, at))
-            if self.peek().kind != "]":
-                self.expect(",")
-        if len(rows) != size:
-            self.fail(f"table for {at.value!r} has {len(rows)} rows, expected {size}", tok)
-        return rows
+            return [self.expect_int()]
+        start = self.pos
+        shape = _table_kinds(arity, size)
+        if size and self.kinds[start:start + len(shape)] == shape:
+            self.pos = start + len(shape)
+            return list(map(int, filter(str.isdecimal, self.values[start:self.pos])))
+        at = self.expect("[")
+        cells, rows = [], 0
+        for rows, _ in enumerate(self.items("]", ","), 1):
+            cells += [self.expect_int()] if arity == 1 else self.parse_table(arity - 1, size, sym)
+        if rows != size:
+            self.fail(f"table for {sym!r} has {rows} rows, expected {size}", at)
+        return cells
 
     def parse_quasivariety_body(self, name: str, ws: Workspace) -> Quasivariety:
         self.expect(":")
         sig = self._ref(ws, "signatures", "signature name")
         self.expect("=")
-        kw = self.expect_ident()
-        if kw.value == "generated":
+        at = self.expect("ident", "identifier")
+        if self.values[at] == "generated":
             self.expect("(")
             gens = []
-            while not self.accept(")"):
-                tok = self.expect_ident("algebra name")
-                try:
-                    gens.append(ws.lookup("algebras", tok.value))
-                except KeyError as exc:
-                    self.fail(str(exc), tok)
-                if self.peek().kind != ")":
-                    self.expect(",")
+            for _ in self.items(")", ","):
+                gens.append(self._ref(ws, "algebras", "algebra name"))
             try:
                 return Quasivariety(name, sig, generators=tuple(gens))
             except (SignatureError, ValueError) as exc:
-                self.fail(f"in quasivariety {name!r}: {exc}", kw)
-        if kw.value == "axioms":
+                self.fail(f"in quasivariety {name!r}: {exc}", at)
+        if self.values[at] == "axioms":
             self.expect("{")
             axioms = []
-            while not self.accept("}"):
+            for _ in self.items("}", ";"):
                 axioms.append(self.parse_quasiequation(sig))
-                if self.peek().kind != "}":
-                    self.expect(";")
             return Quasivariety(name, sig, axioms=tuple(axioms))
-        self.fail("expected 'generated' or 'axioms'", kw)
+        self.fail("expected 'generated' or 'axioms'", at)
 
     def parse_quasiequation(self, sig: Signature) -> Quasiequation:
-        premises: list[Equation] = []
-        if self.peek().kind != "=>":
-            premises.append(self.parse_equation(sig))
-            while self.accept("&"):
-                premises.append(self.parse_equation(sig))
+        premises = [] if self.kinds[self.pos] == "=>" else self.parse_equations(sig)
         self.expect("=>")
-        conclusion = self.parse_equation(sig)
-        return Quasiequation(tuple(premises), conclusion)
+        return Quasiequation(tuple(premises), self.parse_equation(sig))
 
     def parse_ppop_body(self, name: str, ws: Workspace) -> ImplicitOpSpec:
         self.expect("/")
         arity = self.expect_int()
-        kw = self.expect_ident()
-        if kw.value != "over":
-            self.fail("expected 'over'", kw)
+        self.keyword("over")
         sig = self._ref(ws, "signatures", "signature name")
         self.expect(":=")
-        at = self.peek()
+        at = self.pos
         try:
             formula = self.parse_pp(sig)
             return ImplicitOpSpec(name, sig, arity, len(formula.bound_vars), formula)
@@ -301,30 +327,25 @@ class _Parser:
     def parse_expansion_body(self, name: str, ws: Workspace):
         self.expect(":=")
         base = self._ref(ws, "quasivarieties", "quasivariety name")
-        t = self.peek()
-        if t.kind == "->":
-            self.next()
+        at = self.pos
+        if self.accept("->"):
             expanded = self._ref(ws, "quasivarieties", "quasivariety name")
             try:
                 return ExpansionSpec(base, expanded)
             except SignatureError as exc:
-                self.fail(f"in expansion {name!r}: {exc}", t)
-        if t.kind == "+":
-            self.next()
+                self.fail(f"in expansion {name!r}: {exc}", at)
+        if self.accept("+"):
             self.expect("{")
             ops = []
-            while not self.accept("}"):
-                sym = self.expect_ident("new operation symbol").value
+            for _ in self.items("}", ";"):
+                sym = self.word("new operation symbol")
                 self.expect(":=")
-                spec = self._ref(ws, "ppops", "ppop name")
-                ops.append((sym, spec))
-                if self.peek().kind != "}":
-                    self.expect(";")
+                ops.append((sym, self._ref(ws, "ppops", "ppop name")))
             try:
                 return PpExpansionSpec(base, tuple(ops))
             except SignatureError as exc:
-                self.fail(f"in expansion {name!r}: {exc}", t)
-        self.fail("expected '->' or '+'", t)
+                self.fail(f"in expansion {name!r}: {exc}", at)
+        self.fail("expected '->' or '+'", at)
 
     def parse_translation_body(self, name: str, ws: Workspace) -> TermTranslation:
         self.expect(":")
@@ -333,15 +354,13 @@ class _Parser:
         target = self._ref(ws, "signatures", "signature name")
         self.expect("{")
         mapping = []
-        while not self.accept("}"):
-            sym_tok = self.expect_ident("symbol")
-            if sym_tok.value not in source.arities:
-                self.fail(f"symbol {sym_tok.value!r} is not in {source.name!r}", sym_tok)
+        for _ in self.items("}", ";"):
+            at = self.expect("ident", "symbol")
+            sym = self.values[at]
+            if sym not in source.arities:
+                self.fail(f"symbol {sym!r} is not in {source.name!r}", at)
             self.expect(":=")
-            term = self.parse_term(target)
-            mapping.append((sym_tok.value, term))
-            if self.peek().kind != "}":
-                self.expect(";")
+            mapping.append((sym, self.parse_term(target)))
         try:
             return TermTranslation(source, target, tuple(mapping))
         except SignatureError as exc:
@@ -350,50 +369,43 @@ class _Parser:
     # -- terms and formulas
 
     def parse_term(self, sig: Signature) -> Term:
-        tok = self.expect_ident("term")
-        name = tok.value
-        if name in sig.arities:
-            arity = sig.arities[name]
-            if arity == 0:
-                return App(name)
-            self.expect("(")
-            args = [self.parse_term(sig)]
-            while self.accept(","):
-                args.append(self.parse_term(sig))
-            self.expect(")")
-            if len(args) != arity:
-                self.fail(f"{name}/{arity} applied to {len(args)} arguments", tok)
-            return App(name, tuple(args))
-        if self.peek().kind == "(":
-            self.fail(f"unknown symbol {name!r} in signature {sig.name!r}", tok)
-        return Var(name)
+        at = self.expect("ident", "term")
+        name = self.values[at]
+        arity = sig.arities.get(name)
+        if arity is None:
+            if self.kinds[self.pos] == "(":
+                self.fail(f"unknown symbol {name!r} in signature {sig.name!r}", at)
+            return Var(name)
+        if arity == 0:
+            return App(name)
+        self.expect("(")
+        args = [self.parse_term(sig)]
+        while self.accept(","):
+            args.append(self.parse_term(sig))
+        self.expect(")")
+        if len(args) != arity:
+            self.fail(f"{name}/{arity} applied to {len(args)} arguments", at)
+        return App(name, tuple(args))
 
     def parse_equation(self, sig: Signature) -> Equation:
         left = self.parse_term(sig)
         self.expect("=")
-        right = self.parse_term(sig)
-        return Equation(left, right)
+        return Equation(left, self.parse_term(sig))
+
+    def parse_equations(self, sig: Signature) -> list[Equation]:
+        eqs = [self.parse_equation(sig)]
+        while self.accept("&"):
+            eqs.append(self.parse_equation(sig))
+        return eqs
 
     def parse_pp(self, sig: Signature) -> PpFormula:
-        kw = self.expect_ident()
-        if kw.value != "exists":
-            self.fail("expected 'exists'", kw)
+        self.keyword("exists")
         self.expect("[")
         bound = []
-        while not self.accept("]"):
-            bound.append(self.expect_ident("witness variable").value)
-            if self.peek().kind != "]":
-                self.expect(",")
+        for _ in self.items("]", ","):
+            bound.append(self.word("witness variable"))
         self.expect(".")
-        body = [self.parse_equation(sig)]
-        while self.accept("&"):
-            body.append(self.parse_equation(sig))
-        return PpFormula(tuple(bound), tuple(body))
-
-    def at_end(self) -> None:
-        t = self.peek()
-        if t.kind != "eof":
-            self.fail(f"unexpected trailing input {t.value!r}")
+        return PpFormula(tuple(bound), tuple(self.parse_equations(sig)))
 
 
 # ---------------------------------------------------------------------------
@@ -401,63 +413,42 @@ class _Parser:
 
 
 def parse_workspace(text: str) -> Workspace:
-    p = _Parser(text)
-    ws = p.parse_workspace()
-    return ws
+    return _Parser(text).parse_workspace()
 
 
 def parse_term(text: str, sig: Signature) -> Term:
-    p = _Parser(text)
-    t = p.parse_term(sig)
-    p.at_end()
-    return t
+    return _Parser(text).whole("parse_term", sig)
 
 
 def parse_equation(text: str, sig: Signature) -> Equation:
-    p = _Parser(text)
-    eq = p.parse_equation(sig)
-    p.at_end()
-    return eq
+    return _Parser(text).whole("parse_equation", sig)
 
 
 def parse_equations(text: str, sig: Signature) -> list[Equation]:
-    p = _Parser(text)
-    eqs = [p.parse_equation(sig)]
-    while p.accept("&"):
-        eqs.append(p.parse_equation(sig))
-    p.at_end()
-    return eqs
+    return _Parser(text).whole("parse_equations", sig)
 
 
 def parse_pp_formula(text: str, sig: Signature) -> PpFormula:
-    p = _Parser(text)
-    phi = p.parse_pp(sig)
-    p.at_end()
-    return phi
+    return _Parser(text).whole("parse_pp", sig)
 
 
 def parse_quasiequation(text: str, sig: Signature) -> Quasiequation:
-    p = _Parser(text)
-    q = p.parse_quasiequation(sig)
-    p.at_end()
-    return q
+    return _Parser(text).whole("parse_quasiequation", sig)
 
 
 def parse(text: str, sig: Signature | None = None):
-    """Polymorphic entry: a full workspace when the text starts with a
-    declaration keyword, otherwise a pp formula, quasiequation, or equation
-    list over the given signature."""
-    stripped = text.lstrip()
-    first = stripped.split(None, 1)[0] if stripped else ""
-    if first in DECL_KEYWORDS:
-        return parse_workspace(text)
+    """Polymorphic entry, classified by the first token: a full workspace
+    when it is a declaration keyword, otherwise a pp formula when it is
+    `exists`, a quasiequation when a `=>` token follows, or an equation
+    list, over the given signature."""
+    p = _Parser(text)
+    if p.values[0] in DECL_KEYWORDS:
+        return p.parse_workspace()
     if sig is None:
         raise ValueError("parsing a formula fragment needs a signature")
-    if first == "exists":
-        return parse_pp_formula(text, sig)
-    if "=>" in text:
-        return parse_quasiequation(text, sig)
-    return parse_equations(text, sig)
+    if p.values[0] == "exists":
+        return p.whole("parse_pp", sig)
+    return p.whole("parse_quasiequation" if "=>" in p.kinds else "parse_equations", sig)
 
 
 # ---------------------------------------------------------------------------

@@ -237,9 +237,11 @@ def _plane_names(arg: str, width: int) -> dict[int, str]:
     return {1: arg} if width == 1 else {v: f"{arg}_{v}" for v in range(1, width + 1)}
 
 
-def _kernel(tables, k: int, width: int) -> Callable:
+@lru_cache(maxsize=4096)
+def _kernel(tables: tuple, k: int, width: int) -> Callable:
     """The generated kernel of a symbol of arity k, through the package's one
-    code cache.  A binary kernel is `f(x, pool, *masks)`: the row of f(x, y)
+    code cache; cached on its arguments too, so a repeated call builds no
+    source.  A binary kernel is `f(x, pool, *masks)`: the row of f(x, y)
     for each y in `pool`, then of f(y, x) for each y in `pool`.  Any other
     kernel is `f(*args, *masks)`, one result.  Elements are their plane
     tuples (bare ints when width is 1); masks are arguments, so one kernel
@@ -342,7 +344,7 @@ def generate_in_product(
     # binary symbol the row of each pop, otherwise argument ids to value id.
     ops = []
     for slot, (sym, k) in enumerate(signature.symbols):
-        tables = [(size, tabs[slot]) for size, tabs in groups]
+        tables = tuple((size, tabs[slot]) for size, tabs in groups)
         ops.append((sym, k, _kernel(tables, k, width), [] if k == 2 else {}))
     for sym, k, apply, results in ops:
         if k == 0:

@@ -6,10 +6,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product as iproduct
 
-from qvbench.core import FiniteAlgebra, Signature, SignatureError
-from qvbench.logic import UnboundVariableError, Var, _compile_equation
-from qvbench.parser import ParseError, Token
-from qvbench.quasivariety import CapExceeded, GenResult
+from qvbench.adjunction import ExpansionSpec, PpExpansionSpec
+from qvbench.beth import TermTranslation
+from qvbench.core import FiniteAlgebra, Signature, SignatureError, build_algebra
+from qvbench.implicit import ImplicitOpSpec
+from qvbench.logic import (
+    App, Equation, LogicError, PpFormula, Quasiequation, Term, UnboundVariableError, Var,
+    _compile_equation,
+)
+from qvbench.parser import DECL_KEYWORDS, ParseError, Token, Workspace
+from qvbench.quasivariety import CapExceeded, GenResult, Quasivariety
 
 
 @dataclass(frozen=True)
@@ -490,3 +496,302 @@ def tokenize(text):
         pos = m.end()
     tokens.append(Token("eof", "", line, col))
     return tokens
+
+
+def parse_workspace(text):
+    """Reference workspace parser."""
+    return ReferenceParser(text).parse_workspace()
+
+
+class ReferenceParser:
+    """The workspace parser on a list of `Token`s: recursive descent with a
+    token object per step, each carrying its own line and column."""
+
+    def __init__(self, text: str):
+        self.tokens = tokenize(text)
+        self.pos = 0
+
+    # -- token plumbing
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> Token:
+        t = self.tokens[self.pos]
+        self.pos += 1
+        return t
+
+    def fail(self, message: str, token: Token | None = None):
+        t = token or self.peek()
+        raise ParseError(message, t.line, t.col)
+
+    def expect(self, kind: str) -> Token:
+        t = self.peek()
+        if t.kind != kind:
+            what = t.value or "end of input"
+            self.fail(f"expected {kind!r}, found {what!r}")
+        return self.next()
+
+    def expect_ident(self, what: str = "identifier") -> Token:
+        t = self.peek()
+        if t.kind != "ident":
+            self.fail(f"expected {what}, found {t.value or 'end of input'!r}")
+        return self.next()
+
+    def expect_int(self) -> int:
+        return int(self.expect("int").value)
+
+    def accept(self, kind: str) -> bool:
+        if self.peek().kind == kind:
+            self.next()
+            return True
+        return False
+
+    # -- workspace
+
+    def parse_workspace(self) -> Workspace:
+        ws = Workspace()
+        defined: dict[str, int] = {}
+        while self.peek().kind != "eof":
+            t = self.peek()
+            if t.kind != "ident" or t.value not in DECL_KEYWORDS:
+                self.fail("expected a declaration keyword")
+            keyword = self.next().value
+            name_tok = self.expect_ident("name")
+            name = name_tok.value
+            if name in defined:
+                self.fail(
+                    f"duplicate name {name!r}: first defined at line {defined[name]}",
+                    name_tok,
+                )
+            defined[name] = name_tok.line
+            if keyword == "signature":
+                ws.signatures[name] = self.parse_signature_body(name)
+            elif keyword == "algebra":
+                ws.algebras[name] = self.parse_algebra_body(name, ws)
+            elif keyword == "quasivariety":
+                ws.quasivarieties[name] = self.parse_quasivariety_body(name, ws)
+            elif keyword == "ppop":
+                ws.ppops[name] = self.parse_ppop_body(name, ws)
+            elif keyword == "expansion":
+                ws.expansions[name] = self.parse_expansion_body(name, ws)
+            else:
+                ws.translations[name] = self.parse_translation_body(name, ws)
+        return ws
+
+    def parse_signature_body(self, name: str) -> Signature:
+        self.expect("{")
+        symbols = []
+        while not self.accept("}"):
+            sym = self.expect_ident("symbol").value
+            self.expect("/")
+            arity = self.expect_int()
+            symbols.append((sym, arity))
+            if self.peek().kind != "}":
+                self.expect(";")
+        try:
+            return Signature(name, tuple(symbols))
+        except SignatureError as exc:
+            self.fail(str(exc))
+
+    def _ref(self, ws: Workspace, kind: str, what: str):
+        tok = self.expect_ident(what)
+        try:
+            return ws.lookup(kind, tok.value)
+        except KeyError as exc:
+            self.fail(str(exc), tok)
+
+    def parse_algebra_body(self, name: str, ws: Workspace) -> FiniteAlgebra:
+        self.expect(":")
+        sig = self._ref(ws, "signatures", "signature name")
+        self.expect("{")
+        kw = self.expect_ident()
+        if kw.value != "universe":
+            self.fail("expected 'universe'", kw)
+        size = self.expect_int()
+        ops: dict[str, object] = {}
+        while not self.accept("}"):
+            kw = self.expect_ident()
+            if kw.value != "op":
+                self.fail("expected 'op' or '}'", kw)
+            sym_tok = self.expect_ident("operation symbol")
+            sym = sym_tok.value
+            if sym not in sig.arities:
+                self.fail(f"symbol {sym!r} is not in signature {sig.name!r}", sym_tok)
+            self.expect("=")
+            ops[sym] = self.parse_table(sig.arity(sym), size, sym_tok)
+        missing = [s for s, _ in sig.symbols if s not in ops]
+        if missing:
+            self.fail(f"missing tables for {missing} in algebra {name!r}")
+        try:
+            return build_algebra(name, sig, size, ops)
+        except (SignatureError, ValueError) as exc:
+            self.fail(f"in algebra {name!r}: {exc}")
+
+    def parse_table(self, arity: int, size: int, at: Token):
+        if arity == 0:
+            return self.expect_int()
+        tok = self.expect("[")
+        rows = []
+        while not self.accept("]"):
+            if arity == 1:
+                rows.append(self.expect_int())
+            else:
+                rows.append(self.parse_table(arity - 1, size, at))
+            if self.peek().kind != "]":
+                self.expect(",")
+        if len(rows) != size:
+            self.fail(f"table for {at.value!r} has {len(rows)} rows, expected {size}", tok)
+        return rows
+
+    def parse_quasivariety_body(self, name: str, ws: Workspace) -> Quasivariety:
+        self.expect(":")
+        sig = self._ref(ws, "signatures", "signature name")
+        self.expect("=")
+        kw = self.expect_ident()
+        if kw.value == "generated":
+            self.expect("(")
+            gens = []
+            while not self.accept(")"):
+                tok = self.expect_ident("algebra name")
+                try:
+                    gens.append(ws.lookup("algebras", tok.value))
+                except KeyError as exc:
+                    self.fail(str(exc), tok)
+                if self.peek().kind != ")":
+                    self.expect(",")
+            try:
+                return Quasivariety(name, sig, generators=tuple(gens))
+            except (SignatureError, ValueError) as exc:
+                self.fail(f"in quasivariety {name!r}: {exc}", kw)
+        if kw.value == "axioms":
+            self.expect("{")
+            axioms = []
+            while not self.accept("}"):
+                axioms.append(self.parse_quasiequation(sig))
+                if self.peek().kind != "}":
+                    self.expect(";")
+            return Quasivariety(name, sig, axioms=tuple(axioms))
+        self.fail("expected 'generated' or 'axioms'", kw)
+
+    def parse_quasiequation(self, sig: Signature) -> Quasiequation:
+        premises: list[Equation] = []
+        if self.peek().kind != "=>":
+            premises.append(self.parse_equation(sig))
+            while self.accept("&"):
+                premises.append(self.parse_equation(sig))
+        self.expect("=>")
+        conclusion = self.parse_equation(sig)
+        return Quasiequation(tuple(premises), conclusion)
+
+    def parse_ppop_body(self, name: str, ws: Workspace) -> ImplicitOpSpec:
+        self.expect("/")
+        arity = self.expect_int()
+        kw = self.expect_ident()
+        if kw.value != "over":
+            self.fail("expected 'over'", kw)
+        sig = self._ref(ws, "signatures", "signature name")
+        self.expect(":=")
+        at = self.peek()
+        try:
+            formula = self.parse_pp(sig)
+            return ImplicitOpSpec(name, sig, arity, len(formula.bound_vars), formula)
+        except LogicError as exc:
+            self.fail(f"in ppop {name!r}: {exc}", at)
+
+    def parse_expansion_body(self, name: str, ws: Workspace):
+        self.expect(":=")
+        base = self._ref(ws, "quasivarieties", "quasivariety name")
+        t = self.peek()
+        if t.kind == "->":
+            self.next()
+            expanded = self._ref(ws, "quasivarieties", "quasivariety name")
+            try:
+                return ExpansionSpec(base, expanded)
+            except SignatureError as exc:
+                self.fail(f"in expansion {name!r}: {exc}", t)
+        if t.kind == "+":
+            self.next()
+            self.expect("{")
+            ops = []
+            while not self.accept("}"):
+                sym = self.expect_ident("new operation symbol").value
+                self.expect(":=")
+                spec = self._ref(ws, "ppops", "ppop name")
+                ops.append((sym, spec))
+                if self.peek().kind != "}":
+                    self.expect(";")
+            try:
+                return PpExpansionSpec(base, tuple(ops))
+            except SignatureError as exc:
+                self.fail(f"in expansion {name!r}: {exc}", t)
+        self.fail("expected '->' or '+'", t)
+
+    def parse_translation_body(self, name: str, ws: Workspace) -> TermTranslation:
+        self.expect(":")
+        source = self._ref(ws, "signatures", "signature name")
+        self.expect("->")
+        target = self._ref(ws, "signatures", "signature name")
+        self.expect("{")
+        mapping = []
+        while not self.accept("}"):
+            sym_tok = self.expect_ident("symbol")
+            if sym_tok.value not in source.arities:
+                self.fail(f"symbol {sym_tok.value!r} is not in {source.name!r}", sym_tok)
+            self.expect(":=")
+            term = self.parse_term(target)
+            mapping.append((sym_tok.value, term))
+            if self.peek().kind != "}":
+                self.expect(";")
+        try:
+            return TermTranslation(source, target, tuple(mapping))
+        except SignatureError as exc:
+            self.fail(f"in translation {name!r}: {exc}")
+
+    # -- terms and formulas
+
+    def parse_term(self, sig: Signature) -> Term:
+        tok = self.expect_ident("term")
+        name = tok.value
+        if name in sig.arities:
+            arity = sig.arities[name]
+            if arity == 0:
+                return App(name)
+            self.expect("(")
+            args = [self.parse_term(sig)]
+            while self.accept(","):
+                args.append(self.parse_term(sig))
+            self.expect(")")
+            if len(args) != arity:
+                self.fail(f"{name}/{arity} applied to {len(args)} arguments", tok)
+            return App(name, tuple(args))
+        if self.peek().kind == "(":
+            self.fail(f"unknown symbol {name!r} in signature {sig.name!r}", tok)
+        return Var(name)
+
+    def parse_equation(self, sig: Signature) -> Equation:
+        left = self.parse_term(sig)
+        self.expect("=")
+        right = self.parse_term(sig)
+        return Equation(left, right)
+
+    def parse_pp(self, sig: Signature) -> PpFormula:
+        kw = self.expect_ident()
+        if kw.value != "exists":
+            self.fail("expected 'exists'", kw)
+        self.expect("[")
+        bound = []
+        while not self.accept("]"):
+            bound.append(self.expect_ident("witness variable").value)
+            if self.peek().kind != "]":
+                self.expect(",")
+        self.expect(".")
+        body = [self.parse_equation(sig)]
+        while self.accept("&"):
+            body.append(self.parse_equation(sig))
+        return PpFormula(tuple(bound), tuple(body))
+
+    def at_end(self) -> None:
+        t = self.peek()
+        if t.kind != "eof":
+            self.fail(f"unexpected trailing input {t.value!r}")

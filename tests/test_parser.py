@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from qvbench import fixtures as fx
+from qvbench import fixtures as fx, parser
 from qvbench.core import Signature
 from qvbench.logic import App, Equation, PpFormula, Quasiequation, Var
 from qvbench.parser import (
@@ -248,3 +248,166 @@ class TestTokenizer:
         with pytest.raises(ParseError) as info:
             tokenize("signature S {\n  f/1; @ }\n")
         assert (info.value.line, info.value.col) == (2, 8)
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _outcome(parse_text, text):
+    """The printed workspace, or the error with its position."""
+    try:
+        return format_workspace(parse_text(text))
+    except Exception as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "col", None))
+
+
+def _spans(text):
+    """(start, end) in `text` of each token but eof, from the reference
+    tokenizer's lines and columns."""
+    starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+    return [
+        (starts[t.line - 1] + t.col - 1, starts[t.line - 1] + t.col - 1 + len(t.value))
+        for t in oracles.tokenize(text)[:-1]
+    ]
+
+
+def _mutate(text, op, i, j, n):
+    """`text` with one token-level edit: delete, duplicate or prefix with a
+    bad character the run of n tokens from token i, swap tokens i and j, or
+    overwrite token j with the text of token i.  Indices wrap around."""
+    spans = _spans(text)
+    i, j = i % len(spans), j % len(spans)
+    (a, b), d = spans[i], spans[min(i + n, len(spans)) - 1][1]
+    if op == "delete":
+        return text[:a] + text[d:]
+    if op == "duplicate":
+        return text[:d] + " " + text[a:d] + text[d:]
+    if op == "bad":
+        return text[:a] + "@" + text[a:]
+    if op == "copy":
+        c, e = spans[j]
+        return text[:c] + text[a:b] + text[e:]
+    (a, b), (c, e) = sorted((spans[i], spans[j]))
+    return text[:a] + text[c:e] + text[b:c] + text[a:b] + text[e:] if a < c else text
+
+
+_OPS = ("delete", "duplicate", "bad", "swap", "copy")
+
+
+class TestReferenceParser:
+    """The parser against the reference parser in `oracles`, which runs on a
+    list of `Token` objects: on edited workspaces, both give the same
+    workspace or the same error at the same line and column."""
+
+    @pytest.mark.parametrize("path", [FIXTURES_PATH, BENCH_WORKSPACE_PATH])
+    def test_clean_workspaces(self, path):
+        text = _read(path)
+        assert _outcome(parse_workspace, text) == _outcome(oracles.parse_workspace, text)
+        assert not isinstance(_outcome(parse_workspace, text), tuple)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        path=st.sampled_from([FIXTURES_PATH, BENCH_WORKSPACE_PATH]),
+        op=st.sampled_from(_OPS),
+        i=st.integers(0, 2000),
+        j=st.integers(0, 2000),
+        n=st.integers(1, 3),
+        cut=st.none() | st.floats(0, 1),
+    )
+    def test_edited_workspaces(self, path, op, i, j, n, cut):
+        text = _mutate(_read(path), op, i, j, n)
+        if cut is not None:
+            text = text[: int(cut * len(text))]
+        assert _outcome(parse_workspace, text) == _outcome(oracles.parse_workspace, text)
+
+    # Tokens are named by their text and, optionally, the token before them:
+    # the first token that matches is edited.
+    @pytest.mark.parametrize("op, i, j, n, message", [
+        # `signature MSL` renamed to BDL
+        ("copy", ("BDL", None), ("MSL", None), 1, "duplicate name 'BDL'"),
+        # Chain2's first meet row loses its first cell
+        ("delete", ("0", "["), None, 2, "has 1 rows, expected 2"),
+        # `=> meet(x,x) = x` becomes `=> x(x,x) = x`
+        ("copy", ("x", "("), ("meet", "=>"), 1, "unknown symbol"),
+        ("bad", ("universe", None), None, 1, "unexpected character '@'"),
+        ("delete", ("[", None), None, 1, "expected '['"),
+        ("swap", ("universe", None), ("op", None), 1, "expected 'universe'"),
+    ], ids=["duplicate-name", "table-rows", "unknown-symbol", "bad-character", "table-open", "swap"])
+    def test_error_paths(self, op, i, j, n, message):
+        """Each error path, reached by one edit of the fixtures."""
+        text = _read(FIXTURES_PATH)
+        values = [t.value for t in oracles.tokenize(text)]
+
+        def index(name):
+            if name is None:
+                return 0
+            value, before = name
+            return next(
+                k for k, v in enumerate(values)
+                if v == value and (before is None or values[k - 1] == before)
+            )
+
+        text = _mutate(text, op, index(i), index(j), n)
+        got = _outcome(parse_workspace, text)
+        assert got == _outcome(oracles.parse_workspace, text)
+        assert message in got[1]
+
+
+class TestParseWork:
+    """A clean parse builds no `Token`: positions are computed only for an
+    error, by one re-scan."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"tokenize": 0, "Token": 0}
+
+        class CountedToken(parser.Token):
+            def __new__(cls, *args):
+                counts["Token"] += 1
+                return super().__new__(cls, *args)
+
+        def counted_tokenize(text):
+            counts["tokenize"] += 1
+            return tokenize(text)
+
+        monkeypatch.setattr(parser, "Token", CountedToken)
+        monkeypatch.setattr(parser, "tokenize", counted_tokenize)
+        return counts
+
+    def test_clean_parse_builds_no_token(self, counts):
+        parse_workspace(_read(FIXTURES_PATH))
+        parse_term("meet(x, join(y, bot))", fx.BDL)
+        assert counts == {"tokenize": 0, "Token": 0}
+
+    @pytest.mark.parametrize("tail", [
+        "signature BDL { f/1 }\n",            # duplicate name: its first line and the error
+        "algebra A : BDL { universe 1 }\n",   # missing tables
+        "signature S { f/1 } @\n",            # bad character
+    ])
+    def test_failed_parse_scans_once(self, counts, tail):
+        text = _read(FIXTURES_PATH) + tail
+        with pytest.raises(ParseError):
+            parse_workspace(text)
+        assert counts["tokenize"] == 1
+        if "@" not in tail:
+            assert counts["Token"] == len(oracles.tokenize(text))
+
+
+class TestParseEntry:
+    def test_workspace_with_leading_comment(self):
+        """`fixtures.qvw` opens with a comment; `parse` classifies it by its
+        first token, a declaration keyword."""
+        text = _read(FIXTURES_PATH)
+        assert text.startswith("#")
+        assert parse(text) == parse_workspace(text)
+        assert parse(text, fx.BDL) == parse_workspace(text)
+
+    def test_fragments_with_leading_comment(self):
+        assert parse("# note\nexists [] . meet(x1,y) = bot & join(x1,y) = top", fx.BDL) == (
+            fx.COMPL.formula
+        )
+        assert parse("# a => b\nmeet(x,y) = x", fx.BDL) == [
+            Equation(App("meet", (Var("x"), Var("y"))), Var("x"))
+        ]

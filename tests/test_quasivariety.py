@@ -279,6 +279,24 @@ class TestBitSlicedGeneration:
         _reflection.__wrapped__(fx.CHAIN3, fx.DL_TO_BOOL, DEFAULT_PRODUCT_CAP)
         assert _define.cache_info().misses == misses
 
+    def test_repeated_call_builds_no_kernel_source(self, monkeypatch):
+        """A kernel is cached on its factor tables, arity and width, so a
+        second free DL on one generator builds no expression source."""
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return plane_expressions(*args)
+
+        plane_expressions = quasivariety._plane_expressions
+        monkeypatch.setattr(quasivariety, "_plane_expressions", counted)
+        quasivariety._kernel.cache_clear()
+        free_algebra(fx.DL, ["x"])
+        assert len(built) == len(fx.BDL.symbols)
+        built.clear()
+        free_algebra(fx.DL, ["x"])
+        assert built == []
+
     def test_seed_outside_the_product_rejected(self):
         with pytest.raises(ValueError, match="not an element of the product"):
             generate_in_product([fx.CHAIN2, fx.CHAIN3], [(1, 3)], fx.BDL)
