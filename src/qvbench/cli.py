@@ -137,10 +137,15 @@ def _json(value, newline: str) -> str:
     """The text of `json.dumps(value, sort_keys=True, indent=2)` for a
     JSON-native value nested at the indent that `newline` carries, without
     the pure-Python encoder that `indent` selects: a list of plain ints is
-    one join, and keys and strings go to the C string encoder.  The pieces
-    go to one list, joined once, so a large table is copied once, not once
-    per level of nesting; those copies needed fresh memory, and their cost
-    depended on what the process had freed before."""
+    one join, and keys and strings go to the C string encoder.  A list of
+    plain ints in 0..max, with max below its length, such as an operation
+    table, joins the strings of a digit table of 0..max, so each value is
+    converted once, not once per cell; its cost is bounded by the list's
+    length.  Any other int list, with bools, negative values or larger
+    values such as a unit map into a larger algebra, converts each cell.
+    The pieces go to one list, joined once, so a large table is copied
+    once, not once per level of nesting; those copies needed fresh memory,
+    and their cost depended on what the process had freed before."""
     out: list[str] = []
     _pieces(value, newline, out)
     return "".join(out)
@@ -152,7 +157,12 @@ def _pieces(value, newline: str, out: list[str]) -> None:
     elif isinstance(value, (list, tuple)):
         inner = newline + "  "
         if set(map(type, value)) == {int}:
-            out += ("[", inner, ("," + inner).join(map(str, value)), newline, "]")
+            top = max(value)
+            if top < len(value) and min(value) >= 0:
+                cells = map(list(map(str, range(top + 1))).__getitem__, value)
+            else:
+                cells = map(str, value)
+            out += ("[", inner, ("," + inner).join(cells), newline, "]")
             return
         for i, v in enumerate(value):
             out.append("," + inner if i else "[" + inner)
@@ -724,7 +734,7 @@ def main(argv=None) -> int:
                 fh.write(payload)
         else:
             sys.stdout.buffer.write(payload)
-    except (ParseError, PreconditionError, CapExceeded, KeyError, ValueError, OSError) as exc:
+    except (ParseError, PreconditionError, CapExceeded, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except Exception:

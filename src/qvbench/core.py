@@ -789,15 +789,17 @@ def fingerprint(A: FiniteAlgebra):
     """Cheap isomorphism invariant used to bucket candidates before the
     backtracking check."""
     per_symbol = []
-    profiles = [[] for _ in range(A.size)]
-    for (sym, k), table in zip(A.signature.symbols, A.tables):
-        counts = [0] * A.size
+    n = A.size
+    profiles = [[] for _ in range(n)]
+    for (_, k), table in zip(A.signature.symbols, A.tables):
+        counts = [0] * n
         for v in table:
             counts[v] += 1
         per_symbol.append(tuple(sorted(counts)))
-        for e in range(A.size):
-            diag = A.apply(sym, (e,) * k)
-            profiles[e].append((counts[e], diag == e))
+        # f(e, ..., e) sits at flat index e * (n**(k-1) + ... + n + 1).
+        step = sum(n**i for i in range(k))
+        for e in range(n):
+            profiles[e].append((counts[e], table[e * step] == e))
     return (A.size, tuple(per_symbol), tuple(sorted(tuple(p) for p in profiles)))
 
 

@@ -45,6 +45,10 @@ class ParseError(ValueError):
         self.col = col
 
 
+class UnknownName(ValueError):
+    """A reference to a name that the workspace does not define."""
+
+
 class Token(NamedTuple):
     kind: str
     value: str
@@ -69,6 +73,8 @@ DECL_KEYWORDS = {
     "signature": "signatures", "algebra": "algebras", "quasivariety": "quasivarieties",
     "ppop": "ppops", "expansion": "expansions", "translation": "translations",
 }
+# Each `Workspace` field and the kind of object it holds.
+_KIND_OF_FIELD = {f: keyword for keyword, f in DECL_KEYWORDS.items()}
 
 
 def _kinds(values: list[str]) -> tuple[list[str], bool]:
@@ -129,7 +135,7 @@ class Workspace:
     def lookup(self, kind: str, name: str):
         table = getattr(self, kind)
         if name not in table:
-            raise KeyError(f"no {kind[:-1]} named {name!r}")
+            raise UnknownName(f"no {_KIND_OF_FIELD[kind]} named {name!r}")
         return table[name]
 
 
@@ -240,7 +246,7 @@ class _Parser:
         i = self.expect("ident", what)
         try:
             return ws.lookup(kind, self.values[i])
-        except KeyError as exc:
+        except UnknownName as exc:
             self.fail(str(exc), i)
 
     def parse_algebra_body(self, name: str, ws: Workspace) -> FiniteAlgebra:

@@ -238,14 +238,17 @@ def _plane_names(arg: str, width: int) -> dict[int, str]:
 
 
 @lru_cache(maxsize=4096)
-def _kernel(tables: tuple, k: int, width: int) -> Callable:
+def _kernel(tables: tuple, k: int, width: int) -> tuple[Callable, bool]:
     """The generated kernel of a symbol of arity k, through the package's one
-    code cache; cached on its arguments too, so a repeated call builds no
-    source.  A binary kernel is `f(x, pool, *masks)`: the row of f(x, y)
-    for each y in `pool`, then of f(y, x) for each y in `pool`.  Any other
-    kernel is `f(*args, *masks)`, one result.  Elements are their plane
-    tuples (bare ints when width is 1); masks are arguments, so one kernel
-    serves every factor count of the same factor tables."""
+    code cache, and whether it computes half rows; cached on its arguments
+    too, so a repeated call builds no source.  A binary kernel is
+    `f(x, pool, *masks)`: the row of f(x, y) for each y in `pool`, then, for
+    a symbol that is not commutative, of f(y, x) for each y in `pool`.  A
+    commutative symbol's kernel stops after the first half, which
+    determines the second.  Any other kernel is `f(*args, *masks)`,
+    one result.  Elements are their plane tuples (bare ints when width is
+    1); masks are arguments, so one kernel serves every factor count of the
+    same factor tables."""
     # The symbol's expression is built once, with argument j as the format
     # field {j}, and named per use.
     fields = [_plane_names(f"{{{j}}}", width) for j in range(k)]
@@ -253,17 +256,22 @@ def _kernel(tables: tuple, k: int, width: int) -> Callable:
     args = ["x", "y"] if k == 2 else [f"a{j}" for j in range(k)]
     masks = [f"G{g}" for g in range(len(tables))]
     planes = {a: ", ".join(_plane_names(a, width).values()) + "," * (width > 1) for a in args}
+    # A binary symbol is commutative on the whole product when each group's
+    # table equals its transpose, whose row a is the column t[a::s].
+    half = k == 2 and all(t == sum((t[a::s] for a in range(s)), ()) for s, t in tables)
     if k == 2:
         lines = [f"def f({', '.join(['x', 'pool'] + masks)}):"]
         each = f"for {planes['y']} in pool"
-        body = f"[{expression.format('x', 'y')} {each}] + [{expression.format('y', 'x')} {each}]"
+        body = f"[{expression.format('x', 'y')} {each}]"
+        if not half:
+            body += f" + [{expression.format('y', 'x')} {each}]"
     else:
         lines = [f"def f({', '.join(args + masks)}):"]
         body = expression.format(*args)
     if width > 1:
         lines += [f"    {planes[a]} = {a}" for a in args if a != "y"]
     lines.append(f"    return {body}")
-    return _define("\n".join(lines) + "\n")
+    return _define("\n".join(lines) + "\n"), half
 
 
 def generate_in_product(
@@ -297,8 +305,13 @@ def generate_in_product(
     every coordinate at once.  A binary symbol computes a popped x's whole
     row, (x, y) over the pool, then (y, x) over the pool (its last entry
     repeats (x, x)), in one generated comprehension; the results are looked
-    up in one pass and the misses interned in row order.  Other symbols
-    take one kernel call per argument tuple.  The planes determine the
+    up in one pass and the misses interned in row order.  A binary symbol
+    whose table is symmetric in every group is commutative on the whole
+    product, and its row is the first half alone: each (y, x) entry equals
+    the (x, y) entry at the same position of the first half, which was
+    interned just before it, so the second half can never hold a first
+    producer and leaving it out changes no trace.  Other symbols take one
+    kernel call per argument tuple.  The planes determine the
     tuple, so the elements reached, the order they are queued and popped in
     and their first producers are those of the tuple-at-a-time loop; only
     the representation changed.  Tuples are decoded once, at the end, for
@@ -306,7 +319,9 @@ def generate_in_product(
 
     The loop meets every argument tuple over the final universe, so the
     tables are the results it recorded, renumbered to lexicographic order;
-    no operation is applied twice to the same arguments."""
+    no operation is applied twice to the same arguments.  A commutative
+    symbol's f(x_a, x_b) for b popped after a is read from the half row of
+    x_b, transposed."""
     potential = math.prod(f.size for f in factors) if factors else 1
     if potential > product_cap:
         raise CapExceeded(potential, product_cap)
@@ -340,13 +355,14 @@ def generate_in_product(
             queue.append(i)
         return i
 
-    # Per symbol: its arity, its kernel and the results recorded: for a
-    # binary symbol the row of each pop, otherwise argument ids to value id.
+    # Per symbol: its arity, its kernel, whether that computes half rows, and
+    # the results recorded: for a binary symbol the row of each pop,
+    # otherwise argument ids to value id.
     ops = []
     for slot, (sym, k) in enumerate(signature.symbols):
         tables = tuple((size, tabs[slot]) for size, tabs in groups)
-        ops.append((sym, k, _kernel(tables, k, width), [] if k == 2 else {}))
-    for sym, k, apply, results in ops:
+        ops.append((sym, k, *_kernel(tables, k, width), [] if k == 2 else {}))
+    for sym, k, apply, _, results in ops:
         if k == 0:
             results[()] = intern(apply(*masks), (sym,))
     seed_ids = []
@@ -367,7 +383,7 @@ def generate_in_product(
         done.append(x)
         pool.append(kx)
         p = len(done) - 1
-        for sym, k, apply, results in ops:
+        for sym, k, apply, _, results in ops:
             if k == 2:
                 row = apply(kx, pool, *masks)
                 got = list(map(ids.get, row))
@@ -403,12 +419,15 @@ def generate_in_product(
         position[i] = a
     popped = [position[i] for i in order]  # pop position of each rank
     tables = []
-    for _, k, _, results in ops:
+    for _, k, _, half, results in ops:
         if k == 2:
-            # Row a holds f(x_a, x_b) for b <= a, then f(x_b, x_a) for b <= a;
-            # the second halves, transposed, give f(x_a, x_b) for b > a.
+            # Row a holds f(x_a, x_b) for b <= a, then, unless the symbol is
+            # commutative, f(x_b, x_a) for b <= a; those second halves, or
+            # for a commutative symbol the first, transposed, give
+            # f(x_a, x_b) for b > a.
             rows = [list(map(rank.__getitem__, row)) for row in results]
-            columns = list(zip_longest(*(row[a + 1:] for a, row in enumerate(rows))))
+            seconds = rows if half else [row[a + 1:] for a, row in enumerate(rows)]
+            columns = list(zip_longest(*seconds))
             full = [row[:a + 1] + list(columns[a][a + 1:]) for a, row in enumerate(rows)]
             tables.append(tuple(chain.from_iterable(
                 map(full[a].__getitem__, popped) for a in popped

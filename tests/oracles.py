@@ -14,7 +14,7 @@ from qvbench.logic import (
     App, Equation, LogicError, PpFormula, Quasiequation, Term, UnboundVariableError, Var,
     _compile_equation,
 )
-from qvbench.parser import DECL_KEYWORDS, ParseError, Token, Workspace
+from qvbench.parser import DECL_KEYWORDS, ParseError, Token, UnknownName, Workspace
 from qvbench.quasivariety import CapExceeded, GenResult, Quasivariety
 
 
@@ -598,7 +598,7 @@ class ReferenceParser:
         tok = self.expect_ident(what)
         try:
             return ws.lookup(kind, tok.value)
-        except KeyError as exc:
+        except UnknownName as exc:
             self.fail(str(exc), tok)
 
     def parse_algebra_body(self, name: str, ws: Workspace) -> FiniteAlgebra:
@@ -656,7 +656,7 @@ class ReferenceParser:
                 tok = self.expect_ident("algebra name")
                 try:
                     gens.append(ws.lookup("algebras", tok.value))
-                except KeyError as exc:
+                except UnknownName as exc:
                     self.fail(str(exc), tok)
                 if self.peek().kind != ")":
                     self.expect(",")

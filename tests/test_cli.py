@@ -211,6 +211,24 @@ class TestReports:
         and non-ASCII strings, with lists of plain ints among them."""
         assert cli._json(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
 
+    @pytest.mark.parametrize("value", [
+        [], (), [0], [5], (0,), [True, False, 1], [1, True], [False],
+        [-1, 0, 1], [0, -3], [0, 1, 3], [2, 2], [7], [0, 1, 2, 10**20],
+        {"a": [[0, 1], [1, 0]], "b": [[], [0], [3, 4, 5]]},
+    ])
+    def test_emitter_int_lists(self, value):
+        """Lists of ints inside and outside the digit table's range: bools,
+        negative values, values at or past the list's length, empty and
+        one-element lists."""
+        assert cli._json(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_emitter_large_table(self):
+        """A 30,000-cell table at depth 3, like an operation table in a
+        report's instances."""
+        table = [(7 * i * i + 3 * i) % 173 for i in range(30_000)]
+        value = {"instances": [{"f": table, "g": table[:173]}]}
+        assert cli._json(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
+
     def test_report_schema_fields(self, ws):
         report, _ = run("enumerate", ws, {"in": "DL", "size": 2})
         parsed = json.loads(emit_report(report, "json"))
@@ -266,6 +284,21 @@ class TestMainEntry:
     def test_unknown_object_exit_three(self):
         code = main(["membership", "--workspace", WS, "--algebra", "Nope", "--in", "DL"])
         assert code == 3
+
+    def test_unknown_name_message(self, capsys):
+        code = main(["free", "--workspace", WS, "--in", "NOPE", "--generators", "x"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: no quasivariety named 'NOPE'\n"
+
+    def test_key_error_is_a_crash(self, monkeypatch, capsys):
+        """Unknown names raise their own error, so a KeyError is a bug."""
+        def crash(ws, flags):
+            return {}["missing"]
+
+        monkeypatch.setitem(cli._HANDLERS, "membership", crash)
+        code = main(["membership", "--workspace", WS, "--algebra", "Chain3", "--in", "DL"])
+        assert code == 4
+        assert "KeyError: 'missing'" in capsys.readouterr().err
 
     def test_element_out_of_range_exit_three(self, capsys):
         code = main([

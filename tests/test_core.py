@@ -528,6 +528,18 @@ class TestIsomorphism:
         assert t.size == 1 and t.apply("meet", (0, 0)) == 0
 
     @settings(max_examples=60, deadline=None)
+    @given(A=closure_algebras())
+    def test_fingerprint_diagonal_matches_apply(self, A):
+        """The fingerprint reads f(e, ..., e) from the flat table at symbols
+        of arity 0 to 3; each element's profile is that of `apply`."""
+        profiles = sorted(
+            tuple((table.count(e), A.apply(sym, (e,) * k) == e)
+                  for (sym, k), table in zip(A.signature.symbols, A.tables))
+            for e in range(A.size)
+        )
+        assert core.fingerprint(A)[2] == tuple(profiles)
+
+    @settings(max_examples=60, deadline=None)
     @example(batch=[  # one fingerprint, not isomorphic: 4 -> 2 -> 0 against 4 -> 3 -> 1 -> 0
         FiniteAlgebra("H", UNARY, 5, ((0, 0, 0, 1, 2),)),
         FiniteAlgebra("H", UNARY, 5, ((0, 0, 0, 1, 3),)),

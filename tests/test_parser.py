@@ -193,6 +193,18 @@ class TestWorkspace:
         with pytest.raises(ParseError, match="no signature"):
             parse_workspace("algebra A : NoSuch { universe 1 op f = 0 }")
 
+    @pytest.mark.parametrize("parse", [parse_workspace, oracles.parse_workspace],
+                             ids=["parser", "reference"])
+    def test_unresolved_reference_message(self, parse):
+        """The message names the kind in the singular, unquoted, at the
+        unresolved token."""
+        with pytest.raises(ParseError) as info:
+            parse("signature S { f/0 }\nexpansion E := Q -> Q")
+        assert str(info.value) == "line 2, column 16: no quasivariety named 'Q'"
+        with pytest.raises(ParseError) as info:
+            parse("signature S { f/0 }\nquasivariety Q : S = generated(A)")
+        assert str(info.value) == "line 2, column 32: no algebra named 'A'"
+
     def test_ppop_variable_convention_enforced(self):
         text = (
             "signature S { f/2 }\n"

@@ -241,6 +241,25 @@ def _gen_factor(n, c, u, f, t):
     return FiniteAlgebra(f"P{n}", GEN_SIG, n, ((c,), cells(1, u), cells(2, f), cells(3, t)))
 
 
+# Two constants and three binary symbols: m is commutative in every factor
+# below, f in none, and g in C3 and C2 but not in D2.
+COMM_SIG = Signature("comm", (("c", 0), ("d", 0), ("m", 2), ("f", 2), ("g", 2)))
+
+
+def _comm_factor(n, c, d, m, f, g):
+    cells = lambda op: tuple(op(a, b) for a, b in iproduct(range(n), repeat=2))  # noqa: E731
+    return FiniteAlgebra(f"P{n}", COMM_SIG, n, ((c,), (d,), cells(m), cells(f), cells(g)))
+
+
+def _symmetrized(A, sym):
+    """A with the binary `sym` made commutative: f(a, b) := f(min, max)."""
+    slot = [s for s, _ in A.signature.symbols].index(sym)
+    table = tuple(A.tables[slot][min(a, b) * A.size + max(a, b)]
+                  for a, b in iproduct(range(A.size), repeat=2))
+    return FiniteAlgebra(A.name, A.signature, A.size,
+                         A.tables[:slot] + (table,) + A.tables[slot + 1:])
+
+
 class TestBitSlicedGeneration:
     """Paths of the bit-sliced generation that no fixture reaches: every
     fixture generator has 2 elements, so it never needs more than one value
@@ -251,6 +270,10 @@ class TestBitSlicedGeneration:
     P2 = _gen_factor(2, 1, lambda a: a, lambda a, b: a & (1 - b), lambda a, b, d: a ^ b ^ d)
     Q2 = _gen_factor(2, 0, lambda a: 1 - a, lambda a, b: a | b,
                      lambda a, b, d: (a & b) | (a & d) | (b & d))
+
+    C3 = _comm_factor(3, 0, 2, lambda a, b: (a + b) % 3, lambda a, b: (2 * a + b) % 3, min)
+    C2 = _comm_factor(2, 1, 0, lambda a, b: a & b, lambda a, b: a & (1 - b), lambda a, b: a | b)
+    D2 = _comm_factor(2, 0, 0, lambda a, b: a ^ b, lambda a, b: b, lambda a, b: a & (1 - b))
 
     @pytest.mark.parametrize("seeds, size", [
         ([], 12),                          # the constants generate half the product
@@ -296,6 +319,52 @@ class TestBitSlicedGeneration:
         built.clear()
         free_algebra(fx.DL, ["x"])
         assert built == []
+
+    @pytest.mark.parametrize("seeds, size", [
+        ([], 6),
+        ([(2, 1, 0, 1), (1, 0, 1, 0)], 12),
+    ], ids=["constants", "seeded"])
+    def test_commutative_symbols_match_reference(self, seeds, size):
+        """`m` is commutative in every factor and takes half rows; `f` is
+        not commutative and `g` is commutative in the 3-element factor and
+        one 2-element factor but not the other, so both take whole rows.
+        Elements, tables, seed indices and trace equal the reference."""
+        factors = [self.C3, self.C2, self.D2, self.C2]
+        got = generate_in_product(factors, seeds, COMM_SIG, 10**6, "G")
+        assert got == oracles.generate_in_product(factors, seeds, COMM_SIG, 10**6, "G")
+        assert got.algebra.size == size
+
+    @pytest.mark.parametrize("factors, signature, rows", [
+        ([C3, C2, D2, C2], COMM_SIG, {"m": 1, "f": 2, "g": 2}),
+        ([C3, C2, C2], COMM_SIG, {"m": 1, "f": 2, "g": 1}),
+        ([D2], COMM_SIG, {"m": 1, "f": 2, "g": 2}),
+        ([fx.TWO_IMP], fx.BIMP, {"meet": 1, "join": 1, "imp": 2}),
+    ], ids=["mixed", "symmetric-g", "asymmetric-g", "bimp"])
+    def test_half_rows_for_commutative_tables_only(self, monkeypatch, factors, signature, rows):
+        """A binary kernel is one comprehension over the pool when the
+        symbol's table is symmetric in every group of factors, and two
+        otherwise: g is symmetric in C3 and C2 but not in D2, and BIMP's
+        imp is not commutative."""
+        sources = []
+        define = quasivariety._define
+        monkeypatch.setattr(quasivariety, "_define",
+                            lambda source: sources.append(source) or define(source))
+        quasivariety._kernel.cache_clear()
+        generate_in_product(factors, [], signature, 10**6, "G")
+        binary = [sym for sym, k in signature.symbols if k == 2]
+        kernels = [source for source in sources if "pool" in source]
+        assert dict(zip(binary, (source.count(" in pool]") for source in kernels))) == rows
+
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=product_inputs(), data=st.data())
+    def test_symmetrized_tables_match_reference(self, inputs, data):
+        """Random products whose binary symbol is made commutative in a
+        drawn set of factors: in all of them it takes half rows, otherwise
+        whole ones.  Both match the reference."""
+        factors, seeds, signature = inputs
+        factors = [_symmetrized(A, "f") if data.draw(st.booleans()) else A for A in factors]
+        args = (factors, seeds, signature, 10**6, "G")
+        assert _outcome(generate_in_product, *args) == _outcome(oracles.generate_in_product, *args)
 
     def test_seed_outside_the_product_rejected(self):
         with pytest.raises(ValueError, match="not an element of the product"):
