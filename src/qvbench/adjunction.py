@@ -36,6 +36,7 @@ from .implicit import (
 from .quasivariety import (
     DEFAULT_PRODUCT_CAP,
     CapExceeded,
+    GenerationStopped,
     GenResult,
     Quasivariety,
     generate_in_product,
@@ -233,16 +234,9 @@ def _reflection(A: FiniteAlgebra, E: ExpansionSpec, product_cap: int) -> tuple[i
     """The factor count and generation result behind `free_extension`.  The
     cache key compares algebras and specs by structure, so `free_extension`
     names the result."""
-    if not E.expanded.is_generated:
-        raise ValueError("free extensions need a generated expanded presentation")
     if not membership(A, E.base).holds:
         raise ValueError(f"{A.name!r} is not a member of {E.base.name!r}")
-    factors: list[FiniteAlgebra] = []
-    homs: list[Homomorphism] = []
-    for G in E.expanded.generators:
-        for h in enumerate_homomorphisms(A, reduct(G, E.base.signature), E.base.signature):
-            factors.append(G)
-            homs.append(h)
+    factors, homs = _coordinates(A, E)
     if not factors:
         F = trivial_algebra(E.expanded.signature)
         return 0, GenResult(F, ((),), (0,) * A.size, (("seed", 0),))
@@ -254,15 +248,29 @@ def _reflection(A: FiniteAlgebra, E: ExpansionSpec, product_cap: int) -> tuple[i
 free_extension.cache_info = _reflection.cache_info
 
 
-def _chase_trace(fe: FreeExtension, seed_images: list[int], target: FiniteAlgebra) -> tuple[int, ...]:
+def _coordinates(A: FiniteAlgebra, E: ExpansionSpec) -> tuple[list[FiniteAlgebra], list[Homomorphism]]:
+    """The coordinates of A's reflection, in product order: per expanded
+    generator G, each base-language homomorphism A -> U(G), with G as its
+    factor."""
+    if not E.expanded.is_generated:
+        raise ValueError("free extensions need a generated expanded presentation")
+    factors: list[FiniteAlgebra] = []
+    homs: list[Homomorphism] = []
+    for G in E.expanded.generators:
+        for h in enumerate_homomorphisms(A, reduct(G, E.base.signature), E.base.signature):
+            factors.append(G)
+            homs.append(h)
+    return factors, homs
+
+
+def _chase_trace(trace: tuple[tuple, ...], seed_images: list[int], target: FiniteAlgebra) -> tuple[int, ...]:
     """Evaluate each element's producing term in the target, starting from the
     given images of the seed elements."""
-    n = fe.algebra.size
-    out: list[int | None] = [None] * n
+    out: list[int | None] = [None] * len(trace)
     def value(i: int) -> int:
         if out[i] is not None:
             return out[i]
-        origin = fe.gen.trace[i]
+        origin = trace[i]
         if origin[0] == "seed":
             v = seed_images[origin[1]]
         else:
@@ -270,35 +278,26 @@ def _chase_trace(fe: FreeExtension, seed_images: list[int], target: FiniteAlgebr
             v = target.apply(sym, tuple(value(j) for j in origin[1:]))
         out[i] = v
         return v
-    return tuple(value(i) for i in range(n))
+    return tuple(value(i) for i in range(len(trace)))
 
 
-def counit(B: FiniteAlgebra, E: ExpansionSpec, product_cap: int = DEFAULT_PRODUCT_CAP) -> Homomorphism:
-    """The evaluation map from the free extension of B's reduct back to B,
-    obtained by generator chasing; it sends each unit image to its element and
-    is re-verified to be the unique such homomorphism."""
-    red = reduct(B, E.base.signature)
-    fe = free_extension(red, E, product_cap)
-    mapping = _chase_trace(fe, list(range(B.size)), B)
-    eps = Homomorphism(fe.algebra, B, E.expanded.signature, mapping)
+def _evaluation(gen: GenResult, B: FiniteAlgebra) -> Homomorphism:
+    """The counit map from a reflection of B's reduct, seeded by B's elements
+    in order, back to B, by generator chasing.  It is re-verified to be a
+    homomorphism that sends each unit image to its element, which makes it
+    the unique one."""
+    mapping = _chase_trace(gen.trace, list(range(B.size)), B)
+    eps = Homomorphism(gen.algebra, B, gen.algebra.signature, mapping)
     if not is_homomorphism(eps):
         raise AssertionError("generator chasing did not produce a homomorphism")
-    if any(mapping[fe.unit(b)] != b for b in range(B.size)):
+    if any(mapping[u] != b for b, u in enumerate(gen.seed_index)):
         raise AssertionError("counit does not retract the unit")
     return eps
 
 
-def free_extension_map(
-    E: ExpansionSpec, h: Homomorphism, fe_source: FreeExtension, fe_target: FreeExtension
-) -> Homomorphism:
-    """Functorial action on a base homomorphism: send each producing term over
-    source generators to the same term over the h-images of the generators."""
-    seed_images = [fe_target.unit(h(a)) for a in range(h.source.size)]
-    mapping = _chase_trace(fe_source, seed_images, fe_target.algebra)
-    out = Homomorphism(fe_source.algebra, fe_target.algebra, E.expanded.signature, mapping)
-    if not is_homomorphism(out):
-        raise AssertionError("trace chasing did not produce a homomorphism")
-    return out
+def counit(B: FiniteAlgebra, E: ExpansionSpec, product_cap: int = DEFAULT_PRODUCT_CAP) -> Homomorphism:
+    """The evaluation map from the free extension of B's reduct back to B."""
+    return _evaluation(free_extension(reduct(B, E.base.signature), E, product_cap).gen, B)
 
 
 @dataclass(frozen=True)
@@ -326,7 +325,7 @@ def universal_property_check(
     for B in members_up_to(E.expanded, bound):
         redB = reduct(B, E.base.signature)
         for g in enumerate_homomorphisms(A, redB, E.base.signature):
-            mapping = _chase_trace(fe, [g(a) for a in range(A.size)], B)
+            mapping = _chase_trace(fe.gen.trace, [g(a) for a in range(A.size)], B)
             candidate = Homomorphism(fe.algebra, B, E.expanded.signature, mapping)
             if not is_homomorphism(candidate):
                 return LiftViolation(B, g, "no-lift")
@@ -385,3 +384,103 @@ def check_counit_iso(E: ExpansionSpec, bound: int) -> list[CounitInstance | Prod
     """Per-member bijectivity of the counit over the expanded class up to the
     bound."""
     return [counit_instance(B, E) for B in members_up_to(E.expanded, bound)]
+
+
+# ---------------------------------------------------------------------------
+# Unit and counit verdicts without full reflections
+
+
+def unit_collapse(A: FiniteAlgebra, E: ExpansionSpec) -> tuple[int, int] | None:
+    """The unit at a base member A, decided from its seeds and building no
+    product, so no product cap applies.  The unit sends a to its seed tuple
+    (h(a))_h, so it is injective exactly when the homomorphisms A -> U(G)
+    separate the points of A.  With none of them every seed is the empty
+    tuple: F(A) is trivial, and the unit is injective iff |A| = 1.  None when
+    it is injective; else two elements that every such homomorphism
+    identifies: the first whose seed equals an earlier one's, after that
+    earlier one."""
+    _, homs = _coordinates(A, E)
+    first: dict[tuple, int] = {}
+    for a in range(A.size):
+        b = first.setdefault(tuple(h(a) for h in homs), a)
+        if b != a:
+            return b, a
+    return None
+
+
+@dataclass(frozen=True)
+class CounitCollapse:
+    """Two elements of F(U B) that the counit at B identifies, given as terms
+    over B's elements by a straight-line program.  Its registers are B's
+    elements 0..|B|-1, then one per step: (symbol, operand registers), the
+    symbol applied to those registers' values.  The registers `terms` both
+    take `value` in B.  Started from hom(b) for b in B instead, with `hom` a
+    base-language homomorphism U B -> U G and G the expanded `generator`,
+    the program takes the two `generator_values` there, which differ."""
+    algebra: FiniteAlgebra
+    steps: tuple[tuple, ...]
+    terms: tuple[int, int]
+    value: int
+    generator: FiniteAlgebra
+    hom: tuple[int, ...]
+    generator_values: tuple[int, int]
+
+
+def counit_collapse(
+    B: FiniteAlgebra, E: ExpansionSpec, product_cap: int = DEFAULT_PRODUCT_CAP
+) -> CounitCollapse | None:
+    """The counit at an expanded member B, decided with a stop.  The counit
+    is onto, so it is an isomorphism exactly when F(U B) has |B| elements;
+    generation stops as soon as a (|B| + 1)-th element would be interned.  A
+    holding instance reaches exactly |B| elements, so its F is the full
+    reflection, and its counit map passes the self-checks of `counit`.  Of
+    the |B| + 1 elements of a failing one, two have the same counit value:
+    the first element, in the order of discovery, whose value an earlier
+    one has, and that earlier one.  They differ at some coordinate (G, h),
+    the first.  Raises `CapExceeded` when the product is over the cap."""
+    factors, homs = _coordinates(reduct(B, E.base.signature), E)
+    seeds = [tuple(h(b) for h in homs) for b in range(B.size)]
+    try:
+        gen = generate_in_product(
+            factors, seeds, E.expanded.signature, product_cap, stop_after=B.size
+        )
+    except GenerationStopped as stop:
+        return _collapse(B, factors, homs, stop)
+    if gen.algebra.size < B.size:
+        raise ValueError(f"{B.name!r} is not a member of {E.expanded.name!r}")
+    _evaluation(gen, B)
+    return None
+
+
+def _collapse(B: FiniteAlgebra, factors, homs, stop: GenerationStopped) -> CounitCollapse:
+    """The certificate of a stopped counit generation: the pigeonhole pair,
+    and the steps of the trace that produce it."""
+    values = _chase_trace(stop.trace, list(range(B.size)), B)
+    first: dict[int, int] = {}
+    for j, v in enumerate(values):
+        i = first.setdefault(v, j)
+        if i != j:
+            break
+    x, y = stop.elements[i], stop.elements[j]
+    c = next(c for c in range(len(factors)) if x[c] != y[c])
+    needed: set[int] = set()
+    todo = [i, j]
+    while todo:
+        e = todo.pop()
+        if e not in needed:
+            needed.add(e)
+            if stop.trace[e][0] != "seed":
+                todo.extend(stop.trace[e][1:])
+    register: dict[int, int] = {}
+    steps: list[tuple] = []
+    for e in sorted(needed):  # producers come before what they produce
+        origin = stop.trace[e]
+        if origin[0] == "seed":
+            register[e] = origin[1]
+        else:
+            register[e] = B.size + len(steps)
+            steps.append((origin[0],) + tuple(register[a] for a in origin[1:]))
+    return CounitCollapse(
+        B, tuple(steps), (register[i], register[j]), values[i],
+        factors[c], homs[c].mapping, (x[c], y[c]),
+    )

@@ -23,22 +23,19 @@ from .core import (
     enumerate_homomorphisms,
     generated_subalgebra,
     is_embedding,
-    is_homomorphism,
     reduct,
     subalgebra,
 )
 from .logic import App, Term, Var, compile_term, term_variables
 from .adjunction import (
-    CounitInstance,
     ExpansionSpec,
     ExpansionViolation,
     PpExpansionSpec,
     ProductTooLarge,
-    UnitInstance,
-    check_counit_iso,
     check_expansion,
-    check_unit_mono,
+    counit_collapse,
     expand_algebra,
+    unit_collapse,
 )
 from .implicit import (
     FunctionalityViolation,
@@ -49,6 +46,7 @@ from .implicit import (
 )
 from .implicit import check_totalizable, check_unique_witnesses
 from .quasivariety import (
+    CapExceeded,
     NotFoundWithinBound,
     Quasivariety,
     label_classes,
@@ -285,67 +283,96 @@ def _reduct_violation(E: ExpansionSpec, bound: int) -> Verdict | None:
 
 def check_mono_reflective(E: ExpansionSpec, bound: int) -> Verdict:
     """Three bounded sub-checks, all required: (a) fullness of the reduct
-    functor (base-language maps between expanded members preserve the extra
-    operations), then (b) unit injectivity and (c) counit bijectivity, which
-    are `unit_counit_verdict`.  A reduct functor that is not well defined
-    fails first, under `reduct-well-defined`."""
+    functor, that is, every base-language map between expanded members
+    preserves the extra operations, then (b) unit injectivity and (c) counit
+    bijectivity, which are `unit_counit_verdict` and decided as it says.
+    Fullness makes one expanded-language hom search per pair of members; a
+    pair with fewer expanded than base homomorphisms gives the `not-full`
+    certificate (A, B, the first base map that is not expanded).  A reduct
+    functor that is not well defined fails first, under
+    `reduct-well-defined`."""
     violation = _reduct_violation(E, bound)
     if violation is not None:
         return violation
-    expanded_members = members_up_to(E.expanded, bound)
-    for A in expanded_members:
-        for B in expanded_members:
-            redA, redB = reduct(A, E.base.signature), reduct(B, E.base.signature)
-            for h in enumerate_homomorphisms(redA, redB, E.base.signature):
-                lifted = Homomorphism(A, B, E.expanded.signature, h.mapping)
-                if not is_homomorphism(lifted):
-                    return Verdict(
-                        "mono-reflective",
-                        "fails",
-                        (("max-size", bound),),
-                        certificate=("not-full", A, B, h.mapping),
-                    )
-    return replace(unit_counit_verdict(E, bound), claim="mono-reflective")
+    return _not_full(E, bound) or replace(_unit_counit(E, bound), claim="mono-reflective")
+
+
+def _not_full(E: ExpansionSpec, bound: int) -> Verdict | None:
+    """The failed `mono-reflective` verdict of a reduct functor that is not
+    full within the bound.  An expanded homomorphism is a base one, so equal
+    counts mean equal lists; both are in lexicographic order, so the first
+    base map missing from the expanded list is the first that is not an
+    expanded homomorphism.  With no symbol added, the lists are equal."""
+    if E.base.signature.includes(E.expanded.signature):
+        return None
+    members = members_up_to(E.expanded, bound)
+    reducts = [reduct(A, E.base.signature) for A in members]
+    for A, redA in zip(members, reducts):
+        for B, redB in zip(members, reducts):
+            base = enumerate_homomorphisms(redA, redB, E.base.signature)
+            expanded = enumerate_homomorphisms(A, B, E.expanded.signature)
+            if len(base) != len(expanded):
+                kept = {g.mapping for g in expanded}
+                h = next(h for h in base if h.mapping not in kept)
+                return Verdict(
+                    "mono-reflective",
+                    "fails",
+                    (("max-size", bound),),
+                    certificate=("not-full", A, B, h.mapping),
+                )
+    return None
 
 
 def unit_counit_verdict(E: ExpansionSpec, bound: int) -> Verdict:
     """The conjunction: unit componentwise injective and counit componentwise
-    bijective, over the enumerated members.  A reduct functor that is not well
-    defined fails first, under `reduct-well-defined`.  A member whose
-    reflection exceeds the product cap leaves the verdict unknown within the
-    bound, unless another member fails."""
+    bijective, over the enumerated members, decided without full
+    reflections.  A reduct functor that is not well defined fails first,
+    under `reduct-well-defined`.
+
+    Each unit is decided from its seeds (`adjunction.unit_collapse`), with no
+    product; a failure's certificate is ("unit-not-mono", A, two elements of
+    A that no base homomorphism into a generator separates).  Each
+    counit is decided by generation stopped at |B| + 1 elements
+    (`adjunction.counit_collapse`); a failure's certificate is
+    ("counit-not-iso", B with two terms over its elements as a straight-line
+    program, their common value in B, and a coordinate (G, h) at which they
+    differ), which replays by table evaluation in B and G alone.  A counit
+    whose product exceeds the cap leaves the verdict unknown within the
+    bound, unless another member fails.  The `unit` and `counit` commands
+    print each instance's map into or out of the full F, so they still
+    build every reflection (`check_unit_mono`, `check_counit_iso`)."""
     violation = _reduct_violation(E, bound)
     if violation is not None:
         return violation
-    too_large = None
-    for inst in check_unit_mono(E, bound):
-        if isinstance(inst, ProductTooLarge):
-            too_large = too_large or inst
-        elif not inst.embedding:
+    return _unit_counit(E, bound)
+
+
+def _unit_counit(E: ExpansionSpec, bound: int) -> Verdict:
+    """`unit_counit_verdict` on a reduct functor already checked."""
+    bounds = (("max-size", bound),)
+    for A in members_up_to(E.base, bound):
+        pair = unit_collapse(A, E)
+        if pair is not None:
             return Verdict(
-                "unit-mono-counit-iso",
-                "fails",
-                (("max-size", bound),),
-                certificate=("unit-not-mono", inst),
+                "unit-mono-counit-iso", "fails", bounds, certificate=("unit-not-mono", A, pair)
             )
-    for inst in check_counit_iso(E, bound):
-        if isinstance(inst, ProductTooLarge):
-            too_large = too_large or inst
-        elif not inst.bijective:
+    too_large = None
+    for B in members_up_to(E.expanded, bound):
+        try:
+            collapse = counit_collapse(B, E)
+        except CapExceeded as exc:
+            too_large = too_large or ProductTooLarge(B, exc.size, exc.cap)
+            continue
+        if collapse is not None:
             return Verdict(
-                "unit-mono-counit-iso",
-                "fails",
-                (("max-size", bound),),
-                certificate=("counit-not-iso", inst),
+                "unit-mono-counit-iso", "fails", bounds, certificate=("counit-not-iso", collapse)
             )
     if too_large is not None:
         return Verdict(
-            "unit-mono-counit-iso",
-            "unknown-within-bound",
-            (("max-size", bound),),
+            "unit-mono-counit-iso", "unknown-within-bound", bounds,
             certificate=("product-too-large", too_large),
         )
-    return Verdict("unit-mono-counit-iso", "holds", (("max-size", bound),))
+    return Verdict("unit-mono-counit-iso", "holds", bounds)
 
 
 def check_faithful_term_equivalence(
@@ -438,7 +465,14 @@ def cross_validate_main_theorem(
     neither of the others.  All three presuppose a well-defined reduct
     functor: when some expanded member has a reduct outside the base, both
     categorical verdicts are that `reduct-well-defined` failure and the
-    report is not consistent."""
+    report is not consistent.
+
+    Each verdict is computed once.  The reduct functor is checked once; the
+    unit/counit verdict is decided from the seeds and from generation
+    stopped at |B| + 1 elements, as `unit_counit_verdict` says, with no full
+    reflection and no F or counit map in its certificate; and
+    `mono-reflective` is the fullness check of `check_mono_reflective`, then
+    that same unit/counit verdict."""
     simple = check_simple(P, bound) if P is not None else None
     violation = _reduct_violation(E, bound)
     if violation is not None:
@@ -447,8 +481,8 @@ def cross_validate_main_theorem(
             ("the reduct functor is not well defined within the bound; "
              "the main theorem does not apply",),
         )
-    uc = unit_counit_verdict(E, bound)
-    mr = check_mono_reflective(E, bound)
+    uc = _unit_counit(E, bound)
+    mr = _not_full(E, bound) or replace(uc, claim="mono-reflective")
     consistent = not _disagree(uc, mr)
     notes = []
     if simple is None:
@@ -475,10 +509,13 @@ def check_simplicity_transfer(
     rho: TermTranslation,
     K: Quasivariety,
     bound: int,
+    equivalence: Verdict | None = None,
 ) -> Verdict:
     """Once the faithful term equivalence holds at the bound, the categorical
-    simplicity verdicts of the two expansions must agree at the same bound."""
-    fte = check_faithful_term_equivalence(M1, M2, tau, rho, K, bound)
+    simplicity verdicts of the two expansions must agree at the same bound.
+    `equivalence` is that equivalence's verdict at this bound when the
+    caller has it already; otherwise it is computed here."""
+    fte = equivalence or check_faithful_term_equivalence(M1, M2, tau, rho, K, bound)
     if not fte.holds:
         raise PreconditionError(
             "faithful term equivalence does not hold at this bound", certificate=fte

@@ -16,6 +16,14 @@ cg and expand take none.  A product over the cap is a usage error in free
 and reflect, whose cap is that flag; in unit, counit and cross-validate it
 leaves the member's instance unknown-within-bound, with the product's size
 and the cap in its certificate.
+
+`unit` and `counit` print each member's unit or counit map, whose ids
+number the elements of the full reflection F, so they build every F.
+`cross-validate` builds none: a unit is decided from its seeds, with no
+product, and a counit at B by generation stopped at |B| + 1 elements.  A
+failing counit's certificate holds B, two terms over B's elements as a
+straight-line program, their common value in B, and a coordinate (G, h) at
+which they differ; it replays by table evaluation in B and G alone.
 """
 from __future__ import annotations
 
@@ -35,7 +43,6 @@ from .core import (
 )
 from .adjunction import (
     ExpansionSpec,
-    FreeExtension,
     PpExpansionSpec,
     ProductTooLarge,
     UndefinedAt,
@@ -606,7 +613,7 @@ def cmd_term_equiv(ws, flags):
     v = check_faithful_term_equivalence(M1, M2, tau, rho, K, bound)
     instances = [_verdict_instance(f"{M1.name}~{M2.name}", v, bound)]
     if flags.get("transfer") and v.holds:
-        t = check_simplicity_transfer(M1, M2, tau, rho, K, bound)
+        t = check_simplicity_transfer(M1, M2, tau, rho, K, bound, equivalence=v)
         instances.append(_verdict_instance("simplicity-transfer", t, bound))
     return instances, {
         "m1": M1.name, "m2": M2.name, "tau": flags["tau"], "rho": flags["rho"],

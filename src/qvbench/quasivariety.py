@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain, product as iproduct, zip_longest
+from operator import itemgetter
 from typing import Callable
 
 from .core import (
@@ -50,6 +51,18 @@ class CapExceeded(ValueError):
     def __init__(self, size: int, cap: int) -> None:
         super().__init__(f"product of size {size} exceeds cap {cap}")
         self.size, self.cap = size, cap
+
+
+class GenerationStopped(Exception):
+    """Generation was about to intern one element more than its
+    `stop_after`.  `elements` holds the reached tuples, that one included,
+    and `trace` their first producers, both in the order of discovery; a
+    producer's arguments are discovery numbers, so every element's producer
+    comes before it."""
+
+    def __init__(self, elements: tuple, trace: tuple) -> None:
+        super().__init__(f"generation stopped at {len(elements)} elements")
+        self.elements, self.trace = elements, trace
 
 
 @dataclass(frozen=True)
@@ -280,10 +293,14 @@ def generate_in_product(
     signature: Signature,
     product_cap: int = DEFAULT_PRODUCT_CAP,
     name: str = "gen",
+    stop_after: int | None = None,
 ) -> GenResult:
     """Close seed tuples under the componentwise operations of the factors,
     without materializing the full product.  The resulting universe is the set
-    of reached tuples in lexicographic order.
+    of reached tuples in lexicographic order.  With `stop_after`, generation
+    raises `GenerationStopped` as soon as a (stop_after + 1)-th element would
+    be interned; a closure of at most `stop_after` elements is returned as
+    without it.
 
     Reached tuples are visited in a fixed order.  The constants come first, in
     signature order, then the seeds in their given order.  Each reached tuple
@@ -338,17 +355,30 @@ def generate_in_product(
         key = (f.size, tuple(own[sym][1] for sym, _ in signature.symbols))
         groups[key] = groups.get(key, 0) | 1 << i
     masks = tuple(groups.values())
+    top = 1 << m
+    digits = [bytes.maketrans(b"01", bytes((0, v))) for v in range(1, width + 1)]
+
+    def decode(key) -> tuple[int, ...]:
+        bits = [bin(plane | top)[:2:-1].encode().translate(d)
+                for plane, d in zip([key] if width == 1 else key, digits)]
+        return tuple(bits[0]) if width == 1 else tuple(map(max, *bits))
 
     # Reached elements are numbered in order of discovery; per id: its
-    # planes and its first producer.
+    # planes and its first producer.  No product holds more than
+    # `potential` elements, so without `stop_after` the limit never binds.
     keys: list = []
     origins: list[tuple] = []
     ids: dict = {}
     queue: list[int] = []
+    limit = potential if stop_after is None else stop_after
 
     def intern(key, origin: tuple) -> int:
         i = ids.get(key)
         if i is None:
+            if len(keys) == limit:
+                raise GenerationStopped(
+                    tuple(map(decode, keys + [key])), tuple(origins) + (origin,)
+                )
             i = ids[key] = len(keys)
             keys.append(key)
             origins.append(origin)
@@ -400,14 +430,6 @@ def generate_in_product(
                         value = apply(*map(keys.__getitem__, args), *masks)
                         results[args] = intern(value, (sym,) + args)
 
-    top = 1 << m
-    digits = [bytes.maketrans(b"01", bytes((0, v))) for v in range(1, width + 1)]
-
-    def decode(key) -> tuple[int, ...]:
-        bits = [bin(plane | top)[:2:-1].encode().translate(d)
-                for plane, d in zip([key] if width == 1 else key, digits)]
-        return tuple(bits[0]) if width == 1 else tuple(map(max, *bits))
-
     tuples = list(map(decode, keys))
     order = sorted(range(len(keys)), key=tuples.__getitem__)
     n = len(order)
@@ -418,6 +440,9 @@ def generate_in_product(
     for a, i in enumerate(done):
         position[i] = a
     popped = [position[i] for i in order]  # pop position of each rank
+    # Picks a pop-ordered row's entries in rank order; `itemgetter` of one
+    # index would return a bare value.
+    pick = itemgetter(*popped) if n > 1 else lambda row: [row[a] for a in popped]
     tables = []
     for _, k, _, half, results in ops:
         if k == 2:
@@ -429,9 +454,7 @@ def generate_in_product(
             seconds = rows if half else [row[a + 1:] for a, row in enumerate(rows)]
             columns = list(zip_longest(*seconds))
             full = [row[:a + 1] + list(columns[a][a + 1:]) for a, row in enumerate(rows)]
-            tables.append(tuple(chain.from_iterable(
-                map(full[a].__getitem__, popped) for a in popped
-            )))
+            tables.append(tuple(chain.from_iterable(map(pick, map(full.__getitem__, popped)))))
         else:
             tables.append(tuple(
                 map(rank.__getitem__, map(results.__getitem__, iproduct(order, repeat=k)))

@@ -8,7 +8,7 @@ from itertools import permutations, product as iproduct
 
 from qvbench.adjunction import ExpansionSpec, PpExpansionSpec
 from qvbench.beth import TermTranslation
-from qvbench.core import FiniteAlgebra, Signature, SignatureError, build_algebra
+from qvbench.core import FiniteAlgebra, Homomorphism, Signature, SignatureError, build_algebra
 from qvbench.implicit import ImplicitOpSpec
 from qvbench.logic import (
     App, Equation, LogicError, PpFormula, Quasiequation, Term, UnboundVariableError, Var,
@@ -220,6 +220,41 @@ def naive_tuple_closure(factors, seeds, signature):
     return current
 
 
+def _componentwise(factors, sym, args):
+    return tuple(f.apply(sym, tuple(a[i] for a in args)) for i, f in enumerate(factors))
+
+
+def discovery(factors, seeds, signature):
+    """The tuples that generation reaches, each with its first producer
+    (("seed", j), or the symbol and its argument tuples), in the order of
+    discovery of `quasivariety.generate_in_product`."""
+    reached = {}
+    queue = []
+
+    def add(t, origin):
+        if t not in reached:
+            reached[t] = origin
+            queue.append(t)
+
+    for sym, k in signature.symbols:
+        if k == 0:
+            add(_componentwise(factors, sym, []), (sym,))
+    for j, s in enumerate(seeds):
+        add(s, ("seed", j))
+    pos_ops = [(sym, k) for sym, k in signature.symbols if k > 0]
+    done = []
+    while queue:
+        x = queue.pop()
+        for sym, k in pos_ops:
+            pool = done + [x]
+            for i in range(k):
+                for rest in iproduct(pool, repeat=k - 1):
+                    args = rest[:i] + (x,) + rest[i:]
+                    add(_componentwise(factors, sym, args), (sym,) + args)
+        done.append(x)
+    return reached
+
+
 def generate_in_product(factors, seeds, signature, product_cap, name="gen"):
     """Reference for `quasivariety.generate_in_product`: the same visiting
     order, with every coordinate of every product computed by
@@ -232,35 +267,9 @@ def generate_in_product(factors, seeds, signature, product_cap, name="gen"):
         raise CapExceeded(potential, product_cap)
 
     def apply(sym, args):
-        return tuple(
-            f.apply(sym, tuple(a[i] for a in args)) for i, f in enumerate(factors)
-        )
+        return _componentwise(factors, sym, args)
 
-    reached = {}
-    queue = []
-
-    def add(t, origin):
-        if t not in reached:
-            reached[t] = origin
-            queue.append(t)
-
-    for sym, k in signature.symbols:
-        if k == 0:
-            add(apply(sym, []), (sym,))
-    for j, s in enumerate(seeds):
-        add(s, ("seed", j))
-    pos_ops = [(sym, k) for sym, k in signature.symbols if k > 0]
-    done = []
-    while queue:
-        x = queue.pop()
-        for sym, k in pos_ops:
-            pool = done + [x]
-            for i in range(k):
-                for rest in iproduct(pool, repeat=k - 1):
-                    args = rest[:i] + (x,) + rest[i:]
-                    add(apply(sym, list(args)), (sym,) + args)
-        done.append(x)
-
+    reached = discovery(factors, seeds, signature)
     elements = sorted(reached)
     index = {t: i for i, t in enumerate(elements)}
     tables = []
@@ -279,6 +288,30 @@ def generate_in_product(factors, seeds, signature, product_cap, name="gen"):
             trace.append((origin[0],) + tuple(index[a] for a in origin[1:]))
     seed_index = tuple(index[s] for s in seeds)
     return GenResult(algebra, tuple(elements), seed_index, tuple(trace))
+
+
+def free_extension_map(E, h, fe_source, fe_target):
+    """The reflection's action on a base homomorphism h: each element's
+    producing term over the source generators, evaluated in the target
+    reflection at the unit images of their h-images.  Asserts that the
+    result is an expanded-language homomorphism."""
+    F, T = fe_source.algebra, fe_target.algebra
+    out = {}
+
+    def value(i):
+        if i not in out:
+            origin = fe_source.gen.trace[i]
+            if origin[0] == "seed":
+                out[i] = fe_target.unit(h(origin[1]))
+            else:
+                out[i] = T.apply(origin[0], tuple(value(j) for j in origin[1:]))
+        return out[i]
+
+    mapping = tuple(value(i) for i in range(F.size))
+    for sym, k in E.expanded.signature.symbols:
+        for args in iproduct(range(F.size), repeat=k):
+            assert mapping[F.apply(sym, args)] == T.apply(sym, tuple(mapping[a] for a in args))
+    return Homomorphism(F, T, E.expanded.signature, mapping)
 
 
 def all_partitions(n):

@@ -305,7 +305,7 @@ FIXTURE_SUITE_SHA256 = {
     "counit-dl-bool.json": "01bd0574e99393e714f0701c92a1e6eba2372ed188d8454110538eab6154f66b",
     "counit-msl-dl.json": "10d0afe85bc11c3ad049d076cc01ccdfffebb962c00ab6a7625e609feeec655c",
     "cross-validate-dl-bool.json": "d8081529cfac60fd2ef04a63807728ec9b647863d4a744b59717a8eabc62ffd6",
-    "cross-validate-msl-dl.json": "5970416c43a256704e2279964d5ec8b0f840e2a67efa4acc851dfe8e4e6acf0c",
+    "cross-validate-msl-dl.json": "ea0886b2504f766f4242ff82b69db0e534178e402023c965fe0879fdba720b88",
     "cross-validate-trivial.json": "a999fe36db74c5c3ea9c1aab07d38f341e0f55f03a4decbb0809f33db17e160c",
     "enumerate-dl-4.json": "0448fe9748672bcd77601f6d88339c28c3325fea397099e20bf20b3c2eaa5a73",
     "enumerate-msl-4.json": "392631284abccc7c46dccdd89dd3830e0baec3ef5a15ffa21c1c64573256d6e5",

@@ -5,6 +5,7 @@ from itertools import product as iproduct
 import pytest
 
 from qvbench import fixtures as fx
+from qvbench import adjunction
 from qvbench.adjunction import (
     CounitInstance,
     ExpansionSpec,
@@ -12,20 +13,25 @@ from qvbench.adjunction import (
     FreeExtension,
     LiftViolation,
     PpExpansionSpec,
+    ProductTooLarge,
     UndefinedAt,
     check_counit_iso,
     check_expansion,
     check_unit_mono,
     counit,
+    counit_collapse,
     expand_algebra,
     free_extension,
-    free_extension_map,
     induced_expansion,
     pp_expansion_membership,
+    unit_collapse,
     universal_property_check,
 )
+from qvbench.beth import unit_counit_verdict
 from qvbench.core import (
+    FiniteAlgebra,
     Homomorphism,
+    Signature,
     SignatureError,
     are_isomorphic,
     build_algebra,
@@ -35,7 +41,16 @@ from qvbench.core import (
     is_homomorphism,
     reduct,
 )
-from qvbench.quasivariety import Quasivariety, generate_in_product, members_up_to, membership
+from qvbench.quasivariety import (
+    CapExceeded,
+    GenerationStopped,
+    Quasivariety,
+    generate_in_product,
+    members_up_to,
+    membership,
+)
+
+from oracles import free_extension_map
 
 
 class TestSpecs:
@@ -293,6 +308,136 @@ class TestAdjunctionLaws:
             epsB = counit(fx.TWO_BA, E)
             for x in range(feA.algebra.size):
                 assert g(epsA(x)) == epsB(Fg(x))
+
+
+# The six expansions of workspaces/fixtures.qvw.
+FIXTURE_EXPANSIONS = {
+    "DLtoBOOL": fx.DL_TO_BOOL,
+    "MSLtoDL": fx.MSL_TO_DL,
+    "DLtoBIMP": fx.DL_TO_BIMP,
+    "DLtriv": fx.DL_TRIVIAL,
+    "DLcompl": induced_expansion(fx.PP_COMPL),
+    "DLjc": induced_expansion(fx.PP_JC),
+}
+
+G_SIG = Signature("G", (("g", 2),))
+GF_SIG = Signature("GF", (("g", 2), ("f", 2)))
+
+
+def binary_pair(g: int, f: int) -> ExpansionSpec:
+    """K = ISP(2, g) -> M = ISP(2, g, f) for binary g and f on {0, 1}, each
+    numbered by its values at (0,0), (0,1), (1,0), (1,1), read as the bits
+    of a number from the highest."""
+    def table(n):
+        return tuple(n >> (3 - i) & 1 for i in range(4))
+
+    K = Quasivariety(f"K{g}", G_SIG, generators=(FiniteAlgebra("Two", G_SIG, 2, (table(g),)),))
+    M = Quasivariety(f"M{g}.{f}", GF_SIG,
+                     generators=(FiniteAlgebra("TwoF", GF_SIG, 2, (table(g), table(f))),))
+    return ExpansionSpec(K, M)
+
+
+# g(x, y) = y, and f = NOR: the reflection of an n-element set is the whole
+# product of 2^n two-element factors, while the verdict fails at the
+# one-element member of M.
+NOR_PAIR = binary_pair(0b0101, 0b1000)
+
+
+def assert_matches_full_reflections(E: ExpansionSpec, bound: int) -> None:
+    """Per member, the unit and counit verdicts decided from the seeds and
+    with a stop agree with the ones read off the full reflections; each
+    failure's witnesses hold in the full F."""
+    units = check_unit_mono(E, bound)
+    for A, inst in zip(members_up_to(E.base, bound), units, strict=True):
+        pair = unit_collapse(A, E)
+        if isinstance(inst, ProductTooLarge):
+            continue
+        assert (pair is None) == inst.embedding, A.name
+        if pair is not None:
+            a, b = pair
+            assert a != b and inst.unit(a) == inst.unit(b)
+    counits = check_counit_iso(E, bound)
+    for B, inst in zip(members_up_to(E.expanded, bound), counits, strict=True):
+        try:
+            collapse = counit_collapse(B, E)
+        except CapExceeded:
+            assert isinstance(inst, ProductTooLarge)
+            continue
+        assert (collapse is None) == inst.bijective, B.name
+        if collapse is not None:
+            assert inst.counit.source.size > B.size
+
+
+class TestVerdictsWithoutFullReflections:
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(FIXTURE_EXPANSIONS))
+    def test_fixture_expansions_match_full_reflections(self, name, bound):
+        assert_matches_full_reflections(FIXTURE_EXPANSIONS[name], bound)
+
+    def test_binary_pairs_match_full_reflections(self):
+        """All 256 pairs of binary g and f on a 2-element base, at bound 3;
+        both verdicts occur."""
+        statuses = set()
+        for g in range(16):
+            for f in range(16):
+                E = binary_pair(g, f)
+                assert_matches_full_reflections(E, 3)
+                statuses.add(unit_counit_verdict(E, 3).status)
+        assert statuses == {"holds", "fails"}
+
+    def test_unit_without_homomorphisms(self):
+        """No member of K = ISP(2-cycle) maps into the reduct of a 3-cycle,
+        so every seed is the empty tuple and F is trivial: the unit is
+        injective exactly on the one-element member."""
+        U = Signature("U", (("u", 1),))
+        V = Signature("V", (("u", 1), ("v", 1)))
+        swap = FiniteAlgebra("Swap", U, 2, ((1, 0),))
+        cycle = FiniteAlgebra("Cycle", V, 3, ((1, 2, 0), (0, 1, 2)))
+        E = ExpansionSpec(Quasivariety("K", U, generators=(swap,)),
+                          Quasivariety("M", V, generators=(cycle,)))
+        one, two = members_up_to(E.base, 2)
+        assert unit_collapse(one, E) is None
+        assert unit_collapse(two, E) == (0, 1)
+        assert [inst.embedding for inst in check_unit_mono(E, 2)] == [True, False]
+
+    def test_work_pin(self, monkeypatch):
+        """Units generate nothing, and each counit instance interns at most
+        |B| + 1 elements, in one generation stopped after |B|."""
+        calls = []
+        original = adjunction.generate_in_product
+
+        def recording(*args, stop_after=None, **kwargs):
+            try:
+                result = original(*args, stop_after=stop_after, **kwargs)
+            except GenerationStopped as stop:
+                calls.append((stop_after, len(stop.elements)))
+                raise
+            calls.append((stop_after, len(result.elements)))
+            return result
+
+        monkeypatch.setattr(adjunction, "generate_in_product", recording)
+        adjunction._reflection.cache_clear()  # a cached full reflection would hide its generation
+        for E in [*FIXTURE_EXPANSIONS.values(), NOR_PAIR]:
+            for A in members_up_to(E.base, 4):
+                unit_collapse(A, E)
+            assert calls == []
+            for B in members_up_to(E.expanded, 4):
+                counit_collapse(B, E)
+                [(stop, reached)] = calls
+                assert stop == B.size and reached <= B.size + 1
+                calls.clear()
+            unit_counit_verdict(E, 4)
+            assert len(calls) <= len(members_up_to(E.expanded, 4))
+            assert all(reached <= stop + 1 for stop, reached in calls)
+            calls.clear()
+
+    def test_nor_pair_decided_at_bound_six(self):
+        """The NOR pair fails at M's one-element member: its F is all four
+        elements of a product of two factors."""
+        v = unit_counit_verdict(NOR_PAIR, 6)
+        assert v.status == "fails"
+        kind, collapse = v.certificate
+        assert kind == "counit-not-iso" and collapse.algebra.size == 1
 
 
 class TestInducedExpansion:

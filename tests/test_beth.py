@@ -1,6 +1,6 @@
 import pytest
 
-from qvbench import fixtures as fx
+from qvbench import beth, fixtures as fx
 from qvbench.adjunction import (
     ExpansionSpec,
     ExpansionViolation,
@@ -39,7 +39,7 @@ from qvbench.core import (
     trivial_algebra,
 )
 from qvbench.logic import App, Var
-from qvbench.quasivariety import NotFoundWithinBound, Quasivariety, membership
+from qvbench.quasivariety import NotFoundWithinBound, Quasivariety, members_up_to, membership
 
 
 class TestCheckSimple:
@@ -242,6 +242,23 @@ class TestCrossValidation:
     def test_trivial_fixture_consistent(self):
         r = cross_validate_main_theorem(fx.DL_TRIVIAL, fx.PP_EMPTY, 4)
         assert r.consistent
+
+    def test_each_verdict_computed_once(self, monkeypatch):
+        """The reduct functor is checked once, and each member's unit and
+        counit are decided once, though two verdicts report them."""
+        calls = []
+        for name in ("_reduct_violation", "unit_collapse", "counit_collapse"):
+            def counted(*args, _name=name, _original=getattr(beth, name)):
+                calls.append((_name, args[0]))
+                return _original(*args)
+            monkeypatch.setattr(beth, name, counted)
+        r = cross_validate_main_theorem(fx.DL_TO_BOOL, fx.PP_COMPL, 4)
+        assert r.unit_counit.holds and r.mono_reflective.holds
+        assert calls == (
+            [("_reduct_violation", fx.DL_TO_BOOL)]
+            + [("unit_collapse", A) for A in members_up_to(fx.DL, 4)]
+            + [("counit_collapse", B) for B in members_up_to(fx.BOOL, 4)]
+        )
 
     def test_family_relative_disagreement_is_flagged(self):
         """The join-with-complement closure equals the constant-top expansion,

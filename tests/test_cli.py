@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+import time
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qvbench import cli
+from qvbench import beth, cli
 from qvbench.cli import (
     Report,
     emit_report,
@@ -63,6 +66,67 @@ quasivariety Sets : S = generated(ThreeS)
 quasivariety TwoOps : T = generated(Three)
 expansion SetsToTwoOps := Sets -> TwoOps
 """
+
+
+# K = ISP(2, g(x,y) = y) -> M = ISP(2, g, f = NOR).  NOR is functionally
+# complete, so the reflection of an n-element set is all 2^(2^n) elements
+# of its product; the counit fails at the one-element member of M.
+NOR_WORKSPACE = """
+signature G { g/2 }
+signature GF { g/2; f/2 }
+algebra Two : G {
+  universe 2
+  op g = [[0,1],[0,1]]
+}
+algebra TwoNor : GF {
+  universe 2
+  op g = [[0,1],[0,1]]
+  op f = [[1,0],[0,0]]
+}
+quasivariety K : G = generated(Two)
+quasivariety M : GF = generated(TwoNor)
+expansion KtoM := K -> M
+"""
+
+
+def _table_value(algebra: dict, sym: str, args) -> int:
+    """A report algebra's table entry, row-major with the last argument
+    varying fastest."""
+    flat = 0
+    for a in args:
+        flat = flat * algebra["size"] + a
+    return algebra["tables"][sym][flat]
+
+
+def _registers(algebra: dict, inputs, steps) -> list:
+    registers = list(inputs)
+    for sym, *operands in steps:
+        registers.append(_table_value(algebra, sym, [registers[r] for r in operands]))
+    return registers
+
+
+def replay_counit_collapse(cert: dict, base_symbols) -> list[str]:
+    """Replay a `counit-not-iso` certificate from its JSON by table
+    evaluation in B and G alone; the problems found, none when it holds."""
+    B, G, h = cert["algebra"], cert["generator"], cert["hom"]
+    t, u = cert["terms"]
+    problems = []
+    in_b = _registers(B, range(B["size"]), cert["steps"])
+    if not in_b[t] == in_b[u] == cert["value"]:
+        problems.append(f"values in B {in_b[t]}, {in_b[u]}, stated {cert['value']}")
+    arities = dict(map(tuple, B["signature"]["symbols"]))
+    if len(h) != B["size"] or not all(0 <= v < G["size"] for v in h):
+        problems.append("h is not a map from B to G")
+        return problems
+    for sym in base_symbols:
+        for args in iproduct(range(B["size"]), repeat=arities[sym]):
+            if h[_table_value(B, sym, args)] != _table_value(G, sym, [h[a] for a in args]):
+                problems.append(f"h does not preserve {sym} at {args}")
+                break
+    in_g = _registers(G, h, cert["steps"])
+    if in_g[t] == in_g[u] or [in_g[t], in_g[u]] != cert["generator_values"]:
+        problems.append(f"values in G {in_g[t]}, {in_g[u]}, stated {cert['generator_values']}")
+    return problems
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +227,24 @@ class TestCommands:
         )
         assert code == 0
         assert [i["name"] for i in report.instances] == ["BOOL~BIMPQ", "simplicity-transfer"]
+
+    def test_term_equiv_transfer_decides_the_equivalence_once(self, ws, monkeypatch):
+        calls = []
+        original = beth.check_faithful_term_equivalence
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "check_faithful_term_equivalence", counted)
+        monkeypatch.setattr(beth, "check_faithful_term_equivalence", counted)
+        _, code = run(
+            "term-equiv", ws,
+            {"m1": "BOOL", "m2": "BIMPQ", "tau": "notToImp", "rho": "impToNot",
+             "in": "DL", "max_size": 4, "transfer": True},
+        )
+        assert code == 0
+        assert len(calls) == 1
 
     def test_cross_validate(self, ws):
         report, code = run(
@@ -487,6 +569,53 @@ class TestMainEntry:
         assert code == 3
         assert f"product of size {3**27} exceeds cap 1000000" in capsys.readouterr().err
 
+    def test_nor_pair_decided_at_bound_four(self, tmp_path):
+        """Building the reflection of the 4-element set would take all
+        65,536 elements of a 16-factor product; the verdict needs none."""
+        workspace = tmp_path / "nor.qvw"
+        workspace.write_text(NOR_WORKSPACE)
+        report = tmp_path / "r.json"
+        start = time.perf_counter()
+        code = main(["cross-validate", "--workspace", str(workspace), "--expansion", "KtoM",
+                     "--max-size", "4", "--report", str(report)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert json.loads(report.read_text())["summary"] == "1/3 hold"
+
+    @pytest.mark.parametrize("workspace, expansion, base_symbols", [
+        (None, "MSLtoDL", ["meet", "bot", "top"]),
+        (NOR_WORKSPACE, "KtoM", ["g"]),
+    ], ids=["msl-dl", "nor"])
+    def test_counit_certificate_replays(self, tmp_path, workspace, expansion, base_symbols):
+        """The `counit-not-iso` certificate of cross-validate replays by
+        table evaluation in B and G; changing its value, h or one step of
+        its program breaks the replay."""
+        path = WS
+        if workspace is not None:
+            path = tmp_path / "ws.qvw"
+            path.write_text(workspace)
+        report = tmp_path / "r.json"
+        code = main(["cross-validate", "--workspace", str(path), "--expansion", expansion,
+                     "--max-size", "4", "--report", str(report)])
+        assert code == 1
+        verdicts = {i["name"]: i for i in json.loads(report.read_text())["instances"]}
+        kind, cert = verdicts["unit-mono-counit-iso"]["certificate"]
+        assert kind == "counit-not-iso"
+        assert replay_counit_collapse(cert, base_symbols) == []
+        assert cert["terms"][0] != cert["terms"][1]
+
+        arities = dict(map(tuple, cert["algebra"]["signature"]["symbols"]))
+        last = cert["steps"][-1]
+        other = next(s for s, k in arities.items() if k == arities[last[0]] and s != last[0])
+        h = list(cert["hom"])
+        h[0] = (h[0] + 1) % cert["generator"]["size"]
+        for mutated in (
+            {**cert, "value": cert["value"] + 1},
+            {**cert, "hom": h},
+            {**cert, "steps": cert["steps"][:-1] + [[other, *last[1:]]]},
+        ):
+            assert replay_counit_collapse(mutated, base_symbols) != []
+
     def test_crash_exit_four(self, monkeypatch, capsys):
         def crash(ws, flags):
             raise RuntimeError("boom")
@@ -497,10 +626,12 @@ class TestMainEntry:
         assert "RuntimeError: boom" in capsys.readouterr().err
 
     def test_subprocess_runs(self):
+        # The child finds the package in src/ whatever PYTHONPATH the caller set.
+        path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "qvbench.cli", "enumerate", "--workspace", WS,
              "--in", "DL", "--size", "3"],
-            capture_output=True,
+            capture_output=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["summary"] == "1/1 hold"

@@ -32,6 +32,7 @@ from qvbench.quasivariety import (
     DEFAULT_PRODUCT_CAP,
     Amalgam,
     CapExceeded,
+    GenerationStopped,
     NotFoundWithinBound,
     Quasivariety,
     _axiomatic_models,
@@ -246,6 +247,10 @@ def _gen_factor(n, c, u, f, t):
 COMM_SIG = Signature("comm", (("c", 0), ("d", 0), ("m", 2), ("f", 2), ("g", 2)))
 
 
+# p(x, y) = x is not commutative; m = min is.
+PM_SIG = Signature("pm", (("p", 2), ("m", 2)))
+
+
 def _comm_factor(n, c, d, m, f, g):
     cells = lambda op: tuple(op(a, b) for a, b in iproduct(range(n), repeat=2))  # noqa: E731
     return FiniteAlgebra(f"P{n}", COMM_SIG, n, ((c,), (d,), cells(m), cells(f), cells(g)))
@@ -366,11 +371,59 @@ class TestBitSlicedGeneration:
         args = (factors, seeds, signature, 10**6, "G")
         assert _outcome(generate_in_product, *args) == _outcome(oracles.generate_in_product, *args)
 
+    @pytest.mark.parametrize("factors, seeds, signature", [
+        ([], [(), ()], COMM_SIG),
+        ([FiniteAlgebra("PM", PM_SIG, 2, ((0, 0, 1, 1), (0, 0, 0, 1)))], [(1,)], PM_SIG),
+    ], ids=["empty-product", "idempotent"])
+    def test_one_element_closure(self, factors, seeds, signature):
+        """A closure of one element has 1 x 1 binary tables; the tables
+        phase must not take `itemgetter` of its one index, which returns a
+        bare value.  The empty product, and a seed that an idempotent
+        commutative and a non-commutative symbol both fix."""
+        got = generate_in_product(factors, seeds, signature, 10**6, "G")
+        assert got == oracles.generate_in_product(factors, seeds, signature, 10**6, "G")
+        assert got.algebra.size == 1
+        assert all(table == (0,) for table in got.algebra.tables)
+
     def test_seed_outside_the_product_rejected(self):
         with pytest.raises(ValueError, match="not an element of the product"):
             generate_in_product([fx.CHAIN2, fx.CHAIN3], [(1, 3)], fx.BDL)
         with pytest.raises(ValueError, match="not an element of the product"):
             generate_in_product([fx.CHAIN2, fx.CHAIN3], [(1,)], fx.BDL)
+
+
+class TestStoppedGeneration:
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=product_inputs(), data=st.data())
+    def test_stop_matches_reference_discovery(self, inputs, data):
+        """With `stop_after` = s, a closure of at most s elements is returned
+        as without it; a larger one raises `GenerationStopped` with the
+        reference's first s + 1 tuples in the order of discovery and their
+        first producers, arguments given by discovery number."""
+        factors, seeds, signature = inputs
+        reached = list(oracles.discovery(factors, seeds, signature).items())
+        stop = data.draw(st.integers(0, len(reached) + 1))
+        try:
+            got = generate_in_product(factors, seeds, signature, 10**6, "G", stop_after=stop)
+        except GenerationStopped as exc:
+            assert stop < len(reached)
+            number = {t: i for i, (t, _) in enumerate(reached)}
+            expected = reached[:stop + 1]
+            assert exc.elements == tuple(t for t, _ in expected)
+            assert exc.trace == tuple(
+                origin if origin[0] == "seed"
+                else (origin[0],) + tuple(number[a] for a in origin[1:])
+                for _, origin in expected
+            )
+        except ValueError:  # nothing reached
+            assert reached == []
+        else:
+            assert stop >= len(reached)
+            assert got == generate_in_product(factors, seeds, signature, 10**6, "G")
+
+    def test_stop_does_not_lift_the_cap(self):
+        with pytest.raises(CapExceeded):
+            generate_in_product([fx.CHAIN2] * 3, [], fx.BDL, 7, stop_after=1)
 
 
 _x, _y, _z = Var("x"), Var("y"), Var("z")
