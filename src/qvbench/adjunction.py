@@ -30,7 +30,6 @@ from .core import (
 from .implicit import (
     FunctionalityViolation,
     ImplicitOpSpec,
-    PartialOperation,
     induced_partial_op,
 )
 from .quasivariety import (
@@ -391,14 +390,10 @@ def check_counit_iso(E: ExpansionSpec, bound: int) -> list[CounitInstance | Prod
 
 
 def unit_collapse(A: FiniteAlgebra, E: ExpansionSpec) -> tuple[int, int] | None:
-    """The unit at a base member A, decided from its seeds and building no
-    product, so no product cap applies.  The unit sends a to its seed tuple
-    (h(a))_h, so it is injective exactly when the homomorphisms A -> U(G)
-    separate the points of A.  With none of them every seed is the empty
-    tuple: F(A) is trivial, and the unit is injective iff |A| = 1.  None when
-    it is injective; else two elements that every such homomorphism
-    identifies: the first whose seed equals an earlier one's, after that
-    earlier one."""
+    """The unit at a base member A, decided from its seeds as
+    `beth.unit_counit_verdict` says.  None when it is injective; else two
+    elements with the same seed: the first whose seed equals an earlier
+    one's, after that earlier one."""
     _, homs = _coordinates(A, E)
     first: dict[tuple, int] = {}
     for a in range(A.size):
@@ -416,7 +411,12 @@ class CounitCollapse:
     symbol applied to those registers' values.  The registers `terms` both
     take `value` in B.  Started from hom(b) for b in B instead, with `hom` a
     base-language homomorphism U B -> U G and G the expanded `generator`,
-    the program takes the two `generator_values` there, which differ."""
+    the program takes the two `generator_values` there, which differ.
+
+    Of the |B| + 1 elements a stopped generation reaches, the pair is the
+    first, in the order of discovery, whose counit value an earlier one has,
+    and that earlier one; (G, h) is the first coordinate at which they
+    differ.  It replays by table evaluation in B and G alone."""
     algebra: FiniteAlgebra
     steps: tuple[tuple, ...]
     terms: tuple[int, int]
@@ -426,23 +426,17 @@ class CounitCollapse:
     generator_values: tuple[int, int]
 
 
-def counit_collapse(
-    B: FiniteAlgebra, E: ExpansionSpec, product_cap: int = DEFAULT_PRODUCT_CAP
-) -> CounitCollapse | None:
-    """The counit at an expanded member B, decided with a stop.  The counit
-    is onto, so it is an isomorphism exactly when F(U B) has |B| elements;
-    generation stops as soon as a (|B| + 1)-th element would be interned.  A
-    holding instance reaches exactly |B| elements, so its F is the full
-    reflection, and its counit map passes the self-checks of `counit`.  Of
-    the |B| + 1 elements of a failing one, two have the same counit value:
-    the first element, in the order of discovery, whose value an earlier
-    one has, and that earlier one.  They differ at some coordinate (G, h),
-    the first.  Raises `CapExceeded` when the product is over the cap."""
+def counit_collapse(B: FiniteAlgebra, E: ExpansionSpec) -> CounitCollapse | None:
+    """The counit at an expanded member B, decided with a stop as
+    `beth.unit_counit_verdict` says: None when it is an isomorphism, whose
+    counit map then passes the self-checks of `counit`, else its
+    `CounitCollapse`.  Raises `CapExceeded` when the product is over the
+    cap."""
     factors, homs = _coordinates(reduct(B, E.base.signature), E)
     seeds = [tuple(h(b) for h in homs) for b in range(B.size)]
     try:
         gen = generate_in_product(
-            factors, seeds, E.expanded.signature, product_cap, stop_after=B.size
+            factors, seeds, E.expanded.signature, DEFAULT_PRODUCT_CAP, stop_after=B.size
         )
     except GenerationStopped as stop:
         return _collapse(B, factors, homs, stop)

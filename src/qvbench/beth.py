@@ -40,7 +40,6 @@ from .adjunction import (
 from .implicit import (
     FunctionalityViolation,
     ImplicitOpSpec,
-    PartialOperation,
     induced_partial_op,
     witness_projection_specs,
 )
@@ -285,12 +284,8 @@ def check_mono_reflective(E: ExpansionSpec, bound: int) -> Verdict:
     """Three bounded sub-checks, all required: (a) fullness of the reduct
     functor, that is, every base-language map between expanded members
     preserves the extra operations, then (b) unit injectivity and (c) counit
-    bijectivity, which are `unit_counit_verdict` and decided as it says.
-    Fullness makes one expanded-language hom search per pair of members; a
-    pair with fewer expanded than base homomorphisms gives the `not-full`
-    certificate (A, B, the first base map that is not expanded).  A reduct
-    functor that is not well defined fails first, under
-    `reduct-well-defined`."""
+    bijectivity, which are `unit_counit_verdict`.  A reduct functor that is
+    not well defined fails first, under `reduct-well-defined`."""
     violation = _reduct_violation(E, bound)
     if violation is not None:
         return violation
@@ -329,18 +324,19 @@ def unit_counit_verdict(E: ExpansionSpec, bound: int) -> Verdict:
     reflections.  A reduct functor that is not well defined fails first,
     under `reduct-well-defined`.
 
-    Each unit is decided from its seeds (`adjunction.unit_collapse`), with no
-    product; a failure's certificate is ("unit-not-mono", A, two elements of
-    A that no base homomorphism into a generator separates).  Each
-    counit is decided by generation stopped at |B| + 1 elements
-    (`adjunction.counit_collapse`); a failure's certificate is
-    ("counit-not-iso", B with two terms over its elements as a straight-line
-    program, their common value in B, and a coordinate (G, h) at which they
-    differ), which replays by table evaluation in B and G alone.  A counit
-    whose product exceeds the cap leaves the verdict unknown within the
-    bound, unless another member fails.  The `unit` and `counit` commands
-    print each instance's map into or out of the full F, so they still
-    build every reflection (`check_unit_mono`, `check_counit_iso`)."""
+    The unit at A sends a to its seed tuple (h(a))_h, over the base
+    homomorphisms h: A -> U(G), so it is injective exactly when they
+    separate the points of A; with none, F(A) is trivial and the unit is
+    injective iff |A| = 1.  No product is built, so no cap applies.  A
+    failure's certificate is ("unit-not-mono", A, two elements with the
+    same seed).  The counit at B is onto, so it is an isomorphism exactly
+    when F(U B) has |B| elements; generation stops as soon as a (|B| + 1)-th
+    element would be interned, and a failure's certificate is
+    ("counit-not-iso", `adjunction.CounitCollapse`).  A counit whose product
+    exceeds the cap leaves the verdict unknown within the bound, unless
+    another member fails.  The `unit` and `counit` commands print each
+    instance's map into or out of the full F, so they still build every
+    reflection (`check_unit_mono`, `check_counit_iso`)."""
     violation = _reduct_violation(E, bound)
     if violation is not None:
         return violation
@@ -465,14 +461,9 @@ def cross_validate_main_theorem(
     neither of the others.  All three presuppose a well-defined reduct
     functor: when some expanded member has a reduct outside the base, both
     categorical verdicts are that `reduct-well-defined` failure and the
-    report is not consistent.
-
-    Each verdict is computed once.  The reduct functor is checked once; the
-    unit/counit verdict is decided from the seeds and from generation
-    stopped at |B| + 1 elements, as `unit_counit_verdict` says, with no full
-    reflection and no F or counit map in its certificate; and
-    `mono-reflective` is the fullness check of `check_mono_reflective`, then
-    that same unit/counit verdict."""
+    report is not consistent.  Each verdict is computed once:
+    `mono-reflective` reuses the `unit_counit_verdict` after its fullness
+    check."""
     simple = check_simple(P, bound) if P is not None else None
     violation = _reduct_violation(E, bound)
     if violation is not None:

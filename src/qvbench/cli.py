@@ -17,20 +17,16 @@ and reflect, whose cap is that flag; in unit, counit and cross-validate it
 leaves the member's instance unknown-within-bound, with the product's size
 and the cap in its certificate.
 
-`unit` and `counit` print each member's unit or counit map, whose ids
-number the elements of the full reflection F, so they build every F.
-`cross-validate` builds none: a unit is decided from its seeds, with no
-product, and a counit at B by generation stopped at |B| + 1 elements.  A
-failing counit's certificate holds B, two terms over B's elements as a
-straight-line program, their common value in B, and a coordinate (G, h) at
-which they differ; it replays by table evaluation in B and G alone.
+`unit` and `counit` print each member's map, whose ids number the elements
+of the full reflection F, so they build every F; `cross-validate` builds
+none, as `beth.unit_counit_verdict` says.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
@@ -54,7 +50,6 @@ from .adjunction import (
     induced_expansion,
 )
 from .beth import (
-    MainTheoremReport,
     PreconditionError,
     RegularWitness,
     Verdict,
@@ -64,7 +59,6 @@ from .beth import (
     check_simple,
     check_simplicity_transfer,
     cross_validate_main_theorem,
-    unit_counit_verdict,
 )
 from .implicit import (
     Extension,
@@ -79,7 +73,6 @@ from .quasivariety import (
     CapExceeded,
     DEFAULT_PRODUCT_CAP,
     NotFoundWithinBound,
-    Quasivariety,
     bounded_amalgamation,
     enumerate_members,
     free_algebra,
