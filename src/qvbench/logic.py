@@ -1,12 +1,14 @@
 """Terms, equations, quasiequations, and primitive positive formulas, with
 evaluation on finite algebras.
 
-Every evaluation goes through `compile_term`'s expression builder
-`_lookups`, the only translator from terms to table lookups.  `compile_term`
-wraps one term's expression in a function, which also reads tables with
-unassigned cells; `compile_pp` wraps a pp body in one generated search with
-a loop per bound variable, which works on total tables only.  The checks
-here compile once per call and then enumerate assignments.
+Every evaluation goes through `_lookups`, the only translator from terms to
+table lookups.  `compile_term` wraps one term's expression in a function,
+and `compile_pp` wraps a pp body in one generated search with a loop per
+bound variable, on total tables.  The partial form of `compile_term` reads
+tables with unassigned cells: its value is the term's value or the marker of
+the first unassigned cell it reads, so a caller learns which cell the value
+waits on.  The checks here compile once per call and then enumerate
+assignments.
 
 Conjunctions are flat lists: satisfaction does not depend on bracketing or
 order.  Existential witnesses are reported lexicographically least, so every
@@ -98,14 +100,22 @@ def rename_equation(eq: Equation, renaming: dict[str, str]) -> Equation:
     return Equation(rename_term(eq.left, renaming), rename_term(eq.right, renaming))
 
 
-def _lookups(signature: Signature, t: Term, name) -> str:
+def _lookups(signature: Signature, t: Term, name, partial: bool = False) -> str:
     """The one translator from terms to lookups: `t` as a single Python
     expression of table lookups on flat row-major indices (last argument
     fastest, as in `FiniteAlgebra.tables`), where `T[i]` is the table of
     `signature.symbols[i]`, `n` the universe size and `name[v]` the
     expression that reads variable v.  Unbound variables and symbol or arity
-    mismatches raise here, at compile time."""
+    mismatches raise here, at compile time.
+
+    The partial form is guarded: it reads tables whose unassigned cells hold
+    negative ints.  Each lookup that is an argument of another is bound to a
+    name and tested before anything indexes with it; a negative one is the
+    value of the whole expression.  So the expression gives the term's value
+    or the content of the first unassigned cell it reads, in evaluation
+    order: arguments left to right, each before the lookup it indexes."""
     slot = {sym: i for i, (sym, _) in enumerate(signature.symbols)}
+    bound: list[str] = []
 
     def source(u: Term) -> str:
         if isinstance(u, Var):
@@ -115,27 +125,32 @@ def _lookups(signature: Signature, t: Term, name) -> str:
         k = signature.arity(u.symbol)
         if k != len(u.args):
             raise SignatureError(f"{u.symbol}/{k} applied to {len(u.args)} arguments")
-        index = "0"
+        index, guards = "0", ""
         for i, child in enumerate(u.args):
-            index = source(child) if i == 0 else f"({index})*n+{source(child)}"
-        return f"T[{slot[u.symbol]}][{index}]"
+            arg = source(child)
+            if partial and isinstance(child, App):
+                r = f"r{len(bound)}"
+                bound.append(r)
+                guards += f"{r} if ({r} := {arg}) < 0 else "
+                arg = r
+            index = arg if i == 0 else f"({index})*n+{arg}"
+        return f"{guards}T[{slot[u.symbol]}][{index}]"
 
     return source(t)
 
 
-def compile_term(signature: Signature, t: Term, variables) -> Callable:
+def compile_term(signature: Signature, t: Term, variables, partial: bool = False) -> Callable:
     """The one term evaluator.  Compiles `t` into `f(tables, n, values)`, the
     expression of `_lookups` with `values[i]` the value of `variables[i]`.
-    `f` returns None when it reads an unassigned (None) cell: that surfaces
-    as the TypeError of using None as an index or in the index arithmetic."""
-    expression = _lookups(signature, t, {v: f"v[{i}]" for i, v in enumerate(variables)})
-    return _define(
-        "def f(T, n, v):\n"
-        "    try:\n"
-        f"        return {expression}\n"
-        "    except TypeError:\n"
-        "        return None\n"
-    )
+
+    With `partial` the tables may have unassigned cells, each holding a
+    negative int of the caller's choosing, its marker, and `f` is the
+    guarded expression.  It returns the value of `t` when every cell it
+    reads is assigned, and otherwise the marker of the first unassigned cell
+    it reads.  That cell stays on the evaluation path while the cells read
+    before it keep their values: the value of `t` waits on it."""
+    name = {v: f"v[{i}]" for i, v in enumerate(variables)}
+    return _define(f"def f(T, n, v):\n    return {_lookups(signature, t, name, partial)}\n")
 
 
 @lru_cache(maxsize=4096)

@@ -35,9 +35,9 @@ from .core import (
 )
 from .logic import (
     Quasiequation,
-    _compile_equation,
     _define,
     check_quasiequation,
+    compile_term,
     equations_variables,
     eval_term,
 )
@@ -520,59 +520,66 @@ def _axiomatic_models(signature: Signature, axioms, size: int) -> list[FiniteAlg
     has an isomorphic copy among the leaves.  `IsoRegistry` removes the
     copies that remain.
 
-    Each axiom is compiled once, and its ground instances are (axiom,
-    assignment of elements to its variables).  A node keeps the instances
-    still undecided on its branch and evaluates only those after its cell
-    is filled, on the partial tables: a term that reads an unfilled cell is
-    undecided.  An instance whose premises all hold and whose conclusion
-    fails is violated, and the branch is pruned.  One with a false premise
-    or a holding conclusion is decided: filled cells are never changed
-    below the node, so the values it read are the same in every model the
-    branch reaches, and the instance holds in all of them.  The child gets
-    only the instances that are still undecided.  At a leaf every cell is
-    filled, no instance is undecided, and the tables satisfy every
-    axiom."""
+    Each axiom is compiled once, by `compile_term`'s partial form, into its
+    sides: premise left and right, in order, then the conclusion's.  Its
+    ground instances are the assignments of elements to its variables.  An
+    unfilled cell holds ~c, for c its place in the cell order, so evaluating
+    a side gives its value or ~c for the first unfilled cell c it reads.  An
+    instance is evaluated side by side and stops at such a cell: it waits in
+    the watch bucket of c, with the sides evaluated so far.  Filling cell c
+    evaluates bucket c alone, from the side each instance stopped at.  A
+    false premise or a holding conclusion drops the instance: filled cells
+    keep their values below the node, so it holds in every model the branch
+    reaches.  True premises with a failing conclusion violate it, and the
+    value is pruned.  Otherwise the instance moves to the bucket of the
+    next unfilled cell it reads; every cell before c is filled, so that cell
+    comes after c.  The moves of a value are undone before the next value.
+
+    Invariant: every instance still undecided on the branch waits in the
+    bucket of an unfilled cell that its evaluation reads, given the filled
+    cells.  So an instance is decided no later than the node that fills the
+    last cell it reads, and the search prunes exactly where a search that
+    evaluated every undecided instance at every node would: a violated
+    instance is found at the node that fills its last-read cell, its watched
+    cell.  The leaves, and their order, are the same.  At a leaf every cell
+    is filled, no instance waits, and the tables satisfy every axiom."""
     n = size
     cells = sorted(
         (max(args, default=-1), i, flat)
         for i, (_, k) in enumerate(signature.symbols)
         for flat, args in enumerate(iproduct(range(n), repeat=k))
     )
-    instances = []
-    for q in axioms:
-        names = sorted(equations_variables((*q.premises, q.conclusion)))
-        premises = tuple(_compile_equation(signature, p, names) for p in q.premises)
-        left, right = _compile_equation(signature, q.conclusion, names)
-        instances += [
-            (left, right, premises, values)
-            for values in iproduct(range(n), repeat=len(names))
-        ]
-    tables = [[None] * n**k for _, k in signature.symbols]
+    tables = [[0] * n**k for _, k in signature.symbols]
+    for c, (_, i, flat) in enumerate(cells):
+        tables[i][flat] = ~c
+    watch: list[list] = [[] for _ in cells]
 
-    def undecided(pending: list) -> list | None:
-        """The pending instances still undecided, or None if one is violated."""
-        rest = []
-        for instance in pending:
-            left, right, premises, values = instance
-            a, b = left(tables, n, values), right(tables, n, values)
-            if a is not None and a == b:
-                continue
-            unknown = a is None or b is None
-            for p_left, p_right in premises:
-                c, d = p_left(tables, n, values), p_right(tables, n, values)
-                if c is None or d is None:
-                    unknown = True
-                elif c != d:
+    def wake(bucket: list, moved: list) -> bool:
+        """Resume each instance of `bucket` at the side it stopped at, and
+        move each that stops at an unfilled cell to that cell's bucket,
+        noting the cell in `moved`; False if one is violated."""
+        for sides, values, k, left in bucket:
+            while True:
+                x = sides[k](tables, n, values)
+                if x < 0:
+                    c = ~x
+                    watch[c].append((sides, values, k, left))
+                    moved.append(c)
                     break
-            else:
-                if not unknown:
-                    return None
-                rest.append(instance)
-        return rest
+                if not k & 1:  # a left side
+                    left = x
+                elif k == len(sides) - 1:  # the conclusion
+                    if x != left:
+                        return False
+                    break
+                elif x != left:  # a false premise
+                    break
+                k += 1
+        return True
 
     found: list[FiniteAlgebra] = []
 
-    def rec(ci: int, pending: list, mx: int) -> None:
+    def rec(ci: int, mx: int) -> None:
         if ci == len(cells):
             found.append(
                 FiniteAlgebra(f"model{n}", signature, n, tuple(map(tuple, tables)))
@@ -582,14 +589,24 @@ def _axiomatic_models(signature: Signature, axioms, size: int) -> list[FiniteAlg
         mx = max(mx, top)
         for v in range(min(n, mx + 2)):
             tables[i][flat] = v
-            rest = undecided(pending)
-            if rest is not None:
-                rec(ci + 1, rest, max(mx, v))
-        tables[i][flat] = None
+            moved: list[int] = []
+            if wake(watch[ci], moved):
+                rec(ci + 1, max(mx, v))
+            for c in moved:
+                watch[c].pop()
+        tables[i][flat] = ~ci
 
-    pending = undecided(instances)
-    if pending is not None:
-        rec(0, pending, -1)
+    instances = []
+    for q in axioms:
+        names = sorted(equations_variables((*q.premises, q.conclusion)))
+        sides = tuple(
+            compile_term(signature, side, names, partial=True)
+            for eq in (*q.premises, q.conclusion)
+            for side in (eq.left, eq.right)
+        )
+        instances += [(sides, values, 0, None) for values in iproduct(range(n), repeat=len(names))]
+    if wake(instances, []):
+        rec(0, -1)
     return found
 
 

@@ -12,7 +12,7 @@ from qvbench.core import FiniteAlgebra, Homomorphism, Signature, SignatureError,
 from qvbench.implicit import ImplicitOpSpec
 from qvbench.logic import (
     App, Equation, LogicError, PpFormula, Quasiequation, Term, UnboundVariableError, Var,
-    _compile_equation,
+    _compile_equation, _define, _lookups, equations_variables,
 )
 from qvbench.parser import DECL_KEYWORDS, ParseError, Token, UnknownName, Workspace
 from qvbench.quasivariety import CapExceeded, GenResult, Quasivariety
@@ -34,9 +34,17 @@ class PartialTables:
         return self.tables[i][flat]
 
 
+@dataclass(frozen=True)
+class Unassigned:
+    """The unassigned cell `symbol(args)` of a PartialTables."""
+    symbol: str
+    args: tuple
+
+
 def eval_term(A, t, assignment):
     """Structural recursion over the operation tables of a FiniteAlgebra or
-    PartialTables; None when it reads an unassigned cell."""
+    PartialTables, arguments left to right.  On partial tables it stops at
+    the first unassigned cell it reads and returns that cell as Unassigned."""
     if isinstance(t, Var):
         try:
             return assignment[t.name]
@@ -45,10 +53,14 @@ def eval_term(A, t, assignment):
     k = A.signature.arity(t.symbol)
     if k != len(t.args):
         raise SignatureError(f"{t.symbol}/{k} applied to {len(t.args)} arguments")
-    args = [eval_term(A, a, assignment) for a in t.args]
-    if None in args:
-        return None
-    return A.apply(t.symbol, tuple(args))
+    args = []
+    for a in t.args:
+        value = eval_term(A, a, assignment)
+        if isinstance(value, Unassigned):
+            return value
+        args.append(value)
+    value = A.apply(t.symbol, tuple(args))
+    return Unassigned(t.symbol, tuple(args)) if value is None else value
 
 
 def pp_witnesses(signature, phi, free):
@@ -139,6 +151,90 @@ def axiomatic_models(signature, axioms, n):
         names = sorted(set().union(*(_variables(e.left) | _variables(e.right) for e in equations)))
         kept = [i for i in kept if satisfies(algebras[i], q, names)]
     return {_form(signature, n, i) for i in kept}
+
+
+def _compile_or_none(signature, t, variables):
+    """A term evaluator on tables whose unassigned cells are None: the
+    unguarded expression of `_lookups`, with None when it reads one, which
+    surfaces as the TypeError of indexing or computing with None."""
+    expression = _lookups(signature, t, {v: f"v[{i}]" for i, v in enumerate(variables)})
+    return _define(
+        "def f(T, n, v):\n"
+        "    try:\n"
+        f"        return {expression}\n"
+        "    except TypeError:\n"
+        "        return None\n"
+    )
+
+
+def axiomatic_search(signature, axioms, size):
+    """Reference for `quasivariety._axiomatic_models`: the same cell order,
+    least-number heuristic and leaves, but every node evaluates every
+    instance still undecided on its branch on the partial tables, whichever
+    cells it reads.  An instance whose premises all hold and whose
+    conclusion fails prunes the branch; one with a false premise or a
+    holding conclusion is dropped."""
+    n = size
+    cells = sorted(
+        (max(args, default=-1), i, flat)
+        for i, (_, k) in enumerate(signature.symbols)
+        for flat, args in enumerate(iproduct(range(n), repeat=k))
+    )
+    instances = []
+    for q in axioms:
+        names = sorted(equations_variables((*q.premises, q.conclusion)))
+        premises = tuple(
+            (_compile_or_none(signature, p.left, names), _compile_or_none(signature, p.right, names))
+            for p in q.premises
+        )
+        left = _compile_or_none(signature, q.conclusion.left, names)
+        right = _compile_or_none(signature, q.conclusion.right, names)
+        instances += [
+            (left, right, premises, values)
+            for values in iproduct(range(n), repeat=len(names))
+        ]
+    tables = [[None] * n**k for _, k in signature.symbols]
+
+    def undecided(pending):
+        """The pending instances still undecided, or None if one is violated."""
+        rest = []
+        for instance in pending:
+            left, right, premises, values = instance
+            a, b = left(tables, n, values), right(tables, n, values)
+            if a is not None and a == b:
+                continue
+            unknown = a is None or b is None
+            for p_left, p_right in premises:
+                c, d = p_left(tables, n, values), p_right(tables, n, values)
+                if c is None or d is None:
+                    unknown = True
+                elif c != d:
+                    break
+            else:
+                if not unknown:
+                    return None
+                rest.append(instance)
+        return rest
+
+    found = []
+
+    def rec(ci, pending, mx):
+        if ci == len(cells):
+            found.append(FiniteAlgebra(f"model{n}", signature, n, tuple(map(tuple, tables))))
+            return
+        top, i, flat = cells[ci]
+        mx = max(mx, top)
+        for v in range(min(n, mx + 2)):
+            tables[i][flat] = v
+            rest = undecided(pending)
+            if rest is not None:
+                rec(ci + 1, rest, max(mx, v))
+        tables[i][flat] = None
+
+    pending = undecided(instances)
+    if pending is not None:
+        rec(0, pending, -1)
+    return found
 
 
 @lru_cache(maxsize=None)

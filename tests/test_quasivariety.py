@@ -27,7 +27,9 @@ from qvbench.core import (
 from qvbench.adjunction import PpExpansionSpec, _reflection, free_extension
 from qvbench.beth import expansion_members
 from qvbench.implicit import induced_partial_op
-from qvbench.logic import App, Equation, Quasiequation, Var, _define, check_quasiequation
+from qvbench.logic import (
+    App, Equation, Quasiequation, Var, _define, check_quasiequation, compile_term,
+)
 from qvbench.quasivariety import (
     DEFAULT_PRODUCT_CAP,
     Amalgam,
@@ -507,6 +509,12 @@ class TestEnumerateMembers:
         for A, B in combinations(members, 2):
             assert not are_isomorphic(A, B)
 
+    def test_generated_semilattice_counts_a006966_at_eight(self):
+        """The generated MSL and MON classes of 8 elements number 222 each
+        (OEIS A006966)."""
+        for K in (fx.MSLQ, fx.MONQ):
+            assert len(enumerate_members(K, 8)) == 222
+
     def test_dl_member_search_closure_work_is_pinned(self, monkeypatch):
         """A cold enumeration of DL up to size 8 makes exactly 6,988 calls
         to `core._close`, the closure loop: one per candidate extension the
@@ -631,6 +639,57 @@ class TestAxiomaticModels:
         its cells in row-major order, returns more (36 at size 4 without
         it)."""
         assert [len(_axiomatic_models(fx.BDL, fx.DL_AXIOMS, n)) for n in (4, 5)] == [3, 12]
+
+    def test_axiomatic_classes_at_size_six(self):
+        """At size 6 the DL axioms give 5 classes (OEIS A006982) and both
+        semilattice bases 15 each (A006966), and each axiomatic class is
+        isomorphic to exactly one generated class of that size."""
+        for K, G, count in ((fx.DLAX, fx.DL, 5), (MSLAX, fx.MSLQ, 15), (MONAX, fx.MONQ, 15)):
+            axi, gen = enumerate_members(K, 6), enumerate_members(G, 6)
+            assert len(axi) == len(gen) == count
+            for A in axi:
+                assert sum(are_isomorphic(A, B) for B in gen) == 1
+
+    def test_compiled_term_calls_are_pinned(self, monkeypatch):
+        """The search at DLAX size 5 calls compiled sides exactly 24,419
+        times.  A search that evaluated every undecided instance at every
+        node made 307,240; a return to such sweeps fails the bound of a
+        tenth of that."""
+        calls = 0
+
+        def counted(*args, **kwargs):
+            f = compile_term(*args, **kwargs)
+
+            def g(*values):
+                nonlocal calls
+                calls += 1
+                return f(*values)
+
+            return g
+
+        monkeypatch.setattr(quasivariety, "compile_term", counted)
+        assert len(_axiomatic_models(fx.BDL, fx.DL_AXIOMS, 5)) == 12
+        assert calls == 24_419
+        assert calls < 307_240 // 10
+
+    @pytest.mark.parametrize("K", [fx.DLAX, MSLAX, MONAX], ids=lambda K: K.name)
+    def test_matches_reference_search_up_to_size_five(self, K):
+        """The watched search returns the tables of the reference search,
+        which evaluates every undecided instance at every node, in the same
+        order."""
+        for n in range(1, 6):
+            assert [A.tables for A in _axiomatic_models(K.signature, K.axioms, n)] == [
+                A.tables for A in oracles.axiomatic_search(K.signature, K.axioms, n)
+            ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=axiom_sets())
+    def test_matches_reference_search(self, inputs):
+        """The same on random axiom sets, premises included."""
+        signature, axioms, n = inputs
+        assert [A.tables for A in _axiomatic_models(signature, axioms, n)] == [
+            A.tables for A in oracles.axiomatic_search(signature, axioms, n)
+        ]
 
     @settings(max_examples=30, deadline=None)
     @given(inputs=axiom_sets())
