@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
-from itertools import islice, product as iproduct
+from itertools import islice, permutations, product as iproduct
 from operator import or_
 
 
@@ -772,13 +772,11 @@ def permuted(A: FiniteAlgebra, perm: tuple[int, ...]) -> FiniteAlgebra:
 # fingerprint bucketing plus backtracking isomorphism rejection.
 CANONIZE_LIMIT = 4
 
-from itertools import permutations as _permutations
-
 
 def canonical_tables(A: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
     """Lexicographically least table tuple over all permuted copies."""
     best = None
-    for perm in _permutations(range(A.size)):
+    for perm in permutations(range(A.size)):
         t = _permuted_tables(A, perm)
         if best is None or t < best:
             best = t

@@ -631,12 +631,16 @@ def _member_classes(K: Quasivariety, max_size: int) -> tuple[FiniteAlgebra, ...]
     A subdirect subuniverse S with |S| = |C| is neither built nor looked up.
     Its first projection is onto C and one-to-one, so S is the graph of a
     homomorphism C -> G, and that projection is an isomorphism S -> C.  C is
-    already a class of the registry, so adding S would change nothing."""
+    already a class of the registry, so adding S would change nothing.  A
+    class C with max_size elements is therefore not searched at all: every
+    subdirect S has |S| >= |C|, so within the bound |S| = |C|."""
     registry = IsoRegistry()
     if K.is_generated:
         worklist = [registry.add(trivial_algebra(K.signature))[0]]
         while worklist:
             C = worklist.pop(0)
+            if C.size >= max_size:
+                continue
             for G in K.generators:
                 P = direct_product([C, G])
                 for sub in all_subuniverses(P, max_size=max_size, first_factor=C.size):

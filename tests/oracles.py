@@ -8,7 +8,10 @@ from itertools import permutations, product as iproduct
 
 from qvbench.adjunction import ExpansionSpec, PpExpansionSpec
 from qvbench.beth import TermTranslation
-from qvbench.core import FiniteAlgebra, Homomorphism, Signature, SignatureError, build_algebra
+from qvbench.core import (
+    FiniteAlgebra, Homomorphism, IsoRegistry, Signature, SignatureError, build_algebra,
+    trivial_algebra,
+)
 from qvbench.implicit import ImplicitOpSpec
 from qvbench.logic import (
     App, Equation, LogicError, PpFormula, Quasiequation, Term, UnboundVariableError, Var,
@@ -565,6 +568,26 @@ def subalgebra_tables(A, subset):
             table.append(index[v])
         tables.append(tuple(table))
     return tuple(tables)
+
+
+def member_classes(K, max_size):
+    """Reference for `quasivariety._member_classes` on a generated K: the
+    same FIFO worklist and `IsoRegistry`, but every class C is expanded,
+    including those of max_size elements, and every subdirect subuniverse
+    of C x G is built and offered to the registry, graphs of C -> G too."""
+    registry = IsoRegistry()
+    worklist = [registry.add(trivial_algebra(K.signature))[0]]
+    while worklist:
+        C = worklist.pop(0)
+        for G in K.generators:
+            P = direct_product([C, G])
+            for sub in fcbo_subuniverses(P, max_size=max_size, first_factor=C.size):
+                S = FiniteAlgebra("S", K.signature, len(sub), subalgebra_tables(P, sub))
+                rep, added = registry.add(S)
+                if added:
+                    worklist.append(rep)
+    members = [A for A in registry.members if A.size <= max_size]
+    return tuple(sorted(members, key=lambda A: (A.size, A.tables)))
 
 
 def layered_term_values(A, seed, depth):

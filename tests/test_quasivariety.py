@@ -452,6 +452,23 @@ MSLAX = Quasivariety("MSLAX", fx.MSL, axioms=_semilattice_axioms("meet", "top", 
 MONAX = Quasivariety("MONAX", fx.MON, axioms=_semilattice_axioms("mul", "e"))
 
 
+@st.composite
+def generated_quasivarieties(draw):
+    """A generated quasivariety and a bound 1-5: 1-2 generators of 2-3
+    elements with random tables over a nonempty part of {c/0, u/1, f/2}."""
+    symbols = draw(st.lists(st.sampled_from(CUF.symbols), min_size=1, unique=True))
+    signature = Signature("gens", tuple(sorted(symbols, key=CUF.symbols.index)))
+    generators = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(2, 3))
+        tables = tuple(
+            tuple(draw(st.integers(0, n - 1)) for _ in range(n**k)) for _, k in signature.symbols
+        )
+        generators.append(FiniteAlgebra("G", signature, n, tables))
+    K = Quasivariety("K", signature, generators=tuple(generators))
+    return K, draw(st.integers(1, 5))
+
+
 class TestEnumerateMembers:
     def test_sizes_one_and_two(self):
         assert len(enumerate_members(fx.DL, 1)) == 1
@@ -515,17 +532,51 @@ class TestEnumerateMembers:
         for K in (fx.MSLQ, fx.MONQ):
             assert len(enumerate_members(K, 8)) == 222
 
+    @given(generated_quasivarieties())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_members_match_the_reference(self, case):
+        """The search lists the tables of `oracles.member_classes`, which
+        expands every class and offers every subdirect subuniverse, in the
+        same order."""
+        K, bound = case
+        got = _member_classes.__wrapped__(K, bound)
+        assert [A.tables for A in got] == [A.tables for A in oracles.member_classes(K, bound)]
+
+    @pytest.mark.parametrize("K, most", [(fx.DL, 8), (fx.MSLQ, 6), (fx.MONQ, 6)])
+    def test_fixture_members_match_the_reference(self, K, most):
+        for bound in range(1, most + 1):
+            got = _member_classes.__wrapped__(K, bound)
+            assert [A.tables for A in got] == [A.tables for A in oracles.member_classes(K, bound)]
+
+    def test_dl_member_search_expands_no_class_at_the_bound(self, monkeypatch):
+        """A cold enumeration of DL up to size 8 searches C x G for 21 of
+        its 36 classes: every class of fewer than 8 elements, and none of
+        the 15 of 8.  The count is deterministic."""
+        factors = []
+        original = quasivariety.all_subuniverses
+
+        def counting(P, max_size=None, first_factor=None):
+            factors.append(first_factor)
+            return original(P, max_size=max_size, first_factor=first_factor)
+
+        monkeypatch.setattr(quasivariety, "all_subuniverses", counting)
+        members = _member_classes.__wrapped__(fx.DL, 8)
+        assert len(members) == 36
+        assert len(factors) == 21
+        assert 8 not in factors
+
     def test_dl_member_search_closure_work_is_pinned(self, monkeypatch):
-        """A cold enumeration of DL up to size 8 makes exactly 6,988 calls
+        """A cold enumeration of DL up to size 8 makes exactly 3,555 calls
         to `core._close`, the closure loop: one per candidate extension the
-        subuniverse search closes (6,952) and one closure of the constants
-        per search (36); the count is deterministic.  The search without its
-        canonicity test fails here, and so do the set-based search that
-        closed each candidate before testing its least size (7,954
-        extensions), Close-by-One without inherited failures, a skip that
-        compares the size of a failed closure with the bound in place of its
-        least size, and the `seen` search that tried every extension of
-        every set found."""
+        subuniverse search closes (3,534) and one closure of the constants
+        per search (21, one per class below the bound); the count is
+        deterministic.  The search without its canonicity test fails here,
+        and so do the search of the 15 classes at the bound (6,988 calls),
+        the set-based search that closed each candidate before testing its
+        least size (3,811 extensions), Close-by-One without inherited
+        failures (4,594), a skip that compares the size of a failed closure
+        with the bound in place of its least size (3,746), and the `seen`
+        search that tried every extension of every set found."""
         calls = 0
         original = core._close
 
@@ -537,12 +588,12 @@ class TestEnumerateMembers:
         monkeypatch.setattr(core, "_close", counting)
         members = _member_classes.__wrapped__(fx.DL, 8)
         assert len(members) == 36
-        assert calls == 6_988
+        assert calls == 3_555
 
     def test_dl_member_search_builds_only_new_classes(self, monkeypatch):
         """A cold enumeration of DL up to size 8 builds exactly 143
-        subalgebras.  Of the 297 subdirect subuniverses of some C x G found,
-        154 have |C| elements; each is isomorphic to C, so it is not built.
+        subalgebras.  Of the 219 subdirect subuniverses of some C x G found,
+        76 have |C| elements; each is isomorphic to C, so it is not built.
         The count is deterministic."""
         calls = 0
         original = quasivariety.subalgebra
