@@ -9,31 +9,39 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from qvbench import fixtures as fx
 from qvbench.adjunction import check_counit_iso, check_unit_mono, counit, free_extension
-from qvbench.core import reduct
+from qvbench.cli import load_workspace
+
+WORKSPACE = pathlib.Path(__file__).resolve().parent.parent / "workspaces" / "fixtures.qvw"
 
 
 def main() -> None:
-    fe = free_extension(fx.CHAIN3, fx.DL_TO_BOOL)
-    print(f"free Boolean extension of {fx.CHAIN3.name}:")
+    ws = load_workspace(str(WORKSPACE))
+    chain3, four_ba, diamond, diamond_ms = (
+        ws.algebras[name] for name in ("Chain3", "FourBA", "Diamond", "DiamondMS")
+    )
+    dl_to_bool, msl_to_dl = ws.expansions["DLtoBOOL"], ws.expansions["MSLtoDL"]
+
+    fe = free_extension(chain3, dl_to_bool)
+    print(f"free Boolean extension of {chain3.name}:")
     print(f"  size {fe.algebra.size}, produced from {fe.factor_count} chain maps")
     print(f"  unit map {fe.unit.mapping} (injective: {fe.unit_injective})")
 
-    eps = counit(fx.FOUR_BA, fx.DL_TO_BOOL)
-    print(f"counit at {fx.FOUR_BA.name}: map {eps.mapping} on {eps.source.size} elements")
+    eps = counit(four_ba, dl_to_bool)
+    print(f"counit at {four_ba.name}: map {eps.mapping} on {eps.source.size} elements")
 
-    fe2 = free_extension(fx.DIAMOND_MS, fx.MSL_TO_DL)
-    print(f"free lattice extension of {fx.DIAMOND_MS.name}:")
+    fe2 = free_extension(diamond_ms, msl_to_dl)
+    print(f"free lattice extension of {diamond_ms.name}:")
     print(f"  size {fe2.algebra.size} (the missing join is adjoined)")
-    eps2 = counit(fx.DIAMOND, fx.MSL_TO_DL)
-    print(f"counit at {fx.DIAMOND.name}: map {eps2.mapping} -- not injective")
+    eps2 = counit(diamond, msl_to_dl)
+    print(f"counit at {diamond.name}: map {eps2.mapping} -- not injective")
 
-    print("unit injectivity over all meet-semilattice members up to size 4:")
-    for inst in check_unit_mono(fx.MSL_TO_DL, 4):
-        print(f"  {inst.algebra.name}: {'mono' if inst.embedding else 'NOT mono'}")
+    print("unit injectivity over all meet-semilattice members up to size 4,")
+    print("decided from the seeds (h(a))_h over the base maps h:")
+    for A, pair in check_unit_mono(msl_to_dl, 4):
+        print(f"  {A.name}: {'mono' if pair is None else f'NOT mono: {pair} share a seed'}")
     print("counit bijectivity over all lattice members up to size 4:")
-    for inst in check_counit_iso(fx.MSL_TO_DL, 4):
+    for inst in check_counit_iso(msl_to_dl, 4):
         print(f"  {inst.algebra.name}: {'iso' if inst.bijective else 'NOT iso'}")
 
 

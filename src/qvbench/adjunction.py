@@ -2,11 +2,15 @@
 
 The free extension of an algebra is computed by the hom-product reflection:
 the subalgebra of the product of generator copies indexed by all base-language
-homomorphisms into generator reducts, generated by the element tuples.  Its
-agreement with the term-algebra-quotient description is certified per instance
-by the universal-property check.  Each element remembers one producing term
-over the generator tuples (the generation trace), which is what the counit and
-the functorial action chase through.
+homomorphisms into generator reducts, generated by the element tuples.  Each
+element remembers one producing term over the generator tuples (the
+generation trace), which is what the counit and the functorial action chase
+through.  `universal_property_check` tests one reflection against the
+universal property, but no command runs it.
+
+The unit and counit verdicts need no full reflection: the unit's from the
+seeds (`unit_collapse`), the counit's from a generation stopped at |B| + 1
+elements (`counit_collapse`).
 """
 from __future__ import annotations
 
@@ -334,32 +338,12 @@ def universal_property_check(
 
 
 @dataclass(frozen=True)
-class UnitInstance:
-    algebra: FiniteAlgebra
-    embedding: bool
-    unit: Homomorphism
-
-
-@dataclass(frozen=True)
 class ProductTooLarge:
     """A member whose reflection needs a product of `size` elements, over the
     cap of `cap`: its instance is unknown within the bound, not a failure."""
     algebra: FiniteAlgebra
     size: int
     cap: int
-
-
-def check_unit_mono(E: ExpansionSpec, bound: int) -> list[UnitInstance | ProductTooLarge]:
-    """Per-member injectivity of the unit over the base class up to the bound."""
-    out = []
-    for A in members_up_to(E.base, bound):
-        try:
-            fe = free_extension(A, E)
-        except CapExceeded as exc:
-            out.append(ProductTooLarge(A, exc.size, exc.cap))
-            continue
-        out.append(UnitInstance(A, fe.unit_injective, fe.unit))
-    return out
 
 
 @dataclass(frozen=True)
@@ -401,6 +385,13 @@ def unit_collapse(A: FiniteAlgebra, E: ExpansionSpec) -> tuple[int, int] | None:
         if b != a:
             return b, a
     return None
+
+
+def check_unit_mono(E: ExpansionSpec, bound: int) -> list[tuple[FiniteAlgebra, tuple[int, int] | None]]:
+    """Per base member up to the bound, its `unit_collapse`: None where the
+    unit is injective.  No product is built, so no cap applies.  The `unit`
+    command's sweep; `bench/spans.py` times it by this name."""
+    return [(A, unit_collapse(A, E)) for A in members_up_to(E.base, bound)]
 
 
 @dataclass(frozen=True)

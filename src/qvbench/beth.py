@@ -334,9 +334,10 @@ def unit_counit_verdict(E: ExpansionSpec, bound: int) -> Verdict:
     element would be interned, and a failure's certificate is
     ("counit-not-iso", `adjunction.CounitCollapse`).  A counit whose product
     exceeds the cap leaves the verdict unknown within the bound, unless
-    another member fails.  The `unit` and `counit` commands print each
-    instance's map into or out of the full F, so they still build every
-    reflection (`check_unit_mono`, `check_counit_iso`)."""
+    another member fails.  The `unit` command decides its instances the
+    same way (`check_unit_mono`).  Only the `counit` command builds every
+    reflection (`check_counit_iso`): it prints each member's counit map,
+    whose ids number the elements of the full F, and F's size."""
     violation = _reduct_violation(E, bound)
     if violation is not None:
         return violation

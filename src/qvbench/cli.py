@@ -13,13 +13,15 @@ check-unique-witnesses, term-equiv and cross-validate; --ext-bound (default 6)
 for check-regular, check-extendable and amalgamate; --size (default 4) for
 enumerate; --product-cap (default 1000000) for free and reflect.  membership,
 cg and expand take none.  A product over the cap is a usage error in free
-and reflect, whose cap is that flag; in unit, counit and cross-validate it
-leaves the member's instance unknown-within-bound, with the product's size
-and the cap in its certificate.
+and reflect, whose cap is that flag; in counit and cross-validate it leaves
+the member's instance unknown-within-bound, with the product's size and the
+cap in its certificate.
 
-`unit` and `counit` print each member's map, whose ids number the elements
-of the full reflection F, so they build every F; `cross-validate` builds
-none, as `beth.unit_counit_verdict` says.
+Only `counit` builds every reflection F: it prints each member's counit map
+and F's size, which a stopped generation does not know.  `unit` decides each
+member from its seeds and certifies a failure by two elements with the same
+seed; `cross-validate` builds no F either, as `beth.unit_counit_verdict`
+says.
 """
 from __future__ import annotations
 
@@ -466,16 +468,11 @@ def cmd_unit(ws, flags):
     E, _ = _expansion_pair(ws, flags["expansion"])
     bound = flags["max_size"]
     instances = []
-    for item in check_unit_mono(E, bound):
-        if isinstance(item, ProductTooLarge):
-            instances.append(_too_large_instance(item, bound))
-            continue
-        instances.append({
-            "name": item.algebra.name,
-            "bound": bound,
-            "verdict": "holds" if item.embedding else "fails",
-            "certificate": {"unit-map": list(item.unit.mapping)},
-        })
+    for A, pair in check_unit_mono(E, bound):
+        inst = {"name": A.name, "bound": bound, "verdict": "holds" if pair is None else "fails"}
+        if pair is not None:
+            inst["certificate"] = {"same-seed": list(pair)}
+        instances.append(inst)
     return instances, {"expansion": flags["expansion"]}
 
 

@@ -94,46 +94,6 @@ class FiniteAlgebra:
         return replace(self, name=name)
 
 
-def build_algebra(name: str, signature: Signature, size: int, ops: dict) -> FiniteAlgebra:
-    """Build an algebra from per-symbol specs: an int (nullary), a callable on
-    argument tuples, or a nested row-major list (last argument innermost)."""
-    tables = []
-    for sym, k in signature.symbols:
-        if sym not in ops:
-            raise SignatureError(f"missing table for {sym!r}")
-        spec = ops[sym]
-        if callable(spec):
-            table = tuple(spec(*args) for args in iproduct(range(size), repeat=k))
-        elif isinstance(spec, int):
-            if k != 0:
-                raise SignatureError(f"bare element given for non-nullary {sym!r}")
-            table = (spec,)
-        else:
-            table = tuple(_flatten_table(spec, k, size, sym))
-        tables.append(table)
-    extra = set(ops) - {sym for sym, _ in signature.symbols}
-    if extra:
-        raise SignatureError(f"tables for symbols not in signature: {sorted(extra)}")
-    return FiniteAlgebra(name, signature, size, tuple(tables))
-
-
-def _flatten_table(nested, k: int, size: int, sym: str) -> list[int]:
-    if k == 0:
-        if isinstance(nested, list):
-            (v,) = nested
-            return [v]
-        return [nested]
-    if not isinstance(nested, (list, tuple)) or len(nested) != size:
-        raise SignatureError(f"table for {sym!r} is not {size}-deep at level {k}")
-    out: list[int] = []
-    for row in nested:
-        if k == 1:
-            out.append(row)
-        else:
-            out.extend(_flatten_table(row, k - 1, size, sym))
-    return out
-
-
 def trivial_algebra(signature: Signature, name: str = "triv") -> FiniteAlgebra:
     tables = tuple((0,) * (1**k) for _, k in signature.symbols)
     return FiniteAlgebra(name, signature, 1, tables)

@@ -6,11 +6,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product as iproduct
 
-from qvbench.adjunction import ExpansionSpec, PpExpansionSpec
+from qvbench.adjunction import ExpansionSpec, PpExpansionSpec, free_extension
 from qvbench.beth import TermTranslation
 from qvbench.core import (
-    FiniteAlgebra, Homomorphism, IsoRegistry, Signature, SignatureError, build_algebra,
-    trivial_algebra,
+    FiniteAlgebra, Homomorphism, IsoRegistry, Signature, SignatureError, trivial_algebra,
 )
 from qvbench.implicit import ImplicitOpSpec
 from qvbench.logic import (
@@ -18,7 +17,47 @@ from qvbench.logic import (
     _compile_equation, _define, _lookups, equations_variables,
 )
 from qvbench.parser import DECL_KEYWORDS, ParseError, Token, UnknownName, Workspace
-from qvbench.quasivariety import CapExceeded, GenResult, Quasivariety
+from qvbench.quasivariety import CapExceeded, GenResult, Quasivariety, members_up_to
+
+
+def build_algebra(name: str, signature: Signature, size: int, ops: dict) -> FiniteAlgebra:
+    """Build an algebra from per-symbol specs: an int (nullary), a callable on
+    argument tuples, or a nested row-major list (last argument innermost)."""
+    tables = []
+    for sym, k in signature.symbols:
+        if sym not in ops:
+            raise SignatureError(f"missing table for {sym!r}")
+        spec = ops[sym]
+        if callable(spec):
+            table = tuple(spec(*args) for args in iproduct(range(size), repeat=k))
+        elif isinstance(spec, int):
+            if k != 0:
+                raise SignatureError(f"bare element given for non-nullary {sym!r}")
+            table = (spec,)
+        else:
+            table = tuple(_flatten_table(spec, k, size, sym))
+        tables.append(table)
+    extra = set(ops) - {sym for sym, _ in signature.symbols}
+    if extra:
+        raise SignatureError(f"tables for symbols not in signature: {sorted(extra)}")
+    return FiniteAlgebra(name, signature, size, tuple(tables))
+
+
+def _flatten_table(nested, k: int, size: int, sym: str) -> list[int]:
+    if k == 0:
+        if isinstance(nested, list):
+            (v,) = nested
+            return [v]
+        return [nested]
+    if not isinstance(nested, (list, tuple)) or len(nested) != size:
+        raise SignatureError(f"table for {sym!r} is not {size}-deep at level {k}")
+    out: list[int] = []
+    for row in nested:
+        if k == 1:
+            out.append(row)
+        else:
+            out.extend(_flatten_table(row, k - 1, size, sym))
+    return out
 
 
 @dataclass(frozen=True)
@@ -411,6 +450,19 @@ def free_extension_map(E, h, fe_source, fe_target):
         for args in iproduct(range(F.size), repeat=k):
             assert mapping[F.apply(sym, args)] == T.apply(sym, tuple(mapping[a] for a in args))
     return Homomorphism(F, T, E.expanded.signature, mapping)
+
+
+def reflection_units(E, bound):
+    """Reference for `adjunction.check_unit_mono`: each base member up to the
+    bound with the unit of its full reflection, or None where the product is
+    over the cap."""
+    out = []
+    for A in members_up_to(E.base, bound):
+        try:
+            out.append((A, free_extension(A, E).unit))
+        except CapExceeded:
+            out.append((A, None))
+    return out
 
 
 def all_partitions(n):

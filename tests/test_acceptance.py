@@ -12,9 +12,8 @@ from itertools import combinations, product as iproduct
 
 import pytest
 
-from qvbench import fixtures as fx
 from qvbench.cli import emit_report, load_workspace, run
-from qvbench.adjunction import check_counit_iso, check_unit_mono, counit, free_extension
+from qvbench.adjunction import counit, free_extension
 from qvbench.beth import (
     check_faithful_term_equivalence,
     check_interpolation_criterion,
@@ -27,7 +26,6 @@ from qvbench.beth import TermTranslation, apply_translation
 from qvbench.core import (
     Congruence,
     are_isomorphic,
-    build_algebra,
     direct_product,
     all_subuniverses,
     congruence_closure,
@@ -42,8 +40,11 @@ from qvbench.implicit import check_totalizable, check_unique_witnesses, induced_
 from qvbench.logic import App, Var, satisfies_pp
 from qvbench.quasivariety import free_algebra, members_up_to, membership, relative_congruence
 
+import fx
 import oracles
-from oracles import all_partitions, brute_homs, layered_term_values, naive_tuple_closure
+from oracles import (
+    all_partitions, brute_homs, build_algebra, layered_term_values, naive_tuple_closure,
+)
 
 
 class Timer:
@@ -317,8 +318,8 @@ FIXTURE_SUITE_SHA256 = {
     "reflect-chain3.json": "ae392274a4942a58f479fbe76b8c17c3b27c1c49b8d435cf97973dc1767bcef6",
     "reflect-diamond-msl.json": "2584d5363e9952264e213df86f08dbe75487489a2288b827a58a9bb7c87c673b",
     "term-equiv-not-imp.json": "4083afd1dc593b573a2a35a30e4bfe4d5e9b129b9a2acd80bd00f4d46ec50742",
-    "unit-dl-bool.json": "b2f3ab85cee4ed1b23d69b4345103e2f1ea4b36ecc68205aa7a7e2226c589065",
-    "unit-msl-dl.json": "9235f36da853bd11e99b716325af489a203b040df57aaa38552a6e831bb42023",
+    "unit-dl-bool.json": "9b4f107fb68760188452c41575a1f7f6c06628567e74ccd08a98a66e1efb1cb8",
+    "unit-msl-dl.json": "0513a0b3ba2134f7f094f6b91ce72d1f29e16ed9a185d14a0c8203a21f1d7d50",
 }
 
 

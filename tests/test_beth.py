@@ -1,6 +1,6 @@
 import pytest
 
-from qvbench import beth, fixtures as fx
+from qvbench import beth
 from qvbench.adjunction import (
     ExpansionSpec,
     ExpansionViolation,
@@ -31,7 +31,6 @@ from qvbench.beth import (
 from qvbench.core import (
     Homomorphism,
     are_isomorphic,
-    build_algebra,
     enumerate_homomorphisms,
     generated_subalgebra,
     is_homomorphism,
@@ -40,6 +39,9 @@ from qvbench.core import (
 )
 from qvbench.logic import App, Var
 from qvbench.quasivariety import NotFoundWithinBound, Quasivariety, members_up_to, membership
+
+import fx
+from oracles import build_algebra
 
 
 class TestCheckSimple:

@@ -8,7 +8,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qvbench import beth, cli
+from qvbench import adjunction, beth, cli
 from qvbench.cli import (
     Report,
     emit_report,
@@ -86,6 +86,27 @@ algebra TwoNor : GF {
 quasivariety K : G = generated(Two)
 quasivariety M : GF = generated(TwoNor)
 expansion KtoM := K -> M
+"""
+
+
+# K = ISP(2-cycle) -> M = ISP(3-cycle with the identity beside it): no map
+# from a 2-cycle into a 3-cycle preserves u, so a member of K with two
+# elements has no base homomorphism into M's generator.
+CYCLE_WORKSPACE = """
+signature U { u/1 }
+signature V { u/1; v/1 }
+algebra Swap : U {
+  universe 2
+  op u = [1,0]
+}
+algebra Cycle : V {
+  universe 3
+  op u = [1,2,0]
+  op v = [0,1,2]
+}
+quasivariety K : U = generated(Swap)
+quasivariety M : V = generated(Cycle)
+expansion SwapToCycle := K -> M
 """
 
 
@@ -532,15 +553,22 @@ class TestMainEntry:
 
     def test_cap_hit_is_unknown_within_bound(self, tmp_path, capsys):
         """A member whose reflection needs a product over the cap leaves its
-        instance unknown within the bound (exit 2) in unit, counit and
+        instance unknown within the bound (exit 2) in counit and
         cross-validate; `reflect`, whose cap is a flag, still refuses it as a
         usage error (exit 3).  Every map of an n-set into the 3-element
         generator is a homomorphism, so the product has 3^(3^n) elements:
-        19,683 for n = 2, over 10^6 from n = 3."""
+        19,683 for n = 2, over 10^6 from n = 3.  `unit` builds no product:
+        those maps separate the points of every set, so each unit holds."""
         workspace = tmp_path / "sets.qvw"
         workspace.write_text(SETS_WORKSPACE)
+        report = tmp_path / "unit.json"
+        code = main(["unit", "--workspace", str(workspace), "--expansion", "SetsToTwoOps",
+                     "--report", str(report)])
+        assert code == 0
+        instances = json.loads(report.read_text())["instances"]
+        assert [(i["verdict"], "certificate" in i) for i in instances] == [("holds", False)] * 4
         big = {2: 19_683, 3: 3**27, 4: 3**81}
-        for args in (["unit"], ["counit"], ["counit", "--algebra", "Three"], ["cross-validate"]):
+        for args in (["counit"], ["counit", "--algebra", "Three"], ["cross-validate"]):
             report = tmp_path / "r.json"
             code = main([*args, "--workspace", str(workspace), "--expansion", "SetsToTwoOps",
                          "--report", str(report)])
@@ -581,6 +609,40 @@ class TestMainEntry:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert json.loads(report.read_text())["summary"] == "1/3 hold"
+
+    def test_nor_pair_units_decided_at_bound_four(self, tmp_path, monkeypatch):
+        """`unit` decides each member from its seeds and generates nothing:
+        the reflection of the 4-element set alone would be all 65,536
+        elements of a 16-factor product."""
+        def no_generation(*args, **kwargs):
+            raise AssertionError("the unit command generated a reflection")
+
+        monkeypatch.setattr(adjunction, "generate_in_product", no_generation)
+        adjunction._reflection.cache_clear()  # a cached reflection would hide its generation
+        workspace = tmp_path / "nor.qvw"
+        workspace.write_text(NOR_WORKSPACE)
+        report = tmp_path / "r.json"
+        start = time.perf_counter()
+        code = main(["unit", "--workspace", str(workspace), "--expansion", "KtoM",
+                     "--max-size", "4", "--report", str(report)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(report.read_text())["summary"] == "4/4 hold"
+
+    def test_failing_unit_names_two_elements_with_one_seed(self, tmp_path):
+        """A failing unit's certificate is the pair `unit_collapse` returns:
+        no member of K = ISP(2-cycle) maps into the reduct of a 3-cycle, so
+        both elements of the 2-element member have the empty seed."""
+        workspace = tmp_path / "cycle.qvw"
+        workspace.write_text(CYCLE_WORKSPACE)
+        report = tmp_path / "r.json"
+        code = main(["unit", "--workspace", str(workspace), "--expansion", "SwapToCycle",
+                     "--max-size", "2", "--report", str(report)])
+        assert code == 1
+        instances = json.loads(report.read_text())["instances"]
+        assert [i["verdict"] for i in instances] == ["holds", "fails"]
+        assert "certificate" not in instances[0]
+        assert instances[1]["certificate"] == {"same-seed": [0, 1]}
 
     @pytest.mark.parametrize("workspace, expansion, base_symbols", [
         (None, "MSLtoDL", ["meet", "bot", "top"]),

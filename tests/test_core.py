@@ -3,8 +3,9 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fx
 import oracles
-from qvbench import core, fixtures as fx
+from qvbench import core
 from qvbench.core import (
     Congruence,
     FiniteAlgebra,
@@ -14,7 +15,6 @@ from qvbench.core import (
     SignatureError,
     all_subuniverses,
     are_isomorphic,
-    build_algebra,
     canonical_tables,
     congruence_closure,
     direct_product,

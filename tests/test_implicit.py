@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from qvbench import fixtures as fx
+import fx
 from qvbench.core import direct_product, enumerate_homomorphisms, is_embedding
 from qvbench.implicit import (
     Extension,

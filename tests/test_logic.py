@@ -3,7 +3,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qvbench import fixtures as fx
+import fx
 from qvbench.core import FiniteAlgebra, Signature, SignatureError, congruence_closure, quotient
 from qvbench.implicit import (
     FunctionalityViolation,

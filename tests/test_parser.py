@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fx
 import oracles
-from qvbench import fixtures as fx, parser
+from qvbench import parser
 from qvbench.core import Signature
 from qvbench.logic import App, Equation, PpFormula, Quasiequation, Var
 from qvbench.parser import (
@@ -152,21 +153,33 @@ class TestRoundTrips:
 
 
 class TestWorkspace:
-    def test_fixture_objects_match_programmatic_ones(self):
+    def test_fixture_algebras_match_their_closed_forms(self):
+        """Every algebra of the fixtures has the tables of its closed form:
+        a chain of n elements meets by min and joins by max, with bot 0 and
+        top n - 1; the four-element lattices and the four-element Boolean
+        algebra work on bitmasks, with not a = 3 ^ a."""
         ws = load_fixture_workspace()
-        assert ws.signatures["BDL"] == fx.BDL
-        assert ws.algebras["Chain2"] == fx.CHAIN2
-        assert ws.algebras["Chain3"] == fx.CHAIN3
-        assert ws.algebras["Diamond"] == fx.DIAMOND
-        assert ws.algebras["FourBA"] == fx.FOUR_BA
-        assert ws.algebras["MinMon"] == fx.MIN_MON
-        assert ws.quasivarieties["DL"] == fx.DL
-        assert ws.quasivarieties["DLAX"] == fx.DLAX
-        assert ws.ppops["compl"] == fx.COMPL
-        assert ws.ppops["joincompl"] == fx.JOIN_WITH_COMPL
-        assert ws.expansions["DLtoBOOL"] == fx.DL_TO_BOOL
-        assert ws.expansions["DLcompl"] == fx.PP_COMPL
-        assert ws.translations["notToImp"] == fx.NOT_TO_IMP
+        sig = ws.signatures
+
+        def chain(n):
+            return {"meet": min, "join": max, "bot": 0, "top": n - 1}
+
+        bits = {"meet": lambda a, b: a & b, "join": lambda a, b: a | b, "bot": 0, "top": 3}
+        closed = {
+            "Chain2": (sig["BDL"], 2, chain(2)),
+            "Chain3": (sig["BDL"], 3, chain(3)),
+            "Chain4": (sig["BDL"], 4, chain(4)),
+            "Diamond": (sig["BDL"], 4, bits),
+            "TwoBA": (sig["BA"], 2, {**chain(2), "not": lambda a: 1 - a}),
+            "FourBA": (sig["BA"], 4, {**bits, "not": lambda a: 3 ^ a}),
+            "Chain2MS": (sig["MSL"], 2, {"meet": min, "bot": 0, "top": 1}),
+            "DiamondMS": (sig["MSL"], 4, {"meet": bits["meet"], "bot": 0, "top": 3}),
+            "MinMon": (sig["MON"], 2, {"mul": min, "e": 1}),
+            "TwoImp": (sig["BIMP"], 2, {**chain(2), "imp": lambda a, b: max(1 - a, b)}),
+        }
+        assert sorted(ws.algebras) == sorted(closed)
+        for name, (signature, size, ops) in closed.items():
+            assert ws.algebras[name] == oracles.build_algebra(name, signature, size, ops), name
 
     def test_duplicate_name_reports_both_sites(self):
         text = "signature A { f/1 }\nsignature A { g/1 }\n"

@@ -4,9 +4,11 @@ from itertools import combinations, product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fx
 import oracles
+from oracles import build_algebra
 from test_logic import terms_over
-from qvbench import core, fixtures as fx, quasivariety
+from qvbench import core, quasivariety
 from qvbench.core import (
     Congruence,
     FiniteAlgebra,
@@ -14,7 +16,6 @@ from qvbench.core import (
     Signature,
     SignatureError,
     are_isomorphic,
-    build_algebra,
     congruence_closure,
     enumerate_homomorphisms,
     is_congruence,
