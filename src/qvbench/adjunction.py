@@ -14,7 +14,6 @@ elements (`counit_collapse`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
@@ -28,7 +27,9 @@ from .core import (
     generated_subalgebra,
     is_embedding,
     is_homomorphism,
+    record,
     reduct,
+    replace,
     trivial_algebra,
 )
 from .implicit import (
@@ -48,7 +49,7 @@ from .quasivariety import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class ExpansionSpec:
     """A base quasivariety together with one over a larger signature; whether
     the reduct functor actually lands in the base is a checked property, not an
@@ -63,7 +64,7 @@ class ExpansionSpec:
             )
 
 
-@dataclass(frozen=True)
+@record
 class PpExpansionSpec:
     """A base quasivariety plus named pp operations; the derived signature adds
     one fresh symbol per operation."""
@@ -89,13 +90,13 @@ class PpExpansionSpec:
         return Signature(f"{self.base.signature.name}[{suffix}]", symbols)
 
 
-@dataclass(frozen=True)
+@record
 class UndefinedAt:
     op_symbol: str
     args: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ExpansionViolation:
     algebra: FiniteAlgebra
     certificate: object
@@ -138,7 +139,7 @@ def expand_algebra(
     )
 
 
-@dataclass(frozen=True)
+@record
 class PpMembership:
     status: str  # "in-class" | "in-closure" | "no" | "unknown-within-bound"
     witness: tuple[FiniteAlgebra, Homomorphism] | None = None
@@ -207,7 +208,7 @@ def induced_expansion(P: PpExpansionSpec) -> ExpansionSpec:
     return ExpansionSpec(P.base, M)
 
 
-@dataclass(frozen=True)
+@record
 class FreeExtension:
     algebra: FiniteAlgebra     # the reflected algebra, a member of the expansion
     unit: Homomorphism         # base-language map into its reduct
@@ -303,7 +304,7 @@ def counit(B: FiniteAlgebra, E: ExpansionSpec, product_cap: int = DEFAULT_PRODUC
     return _evaluation(free_extension(reduct(B, E.base.signature), E, product_cap).gen, B)
 
 
-@dataclass(frozen=True)
+@record
 class LiftViolation:
     member: FiniteAlgebra
     base_map: Homomorphism
@@ -337,7 +338,7 @@ def universal_property_check(
     return "ok"
 
 
-@dataclass(frozen=True)
+@record
 class ProductTooLarge:
     """A member whose reflection needs a product of `size` elements, over the
     cap of `cap`: its instance is unknown within the bound, not a failure."""
@@ -346,7 +347,7 @@ class ProductTooLarge:
     cap: int
 
 
-@dataclass(frozen=True)
+@record
 class CounitInstance:
     algebra: FiniteAlgebra
     bijective: bool
@@ -394,7 +395,7 @@ def check_unit_mono(E: ExpansionSpec, bound: int) -> list[tuple[FiniteAlgebra, t
     return [(A, unit_collapse(A, E)) for A in members_up_to(E.base, bound)]
 
 
-@dataclass(frozen=True)
+@record
 class CounitCollapse:
     """Two elements of F(U B) that the counit at B identifies, given as terms
     over B's elements by a straight-line program.  Its registers are B's

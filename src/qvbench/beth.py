@@ -9,7 +9,6 @@ implicit operations is not finitely enumerable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -23,7 +22,9 @@ from .core import (
     enumerate_homomorphisms,
     generated_subalgebra,
     is_embedding,
+    record,
     reduct,
+    replace,
     subalgebra,
 )
 from .logic import App, Term, Var, compile_term, term_variables
@@ -62,7 +63,7 @@ class PreconditionError(ValueError):
         self.certificate = certificate
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     claim: str
     status: str  # "holds" | "fails" | "unknown-within-bound"
@@ -75,7 +76,7 @@ class Verdict:
         return self.status == "holds"
 
 
-@dataclass(frozen=True)
+@record
 class TermTranslation:
     """Arity-preserving map from source symbols to target terms in x1..xn;
     omitted symbols translate to themselves when the target shares them."""
@@ -235,7 +236,7 @@ def check_beth_companion(
     return Verdict("beth-companion", "holds", (("max-size", bound),), notes=notes)
 
 
-@dataclass(frozen=True)
+@record
 class RegularWitness:
     equalizer_of: tuple[Homomorphism, Homomorphism]
     codomain: FiniteAlgebra
@@ -439,7 +440,7 @@ def _table_diff(got: FiniteAlgebra, expected: FiniteAlgebra):
     return None
 
 
-@dataclass(frozen=True)
+@record
 class MainTheoremReport:
     """Agreement report between the three characterizations at one bound."""
     simple: Verdict | None
@@ -525,7 +526,7 @@ def check_simplicity_transfer(
     )
 
 
-@dataclass(frozen=True)
+@record
 class HarnessReport:
     premises_established: bool
     premise_details: tuple[tuple[str, str], ...]

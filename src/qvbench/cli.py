@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
@@ -38,6 +37,7 @@ from .core import (
     is_embedding,
     is_homomorphism,
     quotient,
+    record,
 )
 from .adjunction import (
     ExpansionSpec,
@@ -117,7 +117,7 @@ COMMANDS = {
 }
 
 
-@dataclass
+@record(frozen=False)
 class Report:
     check: str
     params: dict
@@ -273,10 +273,8 @@ def jsonable(obj):
         return [jsonable(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if hasattr(obj, "__dataclass_fields__"):
-        return {
-            name: jsonable(getattr(obj, name)) for name in sorted(obj.__dataclass_fields__)
-        }
+    if hasattr(obj, "_fields"):
+        return {name: jsonable(getattr(obj, name)) for name in sorted(obj._fields)}
     return repr(obj)
 
 

@@ -7,7 +7,6 @@ travels with the result and no global negative is ever emitted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, islice, product as iproduct
 
@@ -20,6 +19,8 @@ from .core import (
     enumerate_embeddings,
     enumerate_homomorphisms,
     identity_homomorphism,
+    record,
+    replace,
     trivial_algebra,
 )
 from .logic import (
@@ -52,7 +53,7 @@ def witness_var(i: int) -> str:
 RESULT_VAR = "y"
 
 
-@dataclass(frozen=True)
+@record
 class ImplicitOpSpec:
     """A pp formula with the fixed variable convention: arguments x1..xn,
     result y, witnesses z1..zm (the bound variables, in that order)."""
@@ -84,7 +85,7 @@ class ImplicitOpSpec:
         return dict(zip(self.variables, (*args, value)))
 
 
-@dataclass(frozen=True)
+@record
 class PartialOperation:
     algebra: FiniteAlgebra
     arity: int
@@ -102,7 +103,7 @@ class PartialOperation:
         return args in self.as_dict
 
 
-@dataclass(frozen=True)
+@record
 class FunctionalityViolation:
     """The formula relates one argument tuple to two distinct values, so it
     does not define a partial function on this algebra."""
@@ -153,7 +154,7 @@ def graphs_on(family, A: FiniteAlgebra) -> PartialOperation | FunctionalityViola
     return family(A)
 
 
-@dataclass(frozen=True)
+@record
 class PreservationViolation:
     hom: Homomorphism
     args: tuple[int, ...]
@@ -209,7 +210,7 @@ def check_preservation(
     return "ok"
 
 
-@dataclass(frozen=True)
+@record
 class Extension:
     algebra: FiniteAlgebra
     embedding: Homomorphism
@@ -263,7 +264,7 @@ def check_totalizable(
     return NotFoundWithinBound(size_bound)
 
 
-@dataclass(frozen=True)
+@record
 class UniqueWitnessViolation:
     algebra: FiniteAlgebra
     args: tuple[int, ...]

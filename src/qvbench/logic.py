@@ -16,12 +16,11 @@ search result is deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
 from typing import Callable
 
-from .core import FiniteAlgebra, Signature, SignatureError
+from .core import FiniteAlgebra, Signature, SignatureError, record
 
 
 class LogicError(ValueError):
@@ -32,12 +31,12 @@ class UnboundVariableError(LogicError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class App:
     symbol: str
     args: tuple = ()
@@ -46,19 +45,19 @@ class App:
 Term = Var | App
 
 
-@dataclass(frozen=True)
+@record
 class Equation:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@record
 class Quasiequation:
     premises: tuple[Equation, ...]
     conclusion: Equation
 
 
-@dataclass(frozen=True)
+@record
 class PpFormula:
     """Existentially quantified conjunction of equations."""
     bound_vars: tuple[str, ...]

@@ -10,7 +10,6 @@ generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain, product as iproduct, zip_longest
 from operator import itemgetter
@@ -30,6 +29,8 @@ from .core import (
     enumerate_homomorphisms,
     is_embedding,
     quotient,
+    record,
+    replace,
     subalgebra,
     trivial_algebra,
 )
@@ -65,16 +66,16 @@ class GenerationStopped(Exception):
         self.elements, self.trace = elements, trace
 
 
-@dataclass(frozen=True)
+@record
 class NotFoundWithinBound:
     """Bound-relative negative: the search space up to `bound` was exhausted;
     never a global claim."""
     bound: int
 
 
-@dataclass(frozen=True)
+@record(uncompared=("name",))
 class Quasivariety:
-    name: str = field(compare=False)
+    name: str
     signature: Signature = Signature("empty")
     generators: tuple[FiniteAlgebra, ...] | None = None
     axioms: tuple[Quasiequation, ...] | None = None
@@ -94,7 +95,7 @@ class Quasivariety:
         return self.generators is not None
 
 
-@dataclass(frozen=True)
+@record
 class MembershipResult:
     holds: bool
     # Generated presentations: a jointly injective separating family on
@@ -171,7 +172,7 @@ def relative_congruence(A: FiniteAlgebra, pairs, K: Quasivariety) -> Congruence:
     return Congruence.from_labels(A, labels)
 
 
-@dataclass(frozen=True)
+@record
 class GenResult:
     """A subalgebra of a product, generated from seed tuples, together with the
     data needed to chase elements back to their producing terms."""
@@ -677,7 +678,7 @@ def enumerate_members(K: Quasivariety, n: int) -> list[FiniteAlgebra]:
     return [A for A in members_up_to(K, n) if A.size == n]
 
 
-@dataclass(frozen=True)
+@record
 class Amalgam:
     apex: FiniteAlgebra
     left_leg: Homomorphism

@@ -999,3 +999,99 @@ class ReferenceParser:
         t = self.peek()
         if t.kind != "eof":
             self.fail(f"unexpected trailing input {t.value!r}")
+
+
+# ---------------------------------------------------------------------------
+# the workspace printer, whose output the parser reads back: parse . format
+# is the identity on every workspace object
+
+
+def format_term(t: Term) -> str:
+    if isinstance(t, Var):
+        return t.name
+    if not t.args:
+        return t.symbol
+    return f"{t.symbol}({', '.join(format_term(a) for a in t.args)})"
+
+
+def format_equation(eq: Equation) -> str:
+    return f"{format_term(eq.left)} = {format_term(eq.right)}"
+
+
+def format_pp_formula(phi: PpFormula) -> str:
+    bound = ",".join(phi.bound_vars)
+    body = " & ".join(format_equation(eq) for eq in phi.body)
+    return f"exists [{bound}] . {body}"
+
+
+def format_quasiequation(q: Quasiequation) -> str:
+    prem = " & ".join(format_equation(p) for p in q.premises)
+    return f"{prem} => {format_equation(q.conclusion)}".lstrip()
+
+
+def format_signature(sig: Signature) -> str:
+    inner = "; ".join(f"{sym}/{k}" for sym, k in sig.symbols)
+    return f"signature {sig.name} {{ {inner} }}"
+
+
+def _format_table(table: tuple[int, ...], arity: int, size: int) -> str:
+    if arity == 0:
+        return str(table[0])
+
+    def nest(flat, k):
+        if k == 1:
+            return "[" + ",".join(str(v) for v in flat) + "]"
+        step = len(flat) // size
+        return "[" + ",".join(nest(flat[i * step:(i + 1) * step], k - 1) for i in range(size)) + "]"
+
+    return nest(list(table), arity)
+
+
+def format_algebra(A: FiniteAlgebra) -> str:
+    parts = [f"universe {A.size}"]
+    for (sym, k), table in zip(A.signature.symbols, A.tables):
+        parts.append(f"op {sym} = {_format_table(table, k, A.size)}")
+    return f"algebra {A.name} : {A.signature.name} {{ {'  '.join(parts)} }}"
+
+
+def format_quasivariety(K: Quasivariety) -> str:
+    if K.is_generated:
+        gens = ", ".join(g.name for g in K.generators)
+        return f"quasivariety {K.name} : {K.signature.name} = generated({gens})"
+    inner = " ; ".join(format_quasiequation(q) for q in K.axioms)
+    return f"quasivariety {K.name} : {K.signature.name} = axioms {{ {inner} }}"
+
+
+def format_ppop(s: ImplicitOpSpec) -> str:
+    return (
+        f"ppop {s.name}/{s.arity} over {s.signature.name} := {format_pp_formula(s.formula)}"
+    )
+
+
+def format_expansion(name: str, spec: ExpansionSpec | PpExpansionSpec) -> str:
+    if isinstance(spec, ExpansionSpec):
+        return f"expansion {name} := {spec.base.name} -> {spec.expanded.name}"
+    inner = "; ".join(f"{sym} := {op.name}" for sym, op in spec.ops)
+    return f"expansion {name} := {spec.base.name} + {{ {inner} }}"
+
+
+def format_translation(name: str, tr: TermTranslation) -> str:
+    inner = "; ".join(f"{sym} := {format_term(t)}" for sym, t in tr.mapping)
+    return f"translation {name} : {tr.source.name} -> {tr.target.name} {{ {inner} }}"
+
+
+def format_workspace(ws: Workspace) -> str:
+    lines: list[str] = []
+    for sig in ws.signatures.values():
+        lines.append(format_signature(sig))
+    for A in ws.algebras.values():
+        lines.append(format_algebra(A))
+    for K in ws.quasivarieties.values():
+        lines.append(format_quasivariety(K))
+    for s in ws.ppops.values():
+        lines.append(format_ppop(s))
+    for name, spec in ws.expansions.items():
+        lines.append(format_expansion(name, spec))
+    for name, tr in ws.translations.items():
+        lines.append(format_translation(name, tr))
+    return "\n".join(lines) + "\n"

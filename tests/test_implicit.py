@@ -1,9 +1,7 @@
-from dataclasses import replace
-
 import pytest
 
 import fx
-from qvbench.core import direct_product, enumerate_homomorphisms, is_embedding
+from qvbench.core import direct_product, enumerate_homomorphisms, is_embedding, replace
 from qvbench.implicit import (
     Extension,
     FunctionalityViolation,

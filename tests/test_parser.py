@@ -3,11 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import fx
 import oracles
-from qvbench import parser
-from qvbench.core import Signature
-from qvbench.logic import App, Equation, PpFormula, Quasiequation, Var
-from qvbench.parser import (
-    ParseError,
+from oracles import (
     format_algebra,
     format_equation,
     format_pp_formula,
@@ -16,6 +12,12 @@ from qvbench.parser import (
     format_signature,
     format_term,
     format_workspace,
+)
+from qvbench import parser
+from qvbench.core import Signature
+from qvbench.logic import App, Equation, PpFormula, Quasiequation, Var
+from qvbench.parser import (
+    ParseError,
     parse,
     parse_equation,
     parse_equations,
