@@ -117,7 +117,7 @@ COMMANDS = {
 }
 
 
-@record(frozen=False)
+@record
 class Report:
     check: str
     params: dict

@@ -15,7 +15,7 @@ from operator import or_
 
 
 class FrozenRecordError(AttributeError):
-    """A field of a frozen record was assigned or deleted."""
+    """A field of a record was assigned or deleted."""
 
 
 class Fresh:
@@ -33,14 +33,14 @@ def _delete(self, name):
     raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
-def record(cls=None, /, *, frozen=True, uncompared=()):
+def record(cls=None, /, *, uncompared=()):
     """Give `cls` the `__init__`, `__repr__`, `__eq__` and `__hash__` of a
     dataclass with the annotated fields, in order, and the class attributes
     of the same names as their defaults; `Fresh(make)` is a default made
     anew per record.  `__init__` calls `__post_init__` when the class has
     one.  `__eq__` and `__hash__` read every field not in `uncompared`, and
-    the hash is that of their tuple.  A frozen record refuses assignment and
-    deletion; an unfrozen one is unhashable.  `_fields` lists the fields.
+    the hash is that of their tuple.  A record refuses assignment and
+    deletion of any attribute.  `_fields` lists the fields.
 
     It replaces `dataclasses`, whose processing of the package's 37 classes
     took 32–43 ms of each cold import on Python 3.10 and 3.11 (216 `exec`
@@ -52,7 +52,7 @@ def record(cls=None, /, *, frozen=True, uncompared=()):
     instance `__dict__`, and no `__dataclass_fields__`, since tools that find
     one (hypothesis's pretty printer) then read it as a real dataclass's."""
     if cls is None:
-        return lambda cls: record(cls, frozen=frozen, uncompared=uncompared)
+        return lambda cls: record(cls, uncompared=uncompared)
     fields = tuple(cls.__annotations__)
     compared = [f for f in fields if f not in uncompared]
     namespace = {"_set": object.__setattr__}
@@ -67,7 +67,7 @@ def record(cls=None, /, *, frozen=True, uncompared=()):
                 value = f"_d_{f}.make() if {f} is _d_{f} else {f}"
         else:
             params.append(f)
-        body.append(f"_set(self, {f!r}, {value})" if frozen else f"self.{f} = {value}")
+        body.append(f"_set(self, {f!r}, {value})")
     if "__post_init__" in cls.__dict__:
         body.append("self.__post_init__()")
     mine = ", ".join(f"self.{f}" for f in compared)
@@ -91,10 +91,7 @@ def record(cls=None, /, *, frozen=True, uncompared=()):
     for method in (namespace["__init__"], namespace["__eq__"], namespace["__hash__"], __repr__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
-    if frozen:
-        cls.__setattr__, cls.__delattr__ = _assign, _delete
-    else:
-        cls.__hash__ = None
+    cls.__setattr__, cls.__delattr__ = _assign, _delete
     cls._fields = fields
     return cls
 

@@ -121,7 +121,7 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@record(frozen=False)
+@record
 class Workspace:
     """Named, cross-referenced objects parsed from one workspace file."""
     signatures: dict[str, Signature] = Fresh(dict)

@@ -1,7 +1,7 @@
 """`core.record` against `dataclasses`.  Every class that `@record` builds in
 src/qvbench, found by scanning the modules' source, gets a dataclass twin
 made from the same declaration: its annotated fields, their defaults, its
-`frozen` and `uncompared` arguments, and its `__post_init__`.  Built from the
+`uncompared` argument, and its `__post_init__`.  Built from the
 same values, a record and its twin must agree on construction, positional
 and by keyword, on `==`, `hash`, `repr` and `replace`."""
 import ast
@@ -28,8 +28,8 @@ SRC = ROOT / "src" / "qvbench"
 
 
 def declarations() -> list[tuple]:
-    """(module, class, frozen, uncompared, [(field, default expression or
-    None)]) for each class decorated with `record`."""
+    """(module, class, uncompared, [(field, default expression or None)])
+    for each class decorated with `record`."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -41,10 +41,7 @@ def declarations() -> list[tuple]:
                     continue
                 options = {k.arg: ast.literal_eval(k.value) for k in call.keywords} if call else {}
                 fields = [(s.target.id, s.value) for s in node.body if isinstance(s, ast.AnnAssign)]
-                out.append((
-                    path.stem, node.name, options.get("frozen", True),
-                    options.get("uncompared", ()), fields,
-                ))
+                out.append((path.stem, node.name, options.get("uncompared", ()), fields))
     return out
 
 
@@ -52,7 +49,7 @@ DECLARATIONS = declarations()
 GENERATED = {"__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"}
 
 
-def twin_of(module: str, name: str, frozen: bool, uncompared, fields) -> tuple[type, type]:
+def twin_of(module: str, name: str, uncompared, fields) -> tuple[type, type]:
     """The record class, and the dataclass its declaration describes, with
     the record class's own methods and properties."""
     namespace = vars(importlib.import_module(f"qvbench.{module}"))
@@ -69,7 +66,7 @@ def twin_of(module: str, name: str, frozen: bool, uncompared, fields) -> tuple[t
         k: v for k, v in vars(cls).items()
         if isinstance(v, (FunctionType, property, cached_property, classmethod)) and k not in GENERATED
     }
-    return cls, dataclasses.make_dataclass(name, specs, frozen=frozen, namespace=methods)
+    return cls, dataclasses.make_dataclass(name, specs, frozen=True, namespace=methods)
 
 
 def _reachable_records() -> dict[str, list]:
@@ -111,12 +108,16 @@ def rows(cls, fields, uncompared) -> list[tuple]:
 
 def outcome(make, names):
     """What building a record gives: its repr, hash and the values of the
-    fields `names`, or the exception's type and text."""
+    fields `names`, or the exception's type and text.  A record with an
+    unhashable field gives the hash's exception in place of the hash."""
     try:
         obj = make()
     except Exception as exc:
         return type(exc).__name__, str(exc)
-    key = hash(obj) if type(obj).__hash__ is not None else None
+    try:
+        key = hash(obj)
+    except TypeError as exc:
+        key = str(exc)
     return repr(obj), key, tuple(getattr(obj, f) for f in names)
 
 
@@ -139,7 +140,7 @@ def test_scan_finds_every_record_class():
 
 @pytest.mark.parametrize("decl", CASES)
 def test_record_matches_its_dataclass_twin(decl):
-    _, _, frozen, uncompared, fields = decl
+    _, _, uncompared, fields = decl
     cls, twin = twin_of(*decl)
     names = [f for f, _ in fields]
     assert cls._fields == tuple(names)
@@ -175,16 +176,11 @@ def test_record_matches_its_dataclass_twin(decl):
     )
     assert outcome(lambda: replace(made[0], nonfield=1), names)[0] == "TypeError"
 
-    if frozen:
-        with pytest.raises(FrozenRecordError):
-            setattr(made[0], names[0], data[1][0])
-        with pytest.raises(FrozenRecordError):
-            delattr(made[0], names[0])
-        assert issubclass(FrozenRecordError, AttributeError)
-    else:
-        assert cls.__hash__ is None and twin.__hash__ is None
+    with pytest.raises(FrozenRecordError):
         setattr(made[0], names[0], data[1][0])
-        assert getattr(made[0], names[0]) == data[1][0]
+    with pytest.raises(FrozenRecordError):
+        delattr(made[0], names[0])
+    assert issubclass(FrozenRecordError, AttributeError)
 
 
 def test_fresh_defaults_are_made_per_record():
