@@ -299,9 +299,9 @@ def _evaluation(gen: GenResult, B: FiniteAlgebra) -> Homomorphism:
     return eps
 
 
-def counit(B: FiniteAlgebra, E: ExpansionSpec, product_cap: int = DEFAULT_PRODUCT_CAP) -> Homomorphism:
+def counit(B: FiniteAlgebra, E: ExpansionSpec) -> Homomorphism:
     """The evaluation map from the free extension of B's reduct back to B."""
-    return _evaluation(free_extension(reduct(B, E.base.signature), E, product_cap).gen, B)
+    return _evaluation(free_extension(reduct(B, E.base.signature), E).gen, B)
 
 
 @record

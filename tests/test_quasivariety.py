@@ -504,15 +504,12 @@ class TestEnumerateMembers:
     def test_axiomatic_matches_generated_up_to_size_five(self):
         """The axiom list is a complete base for the generated class at every
         size up to 5: both presentations list the same classes (1, 1, 1, 2,
-        3 per size, OEIS A006982).  Up to CANONIZE_LIMIT both keep canonical
-        tables, so the tables are equal; above it each axiomatic class is
-        isomorphic to exactly one generated class."""
+        3 per size, OEIS A006982), and each axiomatic class is isomorphic to
+        exactly one generated class."""
         for n in range(1, 6):
             gen = enumerate_members(fx.DL, n)
             axi = enumerate_members(fx.DLAX, n)
             assert len(gen) == len(axi) == [1, 1, 1, 2, 3][n - 1]
-            if n <= core.CANONIZE_LIMIT:
-                assert [A.tables for A in gen] == [A.tables for A in axi]
             for A in axi:
                 assert sum(are_isomorphic(A, B) for B in gen) == 1
 
@@ -548,6 +545,19 @@ class TestEnumerateMembers:
         for bound in range(1, most + 1):
             got = _member_classes.__wrapped__(K, bound)
             assert [A.tables for A in got] == [A.tables for A in oracles.member_classes(K, bound)]
+
+    @pytest.mark.parametrize("K, lo, hi", [
+        (fx.DL, 4, 8), (fx.MSLQ, 4, 6), (fx.MONQ, 4, 6),
+        (fx.DLAX, 3, 5), (MSLAX, 4, 5), (MONAX, 4, 5),
+    ], ids=lambda v: getattr(v, "name", v))
+    def test_representatives_do_not_depend_on_the_bound(self, K, lo, hi):
+        """The classes within a bound are those of a larger bound, cut to
+        size, with the same tables: each class keeps the first copy found,
+        and a larger bound adds only larger classes, which lead to no
+        smaller one."""
+        small = _member_classes.__wrapped__(K, lo)
+        large = _member_classes.__wrapped__(K, hi)
+        assert [A.tables for A in small] == [A.tables for A in large if A.size <= lo]
 
     def test_dl_member_search_expands_no_class_at_the_bound(self, monkeypatch):
         """A cold enumeration of DL up to size 8 searches C x G for 21 of

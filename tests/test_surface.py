@@ -34,6 +34,10 @@ UNREACHED = {
     "core.product_projection",
     "logic.rename_equation", "logic.rename_term", "logic.satisfies_pp",
     "parser.parse", "parser.parse_pp_formula",
+    # The n! canonical form, which the isomorphism dedup no longer uses.
+    # bench/spans.py wraps `canonical_tables` by name; both are to move to
+    # tests/oracles.py with the next change to the benchmark.
+    "core.canonical_tables", "core._permuted_tables",
 }
 
 
