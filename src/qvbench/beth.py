@@ -1,7 +1,8 @@
 """Bound-parameterized checks for the headline properties: simplicity of pp
 expansions, the interpolation criterion, Beth-companion verdicts relative to a
 test family, regular monomorphisms, mono-reflectivity, faithful term
-equivalence, and the consistency harnesses tying them together.
+equivalence, and the cross-validation of the main theorem's three
+characterizations.
 
 Negative verdicts always carry a replayable certificate; "Beth companion"
 verdicts are relative to the supplied operation family, since the full class of
@@ -38,13 +39,7 @@ from .adjunction import (
     expand_algebra,
     unit_collapse,
 )
-from .implicit import (
-    FunctionalityViolation,
-    ImplicitOpSpec,
-    induced_partial_op,
-    witness_projection_specs,
-)
-from .implicit import check_totalizable, check_unique_witnesses
+from .implicit import FunctionalityViolation, ImplicitOpSpec, induced_partial_op
 from .quasivariety import (
     CapExceeded,
     NotFoundWithinBound,
@@ -142,28 +137,15 @@ def _expansion_classes(P: PpExpansionSpec, bound: int) -> tuple[FiniteAlgebra, .
 
 
 def _in_class(B: FiniteAlgebra, P: PpExpansionSpec):
-    """Is B literally an expanded member: base reduct in the base class and
-    every added table reproduced by its induced operation?  Returns None or a
-    certificate."""
-    red = reduct(B, P.base.signature)
-    base_membership = membership(red, P.base)
-    if not base_membership.holds:
-        return ("base-reduct", base_membership)
-    for sym, spec in P.ops:
-        op = induced_partial_op(red, spec)
-        if isinstance(op, FunctionalityViolation):
-            return ("functionality", op)
-        if not op.is_total:
-            missing = next(
-                args
-                for args in iproduct(range(B.size), repeat=spec.arity)
-                if not op.defined_at(args)
-            )
-            return ("undefined-at", sym, missing)
-        for args, value in op.graph:
-            if B.apply(sym, args) != value:
-                return ("mismatch", sym, args, B.apply(sym, args), value)
-    return None
+    """None when B is literally an expanded member, else the first cell, in
+    symbol then argument order, where an induced operation of B's base
+    reduct is undefined.  B is a subalgebra of an expanded member, so its
+    reduct is a base member and every pp graph of the larger member restricts
+    to B's tables: totality is the only thing that can fail."""
+    C = expand_algebra(reduct(B, P.base.signature), P, check=False)
+    if isinstance(C, FiniteAlgebra):
+        return None
+    return ("undefined-at", C.op_symbol, C.args)
 
 
 def check_simple(P: PpExpansionSpec, bound: int) -> Verdict:
@@ -245,18 +227,16 @@ class RegularWitness:
 def check_regular_mono(
     h: Homomorphism,
     M: Quasivariety,
-    size_bound: int | None = None,
+    size_bound: int,
 ) -> RegularWitness | NotFoundWithinBound:
     """Search for a parallel pair whose equalizer is exactly the image of the
-    embedding.  Positive answers carry the replayable witness; negatives are
-    bound-relative only.  The default codomain bound |B|^2 is a pragmatic
-    choice."""
+    embedding, over codomains up to `size_bound`.  Positive answers carry the
+    replayable witness; negatives are bound-relative only."""
     if not is_embedding(h):
         raise PreconditionError("the given homomorphism is not an embedding")
     B = h.target
-    bound = size_bound if size_bound is not None else B.size**2
     image = set(h.mapping)
-    for C in members_up_to(M, bound):
+    for C in members_up_to(M, size_bound):
         homs = enumerate_homomorphisms(B, C, M.signature)
         for i in range(len(homs)):
             for j in range(i, len(homs)):
@@ -264,7 +244,7 @@ def check_regular_mono(
                 equalizer = {b for b in range(B.size) if g1(b) == g2(b)}
                 if equalizer == image:
                     return RegularWitness((g1, g2), C)
-    return NotFoundWithinBound(bound)
+    return NotFoundWithinBound(size_bound)
 
 
 def _reduct_violation(E: ExpansionSpec, bound: int) -> Verdict | None:
@@ -286,11 +266,9 @@ def check_mono_reflective(E: ExpansionSpec, bound: int) -> Verdict:
     functor, that is, every base-language map between expanded members
     preserves the extra operations, then (b) unit injectivity and (c) counit
     bijectivity, which are `unit_counit_verdict`.  A reduct functor that is
-    not well defined fails first, under `reduct-well-defined`."""
-    violation = _reduct_violation(E, bound)
-    if violation is not None:
-        return violation
-    return _not_full(E, bound) or replace(_unit_counit(E, bound), claim="mono-reflective")
+    not well defined fails first, under `reduct-well-defined`.  This is the
+    `mono-reflective` verdict of `cross_validate_main_theorem`."""
+    return cross_validate_main_theorem(E, None, bound).mono_reflective
 
 
 def _not_full(E: ExpansionSpec, bound: int) -> Verdict | None:
@@ -524,58 +502,3 @@ def check_simplicity_transfer(
         "simplicity-transfer", "fails", (("max-size", bound),),
         certificate=(v1, v2),
     )
-
-
-@record
-class HarnessReport:
-    premises_established: bool
-    premise_details: tuple[tuple[str, str], ...]
-    simple: Verdict | None
-    consistent: bool
-
-
-def harness_unique_witness_expansions(
-    P: PpExpansionSpec,
-    bound: int,
-    ext_bound: int | None = None,
-) -> HarnessReport:
-    """Consistency harness: when every operation has unique witnesses, every
-    member up to the bound totalizes within the extension bound, the witness
-    projections are functional, and the interpolation criterion holds for the
-    operations together with their witness projections, then the simplicity
-    check must also pass at the bound.
-
-    The witness projections are included in the interpolation family because
-    the implication is family-relative without them and can genuinely fail.
-    """
-    ext_bound = ext_bound if ext_bound is not None else bound
-    details: list[tuple[str, str]] = []
-    established = True
-    specs = tuple(spec for _, spec in P.ops)
-    projections: list[ImplicitOpSpec] = []
-    for spec in specs:
-        uw = check_unique_witnesses(spec, P.base, bound)
-        if uw != "ok":
-            details.append((f"unique-witnesses[{spec.name}]", "fails"))
-            established = False
-        else:
-            details.append((f"unique-witnesses[{spec.name}]", "holds"))
-        for A in members_up_to(P.base, bound):
-            t = check_totalizable(spec, P.base, A, ext_bound)
-            if isinstance(t, NotFoundWithinBound):
-                details.append((f"totalizable[{spec.name}] at {A.name}", "unknown-within-bound"))
-                established = False
-        projections.extend(witness_projection_specs(spec))
-    for proj in projections:
-        for A in members_up_to(P.base, bound):
-            if isinstance(induced_partial_op(A, proj), FunctionalityViolation):
-                details.append((f"projection-functional[{proj.name}] at {A.name}", "fails"))
-                established = False
-    beth = check_beth_companion(P, specs + tuple(projections), bound)
-    details.append(("beth-companion[family+projections]", beth.status))
-    if not beth.holds:
-        established = False
-    if not established:
-        return HarnessReport(False, tuple(details), None, True)
-    simple = check_simple(P, bound)
-    return HarnessReport(True, tuple(details), simple, simple.holds)

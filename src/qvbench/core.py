@@ -222,13 +222,6 @@ def identity_homomorphism(A: FiniteAlgebra, language: Signature | None = None) -
     return Homomorphism(A, A, language or A.signature, tuple(range(A.size)))
 
 
-def compose(g: Homomorphism, f: Homomorphism) -> Homomorphism:
-    """g after f; languages must agree."""
-    if g.language != f.language:
-        raise SignatureError("composing homomorphisms over different languages")
-    return Homomorphism(f.source, g.target, f.language, tuple(g.mapping[v] for v in f.mapping))
-
-
 def _hom_search(
     A: FiniteAlgebra,
     B: FiniteAlgebra,
@@ -390,20 +383,6 @@ def _pair_tables(sig: Signature, a: int, left, b: int, right) -> tuple[tuple[int
                 table.append(tl[fl] * b + tr[fr])
         tables.append(tuple(table))
     return tuple(tables)
-
-
-def decode_product_element(sizes: list[int], e: int) -> tuple[int, ...]:
-    coords = []
-    for n in reversed(sizes):
-        coords.append(e % n)
-        e //= n
-    return tuple(reversed(coords))
-
-
-def product_projection(product: FiniteAlgebra, factors: list[FiniteAlgebra], i: int) -> Homomorphism:
-    sizes = [f.size for f in factors]
-    mapping = tuple(decode_product_element(sizes, e)[i] for e in range(product.size))
-    return Homomorphism(product, factors[i], product.signature, mapping)
 
 
 def reduct(A: FiniteAlgebra, language: Signature) -> FiniteAlgebra:
@@ -715,23 +694,6 @@ class Congruence:
         )
 
 
-def is_congruence(A: FiniteAlgebra, partition: tuple[int, ...]) -> bool:
-    """Compatibility check: related argument tuples give related values."""
-    for sym, k in A.signature.symbols:
-        if k == 0:
-            continue
-        buckets: dict[tuple[int, ...], int] = {}
-        for args in iproduct(range(A.size), repeat=k):
-            key = tuple(partition[a] for a in args)
-            v = A.apply(sym, args)
-            if key in buckets:
-                if partition[buckets[key]] != partition[v]:
-                    return False
-            else:
-                buckets[key] = v
-    return True
-
-
 def congruence_closure(A: FiniteAlgebra, pairs) -> Congruence:
     """Least congruence containing the given pairs: union-find plus
     compatibility re-propagation until fixpoint."""
@@ -790,10 +752,6 @@ def quotient(A: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, Homomo
     return Q, Homomorphism(A, Q, A.signature, proj)
 
 
-def kernel(h: Homomorphism) -> Congruence:
-    return Congruence.from_labels(h.source, h.mapping)
-
-
 def _permuted_tables(A: FiniteAlgebra, perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     n = A.size
     inv = [0] * n
@@ -809,11 +767,6 @@ def _permuted_tables(A: FiniteAlgebra, perm: tuple[int, ...]) -> tuple[tuple[int
             out.append(perm[table[flat]])
         tables.append(tuple(out))
     return tuple(tables)
-
-
-def permuted(A: FiniteAlgebra, perm: tuple[int, ...]) -> FiniteAlgebra:
-    """The isomorphic copy along perm (perm[old] = new)."""
-    return FiniteAlgebra(A.name, A.signature, A.size, _permuted_tables(A, perm))
 
 
 def canonical_tables(A: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:

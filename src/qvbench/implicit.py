@@ -32,7 +32,6 @@ from .logic import (
     Var,
     compile_pp,
     compile_term,
-    rename_equation,
     term_variables,
 )
 from .quasivariety import (
@@ -290,32 +289,6 @@ def check_unique_witnesses(
             if len(found) > 1:
                 return UniqueWitnessViolation(A, args, found[0], found[1])
     return "ok"
-
-
-def witness_projection_specs(s: ImplicitOpSpec) -> tuple[ImplicitOpSpec, ...]:
-    """For each witness variable z_k, the operation sending (arguments, value)
-    to that witness.  When the witnesses of `s` are unique these are partial
-    functions, and they are pp-defined by construction."""
-    out = []
-    for k in range(s.witness_count):
-        renaming = {RESULT_VAR: arg_var(s.arity), witness_var(k): RESULT_VAR}
-        remaining = []
-        for j in range(s.witness_count):
-            if j == k:
-                continue
-            renaming[witness_var(j)] = witness_var(len(remaining))
-            remaining.append(j)
-        body = tuple(rename_equation(eq, renaming) for eq in s.formula.body)
-        out.append(
-            ImplicitOpSpec(
-                f"{s.name}.w{k + 1}",
-                s.signature,
-                s.arity + 1,
-                s.witness_count - 1,
-                PpFormula(tuple(witness_var(i) for i in range(s.witness_count - 1)), body),
-            )
-        )
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -89,16 +89,6 @@ def equations_variables(eqs) -> set[str]:
     return out
 
 
-def rename_term(t: Term, renaming: dict[str, str]) -> Term:
-    if isinstance(t, Var):
-        return Var(renaming.get(t.name, t.name))
-    return App(t.symbol, tuple(rename_term(a, renaming) for a in t.args))
-
-
-def rename_equation(eq: Equation, renaming: dict[str, str]) -> Equation:
-    return Equation(rename_term(eq.left, renaming), rename_term(eq.right, renaming))
-
-
 def _lookups(signature: Signature, t: Term, name, partial: bool = False) -> str:
     """The one translator from terms to lookups: `t` as a single Python
     expression of table lookups on flat row-major indices (last argument

@@ -202,13 +202,6 @@ class _Parser:
             if self.kinds[self.pos] != close:
                 self.expect(sep)
 
-    def whole(self, rule: str, sig: Signature):
-        """Parse `rule` from the whole text: no token may follow it."""
-        result = getattr(self, rule)(sig)
-        if self.kinds[self.pos] != "eof":
-            self.fail(f"unexpected trailing input {self.values[self.pos]!r}")
-        return result
-
     # -- workspace
 
     def parse_workspace(self) -> Workspace:
@@ -414,43 +407,8 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# public entry points
+# public entry point
 
 
 def parse_workspace(text: str) -> Workspace:
     return _Parser(text).parse_workspace()
-
-
-def parse_term(text: str, sig: Signature) -> Term:
-    return _Parser(text).whole("parse_term", sig)
-
-
-def parse_equation(text: str, sig: Signature) -> Equation:
-    return _Parser(text).whole("parse_equation", sig)
-
-
-def parse_equations(text: str, sig: Signature) -> list[Equation]:
-    return _Parser(text).whole("parse_equations", sig)
-
-
-def parse_pp_formula(text: str, sig: Signature) -> PpFormula:
-    return _Parser(text).whole("parse_pp", sig)
-
-
-def parse_quasiequation(text: str, sig: Signature) -> Quasiequation:
-    return _Parser(text).whole("parse_quasiequation", sig)
-
-
-def parse(text: str, sig: Signature | None = None):
-    """Polymorphic entry, classified by the first token: a full workspace
-    when it is a declaration keyword, otherwise a pp formula when it is
-    `exists`, a quasiequation when a `=>` token follows, or an equation
-    list, over the given signature."""
-    p = _Parser(text)
-    if p.values[0] in DECL_KEYWORDS:
-        return p.parse_workspace()
-    if sig is None:
-        raise ValueError("parsing a formula fragment needs a signature")
-    if p.values[0] == "exists":
-        return p.whole("parse_pp", sig)
-    return p.whole("parse_quasiequation" if "=>" in p.kinds else "parse_equations", sig)

@@ -1,23 +1,33 @@
 """Brute-force oracles shared by the tests.  None of them calls the code it
 checks: each recomputes its answer from the definitions, by exhaustive search
-or direct recursion over the operation tables."""
+or direct recursion over the operation tables.
+
+The end of the file keeps the helpers that only tests use and that no command
+reaches: the workspace printer, the unique-witness harness, the parser's
+fragment entry points and a few algebra helpers."""
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product as iproduct
 
 from qvbench.adjunction import ExpansionSpec, PpExpansionSpec, free_extension
-from qvbench.beth import TermTranslation
+from qvbench.beth import TermTranslation, Verdict, check_beth_companion, check_simple
 from qvbench.core import (
-    FiniteAlgebra, Homomorphism, IsoRegistry, Signature, SignatureError, trivial_algebra,
+    FiniteAlgebra, Homomorphism, IsoRegistry, Signature, SignatureError, _permuted_tables,
+    record, reduct, trivial_algebra,
 )
-from qvbench.implicit import ImplicitOpSpec
+from qvbench.implicit import (
+    RESULT_VAR, FunctionalityViolation, ImplicitOpSpec, arg_var, check_totalizable,
+    check_unique_witnesses, induced_partial_op, witness_var,
+)
 from qvbench.logic import (
     App, Equation, LogicError, PpFormula, Quasiequation, Term, UnboundVariableError, Var,
     _compile_equation, _define, _lookups, equations_variables,
 )
-from qvbench.parser import DECL_KEYWORDS, ParseError, Token, UnknownName, Workspace
-from qvbench.quasivariety import CapExceeded, GenResult, Quasivariety, members_up_to
+from qvbench.parser import DECL_KEYWORDS, ParseError, Token, UnknownName, Workspace, _Parser
+from qvbench.quasivariety import (
+    CapExceeded, GenResult, NotFoundWithinBound, Quasivariety, members_up_to, membership,
+)
 
 
 def build_algebra(name: str, signature: Signature, size: int, ops: dict) -> FiniteAlgebra:
@@ -1095,3 +1105,199 @@ def format_workspace(ws: Workspace) -> str:
     for name, tr in ws.translations.items():
         lines.append(format_translation(name, tr))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the membership test of `check_simple` before it reused `expand_algebra`: base
+# reduct in the base class, every induced operation functional and total, and
+# every added table reproduced
+
+
+def in_class(B: FiniteAlgebra, P: PpExpansionSpec):
+    """Is B literally an expanded member: base reduct in the base class and
+    every added table reproduced by its induced operation?  Returns None or a
+    certificate."""
+    red = reduct(B, P.base.signature)
+    base_membership = membership(red, P.base)
+    if not base_membership.holds:
+        return ("base-reduct", base_membership)
+    for sym, spec in P.ops:
+        op = induced_partial_op(red, spec)
+        if isinstance(op, FunctionalityViolation):
+            return ("functionality", op)
+        if not op.is_total:
+            missing = next(
+                args
+                for args in iproduct(range(B.size), repeat=spec.arity)
+                if not op.defined_at(args)
+            )
+            return ("undefined-at", sym, missing)
+        for args, value in op.graph:
+            if B.apply(sym, args) != value:
+                return ("mismatch", sym, args, B.apply(sym, args), value)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the unique-witness consistency harness, which no command runs
+
+
+def witness_projection_specs(s: ImplicitOpSpec) -> tuple[ImplicitOpSpec, ...]:
+    """For each witness variable z_k, the operation sending (arguments, value)
+    to that witness.  When the witnesses of `s` are unique these are partial
+    functions, and they are pp-defined by construction."""
+    out = []
+    for k in range(s.witness_count):
+        renaming = {RESULT_VAR: arg_var(s.arity), witness_var(k): RESULT_VAR}
+        remaining = []
+        for j in range(s.witness_count):
+            if j == k:
+                continue
+            renaming[witness_var(j)] = witness_var(len(remaining))
+            remaining.append(j)
+        body = tuple(rename_equation(eq, renaming) for eq in s.formula.body)
+        out.append(
+            ImplicitOpSpec(
+                f"{s.name}.w{k + 1}",
+                s.signature,
+                s.arity + 1,
+                s.witness_count - 1,
+                PpFormula(tuple(witness_var(i) for i in range(s.witness_count - 1)), body),
+            )
+        )
+    return tuple(out)
+
+
+def rename_term(t: Term, renaming: dict[str, str]) -> Term:
+    if isinstance(t, Var):
+        return Var(renaming.get(t.name, t.name))
+    return App(t.symbol, tuple(rename_term(a, renaming) for a in t.args))
+
+
+def rename_equation(eq: Equation, renaming: dict[str, str]) -> Equation:
+    return Equation(rename_term(eq.left, renaming), rename_term(eq.right, renaming))
+
+
+@record
+class HarnessReport:
+    premises_established: bool
+    premise_details: tuple[tuple[str, str], ...]
+    simple: Verdict | None
+    consistent: bool
+
+
+def harness_unique_witness_expansions(
+    P: PpExpansionSpec,
+    bound: int,
+    ext_bound: int | None = None,
+) -> HarnessReport:
+    """Consistency harness: when every operation has unique witnesses, every
+    member up to the bound totalizes within the extension bound, the witness
+    projections are functional, and the interpolation criterion holds for the
+    operations together with their witness projections, then the simplicity
+    check must also pass at the bound.
+
+    The witness projections are included in the interpolation family because
+    the implication is family-relative without them and can genuinely fail.
+    """
+    ext_bound = ext_bound if ext_bound is not None else bound
+    details: list[tuple[str, str]] = []
+    established = True
+    specs = tuple(spec for _, spec in P.ops)
+    projections: list[ImplicitOpSpec] = []
+    for spec in specs:
+        uw = check_unique_witnesses(spec, P.base, bound)
+        if uw != "ok":
+            details.append((f"unique-witnesses[{spec.name}]", "fails"))
+            established = False
+        else:
+            details.append((f"unique-witnesses[{spec.name}]", "holds"))
+        for A in members_up_to(P.base, bound):
+            t = check_totalizable(spec, P.base, A, ext_bound)
+            if isinstance(t, NotFoundWithinBound):
+                details.append((f"totalizable[{spec.name}] at {A.name}", "unknown-within-bound"))
+                established = False
+        projections.extend(witness_projection_specs(spec))
+    for proj in projections:
+        for A in members_up_to(P.base, bound):
+            if isinstance(induced_partial_op(A, proj), FunctionalityViolation):
+                details.append((f"projection-functional[{proj.name}] at {A.name}", "fails"))
+                established = False
+    beth = check_beth_companion(P, specs + tuple(projections), bound)
+    details.append(("beth-companion[family+projections]", beth.status))
+    if not beth.holds:
+        established = False
+    if not established:
+        return HarnessReport(False, tuple(details), None, True)
+    simple = check_simple(P, bound)
+    return HarnessReport(True, tuple(details), simple, simple.holds)
+
+
+# ---------------------------------------------------------------------------
+# algebra helpers that only tests use
+
+
+def permuted(A: FiniteAlgebra, perm: tuple[int, ...]) -> FiniteAlgebra:
+    """The isomorphic copy along perm (perm[old] = new)."""
+    return FiniteAlgebra(A.name, A.signature, A.size, _permuted_tables(A, perm))
+
+
+def is_congruence(A: FiniteAlgebra, partition: tuple[int, ...]) -> bool:
+    """Compatibility check: related argument tuples give related values."""
+    for sym, k in A.signature.symbols:
+        if k == 0:
+            continue
+        buckets: dict[tuple[int, ...], int] = {}
+        for args in iproduct(range(A.size), repeat=k):
+            key = tuple(partition[a] for a in args)
+            v = A.apply(sym, args)
+            if key in buckets:
+                if partition[buckets[key]] != partition[v]:
+                    return False
+            else:
+                buckets[key] = v
+    return True
+
+
+# ---------------------------------------------------------------------------
+# fragment entry points of the parser, which only tests use: each parses one
+# rule of `parser._Parser` from the whole text
+
+
+def _whole(p: _Parser, rule: str, sig: Signature):
+    """Parse `rule` from the whole text: no token may follow it."""
+    result = getattr(p, rule)(sig)
+    if p.kinds[p.pos] != "eof":
+        p.fail(f"unexpected trailing input {p.values[p.pos]!r}")
+    return result
+
+
+def parse_term(text: str, sig: Signature) -> Term:
+    return _whole(_Parser(text), "parse_term", sig)
+
+
+def parse_equation(text: str, sig: Signature) -> Equation:
+    return _whole(_Parser(text), "parse_equation", sig)
+
+
+def parse_pp_formula(text: str, sig: Signature) -> PpFormula:
+    return _whole(_Parser(text), "parse_pp", sig)
+
+
+def parse_quasiequation(text: str, sig: Signature) -> Quasiequation:
+    return _whole(_Parser(text), "parse_quasiequation", sig)
+
+
+def parse(text: str, sig: Signature | None = None):
+    """Polymorphic entry, classified by the first token: a full workspace
+    when it is a declaration keyword, otherwise a pp formula when it is
+    `exists`, a quasiequation when a `=>` token follows, or an equation
+    list, over the given signature."""
+    p = _Parser(text)
+    if p.values[0] in DECL_KEYWORDS:
+        return p.parse_workspace()
+    if sig is None:
+        raise ValueError("parsing a formula fragment needs a signature")
+    if p.values[0] == "exists":
+        return _whole(p, "parse_pp", sig)
+    return _whole(p, "parse_quasiequation" if "=>" in p.kinds else "parse_equations", sig)

@@ -20,7 +20,6 @@ from qvbench.beth import (
     check_simple,
     check_simplicity_transfer,
     cross_validate_main_theorem,
-    harness_unique_witness_expansions,
 )
 from qvbench.beth import TermTranslation, apply_translation
 from qvbench.core import (
@@ -31,7 +30,6 @@ from qvbench.core import (
     congruence_closure,
     generated_subalgebra,
     enumerate_homomorphisms,
-    is_congruence,
     quotient,
     subalgebra,
     trivial_algebra,
@@ -43,7 +41,8 @@ from qvbench.quasivariety import free_algebra, members_up_to, membership, relati
 import fx
 import oracles
 from oracles import (
-    all_partitions, brute_homs, build_algebra, layered_term_values, naive_tuple_closure,
+    all_partitions, brute_homs, build_algebra, harness_unique_witness_expansions, is_congruence,
+    layered_term_values, naive_tuple_closure,
 )
 
 

@@ -33,7 +33,6 @@ from qvbench.core import (
     Signature,
     SignatureError,
     are_isomorphic,
-    compose,
     enumerate_homomorphisms,
     is_embedding,
     is_homomorphism,

@@ -9,7 +9,6 @@ from qvbench.adjunction import (
     induced_expansion,
 )
 from qvbench.beth import (
-    HarnessReport,
     MainTheoremReport,
     PreconditionError,
     RegularWitness,
@@ -25,7 +24,6 @@ from qvbench.beth import (
     check_simplicity_transfer,
     cross_validate_main_theorem,
     expansion_members,
-    harness_unique_witness_expansions,
     unit_counit_verdict,
 )
 from qvbench.core import (
@@ -41,7 +39,7 @@ from qvbench.logic import App, Var
 from qvbench.quasivariety import NotFoundWithinBound, Quasivariety, members_up_to, membership
 
 import fx
-from oracles import build_algebra
+from oracles import build_algebra, harness_unique_witness_expansions, in_class
 
 
 class TestCheckSimple:
@@ -61,6 +59,30 @@ class TestCheckSimple:
         from qvbench.adjunction import pp_expansion_membership
 
         assert pp_expansion_membership(B, fx.PP_JC, 4).status == "in-closure"
+
+    @pytest.mark.parametrize(
+        "name, bound",
+        [(name, b) for name in ("DLcompl", "DLjc", "DLcomplpad", "MONQinv") for b in (1, 2, 3, 4)]
+        # At 8 the 4-element chain has two undefined cells, so the order shows.
+        + [("DLjc", 8)],
+    )
+    def test_certificate_is_the_reference_membership_test(self, name, bound):
+        """On every member, `_in_class` agrees with the reference test, which
+        also checks base membership, functionality and each added table, and
+        `check_simple` certifies the first member that fails."""
+        P = {
+            "DLcompl": fx.PP_COMPL,
+            "DLjc": fx.PP_JC,
+            "DLcomplpad": PpExpansionSpec(fx.DL, (("c", fx.COMPL_PADDED),)),
+            "MONQinv": PpExpansionSpec(fx.MONQ, (("i", fx.INV),)),
+        }[name]
+        failing = []
+        for B in expansion_members(P, bound):
+            expected = in_class(B, P)
+            assert beth._in_class(B, P) == expected
+            if expected is not None:
+                failing.append((B, expected))
+        assert check_simple(P, bound).certificate == (failing[0] if failing else None)
 
 
 class TestExpansionMembers:
@@ -146,7 +168,7 @@ class TestRegularMono:
 
     def test_default_bound_is_square(self):
         ident = Homomorphism(fx.TWO_BA, fx.TWO_BA, fx.BA, (0, 1))
-        result = check_regular_mono(ident, fx.BOOL)
+        result = check_regular_mono(ident, fx.BOOL, size_bound=fx.TWO_BA.size**2)
         assert isinstance(result, RegularWitness)
 
 

@@ -21,17 +21,32 @@ from qvbench.core import (
     enumerate_embeddings,
     enumerate_homomorphisms,
     generated_subalgebra,
-    is_congruence,
     is_embedding,
     is_homomorphism,
-    kernel,
-    permuted,
-    product_projection,
     quotient,
     reduct,
     subalgebra,
     trivial_algebra,
 )
+from oracles import is_congruence, permuted
+
+
+def decode_product_element(sizes: list[int], e: int) -> tuple[int, ...]:
+    coords = []
+    for n in reversed(sizes):
+        coords.append(e % n)
+        e //= n
+    return tuple(reversed(coords))
+
+
+def product_projection(product: FiniteAlgebra, factors: list[FiniteAlgebra], i: int) -> Homomorphism:
+    sizes = [f.size for f in factors]
+    mapping = tuple(decode_product_element(sizes, e)[i] for e in range(product.size))
+    return Homomorphism(product, factors[i], product.signature, mapping)
+
+
+def kernel(h: Homomorphism) -> Congruence:
+    return Congruence.from_labels(h.source, h.mapping)
 
 
 @st.composite

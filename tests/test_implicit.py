@@ -18,11 +18,12 @@ from qvbench.implicit import (
     generator_products,
     graphs_on,
     induced_partial_op,
-    witness_projection_specs,
 )
 from qvbench.logic import LogicError, PpFormula, satisfies_pp
 from qvbench.parser import parse_workspace
 from qvbench.quasivariety import NotFoundWithinBound
+
+from oracles import witness_projection_specs
 
 
 def brute_force_graph(A, spec):

@@ -26,9 +26,9 @@ from qvbench.logic import (
     eval_term,
     satisfies_pp,
 )
-from qvbench.parser import parse_pp_formula
 
 import oracles
+from oracles import parse_pp_formula
 
 MEET_XY = App("meet", (Var("x"), Var("y")))
 

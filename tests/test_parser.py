@@ -12,21 +12,16 @@ from oracles import (
     format_signature,
     format_term,
     format_workspace,
+    parse,
+    parse_equation,
+    parse_pp_formula,
+    parse_quasiequation,
+    parse_term,
 )
 from qvbench import parser
 from qvbench.core import Signature
 from qvbench.logic import App, Equation, PpFormula, Quasiequation, Var
-from qvbench.parser import (
-    ParseError,
-    parse,
-    parse_equation,
-    parse_equations,
-    parse_pp_formula,
-    parse_quasiequation,
-    parse_term,
-    parse_workspace,
-    tokenize,
-)
+from qvbench.parser import ParseError, parse_workspace, tokenize
 
 FIXTURES_PATH = "workspaces/fixtures.qvw"
 BENCH_WORKSPACE_PATH = "bench/workspace.qvw"

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import fx
 import oracles
-from oracles import build_algebra
+from oracles import build_algebra, is_congruence, permuted
 from test_logic import terms_over
 from qvbench import core, quasivariety
 from qvbench.core import (
@@ -18,10 +18,8 @@ from qvbench.core import (
     are_isomorphic,
     congruence_closure,
     enumerate_homomorphisms,
-    is_congruence,
     is_embedding,
     is_homomorphism,
-    permuted,
     quotient,
     trivial_algebra,
 )

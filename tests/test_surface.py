@@ -1,42 +1,43 @@
 """The package's surface: every top-level definition in src/qvbench is reached
 from the command line, by name reference from `cli.main`, `run`,
-`emit_report` and `_HANDLERS`, except the ones listed in `UNREACHED`.
+`emit_report` and `_HANDLERS`, or by the benchmark's tracer, which wraps each
+`TARGETS` entry of bench/spans.py by name.  `UNREACHED` lists what only the
+benchmark reaches.
 
-Reachability is by name: a definition is reached when a reached one mentions
-its name, as a name or as an attribute.  The set must equal the list, so new
-dead code fails, and so does a listed name that a command comes to use.
+Reachability follows names only: a definition is reached when a reached one
+mentions it as an `ast.Name`.  An attribute such as `self.parse_term` does not
+reach a top-level function that shares the method's name.  bench/spans.py is
+read with `ast`, not imported.  Unreached code fails, and so does a listed
+name that a command comes to use.
 """
 import ast
 from collections import defaultdict
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qvbench"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qvbench"
+SPANS = ROOT / "bench" / "spans.py"
 ROOTS = ("cli.main", "cli.run", "cli.emit_report", "cli._HANDLERS")
 
-# Top-level definitions that no command reaches, by what is to become of them.
+# Top-level definitions that only bench/spans.py `TARGETS` reach, by what is to
+# become of them.  Each leaves the package when the next change to the
+# benchmark drops it from `TARGETS`.
 UNREACHED = {
-    # Checks the paper states, waiting for a command to run them.  The
-    # mono-reflective verdict of `cross-validate` reuses its unit/counit
-    # verdict instead of calling `check_mono_reflective`.
+    # Checks the paper states, waiting for a command to run them.
     "adjunction.LiftViolation", "adjunction.universal_property_check",
     "adjunction.PpMembership", "adjunction.pp_expansion_membership",
-    "beth.check_mono_reflective",
-    "beth.HarnessReport", "beth.harness_unique_witness_expansions",
     "implicit.PreservationViolation", "implicit.check_preservation",
-    "implicit.check_totalizable", "implicit.witness_projection_specs",
+    "implicit.check_totalizable",
+    # The `mono-reflective` verdict of `cross-validate`, which computes it
+    # without calling this.
+    "beth.check_mono_reflective",
     # The bounded pp search, to be replaced by the exact test on generators.
     "implicit.bounded_pp_definability_search", "implicit._MaskTarget",
     "implicit._terms_up_to_depth", "implicit._product_graph",
     "implicit.generator_products", "implicit.graphs_on",
     # Helpers that only the tests use.
-    "core.are_isomorphic", "core.closure_extend", "core.compose",
-    "core.decode_product_element", "core.is_congruence", "core.kernel", "core.permuted",
-    "core.product_projection",
-    "logic.rename_equation", "logic.rename_term", "logic.satisfies_pp",
-    "parser.parse", "parser.parse_pp_formula",
+    "core.are_isomorphic", "core.closure_extend", "logic.satisfies_pp",
     # The n! canonical form, which the isomorphism dedup no longer uses.
-    # bench/spans.py wraps `canonical_tables` by name; both are to move to
-    # tests/oracles.py with the next change to the benchmark.
     "core.canonical_tables", "core._permuted_tables",
 }
 
@@ -59,30 +60,56 @@ def definitions() -> dict[str, ast.AST]:
     return out
 
 
-def mentioned(node: ast.AST) -> set[str]:
-    return {
-        n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
-    }
+def benchmark_targets() -> set[str]:
+    """`module.name` of each `TARGETS` entry; a method entry names its class."""
+    for node in ast.parse(SPANS.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return {
+                f"{entry.elts[0].value}.{entry.elts[1].value.split('.')[0]}"
+                for entry in node.value.elts
+            }
+    raise AssertionError("bench/spans.py assigns no TARGETS")
 
 
-def unreached() -> set[str]:
+def reached(roots) -> set[str]:
     defs = definitions()
     by_name = defaultdict(list)
     for key in defs:
         by_name[key.split(".", 1)[1]].append(key)
     seen: set[str] = set()
-    todo = list(ROOTS)
+    todo = list(roots)
     while todo:
         key = todo.pop()
         if key not in seen:
             seen.add(key)
-            for name in mentioned(defs[key]):
-                todo.extend(by_name[name])
-    return set(defs) - seen
+            for n in ast.walk(defs[key]):
+                if isinstance(n, ast.Name):
+                    todo.extend(by_name[n.id])
+    return seen
+
+
+def test_every_definition_is_reached_by_a_command_or_the_benchmark():
+    assert set(definitions()) - reached(ROOTS) - reached(benchmark_targets()) == set()
 
 
 def test_unreached_definitions_are_the_listed_ones():
-    assert unreached() == UNREACHED
+    assert set(definitions()) - reached(ROOTS) == UNREACHED
 
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [
+                    f"{path.stem}: {a.asname or a.name}"
+                    for a in node.names
+                    if (a.asname or a.name.split(".")[0]) not in used
+                ]
+    assert unused == []
