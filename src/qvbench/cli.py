@@ -288,8 +288,11 @@ def parse_pairs(text: str) -> list[tuple[int, int]]:
         part = part.strip("()")
         if not part:
             continue
-        a, b = part.split(",")
-        pairs.append((int(a), int(b)))
+        try:
+            a, b = map(int, part.split(","))
+        except ValueError:
+            raise ValueError(f"--pairs: {part!r} is not a pair a,b of integers") from None
+        pairs.append((a, b))
     return pairs
 
 
@@ -297,18 +300,29 @@ def parse_tuple(text: str) -> tuple[int, ...]:
     inner = text.replace(" ", "").strip().strip("()")
     if not inner:
         return ()
-    return tuple(int(x) for x in inner.split(","))
+    out = []
+    for x in inner.split(","):
+        try:
+            out.append(int(x))
+        except ValueError:
+            raise ValueError(f"--tuple: {x!r} is not an integer") from None
+    return tuple(out)
 
 
 def parse_map(text: str) -> dict[int, int]:
+    """`a:b,...` as a dict.  Its errors name no flag: `_hom_from_flags`,
+    which reads --map, --left-map and --right-map, adds the flag."""
     out = {}
     for part in text.replace(" ", "").split(","):
         if not part:
             continue
-        a, b = part.split(":")
-        if int(a) in out:
-            raise ValueError(f"element {int(a)} is given two images")
-        out[int(a)] = int(b)
+        try:
+            a, b = map(int, part.split(":"))
+        except ValueError:
+            raise ValueError(f"{part!r} is not an entry a:b of integers") from None
+        if a in out:
+            raise ValueError(f"element {a} is given two images")
+        out[a] = b
     return out
 
 

@@ -817,19 +817,26 @@ class IsoRegistry:
     kept member of its fingerprint bucket is isomorphic to it, so the
     representative of a class is the first copy added, at every size.
 
-    Small sizes get no n! lexicographically least canonical form: measured
-    at sizes 1-4, it was no faster than this path, and the fixture-suite
-    reports are the same without it."""
+    `_answers` maps each candidate added so far to its representative, and
+    an exact copy (equal signature, size and tables; names are not
+    compared) gets that answer from one lookup, with no fingerprint or
+    search.  It is the answer the search would give: the representatives
+    are pairwise non-isomorphic, so a copy of A is isomorphic to A's
+    representative and to no other."""
 
     def __init__(self) -> None:
         self._buckets: dict = {}
+        self._answers: dict = {}
         self.members: list[FiniteAlgebra] = []
 
     def add(self, A: FiniteAlgebra) -> tuple[FiniteAlgebra, bool]:
-        key = fingerprint(A)
-        for rep in self._buckets.get(key, []):
-            if find_isomorphism(A, rep) is not None:
-                return rep, False
-        self._buckets.setdefault(key, []).append(A)
-        self.members.append(A)
-        return A, True
+        rep = self._answers.get(A)
+        if rep is not None:
+            return rep, False
+        bucket = self._buckets.setdefault(fingerprint(A), [])
+        rep = next((B for B in bucket if find_isomorphism(A, B) is not None), A)
+        if rep is A:
+            bucket.append(A)
+            self.members.append(A)
+        self._answers[A] = rep
+        return rep, rep is A

@@ -13,8 +13,8 @@ from itertools import permutations, product as iproduct
 from qvbench.adjunction import ExpansionSpec, PpExpansionSpec, free_extension
 from qvbench.beth import TermTranslation, Verdict, check_beth_companion, check_simple
 from qvbench.core import (
-    FiniteAlgebra, Homomorphism, IsoRegistry, Signature, SignatureError, _permuted_tables,
-    record, reduct, trivial_algebra,
+    FiniteAlgebra, Homomorphism, Signature, SignatureError, _permuted_tables, find_isomorphism,
+    fingerprint, record, reduct, trivial_algebra,
 )
 from qvbench.implicit import (
     RESULT_VAR, FunctionalityViolation, ImplicitOpSpec, arg_var, check_totalizable,
@@ -632,11 +632,31 @@ def subalgebra_tables(A, subset):
     return tuple(tables)
 
 
+class IsoRegistry:
+    """Reference for `core.IsoRegistry`, without its lookup of exact copies:
+    a candidate is kept iff no kept member of its fingerprint bucket is
+    isomorphic to it, and otherwise that member is its answer."""
+
+    def __init__(self):
+        self._buckets = {}
+        self.members = []
+
+    def add(self, A):
+        key = fingerprint(A)
+        for rep in self._buckets.get(key, []):
+            if find_isomorphism(A, rep) is not None:
+                return rep, False
+        self._buckets.setdefault(key, []).append(A)
+        self.members.append(A)
+        return A, True
+
+
 def member_classes(K, max_size):
     """Reference for `quasivariety._member_classes` on a generated K: the
-    same FIFO worklist and `IsoRegistry`, but every class C is expanded,
-    including those of max_size elements, and every subdirect subuniverse
-    of C x G is built and offered to the registry, graphs of C -> G too."""
+    same FIFO worklist and the reference `IsoRegistry` above, but every
+    class C is expanded, including those of max_size elements, and every
+    subdirect subuniverse of C x G is built and offered to the registry,
+    graphs of C -> G too."""
     registry = IsoRegistry()
     worklist = [registry.add(trivial_algebra(K.signature))[0]]
     while worklist:

@@ -168,6 +168,14 @@ class TestFlagParsing:
         assert parse_map("0:0,1:3") == {0: 0, 1: 3}
         with pytest.raises(ValueError, match="element 0 is given two images"):
             parse_map("0:3,0:0,1:3")
+        with pytest.raises(ValueError, match="^'1:2:3' is not an entry a:b of integers$"):
+            parse_map("0:0,1:2:3")
+
+    def test_malformed_pairs_and_tuple(self):
+        with pytest.raises(ValueError, match="^--pairs: '0,x' is not a pair a,b of integers$"):
+            parse_pairs("(0,1),(0,x)")
+        with pytest.raises(ValueError, match="^--tuple: '' is not an integer$"):
+            parse_tuple("(1,,2)")
 
 
 class TestCommands:
@@ -431,6 +439,24 @@ class TestMainEntry:
         ])
         assert code == 3
         assert "--map: no image given for element 1 of TwoBA" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cg", "--algebra", "Chain3", "--in", "DL", "--pairs", "(0"],
+         "--pairs: '0' is not a pair a,b of integers"),
+        (["cg", "--algebra", "Chain3", "--in", "DL", "--pairs", "(0,1,2)"],
+         "--pairs: '0,1,2' is not a pair a,b of integers"),
+        (["check-extendable", "--ppop", "compl", "--in", "DL", "--algebra", "Chain3",
+          "--tuple", "(a)"],
+         "--tuple: 'a' is not an integer"),
+        (["check-regular", "--in", "BOOL", "--source", "TwoBA", "--target", "FourBA",
+          "--map", "0:0,1"],
+         "--map: '1' is not an entry a:b of integers"),
+    ], ids=["pairs-unclosed", "pairs-triple", "tuple-letter", "map-no-colon"])
+    def test_malformed_flag_value_exit_three(self, argv, message, capsys):
+        """A malformed value is a usage error whose message names the flag
+        and the malformed part, not the Python error that found it."""
+        assert main(argv[:1] + ["--workspace", WS] + argv[1:]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_map_repeated_element_exit_three(self, capsys):
         """A map that gives one element two images is a usage error, not a

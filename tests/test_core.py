@@ -103,17 +103,21 @@ def product_factors(draw):
 
 @st.composite
 def registry_batches(draw):
-    """Random algebras and relabelled copies of them, in random order: sizes
-    1-5 with a binary and a nullary symbol, 1-6 with one unary symbol, and
-    often many unary algebras of size 5 or 6, where fingerprints collide."""
+    """Random algebras, relabelled copies of them and exact copies (the same
+    tables under another name), in random order: sizes 1-5 with a binary and
+    a nullary symbol, 1-6 with one unary symbol, and often many unary
+    algebras of size 5 or 6, where fingerprints collide."""
     signature, smallest, largest, most = draw(st.sampled_from([
         (BIN_CONST, 1, 5, 5), (UNARY, 1, 6, 5), (UNARY, 5, 6, 8),
     ]))
     batch = []
     for A in draw(st.lists(algebras(signature, largest, smallest), min_size=1, max_size=most)):
-        batch.append(A)
-        for _ in range(draw(st.integers(0, 2))):
-            batch.append(permuted(A, draw(st.permutations(range(A.size)))))
+        copies = [A] + [
+            permuted(A, draw(st.permutations(range(A.size))))
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        for B in copies:
+            batch += [B] + [B.renamed(f"{B.name}'") for _ in range(draw(st.integers(0, 1)))]
     return draw(st.permutations(batch))
 
 
@@ -561,7 +565,8 @@ class TestIsomorphism:
     @given(batch=registry_batches())
     def test_registry_matches_brute_force_canonical_form(self, batch):
         """An algebra is added iff no earlier one has its canonical form; it
-        is then kept as it is, and later copies return it."""
+        is then kept as it is, and later copies, relabelled or exact, return
+        that object, not an equal one."""
         registry = IsoRegistry()
         kept = {}
         for A in batch:
@@ -571,5 +576,5 @@ class TestIsomorphism:
             if added:
                 assert rep is A
                 kept[form] = rep
-            assert rep == kept[form]
+            assert rep is kept[form]
         assert registry.members == list(kept.values())

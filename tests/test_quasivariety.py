@@ -617,6 +617,32 @@ class TestEnumerateMembers:
         assert len(members) == 36
         assert calls == 143
 
+    @pytest.mark.parametrize("K, bound, classes, searches", [
+        (fx.DL, 8, 36, 24), (fx.MSLQ, 6, 25, 20), (fx.MONQ, 6, 25, 20),
+    ], ids=lambda v: getattr(v, "name", v))
+    def test_member_search_isomorphism_work_is_pinned(
+        self, monkeypatch, K, bound, classes, searches
+    ):
+        """A cold enumeration makes exactly this many `find_isomorphism`
+        calls; the count is deterministic.  Of DL 8's 143 candidates, 84
+        have the tables of an earlier one and get its answer from the
+        registry's lookup, with no search.  The registry without that
+        lookup makes 108 calls at DL 8 and 74 at MSLQ 6 and MONQ 6, and one
+        that looks up only the classes it added, not the copies it found
+        isomorphic, fails here too."""
+        calls = 0
+        original = core.find_isomorphism
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(core, "find_isomorphism", counting)
+        members = _member_classes.__wrapped__(K, bound)
+        assert len(members) == classes
+        assert calls == searches
+
     def test_bool_members(self):
         sizes = [A.size for A in members_up_to(fx.BOOL, 4)]
         assert sizes == [1, 2, 4]
