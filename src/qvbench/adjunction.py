@@ -14,7 +14,7 @@ elements (`counit_collapse`).
 """
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product as iproduct
 
 from .core import (
@@ -29,7 +29,6 @@ from .core import (
     is_homomorphism,
     record,
     reduct,
-    replace,
     trivial_algebra,
 )
 from .implicit import (
@@ -225,31 +224,21 @@ def free_extension(
 ) -> FreeExtension:
     """Reflect A into the expanded class: one product factor per pair of an
     expanded generator and a base-language homomorphism of A into its reduct;
-    generate from the element tuples.  An empty index set degenerates to the
-    one-element algebra with constant unit."""
-    factor_count, gen = _reflection(A, E, product_cap)
-    F = replace(gen.algebra, name=f"F({A.name})", signature=E.expanded.signature)
-    unit = Homomorphism(A, F, E.base.signature, gen.seed_index)
-    return FreeExtension(F, unit, factor_count, replace(gen, algebra=F))
-
-
-@lru_cache(maxsize=None)
-def _reflection(A: FiniteAlgebra, E: ExpansionSpec, product_cap: int) -> tuple[int, GenResult]:
-    """The factor count and generation result behind `free_extension`.  The
-    cache key compares algebras and specs by structure, so `free_extension`
-    names the result."""
+    generate `F(A)` from the element tuples.  An empty index set degenerates
+    to the one-element algebra with constant unit."""
     if not membership(A, E.base).holds:
         raise ValueError(f"{A.name!r} is not a member of {E.base.name!r}")
     factors, homs = _coordinates(A, E)
-    if not factors:
-        F = trivial_algebra(E.expanded.signature)
-        return 0, GenResult(F, ((),), (0,) * A.size, (("seed", 0),))
-    seeds = [tuple(h(a) for h in homs) for a in range(A.size)]
-    return len(factors), generate_in_product(factors, seeds, E.expanded.signature, product_cap)
-
-
-# bench/spans.py reads the cache statistics of the public call.
-free_extension.cache_info = _reflection.cache_info
+    if factors:
+        seeds = [tuple(h(a) for h in homs) for a in range(A.size)]
+        gen = generate_in_product(
+            factors, seeds, E.expanded.signature, product_cap, f"F({A.name})"
+        )
+    else:
+        F = trivial_algebra(E.expanded.signature).renamed(f"F({A.name})")
+        gen = GenResult(F, ((),), (0,) * A.size, (("seed", 0),))
+    unit = Homomorphism(A, gen.algebra, E.base.signature, gen.seed_index)
+    return FreeExtension(gen.algebra, unit, len(factors), gen)
 
 
 def _coordinates(A: FiniteAlgebra, E: ExpansionSpec) -> tuple[list[FiniteAlgebra], list[Homomorphism]]:

@@ -10,7 +10,6 @@ implicit operations is not finitely enumerable.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product as iproduct
 
 from .core import (
@@ -115,16 +114,8 @@ def apply_translation(tr: TermTranslation, B: FiniteAlgebra) -> FiniteAlgebra:
 
 def expansion_members(P: PpExpansionSpec, bound: int) -> tuple[FiniteAlgebra, ...]:
     """Members of the subalgebra closure of the expanded class up to the bound,
-    up to isomorphism: subalgebras of expanded members, enumerated
-    deterministically."""
-    members = _expansion_classes(P, bound)
-    return tuple(label_classes(members, f"S({P.base.name})[+]", P.expanded_signature))
-
-
-@lru_cache(maxsize=None)
-def _expansion_classes(P: PpExpansionSpec, bound: int) -> tuple[FiniteAlgebra, ...]:
-    """The classes behind `expansion_members`, sorted by (size, tables).  The
-    cache key compares specs by structure, so `expansion_members` names them."""
+    up to isomorphism: subalgebras of expanded members, one per class, sorted
+    by (size, tables) and named `S(base)[+]/n{size}#{index}`."""
     registry = IsoRegistry()
     for D in members_up_to(P.base, bound):
         C = expand_algebra(D, P, check=False)
@@ -133,7 +124,8 @@ def _expansion_classes(P: PpExpansionSpec, bound: int) -> tuple[FiniteAlgebra, .
         for sub in all_subuniverses(C, max_size=bound):
             S, _ = subalgebra(C, sub)
             registry.add(S)
-    return tuple(sorted(registry.members, key=lambda A: (A.size, A.tables)))
+    members = sorted(registry.members, key=lambda A: (A.size, A.tables))
+    return tuple(label_classes(members, f"S({P.base.name})[+]", P.expanded_signature))
 
 
 def _in_class(B: FiniteAlgebra, P: PpExpansionSpec):
@@ -373,34 +365,27 @@ def check_faithful_term_equivalence(
     if rho.source != M2.signature or rho.target != M1.signature:
         raise PreconditionError("rho must translate the second signature into the first")
     bounds = (("max-size", bound),)
-    # Round-trip failures are reported in preference to membership failures:
-    # they replay by pure table evaluation, with no class reasoning.
-    for A in members_up_to(M1, bound):
-        rhoA = apply_translation(rho, A)
-        back = apply_translation(tau, rhoA)
-        if back.tables != A.tables:
-            return Verdict(
-                "faithful-term-equivalence", "fails", bounds,
-                certificate=("(iii) round trip differs", A, _table_diff(back, A)),
-            )
-        if not membership(rhoA, M2).holds:
-            return Verdict(
-                "faithful-term-equivalence", "fails", bounds,
-                certificate=("(i) translated member escapes the second class", A),
-            )
-    for B in members_up_to(M2, bound):
-        tauB = apply_translation(tau, B)
-        back = apply_translation(rho, tauB)
-        if back.tables != B.tables:
-            return Verdict(
-                "faithful-term-equivalence", "fails", bounds,
-                certificate=("(iv) round trip differs", B, _table_diff(back, B)),
-            )
-        if not membership(tauB, M1).holds:
-            return Verdict(
-                "faithful-term-equivalence", "fails", bounds,
-                certificate=("(ii) translated member escapes the first class", B),
-            )
+    # Each direction checks the members of one class: a round-trip failure,
+    # (iii) or (iv), is reported in preference to an escape, (i) or (ii),
+    # since it replays by pure table evaluation, with no class reasoning.
+    directions = (
+        (M1, rho, tau, M2, "(iii)", "(i)", "second"),
+        (M2, tau, rho, M1, "(iv)", "(ii)", "first"),
+    )
+    for source, there, back, target, trip, escape, which in directions:
+        for A in members_up_to(source, bound):
+            moved = apply_translation(there, A)
+            returned = apply_translation(back, moved)
+            if returned.tables != A.tables:
+                return Verdict(
+                    "faithful-term-equivalence", "fails", bounds,
+                    certificate=(f"{trip} round trip differs", A, _table_diff(returned, A)),
+                )
+            if not membership(moved, target).holds:
+                return Verdict(
+                    "faithful-term-equivalence", "fails", bounds,
+                    certificate=(f"{escape} translated member escapes the {which} class", A),
+                )
     return Verdict("faithful-term-equivalence", "holds", bounds)
 
 

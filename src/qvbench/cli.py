@@ -87,35 +87,15 @@ DISCLAIMER = (
     "instances enumerated within the stated bounds; nothing is claimed beyond them"
 )
 
-# Each size bound with its default and help line, and each command with its
-# flags and the one bound it honours (None: it takes none).  `run` and
-# `build_argparser` both read these tables.
+# Each size bound with its default and help line.  `COMMANDS`, below the
+# handlers, gives each command its flags, the one bound it honours (None: it
+# takes none) and its handler; `run` and `build_argparser` both read them.
 BOUNDS = {
     "max_size": (4, "largest member size the verdicts range over"),
     "ext_bound": (6, "largest codomain, extension or amalgam searched for"),
     "size": (4, "size of the members to list"),
     "product_cap": (DEFAULT_PRODUCT_CAP, "most elements of a direct product to build"),
 }
-
-COMMANDS = {
-    "membership": (["--algebra", "--in"], None),
-    "cg": (["--algebra", "--in", "--pairs"], None),
-    "free": (["--in", "--generators"], "product_cap"),
-    "expand": (["--algebra", "--expansion"], None),
-    "reflect": (["--algebra", "--expansion"], "product_cap"),
-    "unit": (["--expansion"], "max_size"),
-    "counit": (["--expansion", "--algebra?"], "max_size"),
-    "check-simple": (["--expansion"], "max_size"),
-    "check-beth": (["--expansion", "--ops"], "max_size"),
-    "check-regular": (["--in", "--source", "--target", "--map"], "ext_bound"),
-    "check-extendable": (["--ppop", "--in", "--algebra", "--tuple"], "ext_bound"),
-    "check-unique-witnesses": (["--ppop", "--in"], "max_size"),
-    "term-equiv": (["--m1", "--m2", "--tau", "--rho", "--in", "--transfer?flag"], "max_size"),
-    "cross-validate": (["--expansion", "--pp-expansion?"], "max_size"),
-    "amalgamate": (["--in", "--apex", "--left", "--right", "--left-map", "--right-map"], "ext_bound"),
-    "enumerate": (["--in"], "size"),
-}
-
 
 @record
 class Report:
@@ -370,7 +350,7 @@ def _flag(key: str) -> str:
 def run(command: str, ws: Workspace, flags: dict) -> tuple[Report, int]:
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    bound = COMMANDS[command][1]
+    _, bound, handler = COMMANDS[command]
     for key in BOUNDS:
         if key in flags and key != bound:
             takes = f"--{_flag(bound)}" if bound else "no bound"
@@ -383,7 +363,6 @@ def run(command: str, ws: Workspace, flags: dict) -> tuple[Report, int]:
             raise ValueError(
                 f"argument --{_flag(bound)}: must be an integer of at least 1, got {str(value)!r}"
             )
-    handler = _HANDLERS[command.replace("-", "_")]
     instances, params = handler(ws, flags)
     if bound:
         params[_flag(bound)] = flags[bound]
@@ -682,23 +661,29 @@ def cmd_enumerate(ws, flags):
     return instances, {"quasivariety": K.name}
 
 
-_HANDLERS = {
-    "membership": cmd_membership,
-    "cg": cmd_cg,
-    "free": cmd_free,
-    "expand": cmd_expand,
-    "reflect": cmd_reflect,
-    "unit": cmd_unit,
-    "counit": cmd_counit,
-    "check_simple": cmd_check_simple,
-    "check_beth": cmd_check_beth,
-    "check_regular": cmd_check_regular,
-    "check_extendable": cmd_check_extendable,
-    "check_unique_witnesses": cmd_check_unique_witnesses,
-    "term_equiv": cmd_term_equiv,
-    "cross_validate": cmd_cross_validate,
-    "amalgamate": cmd_amalgamate,
-    "enumerate": cmd_enumerate,
+COMMANDS = {
+    "membership": (["--algebra", "--in"], None, cmd_membership),
+    "cg": (["--algebra", "--in", "--pairs"], None, cmd_cg),
+    "free": (["--in", "--generators"], "product_cap", cmd_free),
+    "expand": (["--algebra", "--expansion"], None, cmd_expand),
+    "reflect": (["--algebra", "--expansion"], "product_cap", cmd_reflect),
+    "unit": (["--expansion"], "max_size", cmd_unit),
+    "counit": (["--expansion", "--algebra?"], "max_size", cmd_counit),
+    "check-simple": (["--expansion"], "max_size", cmd_check_simple),
+    "check-beth": (["--expansion", "--ops"], "max_size", cmd_check_beth),
+    "check-regular": (["--in", "--source", "--target", "--map"], "ext_bound", cmd_check_regular),
+    "check-extendable": (
+        ["--ppop", "--in", "--algebra", "--tuple"], "ext_bound", cmd_check_extendable
+    ),
+    "check-unique-witnesses": (["--ppop", "--in"], "max_size", cmd_check_unique_witnesses),
+    "term-equiv": (
+        ["--m1", "--m2", "--tau", "--rho", "--in", "--transfer?flag"], "max_size", cmd_term_equiv
+    ),
+    "cross-validate": (["--expansion", "--pp-expansion?"], "max_size", cmd_cross_validate),
+    "amalgamate": (
+        ["--in", "--apex", "--left", "--right", "--left-map", "--right-map"], "ext_bound", cmd_amalgamate
+    ),
+    "enumerate": (["--in"], "size", cmd_enumerate),
 }
 
 
@@ -707,7 +692,7 @@ def build_argparser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    for name, (flag_specs, bound) in COMMANDS.items():
+    for name, (flag_specs, bound, _) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--workspace", required=True, help="workspace file to load")
         p.add_argument("--report", default=None, help="write the report here instead of stdout")

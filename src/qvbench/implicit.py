@@ -80,9 +80,6 @@ class ImplicitOpSpec:
         """The argument variables, then the result variable."""
         return [arg_var(i) for i in range(self.arity)] + [RESULT_VAR]
 
-    def env(self, args: tuple[int, ...], value: int) -> dict[str, int]:
-        return dict(zip(self.variables, (*args, value)))
-
 
 @record
 class PartialOperation:

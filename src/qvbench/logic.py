@@ -161,10 +161,6 @@ def eval_term(A: FiniteAlgebra, t: Term, assignment: dict[str, int]) -> int:
     return f(A.tables, A.size, list(assignment.values()))
 
 
-def holds(A: FiniteAlgebra, eq: Equation, assignment: dict[str, int]) -> bool:
-    return eval_term(A, eq.left, assignment) == eval_term(A, eq.right, assignment)
-
-
 def compile_pp(signature: Signature, phi: PpFormula, free) -> Callable:
     """Compile the body of `phi` for the assigned variables `free`.  Returns
     `witnesses(tables, n, values)`: a generator, in lexicographic order, of the

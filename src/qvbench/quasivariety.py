@@ -660,9 +660,8 @@ def _member_classes(K: Quasivariety, max_size: int) -> tuple[FiniteAlgebra, ...]
 
 
 def label_classes(members, prefix: str, signature: Signature) -> list[FiniteAlgebra]:
-    """Name cached classes `{prefix}/n{size}#{index}` over the caller's
-    signature object, so names never depend on which equal key filled a
-    cache first."""
+    """Name classes `{prefix}/n{size}#{index}` over the caller's signature
+    object, so names never depend on which equal key filled a cache first."""
     return [
         replace(A, name=f"{prefix}/n{A.size}#{i}", signature=signature)
         for i, A in enumerate(members)

@@ -5,6 +5,7 @@ enforced and one pass/fail line printed per criterion.
 Run with `pytest tests/test_acceptance.py -v -s`.
 """
 import hashlib
+import importlib.util
 import subprocess
 import sys
 import time
@@ -371,3 +372,18 @@ def test_acceptance_10_determinism(tmp_path):
         assert outputs[0] == outputs[1]
         digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in outputs[0].items()}
         assert digests == FIXTURE_SUITE_SHA256
+
+
+def test_suite_reports_do_not_depend_on_command_order():
+    """The suite's commands in reverse order, in one process, each on a
+    freshly parsed workspace as the script runs them: whatever ran before a
+    command, and whatever it left in a cache, its report keeps its digest."""
+    spec = importlib.util.spec_from_file_location("run_fixture_suite", "scripts/run_fixture_suite.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    digests = {}
+    for label, command, flags in reversed(script.SUITE):
+        report, _ = run(command, load_workspace("workspaces/fixtures.qvw"), dict(flags))
+        digests[f"{label}.json"] = hashlib.sha256(emit_report(report)).hexdigest()
+    assert len(digests) == 27
+    assert digests == FIXTURE_SUITE_SHA256

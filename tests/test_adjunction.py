@@ -414,7 +414,6 @@ class TestVerdictsWithoutFullReflections:
             return result
 
         monkeypatch.setattr(adjunction, "generate_in_product", recording)
-        adjunction._reflection.cache_clear()  # a cached full reflection would hide its generation
         for E in [*FIXTURE_EXPANSIONS.values(), NOR_PAIR]:
             for A in members_up_to(E.base, 4):
                 unit_collapse(A, E)

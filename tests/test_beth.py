@@ -225,6 +225,34 @@ class TestFaithfulTermEquivalence:
         assert A.apply(sym, args) == want
         assert got != want
 
+    @pytest.mark.parametrize("first_is_one, flat_not, label", [
+        (False, False, "(i) translated member escapes the second class"),
+        (True, True, "(iv) round trip differs"),
+        (True, False, "(ii) translated member escapes the first class"),
+    ])
+    def test_each_condition_fails_with_its_certificate(self, first_is_one, flat_not, label):
+        """The three conditions that `test_mutated_rho_fails_with_replayable_certificate`
+        leaves: ONE, generated by the 1-element Boolean algebra, against BOOL.
+        ONE's one member passes every check, so BOOL's 2-element member
+        fails, with tau the identity or `not := x1` and rho the identity.
+        Each certificate replays."""
+        one = Quasivariety("ONE", fx.BA, generators=(trivial_algebra(fx.BA),))
+        M1, M2 = (one, fx.BOOL) if first_is_one else (fx.BOOL, one)
+        ident = TermTranslation(fx.BA, fx.BA)
+        tau = TermTranslation(fx.BA, fx.BA, (("not", Var("x1")),)) if flat_not else ident
+        v = check_faithful_term_equivalence(M1, M2, tau, ident, fx.DL, 4)
+        assert v.status == "fails"
+        assert v.certificate[0] == label
+        A = v.certificate[1]
+        assert A.name == "BOOL/n2#1"
+        there, back, other = (tau, ident, M1) if first_is_one else (ident, tau, M2)
+        moved = apply_translation(there, A)
+        if flat_not:
+            sym, args, got, want = v.certificate[2]
+            assert apply_translation(back, moved).apply(sym, args) == got != want == A.apply(sym, args)
+        else:
+            assert not membership(moved, other).holds
+
     def test_unfaithful_translation_rejected(self):
         swapped = TermTranslation(
             fx.BA, fx.BIMP,

@@ -406,7 +406,7 @@ class TestMainEntry:
         def crash(ws, flags):
             return {}["missing"]
 
-        monkeypatch.setitem(cli._HANDLERS, "membership", crash)
+        monkeypatch.setitem(cli.COMMANDS, "membership", (*cli.COMMANDS["membership"][:2], crash))
         code = main(["membership", "--workspace", WS, "--algebra", "Chain3", "--in", "DL"])
         assert code == 4
         assert "KeyError: 'missing'" in capsys.readouterr().err
@@ -644,7 +644,6 @@ class TestMainEntry:
             raise AssertionError("the unit command generated a reflection")
 
         monkeypatch.setattr(adjunction, "generate_in_product", no_generation)
-        adjunction._reflection.cache_clear()  # a cached reflection would hide its generation
         workspace = tmp_path / "nor.qvw"
         workspace.write_text(NOR_WORKSPACE)
         report = tmp_path / "r.json"
@@ -708,7 +707,7 @@ class TestMainEntry:
         def crash(ws, flags):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(cli._HANDLERS, "membership", crash)
+        monkeypatch.setitem(cli.COMMANDS, "membership", (*cli.COMMANDS["membership"][:2], crash))
         code = main(["membership", "--workspace", WS, "--algebra", "Chain3", "--in", "DL"])
         assert code == 4
         assert "RuntimeError: boom" in capsys.readouterr().err

@@ -438,7 +438,7 @@ class TestSubuniverses:
     @settings(max_examples=100, deadline=None)
     @given(A=closure_algebras(), data=st.data())
     def test_search_without_product_matches_fixpoint(self, A, data):
-        """The path `beth._expansion_classes` takes: no `first_factor`, on
+        """The path `beth.expansion_members` takes: no `first_factor`, on
         algebras that are not products, against every nonempty subset closed
         under the fixpoint, with no bound and with a drawn one.  A constant
         makes the closure of the empty set nonempty, so the search then

@@ -36,7 +36,7 @@ def brute_force_graph(A, spec):
         values = [
             b
             for b in range(A.size)
-            if satisfies_pp(A, spec.formula, spec.env(args, b))[0]
+            if satisfies_pp(A, spec.formula, dict(zip(spec.variables, (*args, b))))[0]
         ]
         if len(values) == 1:
             entries[args] = values[0]

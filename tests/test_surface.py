@@ -1,14 +1,15 @@
 """The package's surface: every top-level definition in src/qvbench is reached
 from the command line, by name reference from `cli.main`, `run`,
-`emit_report` and `_HANDLERS`, or by the benchmark's tracer, which wraps each
+`emit_report` and `COMMANDS`, or by the benchmark's tracer, which wraps each
 `TARGETS` entry of bench/spans.py by name.  `UNREACHED` lists what only the
 benchmark reaches.
 
-Reachability follows names only: a definition is reached when a reached one
-mentions it as an `ast.Name`.  An attribute such as `self.parse_term` does not
-reach a top-level function that shares the method's name.  bench/spans.py is
-read with `ast`, not imported.  Unreached code fails, and so does a listed
-name that a command comes to use.
+Reachability follows loaded names only: a definition is reached when a
+reached one reads it as an `ast.Name`.  An attribute such as
+`self.parse_term` does not reach a top-level function that shares the
+method's name, and neither does a record field such as `holds: bool`.
+bench/spans.py is read with `ast`, not imported.  Unreached code fails, and
+so does a listed name that a command comes to use.
 """
 import ast
 from collections import defaultdict
@@ -17,7 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qvbench"
 SPANS = ROOT / "bench" / "spans.py"
-ROOTS = ("cli.main", "cli.run", "cli.emit_report", "cli._HANDLERS")
+ROOTS = ("cli.main", "cli.run", "cli.emit_report", "cli.COMMANDS")
 
 # Top-level definitions that only bench/spans.py `TARGETS` reach, by what is to
 # become of them.  Each leaves the package when the next change to the
@@ -85,7 +86,7 @@ def reached(roots) -> set[str]:
         if key not in seen:
             seen.add(key)
             for n in ast.walk(defs[key]):
-                if isinstance(n, ast.Name):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                     todo.extend(by_name[n.id])
     return seen
 
