@@ -29,7 +29,6 @@ from .core import (
     is_homomorphism,
     record,
     reduct,
-    trivial_algebra,
 )
 from .implicit import (
     FunctionalityViolation,
@@ -224,19 +223,14 @@ def free_extension(
 ) -> FreeExtension:
     """Reflect A into the expanded class: one product factor per pair of an
     expanded generator and a base-language homomorphism of A into its reduct;
-    generate `F(A)` from the element tuples.  An empty index set degenerates
-    to the one-element algebra with constant unit."""
+    generate `F(A)` from the element tuples.  Over an empty index set every
+    seed is the empty tuple, so F(A) has one element and the unit is
+    constant."""
     if not membership(A, E.base).holds:
         raise ValueError(f"{A.name!r} is not a member of {E.base.name!r}")
     factors, homs = _coordinates(A, E)
-    if factors:
-        seeds = [tuple(h(a) for h in homs) for a in range(A.size)]
-        gen = generate_in_product(
-            factors, seeds, E.expanded.signature, product_cap, f"F({A.name})"
-        )
-    else:
-        F = trivial_algebra(E.expanded.signature).renamed(f"F({A.name})")
-        gen = GenResult(F, ((),), (0,) * A.size, (("seed", 0),))
+    seeds = [tuple(h(a) for h in homs) for a in range(A.size)]
+    gen = generate_in_product(factors, seeds, E.expanded.signature, product_cap, f"F({A.name})")
     unit = Homomorphism(A, gen.algebra, E.base.signature, gen.seed_index)
     return FreeExtension(gen.algebra, unit, len(factors), gen)
 

@@ -465,16 +465,15 @@ def check_simplicity_transfer(
     rho: TermTranslation,
     K: Quasivariety,
     bound: int,
-    equivalence: Verdict | None = None,
+    equivalence: Verdict,
 ) -> Verdict:
     """Once the faithful term equivalence holds at the bound, the categorical
     simplicity verdicts of the two expansions must agree at the same bound.
-    `equivalence` is that equivalence's verdict at this bound when the
-    caller has it already; otherwise it is computed here."""
-    fte = equivalence or check_faithful_term_equivalence(M1, M2, tau, rho, K, bound)
-    if not fte.holds:
+    `equivalence` is that equivalence's verdict at this bound, from
+    `check_faithful_term_equivalence`."""
+    if not equivalence.holds:
         raise PreconditionError(
-            "faithful term equivalence does not hold at this bound", certificate=fte
+            "faithful term equivalence does not hold at this bound", certificate=equivalence
         )
     v1 = unit_counit_verdict(ExpansionSpec(K, M1), bound)
     v2 = unit_counit_verdict(ExpansionSpec(K, M2), bound)

@@ -218,8 +218,8 @@ def is_embedding(h: Homomorphism) -> bool:
     return len(set(h.mapping)) == len(h.mapping)
 
 
-def identity_homomorphism(A: FiniteAlgebra, language: Signature | None = None) -> Homomorphism:
-    return Homomorphism(A, A, language or A.signature, tuple(range(A.size)))
+def identity_homomorphism(A: FiniteAlgebra, language: Signature) -> Homomorphism:
+    return Homomorphism(A, A, language, tuple(range(A.size)))
 
 
 def _hom_search(
@@ -346,7 +346,7 @@ def enumerate_embeddings(
     ]
 
 
-def direct_product(factors: list[FiniteAlgebra], name: str | None = None) -> FiniteAlgebra:
+def direct_product(factors: list[FiniteAlgebra]) -> FiniteAlgebra:
     """Componentwise product; element (a_0,..,a_k) is encoded lexicographically
     with the last factor fastest."""
     if not factors:
@@ -359,8 +359,7 @@ def direct_product(factors: list[FiniteAlgebra], name: str | None = None) -> Fin
     for f in factors[1:]:
         tables = _pair_tables(sig, size, tables, f.size, f.tables)
         size *= f.size
-    name = name or "x".join(f.name for f in factors)
-    return FiniteAlgebra(name, sig, size, tables)
+    return FiniteAlgebra("x".join(f.name for f in factors), sig, size, tables)
 
 
 def _pair_tables(sig: Signature, a: int, left, b: int, right) -> tuple[tuple[int, ...], ...]:
@@ -393,16 +392,12 @@ def reduct(A: FiniteAlgebra, language: Signature) -> FiniteAlgebra:
     return FiniteAlgebra(A.name, language, A.size, tables)
 
 
-def _mask_tables(A: FiniteAlgebra, keep: bool) -> tuple:
+def _mask_tables(A: FiniteAlgebra) -> tuple:
     """The tables `_close` reads, over int bitmasks: bit e of a mask stands
-    for element e.  Returns (rows, reach, higher, n); higher lists (arity,
-    table) for each symbol of arity >= 3, and n is |A|.  With `keep`, for
-    searches that close many sets, rows[x][y] is the mask of f(x, y) and
-    f(y, x) for every binary f, rows[x][x] adds u(x) for every unary u, and
-    reach is None.  Otherwise rows is None and reach(x, done) is the union
-    of rows[x] over `done` and x itself, read from the cells at x and `done`
-    alone, since one closure meets each pair once.  Nothing is cached on A:
-    a row holds n masks of n bits."""
+    for element e.  Returns (rows, higher, n): rows[x][y] is the mask of
+    f(x, y) and f(y, x) for every binary f, rows[x][x] adds u(x) for every
+    unary u, higher lists (arity, table) for each symbol of arity >= 3, and
+    n is |A|.  Nothing is cached on A: a row holds n masks of n bits."""
     n = A.size
     unary, binary, higher = [], [], []
     for (_, k), table in zip(A.signature.symbols, A.tables):
@@ -413,47 +408,32 @@ def _mask_tables(A: FiniteAlgebra, keep: bool) -> tuple:
         elif k > 2:
             higher.append((k, table))
 
-    if keep:
-        def row(x: int) -> list[int]:
-            masks = [0] * n
-            for t in binary:
-                masks = [m | 1 << a | 1 << b for m, a, b in zip(masks, t[x * n:x * n + n], t[x::n])]
-            for t in unary:
-                masks[x] |= 1 << t[x]
-            return masks
-
-        return [row(x) for x in range(n)], None, tuple(higher), n
-
-    def reach(x: int, done: list[int]) -> int:
-        xn = x * n
-        mask = 0
+    def row(x: int) -> list[int]:
+        masks = [0] * n
         for t in binary:
-            mask |= reduce(or_, [1 << t[xn + y] | 1 << t[y * n + x] for y in done], 1 << t[xn + x])
+            masks = [m | 1 << a | 1 << b for m, a, b in zip(masks, t[x * n:x * n + n], t[x::n])]
         for t in unary:
-            mask |= 1 << t[x]
-        return mask
+            masks[x] |= 1 << t[x]
+        return masks
 
-    return None, reach, tuple(higher), n
+    return [row(x) for x in range(n)], tuple(higher), n
 
 
 def _close(tables: tuple, members: int, done: list[int], queue: list[int], limit: int) -> int:
-    """The closure loop of `closure`, `closure_extend` and `all_subuniverses`,
-    over the bitmask `members` with the tables of `_mask_tables`.  Each
-    queued element x is combined with the processed elements `done` and
-    itself: the masks of rows[x] at them, or reach(x, done), and for higher
+    """The one closure loop of `closure`, `closure_extend` and
+    `all_subuniverses`, over the bitmask `members` with the tables of
+    `_mask_tables`.  Each queued element x is combined with the processed
+    elements `done` and itself: the masks of rows[x] at them, and for higher
     arities every tuple over them with x in some position.  The closed set
     does not depend on the order of the queue.  `done` ends as the list of
     the closure's elements, in the order processed.  Stops once the set
     grows past `limit` and returns that unfinished set."""
-    rows, reach, higher, n = tables
+    rows, higher, n = tables
     size = members.bit_count()
     while queue:
         x = queue.pop()
-        if rows is None:
-            reached = reach(x, done)
-        else:
-            masks = rows[x]
-            reached = reduce(or_, map(masks.__getitem__, done), masks[x])
+        masks = rows[x]
+        reached = reduce(or_, map(masks.__getitem__, done), masks[x])
         for k, table in higher:
             pool = done + [x]
             for i in range(k):
@@ -496,7 +476,7 @@ def closure(A: FiniteAlgebra, seed) -> set[int]:
             raise ValueError(f"seed element {x} outside universe")
         members.add(x)
     members.update(A.constants())
-    closed = _close(_mask_tables(A, False), _mask(members), [], sorted(members), A.size)
+    closed = _close(_mask_tables(A), _mask(members), [], sorted(members), A.size)
     return set(_elements(closed))
 
 
@@ -510,7 +490,7 @@ def closure_extend(A: FiniteAlgebra, closed, x: int, max_size: int | None = None
         return members
     members.add(x)
     limit = A.size if max_size is None else max_size
-    grown = _close(_mask_tables(A, False), _mask(members), list(closed), [x], limit)
+    grown = _close(_mask_tables(A), _mask(members), list(closed), [x], limit)
     return set(_elements(grown))
 
 
@@ -520,7 +500,7 @@ def generated_subalgebra(A: FiniteAlgebra, seed) -> frozenset[int]:
     return frozenset(closure(A, seed))
 
 
-def subalgebra(A: FiniteAlgebra, subset, name: str | None = None) -> tuple[FiniteAlgebra, Homomorphism]:
+def subalgebra(A: FiniteAlgebra, subset) -> tuple[FiniteAlgebra, Homomorphism]:
     """The algebra on a closed subset (re-indexed by its sorted order) together
     with the inclusion embedding."""
     elems = sorted(set(subset))
@@ -544,7 +524,7 @@ def subalgebra(A: FiniteAlgebra, subset, name: str | None = None) -> tuple[Finit
             i = next(i for i, v in enumerate(values) if v not in index)
             args = next(islice(iproduct(elems, repeat=k), i, None))
             raise ValueError(f"subset not closed under {sym} at {args}") from None
-    S = FiniteAlgebra(name or f"{A.name}|{len(elems)}", A.signature, len(elems), tuple(tables))
+    S = FiniteAlgebra(f"{A.name}|{len(elems)}", A.signature, len(elems), tuple(tables))
     return S, Homomorphism(S, A, A.signature, tuple(elems))
 
 
@@ -601,7 +581,7 @@ def all_subuniverses(
     parts = first_factor or 1
     width = n // parts
     coordinate = [1 << (e // width) for e in range(n)]
-    tables = _mask_tables(A, True)
+    tables = _mask_tables(A)
     # The root is the closure of the constants, under the same test before
     # closing as every other node.  A closure cut at the bound leaves its
     # element list unfinished, but then its size alone is beyond the bound.
@@ -669,29 +649,14 @@ class Congruence:
         return cls(A, tuple(least[lab] for lab in labels))
 
     @classmethod
-    def identity(cls, A: FiniteAlgebra) -> Congruence:
-        return cls(A, tuple(range(A.size)))
-
-    @classmethod
     def total(cls, A: FiniteAlgebra) -> Congruence:
         return cls(A, (0,) * A.size)
-
-    def related(self, a: int, b: int) -> bool:
-        return self.partition[a] == self.partition[b]
 
     def blocks(self) -> list[list[int]]:
         by_rep: dict[int, list[int]] = {}
         for i, rep in enumerate(self.partition):
             by_rep.setdefault(rep, []).append(i)
         return [by_rep[r] for r in sorted(by_rep)]
-
-    def finer_or_equal(self, other: Congruence) -> bool:
-        return all(
-            other.related(i, j)
-            for i in range(len(self.partition))
-            for j in range(len(self.partition))
-            if self.related(i, j)
-        )
 
 
 def congruence_closure(A: FiniteAlgebra, pairs) -> Congruence:

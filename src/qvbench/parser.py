@@ -19,15 +19,16 @@ workspace object in a form that parses back to it.
 
 A parse scans the text once, with `findall` of the one token grammar, into
 two parallel lists, the tokens' values and kinds, and builds no object per
-token.  Lines and columns are worked out only to be reported: an error, or
-the first line of a duplicate name, re-scans the text with `tokenize`.
+token.  Lines and columns are worked out only to be reported, for an error
+or the first line of a duplicate name: `_position` finds the token's start
+by scanning again up to its index.
 """
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import islice
 from operator import itemgetter
-from typing import NamedTuple
 
 from .core import FiniteAlgebra, Fresh, Signature, SignatureError, record
 from .logic import App, Equation, LogicError, PpFormula, Quasiequation, Term, Var
@@ -46,13 +47,6 @@ class ParseError(ValueError):
 
 class UnknownName(ValueError):
     """A reference to a name that the workspace does not define."""
-
-
-class Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    col: int
 
 
 # The one token grammar.  Group 1 is a token: an identifier, an int, a
@@ -95,30 +89,13 @@ def _table_kinds(arity: int, size: int) -> list[str]:
     return ["["] + (row + [","]) * (size - 1) + row + ["]"]
 
 
-def tokenize(text: str) -> list[Token]:
-    """Tokens with 1-based line and column, from the matches of the token
-    grammar and their starts; comments and whitespace are dropped.  Newlines
-    are counted only in the text between two tokens."""
-    matches = [m for m in _TOKEN_RE.finditer(text) if m.group(1)]
-    values = [m.group(1) for m in matches]
-    tokens: list[Token] = []
-    line, line_start, last = 1, 0, 0
-    for m, value, kind in zip(matches, values, _kinds(values)[0]):
-        pos = m.start()
-        newlines = text.count("\n", last, pos)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", last, pos) + 1
-        last = pos
-        if kind not in _KINDS:
-            raise ParseError(f"unexpected character {value!r}", line, pos - line_start + 1)
-        tokens.append(Token(kind, value, line, pos - line_start + 1))
-    newlines = text.count("\n", last)
-    if newlines:
-        line += newlines
-        line_start = text.rfind("\n") + 1
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+def _position(text: str, i: int) -> tuple[int, int]:
+    """The 1-based line and column of token i of the parser's scan of
+    `text`, or of the end of the text when the scan has i tokens.  Only
+    newlines break lines."""
+    starts = (m.start() for m in _TOKEN_RE.finditer(text) if m.group(1))
+    at = next(islice(starts, i, None), len(text))
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 @record
@@ -142,32 +119,26 @@ class _Parser:
     """Recursive descent over two parallel lists from one `findall` of the
     token grammar: `values`, the tokens' text, and `kinds`, each "ident",
     "int" or the punctuation itself, then "eof" with value "".  A token is
-    its index in them, and `pos` is the index of the next one.  Positions
-    are lazy: the `Token` at an index, with its line and column, comes from
-    re-scanning the text with `tokenize`, at most once per parse and only to
-    report an error or the first line of a duplicate name."""
+    its index in them, and `pos` is the index of the next one.  A token's
+    line and column come from its index through `_position`, only to report
+    an error or the first line of a duplicate name.  A bad character is a
+    token whose kind is itself, and the first one fails at its own index."""
 
     def __init__(self, text: str):
         self.text = text
         self.values = list(filter(None, _TOKEN_RE.findall(text)))
         self.kinds, clean = _kinds(self.values)
-        if not clean:
-            tokenize(text)  # raises at the first bad character
         self.values.append("")
         self.kinds.append("eof")
         self.pos = 0
-        self.tokens: list[Token] | None = None
+        if not clean:
+            bad = next(i for i, k in enumerate(self.kinds) if k not in _KINDS)
+            self.fail(f"unexpected character {self.values[bad]!r}", bad)
 
     # -- token plumbing
 
-    def token(self, i: int) -> Token:
-        if self.tokens is None:
-            self.tokens = tokenize(self.text)
-        return self.tokens[i]
-
     def fail(self, message: str, at: int | None = None):
-        t = self.token(self.pos if at is None else at)
-        raise ParseError(message, t.line, t.col)
+        raise ParseError(message, *_position(self.text, self.pos if at is None else at))
 
     def expect(self, kind: str, what: str = "") -> int:
         """Consume the next token, which must be of `kind`; its index."""
@@ -215,7 +186,7 @@ class _Parser:
             at = self.expect("ident", "name")
             name = self.values[at]
             if name in defined:
-                first = self.token(defined[name]).line
+                first = _position(self.text, defined[name])[0]
                 self.fail(f"duplicate name {name!r}: first defined at line {first}", at)
             defined[name] = at
             body = getattr(self, f"parse_{keyword}_body")(name, ws)

@@ -9,12 +9,13 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product as iproduct
+from typing import NamedTuple
 
 from qvbench.adjunction import ExpansionSpec, PpExpansionSpec, free_extension
 from qvbench.beth import TermTranslation, Verdict, check_beth_companion, check_simple
 from qvbench.core import (
-    FiniteAlgebra, Homomorphism, Signature, SignatureError, _permuted_tables, find_isomorphism,
-    fingerprint, record, reduct, trivial_algebra,
+    Congruence, FiniteAlgebra, Homomorphism, Signature, SignatureError, _permuted_tables,
+    find_isomorphism, fingerprint, record, reduct, trivial_algebra,
 )
 from qvbench.implicit import (
     RESULT_VAR, FunctionalityViolation, ImplicitOpSpec, arg_var, check_totalizable,
@@ -24,7 +25,7 @@ from qvbench.logic import (
     App, Equation, LogicError, PpFormula, Quasiequation, Term, UnboundVariableError, Var,
     _compile_equation, _define, _lookups, equations_variables,
 )
-from qvbench.parser import DECL_KEYWORDS, ParseError, Token, UnknownName, Workspace, _Parser
+from qvbench.parser import DECL_KEYWORDS, ParseError, UnknownName, Workspace, _Parser
 from qvbench.quasivariety import (
     CapExceeded, GenResult, NotFoundWithinBound, Quasivariety, members_up_to, membership,
 )
@@ -309,7 +310,7 @@ def _form(signature, n, i):
     return canonical_form(_every_algebra(signature, n)[i])
 
 
-def direct_product(factors, name=None):
+def direct_product(factors):
     """Reference for `core.direct_product`: every argument tuple over the
     product decoded into coordinates, and every coordinate of every value
     computed by `FiniteAlgebra.apply`."""
@@ -341,8 +342,7 @@ def direct_product(factors, name=None):
                 value = value * sizes[i] + f.apply(sym, tuple(d[i] for d in decoded))
             table.append(value)
         tables.append(tuple(table))
-    name = name or "x".join(f.name for f in factors)
-    return FiniteAlgebra(name, sig, total, tuple(tables))
+    return FiniteAlgebra("x".join(f.name for f in factors), sig, total, tuple(tables))
 
 
 def naive_tuple_closure(factors, seeds, signature):
@@ -700,6 +700,13 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+
+class Token(NamedTuple):
+    kind: str
+    value: str
+    line: int
+    col: int
 
 
 def tokenize(text):
@@ -1277,6 +1284,20 @@ def is_congruence(A: FiniteAlgebra, partition: tuple[int, ...]) -> bool:
             else:
                 buckets[key] = v
     return True
+
+
+def identity_congruence(A: FiniteAlgebra) -> Congruence:
+    return Congruence(A, tuple(range(A.size)))
+
+
+def related(theta: Congruence, a: int, b: int) -> bool:
+    return theta.partition[a] == theta.partition[b]
+
+
+def finer_or_equal(theta: Congruence, other: Congruence) -> bool:
+    """Every pair that theta relates, other relates too."""
+    n = len(theta.partition)
+    return all(related(other, i, j) for i in range(n) for j in range(n) if related(theta, i, j))
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,15 @@ def binary_pair(g: int, f: int) -> ExpansionSpec:
 # one-element member of M.
 NOR_PAIR = binary_pair(0b0101, 0b1000)
 
+# K = ISP(2-cycle) -> M = ISP(3-cycle, identity): no member of K, and not
+# the one-element member of M, maps into the 3-cycle's reduct.
+_U = Signature("U", (("u", 1),))
+_V = Signature("V", (("u", 1), ("v", 1)))
+SWAP_CYCLE = ExpansionSpec(
+    Quasivariety("K", _U, generators=(FiniteAlgebra("Swap", _U, 2, ((1, 0),)),)),
+    Quasivariety("M", _V, generators=(FiniteAlgebra("Cycle", _V, 3, ((1, 2, 0), (0, 1, 2))),)),
+)
+
 
 def assert_matches_full_reflections(E: ExpansionSpec, bound: int) -> None:
     """Per member, the unit and counit verdicts decided from the seeds and
@@ -387,16 +396,25 @@ class TestVerdictsWithoutFullReflections:
         """No member of K = ISP(2-cycle) maps into the reduct of a 3-cycle,
         so every seed is the empty tuple and F is trivial: the unit is
         injective exactly on the one-element member."""
-        U = Signature("U", (("u", 1),))
-        V = Signature("V", (("u", 1), ("v", 1)))
-        swap = FiniteAlgebra("Swap", U, 2, ((1, 0),))
-        cycle = FiniteAlgebra("Cycle", V, 3, ((1, 2, 0), (0, 1, 2)))
-        E = ExpansionSpec(Quasivariety("K", U, generators=(swap,)),
-                          Quasivariety("M", V, generators=(cycle,)))
+        E = SWAP_CYCLE
         one, two = members_up_to(E.base, 2)
         assert unit_collapse(one, E) is None
         assert unit_collapse(two, E) == (0, 1)
         assert [pair for _, pair in check_unit_mono(E, 2)] == [None, (0, 1)]
+
+    def test_zero_factor_reflection(self):
+        """A reflection over no coordinates is the one-element algebra: F(A)
+        for each base member, with an all-zero unit, and at the trivial
+        expanded member, whose reduct maps into no generator either, a
+        counit (0,) that is an isomorphism."""
+        E = SWAP_CYCLE
+        for A in members_up_to(E.base, 2):
+            fe = free_extension(A, E)
+            assert (fe.algebra.name, fe.algebra.size, fe.factor_count) == (f"F({A.name})", 1, 0)
+            assert fe.unit.mapping == (0,) * A.size
+        [trivial] = members_up_to(E.expanded, 1)
+        assert counit(trivial, E).mapping == (0,)
+        assert counit_collapse(trivial, E) is None
 
     def test_work_pin(self, monkeypatch):
         """Units generate nothing, and each counit instance interns at most

@@ -344,25 +344,25 @@ class TestCrossValidation:
 
 
 class TestSimplicityTransfer:
+    @staticmethod
+    def transfer(M1, M2, tau, rho):
+        """The transfer verdict at bound 4 over DL, given the equivalence's."""
+        fte = check_faithful_term_equivalence(M1, M2, tau, rho, fx.DL, 4)
+        return check_simplicity_transfer(M1, M2, tau, rho, fx.DL, 4, fte)
+
     def test_not_imp_pair_transfers(self):
-        v = check_simplicity_transfer(
-            fx.BOOL, fx.BIMPQ, fx.NOT_TO_IMP, fx.IMP_TO_NOT, fx.DL, 4
-        )
-        assert v.holds
+        assert self.transfer(fx.BOOL, fx.BIMPQ, fx.NOT_TO_IMP, fx.IMP_TO_NOT).holds
 
     def test_identity_equivalence_trivially_consistent(self):
         ident = TermTranslation(fx.BA, fx.BA)
-        v = check_simplicity_transfer(fx.BOOL, fx.BOOL, ident, ident, fx.DL, 4)
-        assert v.holds
+        assert self.transfer(fx.BOOL, fx.BOOL, ident, ident).holds
 
     def test_failed_faithfulness_reports_precondition(self):
         bad_rho = TermTranslation(
             fx.BIMP, fx.BA, (("imp", App("meet", (Var("x1"), Var("x2")))),)
         )
         with pytest.raises(PreconditionError) as err:
-            check_simplicity_transfer(
-                fx.BOOL, fx.BIMPQ, fx.NOT_TO_IMP, bad_rho, fx.DL, 4
-            )
+            self.transfer(fx.BOOL, fx.BIMPQ, fx.NOT_TO_IMP, bad_rho)
         assert isinstance(err.value.certificate, Verdict)
 
 

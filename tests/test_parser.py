@@ -21,7 +21,7 @@ from oracles import (
 from qvbench import parser
 from qvbench.core import Signature
 from qvbench.logic import App, Equation, PpFormula, Quasiequation, Var
-from qvbench.parser import ParseError, parse_workspace, tokenize
+from qvbench.parser import ParseError, _Parser, _position, parse_workspace
 
 FIXTURES_PATH = "workspaces/fixtures.qvw"
 BENCH_WORKSPACE_PATH = "bench/workspace.qvw"
@@ -229,11 +229,28 @@ class TestWorkspace:
         assert format_quasivariety(fx.DL) == "quasivariety DL : BDL = generated(Chain2)"
 
 
-def _tokens_or_error(tokenizer, text):
-    try:
-        return tokenizer(text)
-    except ParseError as exc:
-        return ("error", str(exc), exc.line, exc.col)
+def _scans(text, step=1):
+    """The parser's scan of `text` and the reference tokenizer's, each as
+    its kinds, its values and the (index, line, column) of eof and of every
+    `step`-th token before it, or as the error of a bad character.  The
+    parser's lines and columns come from `_position`."""
+    def outcome(scan):
+        try:
+            kinds, values, position = scan()
+        except ParseError as exc:
+            return ("error", str(exc), exc.line, exc.col)
+        return kinds, values, [(i, *position(i)) for i in range(len(values) - 1, -1, -step)]
+
+    def parser_scan():
+        p = _Parser(text)
+        return p.kinds, p.values, lambda i: _position(text, i)
+
+    def reference_scan():
+        tokens = oracles.tokenize(text)
+        return ([t.kind for t in tokens], [t.value for t in tokens],
+                lambda i: (tokens[i].line, tokens[i].col))
+
+    return outcome(parser_scan), outcome(reference_scan)
 
 
 # Pieces of workspace text, plus characters that end a token early or start
@@ -251,24 +268,25 @@ class TestTokenizer:
     def test_matches_reference_on_workspaces(self, path):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        assert tokenize(text) == oracles.tokenize(text)
+        got, expected = _scans(text)
+        assert got == expected
         # The same text cut at every seventh line, bare or with a stray tail.
+        # A cut keeps the positions of the tokens before it, so each is
+        # located at eof and every 97th token.
         for cut in [i for i, c in enumerate(text) if c == "\n"][::7]:
             for tail in ("", "@", "# x"):
-                broken = text[:cut] + tail
-                assert _tokens_or_error(tokenize, broken) == _tokens_or_error(
-                    oracles.tokenize, broken
-                )
+                got, expected = _scans(text[:cut] + tail, 97)
+                assert got == expected
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(_FRAGMENTS) | st.text(max_size=3), max_size=30))
     def test_matches_reference_on_random_text(self, parts):
-        text = "".join(parts)
-        assert _tokens_or_error(tokenize, text) == _tokens_or_error(oracles.tokenize, text)
+        got, expected = _scans("".join(parts))
+        assert got == expected
 
     def test_error_position(self):
         with pytest.raises(ParseError) as info:
-            tokenize("signature S {\n  f/1; @ }\n")
+            _Parser("signature S {\n  f/1; @ }\n")
         assert (info.value.line, info.value.col) == (2, 8)
 
 
@@ -378,43 +396,34 @@ class TestReferenceParser:
 
 
 class TestParseWork:
-    """A clean parse builds no `Token`: positions are computed only for an
-    error, by one re-scan."""
+    """A clean parse locates no token: `_position` runs only for a failure,
+    once per position the error reports."""
 
     @pytest.fixture
-    def counts(self, monkeypatch):
-        counts = {"tokenize": 0, "Token": 0}
+    def calls(self, monkeypatch):
+        calls = []
 
-        class CountedToken(parser.Token):
-            def __new__(cls, *args):
-                counts["Token"] += 1
-                return super().__new__(cls, *args)
+        def counted_position(text, i):
+            calls.append(i)
+            return _position(text, i)
 
-        def counted_tokenize(text):
-            counts["tokenize"] += 1
-            return tokenize(text)
+        monkeypatch.setattr(parser, "_position", counted_position)
+        return calls
 
-        monkeypatch.setattr(parser, "Token", CountedToken)
-        monkeypatch.setattr(parser, "tokenize", counted_tokenize)
-        return counts
-
-    def test_clean_parse_builds_no_token(self, counts):
+    def test_clean_parse_locates_no_token(self, calls):
         parse_workspace(_read(FIXTURES_PATH))
         parse_term("meet(x, join(y, bot))", fx.BDL)
-        assert counts == {"tokenize": 0, "Token": 0}
+        assert calls == []
 
-    @pytest.mark.parametrize("tail", [
-        "signature BDL { f/1 }\n",            # duplicate name: its first line and the error
-        "algebra A : BDL { universe 1 }\n",   # missing tables
-        "signature S { f/1 } @\n",            # bad character
+    @pytest.mark.parametrize("tail, located", [
+        ("signature BDL { f/1 }\n", 2),            # duplicate name: its first line and the error
+        ("algebra A : BDL { universe 1 }\n", 1),   # missing tables
+        ("signature S { f/1 } @\n", 1),            # bad character
     ])
-    def test_failed_parse_scans_once(self, counts, tail):
-        text = _read(FIXTURES_PATH) + tail
+    def test_failed_parse_locates_each_reported_position(self, calls, tail, located):
         with pytest.raises(ParseError):
-            parse_workspace(text)
-        assert counts["tokenize"] == 1
-        if "@" not in tail:
-            assert counts["Token"] == len(oracles.tokenize(text))
+            parse_workspace(_read(FIXTURES_PATH) + tail)
+        assert len(calls) == located
 
 
 class TestParseEntry:

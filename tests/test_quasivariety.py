@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import fx
 import oracles
-from oracles import build_algebra, is_congruence, permuted
+from oracles import build_algebra, finer_or_equal, identity_congruence, is_congruence, permuted
 from test_logic import terms_over
 from qvbench import core, quasivariety
 from qvbench.core import (
@@ -118,7 +118,7 @@ class TestRelativeCongruence:
         assert membership(Q, fx.DL).holds
 
     def test_empty_pairs_on_member(self):
-        assert relative_congruence(fx.DIAMOND, [], fx.DL) == Congruence.identity(fx.DIAMOND)
+        assert relative_congruence(fx.DIAMOND, [], fx.DL) == identity_congruence(fx.DIAMOND)
 
     def test_collapse_ends_is_total(self):
         theta = relative_congruence(fx.CHAIN3, [(0, 2)], fx.DL)
@@ -131,7 +131,7 @@ class TestRelativeCongruence:
                 axiomatic = relative_congruence(A, [(a, b)], fx.DLAX)
                 oracle = intersect_k_congruences(A, [(a, b)], fx.DL)
                 assert generated == axiomatic == oracle
-                assert congruence_closure(A, [(a, b)]).finer_or_equal(generated)
+                assert finer_or_equal(congruence_closure(A, [(a, b)]), generated)
                 Q, _ = quotient(A, generated)
                 assert membership(Q, fx.DL).holds
 

@@ -2,12 +2,17 @@
 from the command line, by name reference from `cli.main`, `run`,
 `emit_report` and `COMMANDS`, or by the benchmark's tracer, which wraps each
 `TARGETS` entry of bench/spans.py by name.  `UNREACHED` lists what only the
-benchmark reaches.
+benchmark reaches.  So is every method and property of a top-level class.
 
 Reachability follows loaded names only: a definition is reached when a
 reached one reads it as an `ast.Name`.  An attribute such as
 `self.parse_term` does not reach a top-level function that shares the
 method's name, and neither does a record field such as `holds: bool`.
+A class member is reached when a reached definition reads an attribute of
+its name, on any object, and only a reached member's body is followed.
+Python calls the dunder members itself, so they go with their class.
+`_Parser.parse_workspace` reads its `parse_{keyword}_body` methods through
+`getattr`, so reaching `parser.DECL_KEYWORDS` reads them.
 bench/spans.py is read with `ast`, not imported.  Unreached code fails, and
 so does a listed name that a command comes to use.
 """
@@ -61,33 +66,70 @@ def definitions() -> dict[str, ast.AST]:
     return out
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def members(defs: dict[str, ast.AST]) -> dict[str, ast.FunctionDef]:
+    """Each method and property of a class in `defs` but the dunders, as
+    `module.Class.name`."""
+    return {
+        f"{key}.{node.name}": node
+        for key, cls in defs.items() if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef) and not _is_dunder(node.name)
+    }
+
+
 def benchmark_targets() -> set[str]:
-    """`module.name` of each `TARGETS` entry; a method entry names its class."""
+    """`module.name` of each `TARGETS` entry; a method entry names its class
+    and `module.Class.name` its member."""
     for node in ast.parse(SPANS.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
         ):
-            return {
-                f"{entry.elts[0].value}.{entry.elts[1].value.split('.')[0]}"
-                for entry in node.value.elts
-            }
+            keys = {f"{entry.elts[0].value}.{entry.elts[1].value}" for entry in node.value.elts}
+            return keys | {key.rsplit(".", 1)[0] for key in keys if key.count(".") == 2}
     raise AssertionError("bench/spans.py assigns no TARGETS")
 
 
+def _read(node: ast.AST) -> tuple[list[str], list[str]]:
+    """The names and the attribute names that `node` loads.  Of a class,
+    the members but the dunders are left out, to be followed once reached."""
+    parts = [node]
+    if isinstance(node, ast.ClassDef):
+        parts = [*node.bases, *node.keywords, *node.decorator_list] + [
+            n for n in node.body if not isinstance(n, ast.FunctionDef) or _is_dunder(n.name)
+        ]
+    names, attributes = [], []
+    for n in (n for part in parts for n in ast.walk(part)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.append(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            attributes.append(n.attr)
+    return names, attributes
+
+
 def reached(roots) -> set[str]:
+    """The top-level definitions and class members that `roots` reach."""
     defs = definitions()
-    by_name = defaultdict(list)
-    for key in defs:
-        by_name[key.split(".", 1)[1]].append(key)
+    nodes = defs | members(defs)
+    by_name, by_attribute = defaultdict(list), defaultdict(list)
+    for key in nodes:
+        module, name = key.split(".", 1)
+        (by_attribute[name.split(".")[1]] if "." in name else by_name[name]).append(key)
     seen: set[str] = set()
     todo = list(roots)
     while todo:
         key = todo.pop()
         if key not in seen:
             seen.add(key)
-            for n in ast.walk(defs[key]):
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                    todo.extend(by_name[n.id])
+            names, attributes = _read(nodes[key])
+            if key == "parser.DECL_KEYWORDS":
+                attributes += [f"parse_{k.value}_body" for k in nodes[key].value.keys]
+            for name in names:
+                todo.extend(by_name[name])
+            for attribute in attributes:
+                todo.extend(by_attribute[attribute])
     return seen
 
 
@@ -97,6 +139,10 @@ def test_every_definition_is_reached_by_a_command_or_the_benchmark():
 
 def test_unreached_definitions_are_the_listed_ones():
     assert set(definitions()) - reached(ROOTS) == UNREACHED
+
+
+def test_every_member_is_read_by_a_reached_definition():
+    assert set(members(definitions())) - reached(ROOTS) - reached(benchmark_targets()) == set()
 
 
 def test_every_imported_name_is_used():
