@@ -38,11 +38,12 @@ def main() -> None:
 
     print("unit injectivity over all meet-semilattice members up to size 4,")
     print("decided from the seeds (h(a))_h over the base maps h:")
-    for A, pair in check_unit_mono(msl_to_dl, 4):
-        print(f"  {A.name}: {'mono' if pair is None else f'NOT mono: {pair} share a seed'}")
+    for A, v in check_unit_mono(msl_to_dl, 4):
+        shown = "mono" if v.holds else f"NOT mono: {v.certificate['same-seed']} share a seed"
+        print(f"  {A.name}: {shown}")
     print("counit bijectivity over all lattice members up to size 4:")
-    for inst in check_counit_iso(msl_to_dl, 4):
-        print(f"  {inst.algebra.name}: {'iso' if inst.bijective else 'NOT iso'}")
+    for B, v in check_counit_iso(msl_to_dl, 4):
+        print(f"  {B.name}: {'iso' if v.holds else 'NOT iso'}")
 
 
 if __name__ == "__main__":

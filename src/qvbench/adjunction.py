@@ -6,7 +6,8 @@ homomorphisms into generator reducts, generated by the element tuples.  Each
 element remembers one producing term over the generator tuples (the
 generation trace), which is what the counit and the functorial action chase
 through.  `universal_property_check` tests one reflection against the
-universal property, but no command runs it.
+universal property, but no command runs it.  Each check returns a
+`Verdict`; the sweeps return one per member, beside it.
 
 The unit and counit verdicts need no full reflection: the unit's from the
 seeds (`unit_collapse`), the counit's from a generation stopped at |B| + 1
@@ -41,9 +42,11 @@ from .quasivariety import (
     GenerationStopped,
     GenResult,
     Quasivariety,
+    Verdict,
     generate_in_product,
     members_up_to,
     membership,
+    require_member,
 )
 
 
@@ -100,14 +103,20 @@ class ExpansionViolation:
     certificate: object
 
 
-def check_expansion(E: ExpansionSpec, bound: int):
+def check_expansion(E: ExpansionSpec, bound: int) -> Verdict:
     """Bounded well-definedness of the reduct functor: every member of the
-    expanded class up to `bound` must have its base reduct in the base class."""
+    expanded class up to `bound` must have its base reduct in the base class.
+    The categorical checks presuppose the reduct functor, so they report its
+    failure instead of their own verdicts."""
     for B in members_up_to(E.expanded, bound):
         result = membership(reduct(B, E.base.signature), E.base)
         if not result.holds:
-            return ExpansionViolation(B, result)
-    return "ok"
+            return Verdict(
+                "reduct-well-defined", "fails", ExpansionViolation(B, result),
+                ("reduct-well-defined fails: an expanded member has a reduct "
+                 "outside the base class",),
+            )
+    return Verdict("reduct-well-defined", "holds")
 
 
 def expand_algebra(
@@ -116,9 +125,7 @@ def expand_algebra(
     """Interpret each added symbol by its induced operation; defined only when
     every one of them is total on A."""
     if check:
-        result = membership(A, P.base)
-        if not result.holds:
-            raise ValueError(f"{A.name!r} is not a member of {P.base.name!r}")
+        require_member(A, P.base)
     new_tables = []
     for sym, spec in P.ops:
         op = induced_partial_op(A, spec)
@@ -226,8 +233,7 @@ def free_extension(
     generate `F(A)` from the element tuples.  Over an empty index set every
     seed is the empty tuple, so F(A) has one element and the unit is
     constant."""
-    if not membership(A, E.base).holds:
-        raise ValueError(f"{A.name!r} is not a member of {E.base.name!r}")
+    require_member(A, E.base)
     factors, homs = _coordinates(A, E)
     seeds = [tuple(h(a) for h in homs) for a in range(A.size)]
     gen = generate_in_product(factors, seeds, E.expanded.signature, product_cap, f"F({A.name})")
@@ -299,7 +305,7 @@ def universal_property_check(
     E: ExpansionSpec,
     bound: int,
     free: FreeExtension | None = None,
-):
+) -> Verdict:
     """For every member B up to the bound and every base-language map
     A -> reduct(B), there must be exactly one expanded-language homomorphism
     from the free extension to B commuting with the unit.  Existence is checked
@@ -308,17 +314,19 @@ def universal_property_check(
     fe = free if free is not None else free_extension(A, E)
     generated = generated_subalgebra(fe.algebra, set(fe.unit.mapping))
     if len(generated) != fe.algebra.size:
-        return LiftViolation(fe.algebra, fe.unit, "not-generated")
+        return Verdict(
+            "universal-property", "fails", LiftViolation(fe.algebra, fe.unit, "not-generated")
+        )
     for B in members_up_to(E.expanded, bound):
         redB = reduct(B, E.base.signature)
         for g in enumerate_homomorphisms(A, redB, E.base.signature):
             mapping = _chase_trace(fe.gen.trace, [g(a) for a in range(A.size)], B)
             candidate = Homomorphism(fe.algebra, B, E.expanded.signature, mapping)
-            if not is_homomorphism(candidate):
-                return LiftViolation(B, g, "no-lift")
-            if any(mapping[fe.unit(a)] != g(a) for a in range(A.size)):
-                return LiftViolation(B, g, "no-lift")
-    return "ok"
+            if not is_homomorphism(candidate) or any(
+                mapping[fe.unit(a)] != g(a) for a in range(A.size)
+            ):
+                return Verdict("universal-property", "fails", LiftViolation(B, g, "no-lift"))
+    return Verdict("universal-property", "holds")
 
 
 @record
@@ -330,27 +338,28 @@ class ProductTooLarge:
     cap: int
 
 
-@record
-class CounitInstance:
-    algebra: FiniteAlgebra
-    bijective: bool
-    counit: Homomorphism
-
-
-def counit_instance(B: FiniteAlgebra, E: ExpansionSpec) -> CounitInstance | ProductTooLarge:
-    """Bijectivity of the counit at B (the counit is always surjective here,
-    so bijective = injective)."""
+def counit_verdict(B: FiniteAlgebra, E: ExpansionSpec) -> Verdict:
+    """Bijectivity of the counit at B, a member of the expanded class (the
+    counit is always surjective here, so bijective = injective), certified by
+    its map and F's size; unknown within the bound, with the product's size
+    and the cap, when the reflection is over the cap."""
     try:
         eps = counit(B, E)
     except CapExceeded as exc:
-        return ProductTooLarge(B, exc.size, exc.cap)
-    return CounitInstance(B, eps.source.size == B.size and len(set(eps.mapping)) == B.size, eps)
+        return Verdict(
+            "counit-iso", "unknown-within-bound", {"product-cap": exc.cap, "product-size": exc.size}
+        )
+    bijective = eps.source.size == B.size and len(set(eps.mapping)) == B.size
+    return Verdict(
+        "counit-iso", "holds" if bijective else "fails",
+        {"counit-map": eps.mapping, "reflected-size": eps.source.size},
+    )
 
 
-def check_counit_iso(E: ExpansionSpec, bound: int) -> list[CounitInstance | ProductTooLarge]:
-    """Per-member bijectivity of the counit over the expanded class up to the
-    bound."""
-    return [counit_instance(B, E) for B in members_up_to(E.expanded, bound)]
+def check_counit_iso(E: ExpansionSpec, bound: int) -> list[tuple[FiniteAlgebra, Verdict]]:
+    """Each member of the expanded class up to the bound, with its
+    `counit_verdict`."""
+    return [(B, counit_verdict(B, E)) for B in members_up_to(E.expanded, bound)]
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +380,17 @@ def unit_collapse(A: FiniteAlgebra, E: ExpansionSpec) -> tuple[int, int] | None:
     return None
 
 
-def check_unit_mono(E: ExpansionSpec, bound: int) -> list[tuple[FiniteAlgebra, tuple[int, int] | None]]:
-    """Per base member up to the bound, its `unit_collapse`: None where the
-    unit is injective.  No product is built, so no cap applies.  The `unit`
-    command's sweep; `bench/spans.py` times it by this name."""
-    return [(A, unit_collapse(A, E)) for A in members_up_to(E.base, bound)]
+def check_unit_mono(E: ExpansionSpec, bound: int) -> list[tuple[FiniteAlgebra, Verdict]]:
+    """Each base member up to the bound, with the verdict of its
+    `unit_collapse`: a failure names two elements with the same seed.  No
+    product is built, so no cap applies.  The `unit` command's sweep;
+    `bench/spans.py` times it by this name."""
+    out = []
+    for A in members_up_to(E.base, bound):
+        pair = unit_collapse(A, E)
+        out.append((A, Verdict("unit-mono", "holds") if pair is None
+                    else Verdict("unit-mono", "fails", {"same-seed": pair})))
+    return out
 
 
 @record

@@ -30,7 +30,6 @@ from .core import (
 from .logic import App, Term, Var, compile_term, term_variables
 from .adjunction import (
     ExpansionSpec,
-    ExpansionViolation,
     PpExpansionSpec,
     ProductTooLarge,
     check_expansion,
@@ -43,9 +42,11 @@ from .quasivariety import (
     CapExceeded,
     NotFoundWithinBound,
     Quasivariety,
+    Verdict,
     label_classes,
     members_up_to,
     membership,
+    require_member,
 )
 
 
@@ -55,19 +56,6 @@ class PreconditionError(ValueError):
     def __init__(self, message: str, certificate=None):
         super().__init__(message)
         self.certificate = certificate
-
-
-@record
-class Verdict:
-    claim: str
-    status: str  # "holds" | "fails" | "unknown-within-bound"
-    bounds: tuple[tuple[str, int], ...] = ()
-    certificate: object = None
-    notes: tuple[str, ...] = ()
-
-    @property
-    def holds(self) -> bool:
-        return self.status == "holds"
 
 
 @record
@@ -148,13 +136,8 @@ def check_simple(P: PpExpansionSpec, bound: int) -> Verdict:
     for B in expansion_members(P, bound):
         cert = _in_class(B, P)
         if cert is not None:
-            return Verdict(
-                "simple-pp-expansion",
-                "fails",
-                (("max-size", bound),),
-                certificate=(B, cert),
-            )
-    return Verdict("simple-pp-expansion", "holds", (("max-size", bound),))
+            return Verdict("simple-pp-expansion", "fails", (B, cert))
+    return Verdict("simple-pp-expansion", "holds")
 
 
 def check_interpolation_criterion(
@@ -190,43 +173,25 @@ def check_beth_companion(
     supplied family: the class of all implicit operations is not enumerable."""
     notes = ("verdict relative to the supplied operation family",)
     if not ops_under_test:
-        return Verdict(
-            "beth-companion",
-            "holds",
-            (("max-size", bound),),
-            notes=notes + ("vacuous: empty operation family",),
-        )
+        return Verdict("beth-companion", "holds", notes=notes + ("vacuous: empty operation family",))
     for B in expansion_members(P, bound):
         for s in ops_under_test:
             v = check_interpolation_criterion(B, s, P.base.signature)
             if not v.holds:
-                return Verdict(
-                    "beth-companion",
-                    "fails",
-                    (("max-size", bound),),
-                    certificate=(B, s.name, v.certificate),
-                    notes=notes,
-                )
-    return Verdict("beth-companion", "holds", (("max-size", bound),), notes=notes)
+                return Verdict("beth-companion", "fails", (B, s.name, v.certificate), notes)
+    return Verdict("beth-companion", "holds", notes=notes)
 
 
-@record
-class RegularWitness:
-    equalizer_of: tuple[Homomorphism, Homomorphism]
-    codomain: FiniteAlgebra
-
-
-def check_regular_mono(
-    h: Homomorphism,
-    M: Quasivariety,
-    size_bound: int,
-) -> RegularWitness | NotFoundWithinBound:
+def check_regular_mono(h: Homomorphism, M: Quasivariety, size_bound: int) -> Verdict:
     """Search for a parallel pair whose equalizer is exactly the image of the
     embedding, over codomains up to `size_bound`.  Positive answers carry the
-    replayable witness; negatives are bound-relative only."""
+    replayable witness, the codomain and the pair's maps; negatives are
+    bound-relative only.  The target must be a member of M, which makes the
+    source one too."""
     if not is_embedding(h):
         raise PreconditionError("the given homomorphism is not an embedding")
     B = h.target
+    require_member(B, M)
     image = set(h.mapping)
     for C in members_up_to(M, size_bound):
         homs = enumerate_homomorphisms(B, C, M.signature)
@@ -235,22 +200,11 @@ def check_regular_mono(
                 g1, g2 = homs[i], homs[j]
                 equalizer = {b for b in range(B.size) if g1(b) == g2(b)}
                 if equalizer == image:
-                    return RegularWitness((g1, g2), C)
-    return NotFoundWithinBound(size_bound)
-
-
-def _reduct_violation(E: ExpansionSpec, bound: int) -> Verdict | None:
-    """A failed `reduct-well-defined` verdict when some expanded member up to
-    the bound has a reduct outside the base class.  The categorical checks
-    presuppose the reduct functor, so they report this instead."""
-    result = check_expansion(E, bound)
-    if isinstance(result, ExpansionViolation):
-        return Verdict(
-            "reduct-well-defined", "fails", (("max-size", bound),), certificate=result,
-            notes=("reduct-well-defined fails: an expanded member has a reduct "
-                   "outside the base class",),
-        )
-    return None
+                    return Verdict(
+                        "regular-mono", "holds",
+                        {"codomain": C, "parallel-pair": (g1.mapping, g2.mapping)},
+                    )
+    return Verdict("regular-mono", "unknown-within-bound", NotFoundWithinBound(size_bound))
 
 
 def check_mono_reflective(E: ExpansionSpec, bound: int) -> Verdict:
@@ -260,7 +214,7 @@ def check_mono_reflective(E: ExpansionSpec, bound: int) -> Verdict:
     bijectivity, which are `unit_counit_verdict`.  A reduct functor that is
     not well defined fails first, under `reduct-well-defined`.  This is the
     `mono-reflective` verdict of `cross_validate_main_theorem`."""
-    return cross_validate_main_theorem(E, None, bound).mono_reflective
+    return cross_validate_main_theorem(E, None, bound)["mono-reflective"]
 
 
 def _not_full(E: ExpansionSpec, bound: int) -> Verdict | None:
@@ -280,12 +234,7 @@ def _not_full(E: ExpansionSpec, bound: int) -> Verdict | None:
             if len(base) != len(expanded):
                 kept = {g.mapping for g in expanded}
                 h = next(h for h in base if h.mapping not in kept)
-                return Verdict(
-                    "mono-reflective",
-                    "fails",
-                    (("max-size", bound),),
-                    certificate=("not-full", A, B, h.mapping),
-                )
+                return Verdict("mono-reflective", "fails", ("not-full", A, B, h.mapping))
     return None
 
 
@@ -309,21 +258,16 @@ def unit_counit_verdict(E: ExpansionSpec, bound: int) -> Verdict:
     same way (`check_unit_mono`).  Only the `counit` command builds every
     reflection (`check_counit_iso`): it prints each member's counit map,
     whose ids number the elements of the full F, and F's size."""
-    violation = _reduct_violation(E, bound)
-    if violation is not None:
-        return violation
-    return _unit_counit(E, bound)
+    reduct_verdict = check_expansion(E, bound)
+    return _unit_counit(E, bound) if reduct_verdict.holds else reduct_verdict
 
 
 def _unit_counit(E: ExpansionSpec, bound: int) -> Verdict:
     """`unit_counit_verdict` on a reduct functor already checked."""
-    bounds = (("max-size", bound),)
     for A in members_up_to(E.base, bound):
         pair = unit_collapse(A, E)
         if pair is not None:
-            return Verdict(
-                "unit-mono-counit-iso", "fails", bounds, certificate=("unit-not-mono", A, pair)
-            )
+            return Verdict("unit-mono-counit-iso", "fails", ("unit-not-mono", A, pair))
     too_large = None
     for B in members_up_to(E.expanded, bound):
         try:
@@ -332,15 +276,12 @@ def _unit_counit(E: ExpansionSpec, bound: int) -> Verdict:
             too_large = too_large or ProductTooLarge(B, exc.size, exc.cap)
             continue
         if collapse is not None:
-            return Verdict(
-                "unit-mono-counit-iso", "fails", bounds, certificate=("counit-not-iso", collapse)
-            )
+            return Verdict("unit-mono-counit-iso", "fails", ("counit-not-iso", collapse))
     if too_large is not None:
         return Verdict(
-            "unit-mono-counit-iso", "unknown-within-bound", bounds,
-            certificate=("product-too-large", too_large),
+            "unit-mono-counit-iso", "unknown-within-bound", ("product-too-large", too_large)
         )
-    return Verdict("unit-mono-counit-iso", "holds", bounds)
+    return Verdict("unit-mono-counit-iso", "holds")
 
 
 def check_faithful_term_equivalence(
@@ -364,7 +305,6 @@ def check_faithful_term_equivalence(
         raise PreconditionError("tau must translate the first signature into the second")
     if rho.source != M2.signature or rho.target != M1.signature:
         raise PreconditionError("rho must translate the second signature into the first")
-    bounds = (("max-size", bound),)
     # Each direction checks the members of one class: a round-trip failure,
     # (iii) or (iv), is reported in preference to an escape, (i) or (ii),
     # since it replays by pure table evaluation, with no class reasoning.
@@ -378,15 +318,15 @@ def check_faithful_term_equivalence(
             returned = apply_translation(back, moved)
             if returned.tables != A.tables:
                 return Verdict(
-                    "faithful-term-equivalence", "fails", bounds,
-                    certificate=(f"{trip} round trip differs", A, _table_diff(returned, A)),
+                    "faithful-term-equivalence", "fails",
+                    (f"{trip} round trip differs", A, _table_diff(returned, A)),
                 )
             if not membership(moved, target).holds:
                 return Verdict(
-                    "faithful-term-equivalence", "fails", bounds,
-                    certificate=(f"{escape} translated member escapes the {which} class", A),
+                    "faithful-term-equivalence", "fails",
+                    (f"{escape} translated member escapes the {which} class", A),
                 )
-    return Verdict("faithful-term-equivalence", "holds", bounds)
+    return Verdict("faithful-term-equivalence", "holds")
 
 
 def _table_diff(got: FiniteAlgebra, expected: FiniteAlgebra):
@@ -403,53 +343,46 @@ def _table_diff(got: FiniteAlgebra, expected: FiniteAlgebra):
     return None
 
 
-@record
-class MainTheoremReport:
-    """Agreement report between the three characterizations at one bound."""
-    simple: Verdict | None
-    unit_counit: Verdict
-    mono_reflective: Verdict
-    consistent: bool
-    notes: tuple[str, ...] = ()
-
-
 def cross_validate_main_theorem(
     E: ExpansionSpec,
     P: PpExpansionSpec | None,
     bound: int,
-) -> MainTheoremReport:
-    """Run the three characterizations at the same bound and report agreement.
-    The simplicity check is relative to the supplied family, so its
-    disagreement with the categorical checks can also mean the closure is
+) -> dict[str, Verdict]:
+    """Run the three characterizations at the same bound and report agreement:
+    the verdicts `simple-pp-expansion` (only with a family P),
+    `unit-mono-counit-iso`, `mono-reflective` and `consistency`, by name, in
+    that order.  The simplicity check is relative to the supplied family, so
+    its disagreement with the categorical checks can also mean the closure is
     simple via a different family; the other two must always agree.  An
     unknown verdict, such as a reflection over the product cap, contradicts
     neither of the others.  All three presuppose a well-defined reduct
     functor: when some expanded member has a reduct outside the base, both
-    categorical verdicts are that `reduct-well-defined` failure and the
-    report is not consistent.  Each verdict is computed once:
-    `mono-reflective` reuses the `unit_counit_verdict` after its fullness
-    check."""
-    simple = check_simple(P, bound) if P is not None else None
-    violation = _reduct_violation(E, bound)
-    if violation is not None:
-        return MainTheoremReport(
-            simple, violation, violation, False,
-            ("the reduct functor is not well defined within the bound; "
-             "the main theorem does not apply",),
-        )
-    uc = _unit_counit(E, bound)
-    mr = _not_full(E, bound) or replace(uc, claim="mono-reflective")
+    categorical verdicts are that `reduct-well-defined` failure and
+    `consistency` fails.  Each verdict is computed once: `mono-reflective`
+    reuses the `unit_counit_verdict` after its fullness check."""
+    verdicts = {} if P is None else {"simple-pp-expansion": check_simple(P, bound)}
+    reduct_verdict = check_expansion(E, bound)
+    if not reduct_verdict.holds:
+        verdicts["unit-mono-counit-iso"] = verdicts["mono-reflective"] = reduct_verdict
+        verdicts["consistency"] = Verdict("consistency", "fails", notes=(
+            "the reduct functor is not well defined within the bound; "
+            "the main theorem does not apply",
+        ))
+        return verdicts
+    uc = verdicts["unit-mono-counit-iso"] = _unit_counit(E, bound)
+    mr = verdicts["mono-reflective"] = _not_full(E, bound) or replace(uc, claim="mono-reflective")
     consistent = not _disagree(uc, mr)
     notes = []
-    if simple is None:
+    if P is None:
         notes.append("no operation family supplied; simplicity check not applicable")
-    elif _disagree(simple, uc):
+    elif _disagree(verdicts["simple-pp-expansion"], uc):
         consistent = False
         notes.append(
             "family-relative simplicity disagrees with the categorical checks; "
             "the closure may be simple via a different family"
         )
-    return MainTheoremReport(simple, uc, mr, consistent, tuple(notes))
+    verdicts["consistency"] = Verdict("consistency", "holds" if consistent else "fails", notes=tuple(notes))
+    return verdicts
 
 
 def _disagree(a: Verdict, b: Verdict) -> bool:
@@ -478,11 +411,5 @@ def check_simplicity_transfer(
     v1 = unit_counit_verdict(ExpansionSpec(K, M1), bound)
     v2 = unit_counit_verdict(ExpansionSpec(K, M2), bound)
     if v1.status == v2.status:
-        return Verdict(
-            "simplicity-transfer", "holds", (("max-size", bound),),
-            notes=(f"both expansions: {v1.status}",),
-        )
-    return Verdict(
-        "simplicity-transfer", "fails", (("max-size", bound),),
-        certificate=(v1, v2),
-    )
+        return Verdict("simplicity-transfer", "holds", notes=(f"both expansions: {v1.status}",))
+    return Verdict("simplicity-transfer", "fails", (v1, v2))

@@ -22,6 +22,14 @@ and F's size, which a stopped generation does not know.  `unit` decides each
 member from its seeds and certifies a failure by two elements with the same
 seed; `cross-validate` builds no F either, as `beth.unit_counit_verdict`
 says.
+
+Every handler returns its named verdicts, each a (name, `Verdict`, bound)
+triple, with the bound None where the instance is about one given input,
+not the members up to a bound: the library checks decide every status, and `membership` and `expand`
+wrap their library results.  `run` alone turns the triples into report
+instances, through `_verdict_instance`, and `jsonable` gives each kind of
+certificate its JSON shape.  An algebra outside the class a command
+ranges over is a usage error, not an unknown verdict.
 """
 from __future__ import annotations
 
@@ -31,30 +39,21 @@ import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
-from .core import (
-    FiniteAlgebra,
-    Homomorphism,
-    is_embedding,
-    is_homomorphism,
-    quotient,
-    record,
-)
+from .core import FiniteAlgebra, Homomorphism, is_homomorphism, quotient, record
 from .adjunction import (
     ExpansionSpec,
+    FreeExtension,
     PpExpansionSpec,
-    ProductTooLarge,
     UndefinedAt,
     check_counit_iso,
     check_unit_mono,
-    counit_instance,
+    counit_verdict,
     expand_algebra,
     free_extension,
     induced_expansion,
 )
 from .beth import (
     PreconditionError,
-    RegularWitness,
-    Verdict,
     check_beth_companion,
     check_faithful_term_equivalence,
     check_regular_mono,
@@ -74,12 +73,15 @@ from .quasivariety import (
     Amalgam,
     CapExceeded,
     DEFAULT_PRODUCT_CAP,
+    MembershipResult,
     NotFoundWithinBound,
+    Verdict,
     bounded_amalgamation,
     enumerate_members,
     free_algebra,
     membership,
     relative_congruence,
+    require_member,
 )
 
 DISCLAIMER = (
@@ -214,6 +216,8 @@ def hom_json(h: Homomorphism) -> dict:
 
 
 def jsonable(obj):
+    """The JSON form of a certificate: each kind of record with a shape of
+    its own has a branch here, and any other record gives its fields."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, FiniteAlgebra):
@@ -221,12 +225,16 @@ def jsonable(obj):
     if isinstance(obj, Homomorphism):
         return hom_json(obj)
     if isinstance(obj, Verdict):
-        out = {"claim": obj.claim, "status": obj.status, "bounds": [list(b) for b in obj.bounds]}
+        out = {"claim": obj.claim, "status": obj.status}
         if obj.certificate is not None:
             out["certificate"] = jsonable(obj.certificate)
         if obj.notes:
             out["notes"] = list(obj.notes)
         return out
+    if isinstance(obj, MembershipResult) and obj.holds:
+        if obj.separating is None:
+            return None
+        return {"separating-maps": [list(h.mapping) for h in obj.separating]}
     if isinstance(obj, NotFoundWithinBound):
         return {"not-found-within-bound": obj.bound}
     if isinstance(obj, FunctionalityViolation):
@@ -249,6 +257,20 @@ def jsonable(obj):
         return {"undefined-at": {"op": obj.op_symbol, "args": list(obj.args)}}
     if isinstance(obj, Extension):
         return {"extension": {"algebra": algebra_json(obj.algebra), "embedding": list(obj.embedding.mapping)}}
+    if isinstance(obj, Amalgam):
+        return {
+            "amalgam": algebra_json(obj.apex),
+            "left-leg": list(obj.left_leg.mapping),
+            "right-leg": list(obj.right_leg.mapping),
+        }
+    if isinstance(obj, FreeExtension):
+        return {
+            "reflected-size": obj.algebra.size,
+            "unit-injective": obj.unit_injective,
+            "unit-map": list(obj.unit.mapping),
+            "factor-count": obj.factor_count,
+            "reflected": algebra_json(obj.algebra),
+        }
     if isinstance(obj, (tuple, list)):
         return [jsonable(x) for x in obj]
     if isinstance(obj, dict):
@@ -340,7 +362,8 @@ def _expansion_pair(ws: Workspace, name: str) -> tuple[ExpansionSpec, PpExpansio
 
 
 # ---------------------------------------------------------------------------
-# command implementations; each returns (instances, params)
+# command implementations; each returns its named verdicts, as
+# (instance name, verdict, bound) triples, and its report params
 
 
 def _flag(key: str) -> str:
@@ -363,25 +386,33 @@ def run(command: str, ws: Workspace, flags: dict) -> tuple[Report, int]:
             raise ValueError(
                 f"argument --{_flag(bound)}: must be an integer of at least 1, got {str(value)!r}"
             )
-    instances, params = handler(ws, flags)
+    verdicts, params = handler(ws, flags)
     if bound:
         params[_flag(bound)] = flags[bound]
-    held = sum(1 for i in instances if i.get("verdict") == "holds")
-    summary = f"{held}/{len(instances)} hold"
+    instances = [_verdict_instance(*item) for item in verdicts]
+    summary = f"{sum(v.holds for _, v, _ in verdicts)}/{len(verdicts)} hold"
     report = Report(check=command, params=params, instances=instances, summary=summary)
     return report, report.exit_code()
+
+
+def _verdict_instance(name: str, v: Verdict, bound) -> dict:
+    """The one place a report instance is built: a certificate that encodes
+    to nothing, and notes of None, are left out."""
+    inst = {"name": name, "bound": bound, "verdict": v.status}
+    certificate = jsonable(v.certificate)
+    if certificate is not None:
+        inst["certificate"] = certificate
+    if v.notes is not None:
+        inst["notes"] = list(v.notes)
+    return inst
 
 
 def cmd_membership(ws, flags):
     A = ws.lookup("algebras", flags["algebra"])
     K = ws.lookup("quasivarieties", flags["in"])
     result = membership(A, K)
-    inst = {"name": A.name, "bound": None, "verdict": "holds" if result.holds else "fails"}
-    if result.holds and result.separating is not None:
-        inst["certificate"] = {"separating-maps": [list(h.mapping) for h in result.separating]}
-    if not result.holds:
-        inst["certificate"] = jsonable(result)
-    return [inst], {"algebra": A.name, "quasivariety": K.name}
+    v = Verdict("membership", "holds" if result.holds else "fails", result)
+    return [(A.name, v, None)], {"algebra": A.name, "quasivariety": K.name}
 
 
 def cmd_cg(ws, flags):
@@ -391,35 +422,18 @@ def cmd_cg(ws, flags):
     _check_elements(A, [a for pair in pairs for a in pair], "pairs")
     theta = relative_congruence(A, pairs, K)
     Q, _ = quotient(A, theta)
-    inst = {
-        "name": A.name,
-        "bound": None,
-        "verdict": "holds",
-        "certificate": {
-            "pairs": [list(p) for p in pairs],
-            "partition": list(theta.partition),
-            "blocks": [list(b) for b in theta.blocks()],
-            "quotient-size": Q.size,
-        },
-    }
-    return [inst], {"algebra": A.name, "quasivariety": K.name, "pairs": flags["pairs"]}
+    v = Verdict("relative-congruence", "holds", {
+        "pairs": pairs, "partition": theta.partition, "blocks": theta.blocks(), "quotient-size": Q.size,
+    })
+    return [(A.name, v, None)], {"algebra": A.name, "quasivariety": K.name, "pairs": flags["pairs"]}
 
 
 def cmd_free(ws, flags):
     K = ws.lookup("quasivarieties", flags["in"])
     names = [n for n in flags["generators"].split(",") if n]
     T, gen_map = free_algebra(K, names, product_cap=flags["product_cap"])
-    inst = {
-        "name": f"T_{K.name}({len(names)})",
-        "bound": None,
-        "verdict": "holds",
-        "certificate": {
-            "size": T.size,
-            "generator-map": {n: gen_map[n] for n in names},
-            "algebra": algebra_json(T),
-        },
-    }
-    return [inst], {"quasivariety": K.name, "generators": flags["generators"]}
+    v = Verdict("free-algebra", "holds", {"size": T.size, "generator-map": gen_map, "algebra": T})
+    return [(T.name, v, None)], {"quasivariety": K.name, "generators": flags["generators"]}
 
 
 def cmd_expand(ws, flags):
@@ -429,80 +443,37 @@ def cmd_expand(ws, flags):
         raise ValueError("expand needs a pp expansion (QV + { ... })")
     result = expand_algebra(A, spec)
     if isinstance(result, FiniteAlgebra):
-        inst = {"name": A.name, "bound": None, "verdict": "holds",
-                "certificate": {"expanded": algebra_json(result)}}
+        v = Verdict("expand", "holds", {"expanded": result})
     else:
-        inst = {"name": A.name, "bound": None, "verdict": "fails", "certificate": jsonable(result)}
-    return [inst], {"algebra": A.name, "expansion": flags["expansion"]}
+        v = Verdict("expand", "fails", result)
+    return [(A.name, v, None)], {"algebra": A.name, "expansion": flags["expansion"]}
 
 
 def cmd_reflect(ws, flags):
     A = ws.lookup("algebras", flags["algebra"])
     E, _ = _expansion_pair(ws, flags["expansion"])
-    fe = free_extension(A, E, product_cap=flags["product_cap"])
-    inst = {
-        "name": A.name,
-        "bound": None,
-        "verdict": "holds",
-        "certificate": {
-            "reflected-size": fe.algebra.size,
-            "unit-injective": fe.unit_injective,
-            "unit-map": list(fe.unit.mapping),
-            "factor-count": fe.factor_count,
-            "reflected": algebra_json(fe.algebra),
-        },
-    }
-    return [inst], {"algebra": A.name, "expansion": flags["expansion"]}
+    v = Verdict("reflect", "holds", free_extension(A, E, product_cap=flags["product_cap"]))
+    return [(A.name, v, None)], {"algebra": A.name, "expansion": flags["expansion"]}
 
 
 def cmd_unit(ws, flags):
     E, _ = _expansion_pair(ws, flags["expansion"])
     bound = flags["max_size"]
-    instances = []
-    for A, pair in check_unit_mono(E, bound):
-        inst = {"name": A.name, "bound": bound, "verdict": "holds" if pair is None else "fails"}
-        if pair is not None:
-            inst["certificate"] = {"same-seed": list(pair)}
-        instances.append(inst)
-    return instances, {"expansion": flags["expansion"]}
+    return [(A.name, v, bound) for A, v in check_unit_mono(E, bound)], {"expansion": flags["expansion"]}
 
 
 def cmd_counit(ws, flags):
+    """Every member's counit up to the bound, or with --algebra one member's,
+    whose instance has no bound."""
     E, _ = _expansion_pair(ws, flags["expansion"])
-    bound = flags["max_size"]
     if flags.get("algebra"):
-        items, item_bound = [counit_instance(ws.lookup("algebras", flags["algebra"]), E)], None
+        B = ws.lookup("algebras", flags["algebra"])
+        require_member(B, E.expanded)
+        verdicts = [(B.name, counit_verdict(B, E), None)]
     else:
-        items, item_bound = check_counit_iso(E, bound), bound
-    instances = []
-    for item in items:
-        if isinstance(item, ProductTooLarge):
-            instances.append(_too_large_instance(item, item_bound))
-            continue
-        instances.append({
-            "name": item.algebra.name,
-            "bound": item_bound,
-            "verdict": "holds" if item.bijective else "fails",
-            "certificate": {"counit-map": list(item.counit.mapping),
-                            "reflected-size": item.counit.source.size},
-        })
-    return instances, {"expansion": flags["expansion"]}
-
-
-def _too_large_instance(item: ProductTooLarge, bound) -> dict:
-    """A member whose reflection exceeds the product cap: unknown within the
-    bound, with the product's size and the cap."""
-    return {"name": item.algebra.name, "bound": bound, "verdict": "unknown-within-bound",
-            "certificate": {"product-cap": item.cap, "product-size": item.size}}
-
-
-def _verdict_instance(name: str, v: Verdict, bound) -> dict:
-    inst = {"name": name, "bound": bound, "verdict": v.status}
-    if v.certificate is not None:
-        inst["certificate"] = jsonable(v.certificate)
-    if v.notes:
-        inst["notes"] = list(v.notes)
-    return inst
+        bound = flags["max_size"]
+        verdicts = [(B.name, v, bound) for B, v in check_counit_iso(E, bound)]
+    return verdicts, {"expansion": flags["expansion"]}
 
 
 def cmd_check_simple(ws, flags):
@@ -510,8 +481,7 @@ def cmd_check_simple(ws, flags):
     if not isinstance(spec, PpExpansionSpec):
         raise ValueError("check-simple needs a pp expansion")
     bound = flags["max_size"]
-    v = check_simple(spec, bound)
-    return [_verdict_instance(flags["expansion"], v, bound)], {"expansion": flags["expansion"]}
+    return [(flags["expansion"], check_simple(spec, bound), bound)], {"expansion": flags["expansion"]}
 
 
 def cmd_check_beth(ws, flags):
@@ -522,8 +492,7 @@ def cmd_check_beth(ws, flags):
         ws.lookup("ppops", name) for name in flags.get("ops", "").split(",") if name
     )
     bound = flags["max_size"]
-    v = check_beth_companion(spec, ops, bound)
-    return [_verdict_instance(flags["expansion"], v, bound)], {
+    return [(flags["expansion"], check_beth_companion(spec, ops, bound), bound)], {
         "expansion": flags["expansion"],
         "ops": flags.get("ops", ""),
     }
@@ -532,22 +501,9 @@ def cmd_check_beth(ws, flags):
 def cmd_check_regular(ws, flags):
     M = ws.lookup("quasivarieties", flags["in"])
     h = _hom_from_flags(ws, flags["source"], flags["target"], flags["map"], "map", M.signature)
-    if not is_embedding(h):
-        raise ValueError("the supplied map is not an embedding")
     bound = flags["ext_bound"]
-    result = check_regular_mono(h, M, size_bound=bound)
-    inst = {"name": f"{h.source.name}->{h.target.name}", "bound": bound}
-    if isinstance(result, RegularWitness):
-        g1, g2 = result.equalizer_of
-        inst["verdict"] = "holds"
-        inst["certificate"] = {
-            "codomain": algebra_json(result.codomain),
-            "parallel-pair": [list(g1.mapping), list(g2.mapping)],
-        }
-    else:
-        inst["verdict"] = "unknown-within-bound"
-        inst["certificate"] = jsonable(result)
-    return [inst], {
+    v = check_regular_mono(h, M, size_bound=bound)
+    return [(f"{h.source.name}->{h.target.name}", v, bound)], {
         "quasivariety": M.name, "source": flags["source"], "target": flags["target"],
         "map": flags["map"],
     }
@@ -562,26 +518,16 @@ def cmd_check_extendable(ws, flags):
         raise ValueError(f"--tuple: {s.name} has arity {s.arity}, got {len(args)} entries")
     _check_elements(A, args, "tuple")
     bound = flags["ext_bound"]
-    result = check_extendable(s, K, A, args, bound)
-    if isinstance(result, Extension):
-        inst = {"name": A.name, "bound": bound, "verdict": "holds", "certificate": jsonable(result)}
-    else:
-        inst = {"name": A.name, "bound": bound, "verdict": "unknown-within-bound",
-                "certificate": jsonable(result)}
-    return [inst], {"ppop": s.name, "quasivariety": K.name, "algebra": A.name,
-                    "tuple": flags["tuple"]}
+    return [(A.name, check_extendable(s, K, A, args, bound), bound)], {
+        "ppop": s.name, "quasivariety": K.name, "algebra": A.name, "tuple": flags["tuple"],
+    }
 
 
 def cmd_check_unique_witnesses(ws, flags):
     s = ws.lookup("ppops", flags["ppop"])
     K = ws.lookup("quasivarieties", flags["in"])
     bound = flags["max_size"]
-    result = check_unique_witnesses(s, K, bound)
-    if result == "ok":
-        inst = {"name": s.name, "bound": bound, "verdict": "holds"}
-    else:
-        inst = {"name": s.name, "bound": bound, "verdict": "fails", "certificate": jsonable(result)}
-    return [inst], {"ppop": s.name, "quasivariety": K.name}
+    return [(s.name, check_unique_witnesses(s, K, bound), bound)], {"ppop": s.name, "quasivariety": K.name}
 
 
 def cmd_term_equiv(ws, flags):
@@ -592,11 +538,11 @@ def cmd_term_equiv(ws, flags):
     K = ws.lookup("quasivarieties", flags["in"])
     bound = flags["max_size"]
     v = check_faithful_term_equivalence(M1, M2, tau, rho, K, bound)
-    instances = [_verdict_instance(f"{M1.name}~{M2.name}", v, bound)]
+    verdicts = [(f"{M1.name}~{M2.name}", v, bound)]
     if flags.get("transfer") and v.holds:
         t = check_simplicity_transfer(M1, M2, tau, rho, K, bound, equivalence=v)
-        instances.append(_verdict_instance("simplicity-transfer", t, bound))
-    return instances, {
+        verdicts.append(("simplicity-transfer", t, bound))
+    return verdicts, {
         "m1": M1.name, "m2": M2.name, "tau": flags["tau"], "rho": flags["rho"],
         "quasivariety": K.name,
     }
@@ -609,19 +555,8 @@ def cmd_cross_validate(ws, flags):
         if not isinstance(P, PpExpansionSpec):
             raise ValueError("--pp-expansion must name a pp expansion")
     bound = flags["max_size"]
-    report = cross_validate_main_theorem(E, P, bound)
-    instances = []
-    if report.simple is not None:
-        instances.append(_verdict_instance("simple-pp-expansion", report.simple, bound))
-    instances.append(_verdict_instance("unit-mono-counit-iso", report.unit_counit, bound))
-    instances.append(_verdict_instance("mono-reflective", report.mono_reflective, bound))
-    instances.append({
-        "name": "consistency",
-        "bound": bound,
-        "verdict": "holds" if report.consistent else "fails",
-        "notes": list(report.notes),
-    })
-    return instances, {"expansion": flags["expansion"]}
+    verdicts = cross_validate_main_theorem(E, P, bound)
+    return [(name, v, bound) for name, v in verdicts.items()], {"expansion": flags["expansion"]}
 
 
 def cmd_amalgamate(ws, flags):
@@ -632,33 +567,16 @@ def cmd_amalgamate(ws, flags):
     f = _hom_from_flags(ws, flags["apex"], flags["left"], flags["left_map"], "left-map", K.signature)
     g = _hom_from_flags(ws, flags["apex"], flags["right"], flags["right_map"], "right-map", K.signature)
     bound = flags["ext_bound"]
-    result = bounded_amalgamation(A, B, C, f, g, K, bound)
-    if isinstance(result, Amalgam):
-        inst = {
-            "name": f"{B.name}<-{A.name}->{C.name}",
-            "bound": bound,
-            "verdict": "holds",
-            "certificate": {
-                "amalgam": algebra_json(result.apex),
-                "left-leg": list(result.left_leg.mapping),
-                "right-leg": list(result.right_leg.mapping),
-            },
-        }
-    else:
-        inst = {"name": f"{B.name}<-{A.name}->{C.name}", "bound": bound,
-                "verdict": "unknown-within-bound", "certificate": jsonable(result)}
-    return [inst], {"quasivariety": K.name}
+    v = bounded_amalgamation(A, B, C, f, g, K, bound)
+    return [(f"{B.name}<-{A.name}->{C.name}", v, bound)], {"quasivariety": K.name}
 
 
 def cmd_enumerate(ws, flags):
     K = ws.lookup("quasivarieties", flags["in"])
     n = flags["size"]
-    members = enumerate_members(K, n)
-    instances = [
-        {"name": A.name, "bound": n, "verdict": "holds", "certificate": {"algebra": algebra_json(A)}}
-        for A in members
-    ]
-    return instances, {"quasivariety": K.name}
+    return [
+        (A.name, Verdict("member", "holds", {"algebra": A}), n) for A in enumerate_members(K, n)
+    ], {"quasivariety": K.name}
 
 
 COMMANDS = {

@@ -37,7 +37,9 @@ from .logic import (
 from .quasivariety import (
     NotFoundWithinBound,
     Quasivariety,
+    Verdict,
     members_up_to,
+    require_member,
 )
 
 
@@ -177,7 +179,7 @@ def check_preservation(
     K: Quasivariety,
     bound: int,
     language: Signature | None = None,
-):
+) -> Verdict:
     """Verify that the family's graphs on all products of generators (up to
     `bound` factors) are preserved by every language-reduct homomorphism
     between them.  pp-induced families pass by construction, so this doubles
@@ -191,7 +193,7 @@ def check_preservation(
     for P in algebras:
         g = graphs_on(family, P)
         if isinstance(g, FunctionalityViolation):
-            return g
+            return Verdict("preservation", "fails", g)
         graphs.append(g)
     for i, P1 in enumerate(algebras):
         for j, P2 in enumerate(algebras):
@@ -200,10 +202,10 @@ def check_preservation(
                 for args, value in graphs[i].graph:
                     image = h.apply_tuple(args)
                     if image not in target:
-                        return PreservationViolation(h, args, "domain")
+                        return Verdict("preservation", "fails", PreservationViolation(h, args, "domain"))
                     if target[image] != h(value):
-                        return PreservationViolation(h, args, "value")
-    return "ok"
+                        return Verdict("preservation", "fails", PreservationViolation(h, args, "value"))
+    return Verdict("preservation", "holds")
 
 
 @record
@@ -218,12 +220,14 @@ def check_extendable(
     A: FiniteAlgebra,
     args: tuple[int, ...],
     size_bound: int,
-) -> Extension | NotFoundWithinBound:
+) -> Verdict:
     """Search for a member extending A on which the operation is defined at the
-    image of `args`; tuples already in the domain extend trivially."""
+    image of `args`; tuples already in the domain extend trivially.  An
+    `Extension` holds; the negative answer is bound-relative only."""
+    require_member(A, K)
     op = induced_partial_op(A, s)
     if isinstance(op, PartialOperation) and op.defined_at(args):
-        return Extension(A, identity_homomorphism(A, K.signature))
+        return Verdict("extendable", "holds", Extension(A, identity_homomorphism(A, K.signature)))
     for B in members_up_to(K, size_bound):
         if B.size < A.size:
             continue
@@ -232,8 +236,8 @@ def check_extendable(
             continue
         for e in enumerate_embeddings(A, B, K.signature):
             if opB.defined_at(e.apply_tuple(args)):
-                return Extension(B, e)
-    return NotFoundWithinBound(size_bound)
+                return Verdict("extendable", "holds", Extension(B, e))
+    return Verdict("extendable", "unknown-within-bound", NotFoundWithinBound(size_bound))
 
 
 def check_totalizable(
@@ -241,13 +245,14 @@ def check_totalizable(
     K: Quasivariety,
     A: FiniteAlgebra,
     size_bound: int,
-) -> Extension | NotFoundWithinBound:
+) -> Verdict:
     """Like check_extendable but the target must make the operation total on
     its whole universe (it then extends the original graph automatically,
     since pp graphs are preserved along embeddings)."""
+    require_member(A, K)
     op = induced_partial_op(A, s)
     if isinstance(op, PartialOperation) and op.is_total:
-        return Extension(A, identity_homomorphism(A, K.signature))
+        return Verdict("totalizable", "holds", Extension(A, identity_homomorphism(A, K.signature)))
     for B in members_up_to(K, size_bound):
         if B.size < A.size:
             continue
@@ -256,8 +261,8 @@ def check_totalizable(
             continue
         embeddings = enumerate_embeddings(A, B, K.signature)
         if embeddings:
-            return Extension(B, embeddings[0])
-    return NotFoundWithinBound(size_bound)
+            return Verdict("totalizable", "holds", Extension(B, embeddings[0]))
+    return Verdict("totalizable", "unknown-within-bound", NotFoundWithinBound(size_bound))
 
 
 @record
@@ -272,7 +277,7 @@ def check_unique_witnesses(
     s: ImplicitOpSpec,
     K: Quasivariety,
     bound: int,
-):
+) -> Verdict:
     """On every member up to the bound and every defined tuple, the defining
     formula must have exactly one witness tuple; with no witness variables the
     empty tuple is trivially unique."""
@@ -280,12 +285,14 @@ def check_unique_witnesses(
     for A in members_up_to(K, bound):
         op = induced_partial_op(A, s)
         if isinstance(op, FunctionalityViolation):
-            return op
+            return Verdict("unique-witnesses", "fails", op)
         for args, value in op.graph:
             found = list(islice(witnesses(A.tables, A.size, args + (value,)), 2))
             if len(found) > 1:
-                return UniqueWitnessViolation(A, args, found[0], found[1])
-    return "ok"
+                return Verdict(
+                    "unique-witnesses", "fails", UniqueWitnessViolation(A, args, found[0], found[1])
+                )
+    return Verdict("unique-witnesses", "holds")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ Generated presentations are used with finite-scale semantics throughout:
 membership in the generated class is decided as membership in ISP of the
 generators, which is exact for finite algebras over finitely many finite
 generators.
+
+`Verdict`, the one result of every check in the package, lives here, below
+`implicit`, `adjunction` and `beth`, which all return it.
 """
 from __future__ import annotations
 
@@ -73,6 +76,21 @@ class NotFoundWithinBound:
     bound: int
 
 
+@record
+class Verdict:
+    """What every check returns: its claim, whether it holds, fails or is
+    unknown within the bound, and a replayable certificate.  Notes of None
+    are not reported; a tuple is, even an empty one."""
+    claim: str
+    status: str  # "holds" | "fails" | "unknown-within-bound"
+    certificate: object = None
+    notes: tuple[str, ...] | None = None
+
+    @property
+    def holds(self) -> bool:
+        return self.status == "holds"
+
+
 @record(uncompared=("name",))
 class Quasivariety:
     name: str
@@ -132,6 +150,13 @@ def membership(A: FiniteAlgebra, K: Quasivariety) -> MembershipResult:
             else:
                 return MembershipResult(False, inseparable=(a, b))
     return MembershipResult(True, separating=tuple(chosen))
+
+
+def require_member(A: FiniteAlgebra, K: Quasivariety) -> None:
+    """The usage error of a command given an algebra outside its class: no
+    bound changes that answer, since K is closed under subalgebras."""
+    if not membership(A, K).holds:
+        raise ValueError(f"{A.name!r} is not a member of {K.name!r}")
 
 
 def relative_congruence(A: FiniteAlgebra, pairs, K: Quasivariety) -> Congruence:
@@ -692,13 +717,16 @@ def bounded_amalgamation(
     g: Homomorphism,
     K: Quasivariety,
     size_bound: int,
-) -> Amalgam | NotFoundWithinBound:
+) -> Verdict:
     """Search for D in K (|D| <= size_bound) with embeddings completing the
-    span; the negative answer is bound-relative only."""
+    span: an `Amalgam` holds, and the negative answer is bound-relative
+    only.  Both legs must be members, which makes the apex one too."""
     if not (is_embedding(f) and is_embedding(g)):
         raise ValueError("both legs of the span must be embeddings")
     if f.source != A or g.source != A or f.target != B or g.target != C:
         raise ValueError("span legs do not match the given algebras")
+    require_member(B, K)
+    require_member(C, K)
     for D in members_up_to(K, size_bound):
         if D.size < max(B.size, C.size):
             continue
@@ -706,5 +734,5 @@ def bounded_amalgamation(
             pinned = {g(a): f2(f(a)) for a in range(A.size)}
             found = enumerate_embeddings(C, D, K.signature, pinned=pinned, limit=1)
             if found:
-                return Amalgam(D, f2, found[0])
-    return NotFoundWithinBound(size_bound)
+                return Verdict("amalgamation", "holds", Amalgam(D, f2, found[0]))
+    return Verdict("amalgamation", "unknown-within-bound", NotFoundWithinBound(size_bound))

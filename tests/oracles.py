@@ -27,7 +27,7 @@ from qvbench.logic import (
 )
 from qvbench.parser import DECL_KEYWORDS, ParseError, UnknownName, Workspace, _Parser
 from qvbench.quasivariety import (
-    CapExceeded, GenResult, NotFoundWithinBound, Quasivariety, members_up_to, membership,
+    CapExceeded, GenResult, Quasivariety, members_up_to, membership,
 )
 
 
@@ -1234,15 +1234,12 @@ def harness_unique_witness_expansions(
     projections: list[ImplicitOpSpec] = []
     for spec in specs:
         uw = check_unique_witnesses(spec, P.base, bound)
-        if uw != "ok":
-            details.append((f"unique-witnesses[{spec.name}]", "fails"))
-            established = False
-        else:
-            details.append((f"unique-witnesses[{spec.name}]", "holds"))
+        details.append((f"unique-witnesses[{spec.name}]", uw.status))
+        established = established and uw.holds
         for A in members_up_to(P.base, bound):
             t = check_totalizable(spec, P.base, A, ext_bound)
-            if isinstance(t, NotFoundWithinBound):
-                details.append((f"totalizable[{spec.name}] at {A.name}", "unknown-within-bound"))
+            if not t.holds:
+                details.append((f"totalizable[{spec.name}] at {A.name}", t.status))
                 established = False
         projections.extend(witness_projection_specs(spec))
     for proj in projections:

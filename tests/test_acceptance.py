@@ -98,21 +98,20 @@ def test_acceptance_2_counit_dichotomy():
 def test_acceptance_3_main_theorem_consistency():
     with Timer(3, "main-theorem cross-validation on the fixture suite", 120.0):
         positive = cross_validate_main_theorem(fx.DL_TO_BOOL, fx.PP_COMPL, 4)
-        assert positive.consistent
-        assert positive.simple.holds
-        assert positive.unit_counit.holds
-        assert positive.mono_reflective.holds
+        assert positive["consistency"].holds
+        assert positive["simple-pp-expansion"].holds
+        assert positive["unit-mono-counit-iso"].holds
+        assert positive["mono-reflective"].holds
 
         negative = cross_validate_main_theorem(fx.MSL_TO_DL, None, 4)
-        assert negative.consistent
-        assert negative.simple is None
-        assert negative.unit_counit.status == "fails"
-        assert negative.mono_reflective.status == "fails"
+        assert negative["consistency"].holds
+        assert "simple-pp-expansion" not in negative
+        assert negative["unit-mono-counit-iso"].status == "fails"
+        assert negative["mono-reflective"].status == "fails"
 
         for trivial, P in [(fx.DL_TRIVIAL, fx.PP_EMPTY)]:
             r = cross_validate_main_theorem(trivial, P, 4)
-            assert r.consistent
-            assert r.simple.holds and r.unit_counit.holds and r.mono_reflective.holds
+            assert all(v.holds for v in r.values()) and len(r) == 4
 
 
 def test_acceptance_4_relative_congruence_oracle():
@@ -255,11 +254,10 @@ def test_acceptance_7_pp_evaluation_oracle():
 
 def test_acceptance_8_unique_witness_harness():
     with Timer(8, "unique-witness expansions are simple at the bound", 60.0):
-        assert check_unique_witnesses(fx.COMPL, fx.DL, 4) == "ok"
+        assert check_unique_witnesses(fx.COMPL, fx.DL, 4).holds
         for A in members_up_to(fx.DL, 4):
             result = check_totalizable(fx.COMPL, fx.DL, A, 8)
-            assert not isinstance(result, type(None))
-            assert hasattr(result, "algebra"), f"{A.name} does not totalize within 8"
+            assert result.holds, f"{A.name} does not totalize within 8"
         report = harness_unique_witness_expansions(fx.PP_COMPL, 4, ext_bound=8)
         assert report.premises_established
         assert report.simple is not None and report.simple.holds
@@ -323,6 +321,55 @@ FIXTURE_SUITE_SHA256 = {
 }
 
 
+# SHA-256 of the text form, `emit_report(report, "text")`, of each suite
+# report.  A change that alters these bytes updates them and says why.
+FIXTURE_SUITE_TEXT_SHA256 = {
+    "amalgamate-chains.txt": "61738b5cfe788332f63f57b9a03390628e0b2294c503981842c296e4c239bb5f",
+    "cg-chain3-total.txt": "3d8a184379f21456922159647ae2227e7cb408745d7e4d30d4d3d26309faa20f",
+    "cg-chain3-upper.txt": "1410e9b33d563ea5062e589e3eaebf91771088d9a77ced74084a29349e4509ac",
+    "check-beth-compl.txt": "ae7d34768d01428eb6cdbe860a2f146a69c643d38a3050681acd20e636b6f481",
+    "check-extendable-chain3.txt": "11b320492ac2cb39dd65c722830d0bfe7b59711111d5e17f74476eb3004b4fbe",
+    "check-regular-twoba.txt": "2915dea4cb84ca01fce9ae3f1de50b952fb6be0c9d5608bf0a02efda14e532c4",
+    "check-simple-compl.txt": "1376d3c6bc04ec3f6e74ef5c78b21fb05dae5966adae71b56fb629d4a5807472",
+    "check-simple-jc.txt": "ce6c8b2169a56bafcc4720e129751d2cd8aa77baf1d205e4b61aa69dc832a0d6",
+    "check-unique-witnesses-compl.txt": "30d3ab743c4045695fd3a5e4dc57a700c41510a70978743eba674196f4b9c188",
+    "check-unique-witnesses-padded.txt": "bfc1fc26277c9a85c767ccfbca6ec86ea1f5f162927dd72afda3962003562005",
+    "counit-dl-bool.txt": "955926046985b974c2e99bea22c1d5db196889eae1b9de9442a2318242d6c6e3",
+    "counit-msl-dl.txt": "c33f61e6db51aa30ddae1396e4667279ed1a953df42834af83c5c68c09a91370",
+    "cross-validate-dl-bool.txt": "e1af5e87eb13978c43c371363aaff29f4d9116d2a00b66205456857676e53df4",
+    "cross-validate-msl-dl.txt": "9085547f74651b22f284ea45134f3053573984c7afd675948b22ed792cf988ed",
+    "cross-validate-trivial.txt": "ee13778d9f786928f6495185d6f2c0a34f72d655bc1bcdcbcda2e264a0818779",
+    "enumerate-dl-4.txt": "cc79cf61dae68d0d772525e7e1199791015004172d2ce8d46ae89db18da320cf",
+    "enumerate-msl-4.txt": "4bbc0bfd724e0c4e661a4978e10d7af41dfc51f6804e1ece82a887ec6a7d7742",
+    "expand-chain3.txt": "c1d0a0c87ae1d40638b42d88513e3c80694c69a9125913b3b2c75a619754d261",
+    "expand-diamond.txt": "432647c46a5771f035112f90967245cadfd0d1ed6cc304acbd58e918313003a7",
+    "free-bool-2.txt": "8629492c0f0466b4ef6eb93779705189fc2aef85fcdaca21ae8c8e5d33d40253",
+    "free-dl-2.txt": "6fbd173f51c2846ae58bff244ddc0e44afda9b42dae6dbfec7493754885f7d0a",
+    "membership-chain3.txt": "55cc5cde6124bd765651e6b8efc10645a9f797552285fa4194caddc4b8173587",
+    "reflect-chain3.txt": "16f153ed68c293e1621301935c1d1344282d9f4e49ba7797a9602b08f48edd98",
+    "reflect-diamond-msl.txt": "6c291a94c3021c1790f86a62b2dfdb2d45eed568ccb835150046230f4e731782",
+    "term-equiv-not-imp.txt": "2e2dba2f18bd25385bd4c3483284ddb893dd81c94f74f683c76e6111332c197c",
+    "unit-dl-bool.txt": "863594684840045ff5be4b9f3b21991157010fc54061f2105a895ef4ce2318db",
+    "unit-msl-dl.txt": "69e245aa9d4accc6f4089d96e3be7803af25aaf745c8ad833118d19784ac42bf",
+}
+
+
+def _suite_script():
+    spec = importlib.util.spec_from_file_location("run_fixture_suite", "scripts/run_fixture_suite.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_suite_text_reports_pinned():
+    digests = {}
+    for label, command, flags in _suite_script().SUITE:
+        report, _ = run(command, load_workspace("workspaces/fixtures.qvw"), dict(flags))
+        digests[f"{label}.txt"] = hashlib.sha256(emit_report(report, "text")).hexdigest()
+    assert len(digests) == 27
+    assert digests == FIXTURE_SUITE_TEXT_SHA256
+
+
 # SHA-256 of the `free` reports on workspaces/fixtures.qvw for generator sets
 # larger than the suite's: products of 16, 8 and 8 factors, 168, 256 and 256
 # elements.  BIMPQ's imp is the one binary symbol that is not commutative.
@@ -378,11 +425,8 @@ def test_suite_reports_do_not_depend_on_command_order():
     """The suite's commands in reverse order, in one process, each on a
     freshly parsed workspace as the script runs them: whatever ran before a
     command, and whatever it left in a cache, its report keeps its digest."""
-    spec = importlib.util.spec_from_file_location("run_fixture_suite", "scripts/run_fixture_suite.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
     digests = {}
-    for label, command, flags in reversed(script.SUITE):
+    for label, command, flags in reversed(_suite_script().SUITE):
         report, _ = run(command, load_workspace("workspaces/fixtures.qvw"), dict(flags))
         digests[f"{label}.json"] = hashlib.sha256(emit_report(report)).hexdigest()
     assert len(digests) == 27

@@ -6,19 +6,18 @@ import pytest
 
 from qvbench import adjunction
 from qvbench.adjunction import (
-    CounitInstance,
     ExpansionSpec,
     ExpansionViolation,
     FreeExtension,
     LiftViolation,
     PpExpansionSpec,
-    ProductTooLarge,
     UndefinedAt,
     check_counit_iso,
     check_expansion,
     check_unit_mono,
     counit,
     counit_collapse,
+    counit_verdict,
     expand_algebra,
     free_extension,
     induced_expansion,
@@ -66,13 +65,13 @@ class TestSpecs:
 
 class TestCheckExpansion:
     def test_dl_to_bool_ok(self):
-        assert check_expansion(fx.DL_TO_BOOL, 4) == "ok"
+        assert check_expansion(fx.DL_TO_BOOL, 4).holds
 
     def test_trivial_ok(self):
-        assert check_expansion(fx.DL_TRIVIAL, 4) == "ok"
+        assert check_expansion(fx.DL_TRIVIAL, 4).holds
 
     def test_msl_to_dl_ok(self):
-        assert check_expansion(fx.MSL_TO_DL, 4) == "ok"
+        assert check_expansion(fx.MSL_TO_DL, 4).holds
 
     def test_violation_surfaces(self):
         # a "Boolean" generator whose lattice part is not distributive is not
@@ -83,7 +82,8 @@ class TestCheckExpansion:
         )
         E = ExpansionSpec(fx.DL, Quasivariety("BadQ", fx.BA, generators=(bad,)))
         result = check_expansion(E, 2)
-        assert isinstance(result, ExpansionViolation)
+        assert (result.claim, result.status) == ("reduct-well-defined", "fails")
+        assert isinstance(result.certificate, ExpansionViolation)
 
 
 class TestExpandAlgebra:
@@ -197,13 +197,13 @@ class TestCounit:
 
 class TestUniversalProperty:
     def test_chain3_booleanization(self):
-        assert universal_property_check(fx.CHAIN3, fx.DL_TO_BOOL, 4) == "ok"
+        assert universal_property_check(fx.CHAIN3, fx.DL_TO_BOOL, 4).holds
 
     def test_chain2_small_bound(self):
-        assert universal_property_check(fx.CHAIN2, fx.DL_TO_BOOL, 2) == "ok"
+        assert universal_property_check(fx.CHAIN2, fx.DL_TO_BOOL, 2).holds
 
     def test_diamond_over_msl(self):
-        assert universal_property_check(fx.DIAMOND_MS, fx.MSL_TO_DL, 4) == "ok"
+        assert universal_property_check(fx.DIAMOND_MS, fx.MSL_TO_DL, 4).holds
 
     def test_truncated_free_extension_violates(self):
         """Dropping one hom-product factor breaks the lift for that very map."""
@@ -223,33 +223,41 @@ class TestUniversalProperty:
             gen,
         )
         result = universal_property_check(A, E, 4, free=truncated)
-        assert isinstance(result, LiftViolation)
-        assert result.kind == "no-lift"
+        assert result.status == "fails"
+        assert isinstance(result.certificate, LiftViolation)
+        assert result.certificate.kind == "no-lift"
 
 
 class TestUnitCounitSweeps:
     def test_unit_mono_dl_to_bool(self):
-        assert all(pair is None for _, pair in check_unit_mono(fx.DL_TO_BOOL, 4))
+        assert all(v.holds for _, v in check_unit_mono(fx.DL_TO_BOOL, 4))
 
     def test_unit_mono_trivial(self):
-        assert all(pair is None for _, pair in check_unit_mono(fx.DL_TRIVIAL, 4))
+        assert all(v.holds for _, v in check_unit_mono(fx.DL_TRIVIAL, 4))
 
     def test_unit_mono_msl_to_dl(self):
         # the unit stays injective here; the failure lives in the counit
-        assert all(pair is None for _, pair in check_unit_mono(fx.MSL_TO_DL, 4))
+        assert all(v.holds for _, v in check_unit_mono(fx.MSL_TO_DL, 4))
 
     def test_counit_iso_dl_to_bool(self):
-        assert all(i.bijective for i in check_counit_iso(fx.DL_TO_BOOL, 4))
+        assert all(v.holds for _, v in check_counit_iso(fx.DL_TO_BOOL, 4))
 
     def test_counit_iso_trivial(self):
-        assert all(i.bijective for i in check_counit_iso(fx.DL_TRIVIAL, 4))
+        assert all(v.holds for _, v in check_counit_iso(fx.DL_TRIVIAL, 4))
 
     def test_counit_fails_at_diamond_over_msl(self):
         instances = check_counit_iso(fx.MSL_TO_DL, 4)
-        bad = [i for i in instances if not i.bijective]
+        bad = [(B, v) for B, v in instances if not v.holds]
         assert len(bad) == 1
-        assert are_isomorphic(bad[0].algebra, fx.DIAMOND)
-        assert bad[0].counit.source.size == 5
+        (B, v), = bad
+        assert are_isomorphic(B, fx.DIAMOND) and v.status == "fails"
+        assert v.certificate["reflected-size"] == 5
+        assert v.certificate["counit-map"] == counit(B, fx.MSL_TO_DL).mapping
+
+    def test_counit_verdict_of_one_member(self):
+        v = counit_verdict(fx.DIAMOND, fx.MSL_TO_DL)
+        assert v.status == "fails" and v.certificate["reflected-size"] == 5
+        assert counit_verdict(fx.FOUR_BA, fx.DL_TO_BOOL).holds
 
 
 class TestAdjunctionLaws:
@@ -355,8 +363,10 @@ def assert_matches_full_reflections(E: ExpansionSpec, bound: int) -> None:
     with a stop agree with the ones read off the full reflections; each
     failure's witnesses hold in the full F."""
     units = zip(check_unit_mono(E, bound), reflection_units(E, bound), strict=True)
-    for (A, pair), (A_ref, unit) in units:
-        assert A == A_ref and pair == unit_collapse(A, E)
+    for (A, v), (A_ref, unit) in units:
+        pair = unit_collapse(A, E)
+        assert A == A_ref and v.holds == (pair is None)
+        assert v.certificate == (None if pair is None else {"same-seed": pair})
         if unit is None:
             continue
         assert (pair is None) == is_embedding(unit), A.name
@@ -364,15 +374,16 @@ def assert_matches_full_reflections(E: ExpansionSpec, bound: int) -> None:
             a, b = pair
             assert a != b and unit(a) == unit(b)
     counits = check_counit_iso(E, bound)
-    for B, inst in zip(members_up_to(E.expanded, bound), counits, strict=True):
+    for B, (B_swept, v) in zip(members_up_to(E.expanded, bound), counits, strict=True):
+        assert B == B_swept
         try:
             collapse = counit_collapse(B, E)
         except CapExceeded:
-            assert isinstance(inst, ProductTooLarge)
+            assert v.status == "unknown-within-bound"
             continue
-        assert (collapse is None) == inst.bijective, B.name
+        assert (collapse is None) == v.holds, B.name
         if collapse is not None:
-            assert inst.counit.source.size > B.size
+            assert v.certificate["reflected-size"] > B.size
 
 
 class TestVerdictsWithoutFullReflections:
@@ -400,7 +411,7 @@ class TestVerdictsWithoutFullReflections:
         one, two = members_up_to(E.base, 2)
         assert unit_collapse(one, E) is None
         assert unit_collapse(two, E) == (0, 1)
-        assert [pair for _, pair in check_unit_mono(E, 2)] == [None, (0, 1)]
+        assert [v.certificate for _, v in check_unit_mono(E, 2)] == [None, {"same-seed": (0, 1)}]
 
     def test_zero_factor_reflection(self):
         """A reflection over no coordinates is the one-element algebra: F(A)

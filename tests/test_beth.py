@@ -9,9 +9,7 @@ from qvbench.adjunction import (
     induced_expansion,
 )
 from qvbench.beth import (
-    MainTheoremReport,
     PreconditionError,
-    RegularWitness,
     TermTranslation,
     Verdict,
     apply_translation,
@@ -138,20 +136,26 @@ class TestBethCompanion:
         assert any("vacuous" in n for n in v.notes)
 
 
+def parallel_pair(result: Verdict, B) -> tuple[Homomorphism, Homomorphism]:
+    """The two maps of a regular-mono certificate, out of B."""
+    assert result.holds
+    C = result.certificate["codomain"]
+    g1, g2 = (Homomorphism(B, C, fx.BA, m) for m in result.certificate["parallel-pair"])
+    return g1, g2
+
+
 class TestRegularMono:
     def test_identity_embedding(self):
         ident = Homomorphism(fx.TWO_BA, fx.TWO_BA, fx.BA, (0, 1))
         result = check_regular_mono(ident, fx.BOOL, size_bound=4)
-        assert isinstance(result, RegularWitness)
-        g1, g2 = result.equalizer_of
+        g1, g2 = parallel_pair(result, fx.TWO_BA)
         eq = {b for b in range(2) if g1(b) == g2(b)}
         assert eq == {0, 1}
 
     def test_twoba_into_fourba(self):
         h = Homomorphism(fx.TWO_BA, fx.FOUR_BA, fx.BA, (0, 3))
         result = check_regular_mono(h, fx.BOOL, size_bound=4)
-        assert isinstance(result, RegularWitness)
-        g1, g2 = result.equalizer_of
+        g1, g2 = parallel_pair(result, fx.FOUR_BA)
         # replay the equalizer equation exactly
         assert is_homomorphism(g1) and is_homomorphism(g2)
         eq = {b for b in range(4) if g1(b) == g2(b)}
@@ -159,7 +163,9 @@ class TestRegularMono:
 
     def test_bound_one_gives_no_witness(self):
         h = Homomorphism(fx.TWO_BA, fx.FOUR_BA, fx.BA, (0, 3))
-        assert check_regular_mono(h, fx.BOOL, size_bound=1) == NotFoundWithinBound(1)
+        assert check_regular_mono(h, fx.BOOL, size_bound=1) == Verdict(
+            "regular-mono", "unknown-within-bound", NotFoundWithinBound(1)
+        )
 
     def test_non_embedding_rejected(self):
         collapse = Homomorphism(fx.CHAIN3, fx.CHAIN2, fx.BDL, (0, 0, 1))
@@ -169,7 +175,7 @@ class TestRegularMono:
     def test_default_bound_is_square(self):
         ident = Homomorphism(fx.TWO_BA, fx.TWO_BA, fx.BA, (0, 1))
         result = check_regular_mono(ident, fx.BOOL, size_bound=fx.TWO_BA.size**2)
-        assert isinstance(result, RegularWitness)
+        assert result.holds
 
 
 class TestMonoReflective:
@@ -280,34 +286,34 @@ class TestFaithfulTermEquivalence:
 class TestCrossValidation:
     def test_positive_fixture_consistent(self):
         r = cross_validate_main_theorem(fx.DL_TO_BOOL, fx.PP_COMPL, 4)
-        assert r.consistent
-        assert r.simple.holds and r.unit_counit.holds and r.mono_reflective.holds
+        assert list(r) == ["simple-pp-expansion", "unit-mono-counit-iso", "mono-reflective", "consistency"]
+        assert all(v.holds for v in r.values())
 
     def test_negative_fixture_consistent(self):
         r = cross_validate_main_theorem(fx.MSL_TO_DL, None, 4)
-        assert r.consistent
-        assert r.simple is None
-        assert r.unit_counit.status == "fails"
-        assert r.mono_reflective.status == "fails"
-        assert any("not applicable" in n for n in r.notes)
+        assert r["consistency"].holds
+        assert "simple-pp-expansion" not in r
+        assert r["unit-mono-counit-iso"].status == "fails"
+        assert r["mono-reflective"].status == "fails"
+        assert any("not applicable" in n for n in r["consistency"].notes)
 
     def test_trivial_fixture_consistent(self):
         r = cross_validate_main_theorem(fx.DL_TRIVIAL, fx.PP_EMPTY, 4)
-        assert r.consistent
+        assert r["consistency"].holds
 
     def test_each_verdict_computed_once(self, monkeypatch):
         """The reduct functor is checked once, and each member's unit and
         counit are decided once, though two verdicts report them."""
         calls = []
-        for name in ("_reduct_violation", "unit_collapse", "counit_collapse"):
+        for name in ("check_expansion", "unit_collapse", "counit_collapse"):
             def counted(*args, _name=name, _original=getattr(beth, name)):
                 calls.append((_name, args[0]))
                 return _original(*args)
             monkeypatch.setattr(beth, name, counted)
         r = cross_validate_main_theorem(fx.DL_TO_BOOL, fx.PP_COMPL, 4)
-        assert r.unit_counit.holds and r.mono_reflective.holds
+        assert r["unit-mono-counit-iso"].holds and r["mono-reflective"].holds
         assert calls == (
-            [("_reduct_violation", fx.DL_TO_BOOL)]
+            [("check_expansion", fx.DL_TO_BOOL)]
             + [("unit_collapse", A) for A in members_up_to(fx.DL, 4)]
             + [("counit_collapse", B) for B in members_up_to(fx.BOOL, 4)]
         )
@@ -318,10 +324,10 @@ class TestCrossValidation:
         check fails; the report must say so rather than crash."""
         E = induced_expansion(fx.PP_JC)
         r = cross_validate_main_theorem(E, fx.PP_JC, 4)
-        assert not r.consistent
-        assert r.unit_counit.holds and r.mono_reflective.holds
-        assert r.simple.status == "fails"
-        assert any("family-relative" in n for n in r.notes)
+        assert r["consistency"].status == "fails"
+        assert r["unit-mono-counit-iso"].holds and r["mono-reflective"].holds
+        assert r["simple-pp-expansion"].status == "fails"
+        assert any("family-relative" in n for n in r["consistency"].notes)
 
 
     def test_ill_defined_reduct_fails_every_categorical_check(self):
@@ -335,12 +341,12 @@ class TestCrossValidation:
         E = ExpansionSpec(fx.DL, Quasivariety("BadQ", fx.BA, generators=(bad,)))
         r = cross_validate_main_theorem(E, None, 2)
         for v in (unit_counit_verdict(E, 2), check_mono_reflective(E, 2),
-                  r.unit_counit, r.mono_reflective):
+                  r["unit-mono-counit-iso"], r["mono-reflective"]):
             assert (v.claim, v.status) == ("reduct-well-defined", "fails")
             assert isinstance(v.certificate, ExpansionViolation)
             assert not membership(reduct(v.certificate.algebra, fx.BDL), fx.DL).holds
-        assert not r.consistent
-        assert any("not well defined" in n for n in r.notes)
+        assert r["consistency"].status == "fails"
+        assert any("not well defined" in n for n in r["consistency"].notes)
 
 
 class TestSimplicityTransfer:

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from qvbench import adjunction, beth, cli
 from qvbench.cli import (
     Report,
+    Verdict,
     emit_report,
+    jsonable,
     load_workspace,
     main,
     parse_map,
@@ -153,6 +155,38 @@ def replay_counit_collapse(cert: dict, base_symbols) -> list[str]:
 @pytest.fixture(scope="module")
 def ws():
     return load_workspace(WS)
+
+
+WORKSPACE_TEXT = open(WS, encoding="utf-8").read()
+
+# Algebras over the fixtures' signatures outside their classes: a 2-element
+# "Boolean algebra" whose not is the identity, the 3-chain with the order
+# reversal as not, and M3, the five-element lattice that is not distributive.
+OUTSIDE_ALGEBRAS = """
+algebra BAIdNot : BA {
+  universe 2
+  op meet = [[0,0],[0,1]]
+  op join = [[0,1],[1,1]]
+  op bot = 0
+  op top = 1
+  op not = [0,1]
+}
+algebra BAChain3 : BA {
+  universe 3
+  op meet = [[0,0,0],[0,1,1],[0,1,2]]
+  op join = [[0,1,2],[1,1,2],[2,2,2]]
+  op bot = 0
+  op top = 2
+  op not = [2,1,0]
+}
+algebra M3 : BDL {
+  universe 5
+  op meet = [[0,0,0,0,0],[0,1,0,0,1],[0,0,2,0,2],[0,0,0,3,3],[0,1,2,3,4]]
+  op join = [[0,1,2,3,4],[1,1,4,4,4],[2,4,2,4,4],[3,4,4,3,4],[4,4,4,4,4]]
+  op bot = 0
+  op top = 4
+}
+"""
 
 
 class TestFlagParsing:
@@ -374,6 +408,20 @@ class TestReports:
         ws2 = load_workspace(WS)
         r2, _ = run("cross-validate", ws2, {"expansion": "DLtoBOOL", "max_size": 4})
         assert emit_report(r1) == emit_report(r2)
+
+    def test_nested_verdict_reports_no_bound(self):
+        """A verdict inside a certificate, such as the pair of a failing
+        simplicity-transfer, gives its claim, status, certificate and notes;
+        the bound it ranged over is its instance's."""
+        pair = (Verdict("unit-mono-counit-iso", "holds"), Verdict("reduct-well-defined", "fails", 7, ("n",)))
+        assert jsonable(Verdict("simplicity-transfer", "fails", pair)) == {
+            "claim": "simplicity-transfer",
+            "status": "fails",
+            "certificate": [
+                {"claim": "unit-mono-counit-iso", "status": "holds"},
+                {"claim": "reduct-well-defined", "status": "fails", "certificate": 7, "notes": ["n"]},
+            ],
+        }
 
 
 class TestMainEntry:
@@ -702,6 +750,30 @@ class TestMainEntry:
             {**cert, "steps": cert["steps"][:-1] + [[other, *last[1:]]]},
         ):
             assert replay_counit_collapse(mutated, base_symbols) != []
+
+    @pytest.mark.parametrize("argv, algebra, quasivariety", [
+        (["counit", "--expansion", "DLtoBOOL", "--algebra", "BAIdNot"], "BAIdNot", "BOOL"),
+        (["counit", "--expansion", "DLtoBOOL", "--algebra", "BAChain3"], "BAChain3", "BOOL"),
+        (["check-regular", "--in", "BOOL", "--source", "TwoBA", "--target", "BAChain3",
+          "--map", "0:0,1:2"], "BAChain3", "BOOL"),
+        (["check-extendable", "--ppop", "compl", "--in", "DL", "--algebra", "M3", "--tuple", "(1)"],
+         "M3", "DL"),
+        (["amalgamate", "--in", "DL", "--apex", "Chain2", "--left", "M3", "--right", "Chain3",
+          "--left-map", "0:0,1:4", "--right-map", "0:0,1:2"], "M3", "DL"),
+        (["amalgamate", "--in", "DL", "--apex", "Chain2", "--left", "Chain3", "--right", "M3",
+          "--left-map", "0:0,1:2", "--right-map", "0:0,1:4"], "M3", "DL"),
+    ], ids=["counit-not-identity", "counit-chain", "check-regular", "check-extendable",
+            "amalgamate-left", "amalgamate-right"])
+    def test_algebra_outside_the_class_exit_three(self, tmp_path, capsys, argv, algebra, quasivariety):
+        """An algebra outside the command's class is bad input, as in expand
+        and reflect: K is closed under subalgebras, so no bound can make it
+        embed in a member.  `counit --algebra` checks against the expanded
+        class, where generator chasing had failed an assertion (exit 4), and
+        the other three had reported unknown-within-bound (exit 2)."""
+        workspace = tmp_path / "outside.qvw"
+        workspace.write_text(WORKSPACE_TEXT + OUTSIDE_ALGEBRAS)
+        assert main(argv[:1] + ["--workspace", str(workspace)] + argv[1:]) == 3
+        assert capsys.readouterr().err == f"error: {algebra!r} is not a member of {quasivariety!r}\n"
 
     def test_crash_exit_four(self, monkeypatch, capsys):
         def crash(ws, flags):

@@ -21,7 +21,7 @@ from qvbench.implicit import (
 )
 from qvbench.logic import LogicError, PpFormula, satisfies_pp
 from qvbench.parser import parse_workspace
-from qvbench.quasivariety import NotFoundWithinBound
+from qvbench.quasivariety import NotFoundWithinBound, Verdict
 
 from oracles import witness_projection_specs
 
@@ -119,11 +119,13 @@ class TestInducedWork:
 
 class TestPreservation:
     def test_pp_families_preserved(self):
-        assert check_preservation(fx.COMPL, fx.DL, 2) == "ok"
-        assert check_preservation(fx.INV, fx.MONQ, 2) == "ok"
+        assert check_preservation(fx.COMPL, fx.DL, 2).holds
+        assert check_preservation(fx.INV, fx.MONQ, 2).holds
 
     def test_lub_family_violated(self):
-        result = check_preservation(lub_family, fx.MSLQ, 2, language=fx.MSL)
+        verdict = check_preservation(lub_family, fx.MSLQ, 2, language=fx.MSL)
+        assert verdict.status == "fails"
+        result = verdict.certificate
         assert isinstance(result, PreservationViolation)
         # replay: the violating homomorphism really breaks the graph
         h = result.hom
@@ -139,7 +141,9 @@ class TestPreservation:
 
 class TestExtendable:
     def test_chain3_middle_extends_into_diamond(self):
-        result = check_extendable(fx.COMPL, fx.DL, fx.CHAIN3, (1,), 4)
+        verdict = check_extendable(fx.COMPL, fx.DL, fx.CHAIN3, (1,), 4)
+        assert verdict.holds
+        result = verdict.certificate
         assert isinstance(result, Extension)
         assert result.algebra.size == 4
         assert is_embedding(result.embedding)
@@ -147,16 +151,18 @@ class TestExtendable:
         assert opB.defined_at(result.embedding.apply_tuple((1,)))
 
     def test_already_defined_extends_trivially(self):
-        result = check_extendable(fx.COMPL, fx.DL, fx.CHAIN3, (0,), 4)
+        result = check_extendable(fx.COMPL, fx.DL, fx.CHAIN3, (0,), 4).certificate
         assert isinstance(result, Extension)
         assert result.algebra == fx.CHAIN3
         assert result.embedding.mapping == (0, 1, 2)
 
     def test_chains_up_to_three_do_not_help(self):
-        assert check_extendable(fx.COMPL, fx.DL, fx.CHAIN3, (1,), 3) == NotFoundWithinBound(3)
+        assert check_extendable(fx.COMPL, fx.DL, fx.CHAIN3, (1,), 3) == Verdict(
+            "extendable", "unknown-within-bound", NotFoundWithinBound(3)
+        )
 
     def test_extension_agrees_with_original_graph(self):
-        result = check_extendable(fx.COMPL, fx.DL, fx.CHAIN3, (1,), 4)
+        result = check_extendable(fx.COMPL, fx.DL, fx.CHAIN3, (1,), 4).certificate
         opA = induced_partial_op(fx.CHAIN3, fx.COMPL)
         opB = induced_partial_op(result.algebra, fx.COMPL)
         e = result.embedding
@@ -166,45 +172,49 @@ class TestExtendable:
 
 class TestTotalizable:
     def test_chain3_totalizes_at_diamond(self):
-        result = check_totalizable(fx.COMPL, fx.DL, fx.CHAIN3, 4)
+        result = check_totalizable(fx.COMPL, fx.DL, fx.CHAIN3, 4).certificate
         assert isinstance(result, Extension)
         assert result.algebra.size == 4
 
     def test_chain2_is_already_total(self):
-        result = check_totalizable(fx.COMPL, fx.DL, fx.CHAIN2, 4)
+        result = check_totalizable(fx.COMPL, fx.DL, fx.CHAIN2, 4).certificate
         assert result.algebra == fx.CHAIN2
 
     def test_bound_one(self):
-        assert check_totalizable(fx.COMPL, fx.DL, fx.CHAIN2, 1) != NotFoundWithinBound(1)
-        assert check_totalizable(fx.COMPL, fx.DL, fx.CHAIN3, 3) == NotFoundWithinBound(3)
+        assert check_totalizable(fx.COMPL, fx.DL, fx.CHAIN2, 1).holds
+        assert check_totalizable(fx.COMPL, fx.DL, fx.CHAIN3, 3) == Verdict(
+            "totalizable", "unknown-within-bound", NotFoundWithinBound(3)
+        )
 
     def test_chain4_needs_size_eight(self):
-        assert isinstance(check_totalizable(fx.COMPL, fx.DL, fx.CHAIN4, 6), NotFoundWithinBound)
-        result = check_totalizable(fx.COMPL, fx.DL, fx.CHAIN4, 8)
-        assert isinstance(result, Extension)
-        assert result.algebra.size == 8
+        assert check_totalizable(fx.COMPL, fx.DL, fx.CHAIN4, 6).status == "unknown-within-bound"
+        verdict = check_totalizable(fx.COMPL, fx.DL, fx.CHAIN4, 8)
+        assert verdict.holds and isinstance(verdict.certificate, Extension)
+        assert verdict.certificate.algebra.size == 8
 
 
 class TestUniqueWitnesses:
     def test_compl_vacuously_unique(self):
-        assert check_unique_witnesses(fx.COMPL, fx.DL, 4) == "ok"
+        assert check_unique_witnesses(fx.COMPL, fx.DL, 4).holds
 
     def test_inv_vacuously_unique(self):
-        assert check_unique_witnesses(fx.INV, fx.MONQ, 2) == "ok"
+        assert check_unique_witnesses(fx.INV, fx.MONQ, 2).holds
 
     def test_padded_witness_violation(self):
-        result = check_unique_witnesses(fx.COMPL_PADDED, fx.DL, 4)
+        verdict = check_unique_witnesses(fx.COMPL_PADDED, fx.DL, 4)
+        assert verdict.status == "fails"
+        result = verdict.certificate
         assert isinstance(result, UniqueWitnessViolation)
         assert result.algebra.size >= 2
         assert result.witness_a != result.witness_b
 
     def test_join_with_complement_unique_in_dl(self):
-        assert check_unique_witnesses(fx.JOIN_WITH_COMPL, fx.DL, 4) == "ok"
+        assert check_unique_witnesses(fx.JOIN_WITH_COMPL, fx.DL, 4).holds
 
     def test_monotone_in_bound(self):
         for spec in (fx.COMPL, fx.JOIN_WITH_COMPL):
-            ok4 = check_unique_witnesses(spec, fx.DL, 4) == "ok"
-            ok2 = check_unique_witnesses(spec, fx.DL, 2) == "ok"
+            ok4 = check_unique_witnesses(spec, fx.DL, 4).holds
+            ok2 = check_unique_witnesses(spec, fx.DL, 2).holds
             assert not ok4 or ok2
 
 

@@ -35,6 +35,7 @@ from qvbench.quasivariety import (
     GenerationStopped,
     NotFoundWithinBound,
     Quasivariety,
+    Verdict,
     _axiomatic_models,
     _member_classes,
     bounded_amalgamation,
@@ -801,13 +802,15 @@ class TestBoundedAmalgamation:
         ident = embedding(fx.CHAIN2, fx.CHAIN2, (0, 1))
         result = bounded_amalgamation(
             fx.CHAIN2, fx.CHAIN2, fx.CHAIN2, ident, ident, fx.DL, 2
-        )
+        ).certificate
         assert isinstance(result, Amalgam)
         assert result.apex.size == 2
 
     def test_chain3_span_found_within_four(self):
         f = embedding(fx.CHAIN2, fx.CHAIN3, (0, 2))
-        result = bounded_amalgamation(fx.CHAIN2, fx.CHAIN3, fx.CHAIN3, f, f, fx.DL, 4)
+        verdict = bounded_amalgamation(fx.CHAIN2, fx.CHAIN3, fx.CHAIN3, f, f, fx.DL, 4)
+        assert verdict.holds
+        result = verdict.certificate
         assert isinstance(result, Amalgam)
         assert result.apex.size <= 4
         # replay: the square commutes and both legs embed
@@ -818,7 +821,7 @@ class TestBoundedAmalgamation:
     def test_bound_too_small(self):
         f = embedding(fx.CHAIN2, fx.CHAIN3, (0, 2))
         result = bounded_amalgamation(fx.CHAIN2, fx.CHAIN3, fx.CHAIN3, f, f, fx.DL, 1)
-        assert result == NotFoundWithinBound(1)
+        assert result == Verdict("amalgamation", "unknown-within-bound", NotFoundWithinBound(1))
 
     def test_non_embedding_rejected(self):
         bad = Homomorphism(fx.CHAIN3, fx.CHAIN2, fx.BDL, (0, 0, 1))

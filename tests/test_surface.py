@@ -15,6 +15,10 @@ Python calls the dunder members itself, so they go with their class.
 `getattr`, so reaching `parser.DECL_KEYWORDS` reads them.
 bench/spans.py is read with `ast`, not imported.  Unreached code fails, and
 so does a listed name that a command comes to use.
+
+Two guards keep one path from a check to the report: every check returns a
+`Verdict`, not a sentinel string, and only `cli._verdict_instance` builds an
+instance, the one dict display in `cli` with a "verdict" key.
 """
 import ast
 from collections import defaultdict
@@ -160,3 +164,37 @@ def test_every_imported_name_is_used():
                     if (a.asname or a.name.split(".")[0]) not in used
                 ]
     assert unused == []
+
+
+def _functions(tree: ast.AST):
+    return [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _has_verdict_key(node: ast.AST) -> bool:
+    return isinstance(node, ast.Dict) and any(
+        isinstance(k, ast.Constant) and k.value == "verdict" for k in node.keys
+    )
+
+
+def test_only_the_adapter_builds_an_instance():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    displays = [n for n in ast.walk(tree) if _has_verdict_key(n)]
+    (adapter,) = [f for f in _functions(tree) if f.name == "_verdict_instance"]
+    assert len(displays) == 1
+    assert displays[0] in list(ast.walk(adapter))
+
+
+def test_no_function_returns_a_string_constant():
+    """A check answers with a `Verdict`, never a sentinel such as "ok".  The
+    kernel code generators of `quasivariety` return "" as the text of the
+    expression that always holds; an empty text is no sentinel."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+            found += [
+                f"{path.stem}.{fn.name}: {node.value.value!r}"
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str) and node.value.value
+            ]
+    assert found == []
