@@ -41,6 +41,7 @@ from .quasivariety import (
     CapExceeded,
     GenerationStopped,
     GenResult,
+    NotAMember,
     Quasivariety,
     Verdict,
     generate_in_product,
@@ -109,14 +110,22 @@ def check_expansion(E: ExpansionSpec, bound: int) -> Verdict:
     The categorical checks presuppose the reduct functor, so they report its
     failure instead of their own verdicts."""
     for B in members_up_to(E.expanded, bound):
-        result = membership(reduct(B, E.base.signature), E.base)
-        if not result.holds:
-            return Verdict(
-                "reduct-well-defined", "fails", ExpansionViolation(B, result),
-                ("reduct-well-defined fails: an expanded member has a reduct "
-                 "outside the base class",),
-            )
+        v = _reduct_verdict(B, E)
+        if not v.holds:
+            return v
     return Verdict("reduct-well-defined", "holds")
+
+
+def _reduct_verdict(B: FiniteAlgebra, E: ExpansionSpec) -> Verdict:
+    """Whether the base reduct of B, an expanded member, is a base member."""
+    result = membership(reduct(B, E.base.signature), E.base)
+    if result.holds:
+        return Verdict("reduct-well-defined", "holds")
+    return Verdict(
+        "reduct-well-defined", "fails", ExpansionViolation(B, result),
+        ("reduct-well-defined fails: an expanded member has a reduct "
+         "outside the base class",),
+    )
 
 
 def expand_algebra(
@@ -342,9 +351,13 @@ def counit_verdict(B: FiniteAlgebra, E: ExpansionSpec) -> Verdict:
     """Bijectivity of the counit at B, a member of the expanded class (the
     counit is always surjective here, so bijective = injective), certified by
     its map and F's size; unknown within the bound, with the product's size
-    and the cap, when the reflection is over the cap."""
+    and the cap, when the reflection is over the cap.  A member whose reduct
+    is outside the base class has no counit: its verdict is that
+    `reduct-well-defined` failure, as `check_expansion` reports it."""
     try:
         eps = counit(B, E)
+    except NotAMember:  # the reflection refused the reduct of B
+        return _reduct_verdict(B, E)
     except CapExceeded as exc:
         return Verdict(
             "counit-iso", "unknown-within-bound", {"product-cap": exc.cap, "product-size": exc.size}

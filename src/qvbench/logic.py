@@ -10,14 +10,22 @@ the first unassigned cell it reads, so a caller learns which cell the value
 waits on.  The checks here compile once per call and then enumerate
 assignments.
 
+Every generated source becomes a function through `_define`, the package's
+one code cache, which compiles once per shape: sources that differ only in
+their table slots `T[k]` and variable indices `v[i]` share one compile, and
+each function gets its own ints back in the constants of that code.
+
 Conjunctions are flat lists: satisfaction does not depend on bracketing or
 order.  Existential witnesses are reported lexicographically least, so every
 search result is deterministic.
 """
 from __future__ import annotations
 
+import dis
+import re
 from functools import lru_cache
 from itertools import product as iproduct
+from types import FunctionType
 from typing import Callable
 
 from .core import FiniteAlgebra, Signature, SignatureError, record
@@ -142,13 +150,53 @@ def compile_term(signature: Signature, t: Term, variables, partial: bool = False
     return _define(f"def f(T, n, v):\n    return {_lookups(signature, t, name, partial)}\n")
 
 
+# A table slot `T[k]` or a variable index `v[i]` of a generated source.
+_INDEX = re.compile(r"(?<=[Tv]\[)(\d+)")
+# The first placeholder.  Placeholders are large, so the compiler loads each
+# one from `co_consts`, where `_define` can put the source's own int.
+_HOLE = 1 << 40
+
+
 @lru_cache(maxsize=4096)
 def _define(source: str) -> Callable:
-    """The function `f` that `source` defines, one per distinct source.  The
-    source holds only integers and fixed names, so equal terms or bodies at
-    equal table slots and variable positions share it."""
+    """The function `f` that `source` defines, one per distinct source, built
+    from the one compile of its shape: the source with its j-th `T[k]` or
+    `v[i]` index replaced by the placeholder `_HOLE + j`, so that sources
+    that differ only in those indices share it.
+
+    The function has the code of a direct compile of `source`.  That keeps
+    one constant per distinct value, so the placeholders are replaced by the
+    source's ints, equal constants are merged in order of first use, and
+    each instruction that loads a constant reads its value's slot.  The
+    indices must lie in `f`'s own code, not in a nested function.  A shape
+    with more than 256 constants would need `EXTENDED_ARG` prefixes, so
+    such a source, and one without indices, such as a product kernel, is
+    compiled as it is."""
+    pieces = _INDEX.split(source)
+    ints = [int(k) for k in pieces[1::2]]
+    pieces[1::2] = map(str, range(_HOLE, _HOLE + len(ints)))
+    f = _shape("".join(pieces))
+    code = f.__code__
+    if not ints or len(code.co_consts) > 256:
+        return _shape(source)
+    first: dict = {}
+    slot = bytes(
+        first.setdefault((type(c), c), len(first))
+        for c in (ints[c - _HOLE] if type(c) is int and c >= _HOLE else c for c in code.co_consts)
+    )
+    raw = bytearray(code.co_code)
+    for at in range(0, len(raw), 2):
+        if raw[at] in dis.hasconst:
+            raw[at + 1] = slot[raw[at + 1]]
+    code = code.replace(co_code=bytes(raw), co_consts=tuple(c for _, c in first))
+    return FunctionType(code, f.__globals__)
+
+
+@lru_cache(maxsize=4096)
+def _shape(shape: str) -> Callable:
+    """The function `f` that `shape` defines: the one compile per shape."""
     scope: dict = {}
-    exec(source, scope)
+    exec(shape, scope)
     return scope["f"]
 
 

@@ -152,11 +152,15 @@ def membership(A: FiniteAlgebra, K: Quasivariety) -> MembershipResult:
     return MembershipResult(True, separating=tuple(chosen))
 
 
+class NotAMember(ValueError):
+    """An algebra outside the class a command or check needs."""
+
+
 def require_member(A: FiniteAlgebra, K: Quasivariety) -> None:
     """The usage error of a command given an algebra outside its class: no
     bound changes that answer, since K is closed under subalgebras."""
     if not membership(A, K).holds:
-        raise ValueError(f"{A.name!r} is not a member of {K.name!r}")
+        raise NotAMember(f"{A.name!r} is not a member of {K.name!r}")
 
 
 def relative_congruence(A: FiniteAlgebra, pairs, K: Quasivariety) -> Congruence:
@@ -527,7 +531,23 @@ def free_algebra(
 # Member enumeration
 
 
-def _axiomatic_models(signature: Signature, axioms, size: int) -> list[FiniteAlgebra]:
+def _axiom_sides(signature: Signature, axioms) -> list[tuple[int, tuple[Callable, ...]]]:
+    """Each axiom's variable count and its sides, compiled by `compile_term`'s
+    partial form over its variables in sorted order: premise left and right,
+    in order, then the conclusion's."""
+    out = []
+    for q in axioms:
+        names = sorted(equations_variables((*q.premises, q.conclusion)))
+        sides = tuple(
+            compile_term(signature, side, names, partial=True)
+            for eq in (*q.premises, q.conclusion)
+            for side in (eq.left, eq.right)
+        )
+        out.append((len(names), sides))
+    return out
+
+
+def _axiomatic_models(signature: Signature, axioms, size: int, sides=None) -> list[FiniteAlgebra]:
     """Size-`size` models of the axioms, at least one per isomorphism class,
     by cell-wise backtracking over the operation tables.
 
@@ -546,9 +566,10 @@ def _axiomatic_models(signature: Signature, axioms, size: int) -> list[FiniteAlg
     has an isomorphic copy among the leaves.  `IsoRegistry` removes the
     copies that remain.
 
-    Each axiom is compiled once, by `compile_term`'s partial form, into its
-    sides: premise left and right, in order, then the conclusion's.  Its
-    ground instances are the assignments of elements to its variables.  An
+    Each axiom is compiled once into its sides by `_axiom_sides`, unless the
+    caller passes them in `sides`: `_member_classes` compiles them once per
+    class and passes them to the search at every size.  An axiom's ground
+    instances are the assignments of elements to its variables.  An
     unfilled cell holds ~c, for c its place in the cell order, so evaluating
     a side gives its value or ~c for the first unfilled cell c it reads.  An
     instance is evaluated side by side and stops at such a cell: it waits in
@@ -622,15 +643,11 @@ def _axiomatic_models(signature: Signature, axioms, size: int) -> list[FiniteAlg
                 watch[c].pop()
         tables[i][flat] = ~ci
 
-    instances = []
-    for q in axioms:
-        names = sorted(equations_variables((*q.premises, q.conclusion)))
-        sides = tuple(
-            compile_term(signature, side, names, partial=True)
-            for eq in (*q.premises, q.conclusion)
-            for side in (eq.left, eq.right)
-        )
-        instances += [(sides, values, 0, None) for values in iproduct(range(n), repeat=len(names))]
+    instances = [
+        (compiled, values, 0, None)
+        for arity, compiled in (_axiom_sides(signature, axioms) if sides is None else sides)
+        for values in iproduct(range(n), repeat=arity)
+    ]
     if wake(instances, []):
         rec(0, -1)
     return found
@@ -677,8 +694,9 @@ def _member_classes(K: Quasivariety, max_size: int) -> tuple[FiniteAlgebra, ...]
                     if added:
                         worklist.append(rep)
     else:
+        sides = _axiom_sides(K.signature, K.axioms)
         for size in range(1, max_size + 1):
-            for model in _axiomatic_models(K.signature, K.axioms, size):
+            for model in _axiomatic_models(K.signature, K.axioms, size, sides):
                 registry.add(model)
     members = [A for A in registry.members if A.size <= max_size]
     return tuple(sorted(members, key=lambda A: (A.size, A.tables)))

@@ -23,7 +23,7 @@ from qvbench.implicit import (
 )
 from qvbench.logic import (
     App, Equation, LogicError, PpFormula, Quasiequation, Term, UnboundVariableError, Var,
-    _compile_equation, _define, _lookups, equations_variables,
+    _compile_equation, _lookups, equations_variables,
 )
 from qvbench.parser import DECL_KEYWORDS, ParseError, UnknownName, Workspace, _Parser
 from qvbench.quasivariety import (
@@ -206,12 +206,21 @@ def axiomatic_models(signature, axioms, n):
     return {_form(signature, n, i) for i in kept}
 
 
+@lru_cache(maxsize=4096)
+def define(source: str):
+    """Reference for `logic._define`: the function `f` that `source`
+    defines, by one `exec` of the source itself, cached per source."""
+    scope: dict = {}
+    exec(source, scope)
+    return scope["f"]
+
+
 def _compile_or_none(signature, t, variables):
     """A term evaluator on tables whose unassigned cells are None: the
     unguarded expression of `_lookups`, with None when it reads one, which
     surfaces as the TypeError of indexing or computing with None."""
     expression = _lookups(signature, t, {v: f"v[{i}]" for i, v in enumerate(variables)})
-    return _define(
+    return define(
         "def f(T, n, v):\n"
         "    try:\n"
         f"        return {expression}\n"

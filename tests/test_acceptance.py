@@ -36,8 +36,10 @@ from qvbench.core import (
     trivial_algebra,
 )
 from qvbench.implicit import check_totalizable, check_unique_witnesses, induced_partial_op
-from qvbench.logic import App, Var, satisfies_pp
-from qvbench.quasivariety import free_algebra, members_up_to, membership, relative_congruence
+from qvbench.logic import App, Var, _define, _shape, satisfies_pp
+from qvbench.quasivariety import (
+    _member_classes, free_algebra, members_up_to, membership, relative_congruence,
+)
 
 import fx
 import oracles
@@ -431,3 +433,34 @@ def test_suite_reports_do_not_depend_on_command_order():
         digests[f"{label}.json"] = hashlib.sha256(emit_report(report)).hexdigest()
     assert len(digests) == 27
     assert digests == FIXTURE_SUITE_SHA256
+
+
+def test_reports_do_not_depend_on_shared_shapes():
+    """One compile of a shape serves sources of every signature and axiom
+    set.  The bench's three axiomatic `enumerate` commands and the suite's
+    `check-simple` and `cross-validate` commands, run in one process from a
+    cold code cache, axiomatic ones first and then in reverse order, give
+    the same bytes, and the suite's reports keep their pinned digests."""
+    axiomatic = [
+        (f"enumerate-{K.lower()}-{n}", "bench/workspace.qvw", "enumerate", {"in": K, "size": n})
+        for K, n in (("DLAX", 3), ("MSLAX", 4), ("MONAX", 4))
+    ]
+    suite = [
+        (label, "workspaces/fixtures.qvw", command, flags)
+        for label, command, flags in _suite_script().SUITE
+        if command in ("check-simple", "cross-validate")
+    ]
+
+    def reports(commands):
+        for cache in (_define, _shape, _member_classes):
+            cache.cache_clear()
+        return {
+            label: emit_report(run(command, load_workspace(path), dict(flags))[0])
+            for label, path, command, flags in commands
+        }
+
+    forward = reports(axiomatic + suite)
+    assert reports((axiomatic + suite)[::-1]) == forward
+    assert len(suite) == 5
+    for label, *_ in suite:
+        assert hashlib.sha256(forward[label]).hexdigest() == FIXTURE_SUITE_SHA256[f"{label}.json"]

@@ -625,6 +625,28 @@ class TestMainEntry:
             assert verdicts[name]["certificate"]["certificate"]["inseparable"] == [0, 1]
         assert verdicts["consistency"]["verdict"] == "fails"
 
+    @pytest.mark.parametrize("workspace, argv, verdicts", [
+        (BAD_REDUCT_WORKSPACE, ["--expansion", "DLtoBad", "--max-size", "2"],
+         {"BadQ/n1#0": "holds", "BadQ/n2#1": "fails"}),
+        (CYCLE_WORKSPACE, ["--expansion", "SwapToCycle", "--algebra", "Cycle"], {"Cycle": "fails"}),
+    ], ids=["sweep", "algebra"])
+    def test_counit_ill_defined_reduct(self, tmp_path, workspace, argv, verdicts):
+        """A member of the expanded class whose reduct is outside the base
+        class has no counit: its instance is the `reduct-well-defined`
+        failure, with the member and its failed membership as certificate
+        (exit 1), where the reflection of that reduct had refused it as a
+        non-member (exit 3)."""
+        path = tmp_path / "ws.qvw"
+        path.write_text(workspace)
+        report = tmp_path / "r.json"
+        assert main(["counit", "--workspace", str(path), *argv, "--report", str(report)]) == 1
+        instances = json.loads(report.read_text())["instances"]
+        assert {i["name"]: i["verdict"] for i in instances} == verdicts
+        failed = instances[-1]
+        assert "reduct-well-defined" in failed["notes"][0]
+        assert failed["certificate"]["algebra"]["name"] == failed["name"]
+        assert failed["certificate"]["certificate"]["inseparable"] == [0, 1]
+
     def test_cap_hit_is_unknown_within_bound(self, tmp_path, capsys):
         """A member whose reflection needs a product over the cap leaves its
         instance unknown within the bound (exit 2) in counit and

@@ -1,4 +1,5 @@
 from itertools import product as iproduct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from qvbench.implicit import (
     induced_partial_op,
     witness_var,
 )
+from qvbench import logic
 from qvbench.logic import (
     App,
     Equation,
@@ -169,6 +171,76 @@ class TestCompileTerm:
                 compile_term(fx.BDL, App("xor", (Var("x"), Var("x"))), ["x"], partial)
             with pytest.raises(SignatureError, match="applied to 1 arguments"):
                 compile_term(fx.BDL, App("meet", (Var("x"),)), ["x"], partial)
+
+
+@st.composite
+def signatures(draw):
+    """1-4 symbols of arity 0-3, in any order, so that a symbol's table slot
+    and arity vary independently."""
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    return Signature("R", tuple((f"s{i}", k) for i, k in enumerate(arities)))
+
+
+def defined(compile_, *args):
+    """The function `compile_(*args)` returns, and the reference's function
+    of the source that it passed to `_define`, after checking that the two
+    have the same instructions and constants."""
+    sources = []
+    define = logic._define
+    with mock.patch.object(logic, "_define", lambda source: sources.append(source) or define(source)):
+        f = compile_(*args)
+    [source] = sources
+    g = oracles.define(source)
+    assert f.__code__.co_code == g.__code__.co_code
+    assert f.__code__.co_consts == g.__code__.co_consts
+    return f, g
+
+
+class TestDefine:
+    """`_define` builds each function from the one compile of its source's
+    shape, against the reference that compiles every source itself: the
+    same code and the same values, on random signatures, terms total and
+    partial, and pp bodies.  The shapes are shared by every example."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(signature=signatures(), data=st.data())
+    def test_terms_match_reference(self, signature, data):
+        P = data.draw(tables_over(signature, 3))
+        t = data.draw(terms_over(signature, 3))
+        partial = data.draw(st.booleans())
+        f, g = defined(compile_term, signature, t, VARIABLES, partial)
+        values = [data.draw(st.integers(0, P.size - 1), label=v) for v in VARIABLES]
+        tables, _ = marked(P)
+        if not partial:
+            tables = [[0 if c is None else c for c in table] for table in P.tables]
+        assert f(tables, P.size, values) == g(tables, P.size, values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(signature=signatures(), data=st.data())
+    def test_pp_bodies_match_reference(self, signature, data):
+        n = data.draw(st.integers(1, 3))
+        tables = [[data.draw(st.integers(0, n - 1)) for _ in range(n**k)] for _, k in signature.symbols]
+        bound = data.draw(st.lists(st.sampled_from(VARIABLES + ("w",)), max_size=3, unique=True))
+        side = terms_over(signature, 2)
+        body = data.draw(st.lists(st.builds(Equation, side, side), min_size=1, max_size=3))
+        phi = PpFormula(tuple(bound), tuple(body))
+        free = data.draw(st.permutations(phi.free_vars()), label="free")
+        f, g = defined(compile_pp, signature, phi, free)
+        values = [data.draw(st.integers(0, n - 1), label=v) for v in free]
+        assert list(f(tables, n, values)) == list(g(tables, n, values))
+
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_source_with_many_indices(self, partial):
+        """A term with 255 applications and 256 variable leaves: its shape
+        would have 511 placeholders, more than one byte can address, so the
+        source is compiled as it is."""
+        level = [Var("xy"[i % 2]) for i in range(256)]
+        while len(level) > 1:
+            level = [App("f", pair) for pair in zip(level[::2], level[1::2])]
+        [t] = level
+        tables = [[2], [1, 2, 0], [(a + 2 * b) % 3 for a in range(3) for b in range(3)], [0] * 27]
+        f, g = defined(compile_term, MIXED, t, ["x", "y"], partial)
+        assert f(tables, 3, [1, 2]) == g(tables, 3, [1, 2])
 
 
 class TestEvalTerm:

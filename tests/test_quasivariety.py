@@ -27,7 +27,7 @@ from qvbench.adjunction import PpExpansionSpec, free_extension
 from qvbench.beth import expansion_members
 from qvbench.implicit import induced_partial_op
 from qvbench.logic import (
-    App, Equation, Quasiequation, Var, _define, check_quasiequation, compile_term,
+    App, Equation, Quasiequation, Var, _define, _shape, check_quasiequation, compile_term,
 )
 from qvbench.quasivariety import (
     Amalgam,
@@ -757,6 +757,28 @@ class TestAxiomaticModels:
         assert len(_axiomatic_models(fx.BDL, fx.DL_AXIOMS, 5)) == 12
         assert calls == 24_419
         assert calls < 307_240 // 10
+
+    def test_cold_enumeration_compiles_each_shape_once(self, monkeypatch):
+        """A cold enumeration of DLAX 3, MSLAX 4 and MONAX 4, the bench's
+        axiomatic workload, compiles each axiom's sides once per class: 44
+        `compile_term` calls, where a compile at every size made 150.  Their
+        23 sources have 7 shapes, so the code cache compiles 7 times, where
+        one compile per source made 23."""
+        calls = 0
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return compile_term(*args, **kwargs)
+
+        monkeypatch.setattr(quasivariety, "compile_term", counted)
+        for cache in (_member_classes, _define, _shape):
+            cache.cache_clear()
+        for K, n in ((fx.DLAX, 3), (MSLAX, 4), (MONAX, 4)):
+            members_up_to(K, n)
+        assert calls == 44
+        assert _define.cache_info().misses == 23
+        assert _shape.cache_info().misses == 7
 
     @pytest.mark.parametrize("K", [fx.DLAX, MSLAX, MONAX], ids=lambda K: K.name)
     def test_matches_reference_search_up_to_size_five(self, K):
