@@ -21,7 +21,7 @@ search result is deterministic.
 """
 from __future__ import annotations
 
-import dis
+import opcode
 import re
 from functools import lru_cache
 from itertools import product as iproduct
@@ -186,7 +186,7 @@ def _define(source: str) -> Callable:
     )
     raw = bytearray(code.co_code)
     for at in range(0, len(raw), 2):
-        if raw[at] in dis.hasconst:
+        if raw[at] in opcode.hasconst:
             raw[at + 1] = slot[raw[at + 1]]
     code = code.replace(co_code=bytes(raw), co_consts=tuple(c for _, c in first))
     return FunctionType(code, f.__globals__)

@@ -17,11 +17,15 @@ variable convention (arguments x1..xn, result y, witnesses z1..zm), which the
 parser enforces.  The tests' printer, in `tests/oracles.py`, writes every
 workspace object in a form that parses back to it.
 
-A parse scans the text once, with `findall` of the one token grammar, into
-two parallel lists, the tokens' values and kinds, and builds no object per
-token.  Lines and columns are worked out only to be reported, for an error
-or the first line of a duplicate name: `_position` finds the token's start
-by scanning again up to its index.
+A parse scans the text once into two parallel lists, the tokens' values
+and kinds, and builds no object per token.  The scan drops the comments,
+puts spaces around the marks that are tokens on their own and splits the
+text at whitespace; only a word that holds several tokens, such as `x=y`,
+is split by the one token grammar, and each distinct word is classified
+once.  A well-formed table's cells are read at fixed offsets.  Lines and
+columns are worked out only to be reported, for an error or the first line
+of a duplicate name: `_position` finds the token's start by scanning again,
+with the token grammar, up to its index.
 """
 from __future__ import annotations
 
@@ -54,12 +58,14 @@ class UnknownName(ValueError):
 # whitespace, which is bad.  A comment matches with group 1 empty, and
 # whitespace matches nothing, so a search steps over it.
 _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|\d+|:=|=>|->|[^\s#])|\#[^\n]*")
-# A token's kind from its first character: "ident", "int", or else the
-# token itself, which is punctuation unless it is a bad character or digits
-# beyond ASCII.
-_KIND = dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident")
-_KIND.update(dict.fromkeys("0123456789", "int"))
-_KINDS = frozenset(["ident", "int", "eof", ":=", "=>", "->", *"{}()[],;/=&:.+"])
+# A comment, as the grammar matches it: `#` to the end of its line.
+_COMMENT_RE = re.compile(r"#[^\n]*")
+# The punctuation tokens, each its own kind, and all the kinds of good tokens.
+_PUNCT = frozenset([":=", "=>", "->", *"{}()[],;/=&:.+"])
+_KINDS = _PUNCT | {"ident", "int", "eof"}
+# The marks that are never part of a longer token, each with the spaces that
+# the scan puts around it.
+_PADDED = [(mark, f" {mark} ") for mark in "{}()[],;/&.+"]
 
 # Each declaration keyword and the `Workspace` field it fills.
 DECL_KEYWORDS = {
@@ -70,14 +76,42 @@ DECL_KEYWORDS = {
 _KIND_OF_FIELD = {f: keyword for keyword, f in DECL_KEYWORDS.items()}
 
 
-def _kinds(values: list[str]) -> tuple[list[str], bool]:
-    """The kind of each token, and whether none is a bad character, which
-    keeps itself as its kind."""
-    kinds = list(map(_KIND.get, map(itemgetter(0), values), values))
-    if _KINDS.issuperset(kinds):
-        return kinds, True
-    kinds = ["int" if k.isdecimal() else k for k in kinds]  # digits beyond ASCII
-    return kinds, _KINDS.issuperset(kinds)
+def _kinds(words: set[str]) -> dict[str, str | None]:
+    """The kind of each word that is one token: "int" (`\\d+`, digits beyond
+    ASCII included), "ident", or else the word itself, which is punctuation
+    unless it is a bad character.  None for a word of several tokens."""
+    return {
+        w: "int" if w.isdecimal() else "ident" if w.isascii() and w.isidentifier()
+        else w if w in _PUNCT or len(w) == 1 else None
+        for w in words
+    }
+
+
+def _scan(text: str) -> tuple[list[str], dict[str, str]]:
+    """The tokens of `text`, and the kind of each distinct one.  The text
+    loses its comments and gains spaces around the marks in `_PADDED`,
+    which changes no token, so its whitespace split gives words that are
+    each one token or, where tokens touch (`x=y`, `12ab`), several, which
+    the token grammar splits."""
+    if "#" in text:
+        text = _COMMENT_RE.sub("", text)
+    for mark, padded in _PADDED:
+        text = text.replace(mark, padded)
+    words = text.split()
+    kinds = _kinds(set(words))
+    if None in kinds.values():
+        words = [t for w in words for t in ((w,) if kinds[w] else _TOKEN_RE.findall(w))]
+        kinds = _kinds(set(words))
+    return words, kinds
+
+
+class _Ints(dict):
+    """Each int token's value, converted once, on first use, so that an int
+    too long for `int` fails only where it is read."""
+
+    def __missing__(self, word: str) -> int:
+        value = self[word] = int(word)
+        return value
 
 
 @lru_cache(maxsize=256)
@@ -87,6 +121,14 @@ def _table_kinds(arity: int, size: int) -> list[str]:
     `]`.  Callers share the list and only compare with it."""
     row = _table_kinds(arity - 1, size) if arity > 1 else ["int"]
     return ["["] + (row + [","]) * (size - 1) + row + ["]"]
+
+
+@lru_cache(maxsize=256)
+def _table_cells(arity: int, size: int) -> itemgetter:
+    """The getter of the cells, the ints, from the tokens of a table of
+    `_table_kinds(arity, size)`.  For a size >= 2 the table has two cells
+    or more, so the getter returns a tuple."""
+    return itemgetter(*[i for i, k in enumerate(_table_kinds(arity, size)) if k == "int"])
 
 
 def _position(text: str, i: int) -> tuple[int, int]:
@@ -116,22 +158,24 @@ class Workspace:
 
 
 class _Parser:
-    """Recursive descent over two parallel lists from one `findall` of the
-    token grammar: `values`, the tokens' text, and `kinds`, each "ident",
-    "int" or the punctuation itself, then "eof" with value "".  A token is
-    its index in them, and `pos` is the index of the next one.  A token's
-    line and column come from its index through `_position`, only to report
-    an error or the first line of a duplicate name.  A bad character is a
-    token whose kind is itself, and the first one fails at its own index."""
+    """Recursive descent over two parallel lists from `_scan`: `values`,
+    the tokens' text, and `kinds`, each "ident", "int" or the punctuation
+    itself, then "eof" with value "".  A token is its index in them, and
+    `pos` is the index of the next one.  `ints` gives an int token's value
+    from its text.  A token's line and column come from its index through
+    `_position`, only to report an error or the first line of a duplicate
+    name.  A bad character is a token whose kind is itself, and the first
+    one fails at its own index."""
 
     def __init__(self, text: str):
         self.text = text
-        self.values = list(filter(None, _TOKEN_RE.findall(text)))
-        self.kinds, clean = _kinds(self.values)
+        self.values, kind_of = _scan(text)
+        self.kinds = list(map(kind_of.__getitem__, self.values))
+        self.ints = _Ints()
         self.values.append("")
         self.kinds.append("eof")
         self.pos = 0
-        if not clean:
+        if not _KINDS.issuperset(kind_of.values()):
             bad = next(i for i, k in enumerate(self.kinds) if k not in _KINDS)
             self.fail(f"unexpected character {self.values[bad]!r}", bad)
 
@@ -157,7 +201,7 @@ class _Parser:
             self.fail(message or f"expected {word!r}", i)
 
     def expect_int(self) -> int:
-        return int(self.values[self.expect("int")])
+        return self.ints[self.values[self.expect("int")]]
 
     def accept(self, kind: str) -> bool:
         if self.kinds[self.pos] == kind:
@@ -219,14 +263,20 @@ class _Parser:
         self.keyword("universe")
         size = self.expect_int()
         tables: dict[str, tuple[int, ...]] = {}
+        values, kinds = self.values, self.kinds
         while not self.accept("}"):
-            self.keyword("op", "expected 'op' or '}'")
-            at = self.expect("ident", "operation symbol")
-            sym = self.values[at]
+            at = self.pos + 1  # the symbol of a line `op sym = ...`
+            if values[at - 1] != "op" or kinds[at] != "ident":
+                self.keyword("op", "expected 'op' or '}'")
+                self.expect("ident", "operation symbol")
+            sym = values[at]
             if sym not in sig.arities:
                 self.fail(f"symbol {sym!r} is not in signature {sig.name!r}", at)
-            self.expect("=")
-            tables[sym] = tuple(self.parse_table(sig.arity(sym), size, sym))
+            self.pos = at + 1
+            if kinds[at + 1] != "=":
+                self.expect("=")
+            self.pos = at + 2
+            tables[sym] = self.parse_table(sig.arity(sym), size, sym)
         missing = [s for s, _ in sig.symbols if s not in tables]
         if missing:
             self.fail(f"missing tables for {missing} in algebra {name!r}")
@@ -235,23 +285,25 @@ class _Parser:
         except (SignatureError, ValueError) as exc:
             self.fail(f"in algebra {name!r}: {exc}")
 
-    def parse_table(self, arity: int, size: int, sym: str) -> list[int]:
-        """The table's cells, flat and row-major.  A well-formed table is
-        read off the lists in one step; any other input takes the loop."""
+    def parse_table(self, arity: int, size: int, sym: str) -> tuple[int, ...]:
+        """The table's cells, flat and row-major.  A well-formed table of
+        two cells or more is read at the cells' offsets in its shape; any
+        other input takes the row loop."""
         if arity == 0:
-            return [self.expect_int()]
+            return (self.expect_int(),)
         start = self.pos
         shape = _table_kinds(arity, size)
-        if size and self.kinds[start:start + len(shape)] == shape:
-            self.pos = start + len(shape)
-            return list(map(int, filter(str.isdecimal, self.values[start:self.pos])))
+        end = start + len(shape)
+        if size > 1 and self.kinds[start:end] == shape:
+            self.pos = end
+            return tuple(map(self.ints.__getitem__, _table_cells(arity, size)(self.values[start:end])))
         at = self.expect("[")
         cells, rows = [], 0
         for rows, _ in enumerate(self.items("]", ","), 1):
-            cells += [self.expect_int()] if arity == 1 else self.parse_table(arity - 1, size, sym)
+            cells += (self.expect_int(),) if arity == 1 else self.parse_table(arity - 1, size, sym)
         if rows != size:
             self.fail(f"table for {sym!r} has {rows} rows, expected {size}", at)
-        return cells
+        return tuple(cells)
 
     def parse_quasivariety_body(self, name: str, ws: Workspace) -> Quasivariety:
         self.expect(":")
@@ -338,20 +390,28 @@ class _Parser:
     # -- terms and formulas
 
     def parse_term(self, sig: Signature) -> Term:
-        at = self.expect("ident", "term")
+        at, kinds = self.pos, self.kinds
+        if kinds[at] != "ident":
+            self.expect("ident", "term")
         name = self.values[at]
+        self.pos = at + 1
         arity = sig.arities.get(name)
         if arity is None:
-            if self.kinds[self.pos] == "(":
+            if kinds[at + 1] == "(":
                 self.fail(f"unknown symbol {name!r} in signature {sig.name!r}", at)
             return Var(name)
         if arity == 0:
             return App(name)
-        self.expect("(")
+        if kinds[at + 1] != "(":
+            self.expect("(")
+        self.pos = at + 2
         args = [self.parse_term(sig)]
-        while self.accept(","):
+        while kinds[self.pos] == ",":
+            self.pos += 1
             args.append(self.parse_term(sig))
-        self.expect(")")
+        if kinds[self.pos] != ")":
+            self.expect(")")
+        self.pos += 1
         if len(args) != arity:
             self.fail(f"{name}/{arity} applied to {len(args)} arguments", at)
         return App(name, tuple(args))

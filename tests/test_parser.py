@@ -255,11 +255,14 @@ def _scans(text, step=1):
 
 # Pieces of workspace text, plus characters that end a token early or start
 # none: an unterminated comment, carriage returns, non-ASCII whitespace and
-# digits, and characters outside the grammar.
+# digits, and characters outside the grammar.  The whitespace includes the
+# control characters that `str.split` and `\s` both take as spaces, and
+# U+FEFF, which neither does.
 _FRAGMENTS = (
     "signature", "algebra", "x1", "_f", "12", "0", ":=", "=>", "->", ":", "=", "-", ">",
     "{", "}", "[", "]", "(", ")", ",", ";", "/", "&", ".", "+", " ", "  ", "\t", "\n",
     "\n\n", "\r\n", "# note", "#", "@", "$", "\0", "\u00a0", "\u2028", "\u0663", "\u00e9",
+    "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u3000", "\ufeff",
 )
 
 
@@ -336,6 +339,36 @@ def _mutate(text, op, i, j, n):
 _OPS = ("delete", "duplicate", "bad", "swap", "copy")
 
 
+def _compact(text):
+    """`text` without its comments and without every space that can go: each
+    token follows the one before it directly, unless the reference
+    tokenizer would then scan the two as other tokens, and after one space
+    if so."""
+    values = [t.value for t in oracles.tokenize(text)[:-1]]
+    out = values[:1]
+    for before, token in zip(values, values[1:]):
+        apart = [t.value for t in oracles.tokenize(before + token)[:-1]] == [before, token]
+        out.append(token if apart else " " + token)
+    compact = "".join(out)
+    assert [t.value for t in oracles.tokenize(compact)] == values + [""]
+    return compact
+
+
+@pytest.fixture
+def grammar_calls(monkeypatch):
+    """The name of each attribute read off `parser._TOKEN_RE`, which is
+    replaced by a stand-in that records it and hands on the grammar's own."""
+    grammar, calls = parser._TOKEN_RE, []
+
+    class Recorded:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(grammar, name)
+
+    monkeypatch.setattr(parser, "_TOKEN_RE", Recorded())
+    return calls
+
+
 class TestReferenceParser:
     """The parser against the reference parser in `oracles`, which runs on a
     list of `Token` objects: on edited workspaces, both give the same
@@ -346,6 +379,29 @@ class TestReferenceParser:
         text = _read(path)
         assert _outcome(parse_workspace, text) == _outcome(oracles.parse_workspace, text)
         assert not isinstance(_outcome(parse_workspace, text), tuple)
+
+    @pytest.mark.parametrize("path", [FIXTURES_PATH, BENCH_WORKSPACE_PATH])
+    def test_workspaces_without_spaces(self, path, grammar_calls):
+        """Valid input whose words hold several tokens (`op meet=[[0,0],...`,
+        `2op`, `x=y&`): both parsers give the formatted text's workspace,
+        and the parser's scan splits such words with the token grammar."""
+        formatted = _outcome(parse_workspace, _read(path))
+        compact = _compact(_read(path))
+        assert _outcome(parse_workspace, compact) == formatted
+        assert "findall" in grammar_calls
+        assert _outcome(oracles.parse_workspace, compact) == formatted
+
+    @pytest.mark.parametrize("text, error", [
+        ("signature S { f/1 }\nalgebra A : S { universe 2 op f = [BIG, 1] }", "ValueError"),
+        ("signature S { f/1 } @ BIG", "ParseError"),
+    ], ids=["read", "unread"])
+    def test_int_too_long_for_int(self, text, error):
+        """An int of more digits than `int` converts raises `int`'s error
+        where it is read, and none when a parse error comes first."""
+        text = text.replace("BIG", "9" * 5000)
+        got = _outcome(parse_workspace, text)
+        assert got == _outcome(oracles.parse_workspace, text)
+        assert got[0] == error
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -414,6 +470,13 @@ class TestParseWork:
         parse_workspace(_read(FIXTURES_PATH))
         parse_term("meet(x, join(y, bot))", fx.BDL)
         assert calls == []
+
+    @pytest.mark.parametrize("path", [FIXTURES_PATH, BENCH_WORKSPACE_PATH])
+    def test_clean_parse_splits_no_word(self, path, grammar_calls):
+        """Each word of a formatted workspace is one token, so the scan
+        never runs the token grammar."""
+        parse_workspace(_read(path))
+        assert grammar_calls == []
 
     @pytest.mark.parametrize("tail, located", [
         ("signature BDL { f/1 }\n", 2),            # duplicate name: its first line and the error
