@@ -36,7 +36,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import itemgetter
 
 from . import __version__
 from .core import FiniteAlgebra, Homomorphism, is_homomorphism, quotient, record
@@ -117,16 +119,37 @@ class Report:
         return 0
 
 
+class Table(tuple):
+    """An operation table in a report: the algebra's cells and, as `size`,
+    the algebra's size.  A `FiniteAlgebra` has int cells in range(size),
+    checked when it was built, so `_pieces` writes a `Table` from the digit
+    strings of range(size) with no scan of its own; to `json.dumps` it is
+    the tuple of its cells."""
+
+    def __new__(cls, cells, size: int):
+        table = super().__new__(cls, cells)
+        table.size = size
+        return table
+
+
+@lru_cache(maxsize=None)
+def _digits(n: int) -> tuple[str, ...]:
+    """The decimal strings of range(n), which depend on nothing else."""
+    return tuple(map(str, range(n)))
+
+
 def _json(value, newline: str) -> str:
     """The text of `json.dumps(value, sort_keys=True, indent=2)` for a
     JSON-native value nested at the indent that `newline` carries, without
     the pure-Python encoder that `indent` selects: a list of plain ints is
-    one join, and keys and strings go to the C string encoder.  A list of
-    plain ints in 0..max, with max below its length, such as an operation
-    table, joins the strings of a digit table of 0..max, so each value is
-    converted once, not once per cell; its cost is bounded by the list's
-    length.  Any other int list, with bools, negative values or larger
-    values such as a unit map into a larger algebra, converts each cell.
+    one join, and keys and strings go to the C string encoder.
+
+    A `Table`, such as each table of `algebra_json`, relies on the
+    `FiniteAlgebra` invariant, int cells in range(size): it is written with
+    no type or range scan, from the cached digit strings of range(size),
+    so each value is converted once per process, not once per cell.  Any
+    other list is scanned for its types: one of plain ints, such as a map,
+    converts each cell, and a bool is written as JSON's `true` or `false`.
     The pieces go to one list, joined once, so a large table is copied
     once, not once per level of nesting; those copies needed fresh memory,
     and their cost depended on what the process had freed before."""
@@ -140,18 +163,20 @@ def _pieces(value, newline: str, out: list[str]) -> None:
         out.append("{}" if isinstance(value, dict) else "[]")
     elif isinstance(value, (list, tuple)):
         inner = newline + "  "
-        if set(map(type, value)) == {int}:
-            top = max(value)
-            if top < len(value) and min(value) >= 0:
-                cells = map(list(map(str, range(top + 1))).__getitem__, value)
-            else:
-                cells = map(str, value)
-            out += ("[", inner, ("," + inner).join(cells), newline, "]")
+        if type(value) is Table:
+            # One `itemgetter` call looks up every cell; of one index it
+            # would return a bare string.
+            digits = _digits(value.size)
+            cells = itemgetter(*value)(digits) if len(value) > 1 else [digits[value[0]]]
+        elif set(map(type, value)) == {int}:
+            cells = map(str, value)
+        else:
+            for i, v in enumerate(value):
+                out.append("," + inner if i else "[" + inner)
+                _pieces(v, inner, out)
+            out += (newline, "]")
             return
-        for i, v in enumerate(value):
-            out.append("," + inner if i else "[" + inner)
-            _pieces(v, inner, out)
-        out += (newline, "]")
+        out += ("[", inner, ("," + inner).join(cells), newline, "]")
     elif isinstance(value, dict):
         inner = newline + "  "
         for i, (k, v) in enumerate(sorted(value.items())):
@@ -198,11 +223,14 @@ def load_workspace(path: str) -> Workspace:
 
 
 def algebra_json(A: FiniteAlgebra) -> dict:
+    """A's JSON form.  Each table is a `Table`, which the emitter writes
+    with no scan: A's cells are ints in range(A.size), as construction
+    checked."""
     return {
         "name": A.name,
         "signature": {"name": A.signature.name, "symbols": [[s, k] for s, k in A.signature.symbols]},
         "size": A.size,
-        "tables": {sym: list(table) for (sym, _), table in zip(A.signature.symbols, A.tables)},
+        "tables": {sym: Table(table, A.size) for (sym, _), table in zip(A.signature.symbols, A.tables)},
     }
 
 

@@ -136,6 +136,13 @@ class Signature:
 
 @record(uncompared=("name",))
 class FiniteAlgebra:
+    """A finite algebra on 0..size-1.  Its cells are ints in range(size):
+    construction checks their types and range once, on the distinct cells
+    of all tables, and the report emitter relies on this and writes a table
+    with no second scan.  A cell equal in value to an int cell, such as
+    True beside 1, is not among the distinct cells and slips through; the
+    parser and every construction in the package give int cells."""
+
     name: str
     signature: Signature = Signature("empty")
     size: int = 1
@@ -150,10 +157,22 @@ class FiniteAlgebra:
             raise SignatureError(
                 f"{self.name!r}: expected {len(self.signature.symbols)} tables, got {len(self.tables)}"
             )
+        # Types and range are tested on the distinct cells of all tables;
+        # only when that fails are the tables scanned one by one, for the
+        # first error.
+        try:
+            cells = set().union(*self.tables)
+            in_range = not cells or (
+                {int}.issuperset(map(type, cells)) and min(cells) >= 0 and max(cells) < self.size
+            )
+        except TypeError:
+            in_range = False
         for (sym, k), table in zip(self.signature.symbols, self.tables):
             if len(table) != self.size**k:
                 raise SignatureError(f"{self.name!r}: table for {sym}/{k} has wrong length")
-            if min(table) < 0 or max(table) >= self.size:
+            if not in_range and (
+                set(map(type, table)) != {int} or min(table) < 0 or max(table) >= self.size
+            ):
                 raise ValueError(f"{self.name!r}: table for {sym} has out-of-universe entries")
 
     @cached_property

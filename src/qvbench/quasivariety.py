@@ -479,12 +479,14 @@ def generate_in_product(
             # Row a holds f(x_a, x_b) for b <= a, then, unless the symbol is
             # commutative, f(x_b, x_a) for b <= a; those second halves, or
             # for a commutative symbol the first, transposed, give
-            # f(x_a, x_b) for b > a.
+            # f(x_a, x_b) for b > a, and each row is completed in place.
             rows = [list(map(rank.__getitem__, row)) for row in results]
             seconds = rows if half else [row[a + 1:] for a, row in enumerate(rows)]
             columns = list(zip_longest(*seconds))
-            full = [row[:a + 1] + list(columns[a][a + 1:]) for a, row in enumerate(rows)]
-            tables.append(tuple(chain.from_iterable(map(pick, map(full.__getitem__, popped)))))
+            for a, row in enumerate(rows):
+                del row[a + 1:]
+                row += columns[a][a + 1:]
+            tables.append(tuple(chain.from_iterable(map(pick, map(rows.__getitem__, popped)))))
         else:
             tables.append(tuple(
                 map(rank.__getitem__, map(results.__getitem__, iproduct(order, repeat=k)))

@@ -54,6 +54,24 @@ def build_algebra(name: str, signature: Signature, size: int, ops: dict) -> Fini
     return FiniteAlgebra(name, signature, size, tuple(tables))
 
 
+def table_error(name: str, signature: Signature, size: int, tables):
+    """The exception that `FiniteAlgebra(name, signature, size, tables)`
+    raises, or None: the per-table rule, each table's length and then the
+    types, `min` and `max` of its cells, in signature order."""
+    if size < 1:
+        return ValueError("algebras must have at least one element")
+    if len(tables) != len(signature.symbols):
+        return SignatureError(
+            f"{name!r}: expected {len(signature.symbols)} tables, got {len(tables)}"
+        )
+    for (sym, k), table in zip(signature.symbols, tables):
+        if len(table) != size**k:
+            return SignatureError(f"{name!r}: table for {sym}/{k} has wrong length")
+        if set(map(type, table)) != {int} or min(table) < 0 or max(table) >= size:
+            return ValueError(f"{name!r}: table for {sym} has out-of-universe entries")
+    return None
+
+
 def _flatten_table(nested, k: int, size: int, sym: str) -> list[int]:
     if k == 0:
         if isinstance(nested, list):

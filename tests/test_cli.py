@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qvbench import adjunction, beth, cli
+from qvbench.core import FiniteAlgebra, Homomorphism, Signature
 from qvbench.cli import (
     Report,
     Verdict,
@@ -150,6 +151,27 @@ def replay_counit_collapse(cert: dict, base_symbols) -> list[str]:
     if in_g[t] == in_g[u] or [in_g[t], in_g[u]] != cert["generator_values"]:
         problems.append(f"values in G {in_g[t]}, {in_g[u]}, stated {cert['generator_values']}")
     return problems
+
+
+@st.composite
+def report_algebras(draw, name):
+    """An algebra of 1-20 elements with symbols of arities 0-3 and random
+    tables."""
+    n = draw(st.integers(1, 20))
+    arities = draw(st.lists(st.integers(0, 3), max_size=3))
+    signature = Signature("s", tuple((f"f{i}", k) for i, k in enumerate(arities)))
+    rng = draw(st.randoms(use_true_random=False))
+    tables = tuple(tuple(rng.randrange(n) for _ in range(n**k)) for k in arities)
+    return FiniteAlgebra(name, signature, n, tables)
+
+
+def _listed(value):
+    """`value` with each tuple, such as a report's `Table`, made a list."""
+    if isinstance(value, (list, tuple)):
+        return [_listed(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _listed(v) for k, v in value.items()}
+    return value
 
 
 @pytest.fixture(scope="module")
@@ -373,6 +395,48 @@ class TestReports:
         table = [(7 * i * i + 3 * i) % 173 for i in range(30_000)]
         value = {"instances": [{"f": table, "g": table[:173]}]}
         assert cli._json(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(A=report_algebras("A"), B=report_algebras("B"), data=st.data())
+    def test_emitter_tables_match_json_dumps(self, A, B, data):
+        """An algebra's tables, written with no scan as `Table`s, and the
+        maps beside them give the bytes of `json.dumps` of the same values
+        with lists, in `_json` and in both report formats: an algebra, a
+        homomorphism into a possibly larger one, and a reflection whose unit
+        map is that homomorphism."""
+        mapping = tuple(data.draw(st.lists(st.integers(0, B.size - 1), min_size=A.size,
+                                           max_size=A.size)))
+        h = Homomorphism(A, B, A.signature, mapping)
+        reflection = adjunction.FreeExtension(B, h, 1, None)
+        for value in (cli.algebra_json(A), jsonable(h), jsonable(reflection)):
+            assert cli._json(value, "\n") == json.dumps(_listed(value), sort_keys=True, indent=2)
+        instances = [{"name": "A", "verdict": "holds", "certificate": jsonable(h)},
+                     {"name": "F(A)", "verdict": "holds", "certificate": jsonable(reflection)}]
+        report = Report("check", {"max_size": 4}, instances, "summary")
+        listed = Report("check", {"max_size": 4}, _listed(instances), "summary")
+        payload = {"version": report.version, "check": "check", "params": {"max_size": 4},
+                   "instances": _listed(instances), "summary": "summary",
+                   "disclaimer": report.disclaimer}
+        assert emit_report(report) == (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+        assert emit_report(report, "text") == emit_report(listed, "text")
+
+    def test_emitting_tables_scans_none(self, ws):
+        """Writing the free DL report on 4 generators, 168 elements, calls
+        `max` or `min` on none of its four tables: their range was checked
+        when the algebra was built."""
+        report, _ = run("free", ws, {"in": "DL", "generators": "w,x,y,z"})
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and arg in (max, min):
+                calls.append(arg.__name__)
+
+        sys.setprofile(profile)
+        try:
+            emit_report(report)
+        finally:
+            sys.setprofile(None)
+        assert calls == []
 
     def test_report_schema_fields(self, ws):
         report, _ = run("enumerate", ws, {"in": "DL", "size": 2})

@@ -1,3 +1,4 @@
+import sys
 from itertools import product as iproduct
 
 import pytest
@@ -132,6 +133,31 @@ class TestSignature:
         assert fx.BDL.includes(fx.MSL)
 
 
+@st.composite
+def table_inputs(draw):
+    """A size of 1-9, symbols of arities 0-3 and their tables, with up to
+    two spoilt: a cell set to a value in -2..size+2, which may still be in
+    range, or a cell added or removed."""
+    n = draw(st.integers(1, 9))
+    arities = draw(st.lists(st.integers(0, 3), max_size=3))
+    signature = Signature("s", tuple((f"f{i}", k) for i, k in enumerate(arities)))
+    rng = draw(st.randoms(use_true_random=False))
+    tables = [[rng.randrange(n) for _ in range(n**k)] for k in arities]
+    for _ in range(draw(st.integers(0, 2)) if tables else 0):
+        table = tables[draw(st.integers(0, len(tables) - 1))]
+        spoil = draw(st.sampled_from(["cell", "cell", "longer", "shorter"]))
+        if spoil == "cell" and table:
+            table[draw(st.integers(0, len(table) - 1))] = draw(st.integers(-2, n + 2))
+        elif spoil == "shorter" and table:
+            table.pop()
+        else:
+            table.append(rng.randrange(n))
+    return n, signature, tuple(map(tuple, tables))
+
+
+SIG_FG = Signature("s", (("f", 2), ("g", 1)))
+
+
 class TestAlgebra:
     @pytest.mark.parametrize("table", [(0, 1, 2, 1), (0, -1, 1, 1)])
     def test_out_of_universe_entries_rejected(self, table):
@@ -139,6 +165,56 @@ class TestAlgebra:
         length, is refused with the message naming the algebra and symbol."""
         with pytest.raises(ValueError, match=r"^'H': table for f has out-of-universe entries$"):
             FiniteAlgebra("H", Signature("s", (("f", 2),)), 2, (table,))
+
+    @pytest.mark.parametrize("table", [(True, False), (1.0, 0), (0, "1")])
+    def test_non_int_entries_rejected(self, table):
+        """A bool, float or str cell is outside the universe, although the
+        first two compare equal to an element; the emitter would write them
+        as digits."""
+        with pytest.raises(ValueError, match=r"^'H': table for f has out-of-universe entries$"):
+            FiniteAlgebra("H", Signature("s", (("f", 1),)), 2, (table,))
+
+    def test_range_checked_once(self):
+        """Building the four-table Diamond calls `min` and `max` once each,
+        over its distinct cells, not once per table."""
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and arg in (max, min):
+                calls.append(arg.__name__)
+
+        D = fx.DIAMOND
+        sys.setprofile(profile)
+        try:
+            FiniteAlgebra(D.name, D.signature, D.size, D.tables)
+        finally:
+            sys.setprofile(None)
+        assert sorted(calls) == ["max", "min"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=table_inputs())
+    # The first bad table decides the error, whether its length or its
+    # range is wrong.
+    @example(inputs=(2, SIG_FG, ((0, 1, 1), (0, 2))))
+    @example(inputs=(2, SIG_FG, ((0, 1, 1, 2), (0,))))
+    @example(inputs=(3, SIG_FG, ((0,) * 9, (0, 1, -1))))
+    # Cells of another type, equal in value to elements; they are caught
+    # when no int cell has the same value.
+    @example(inputs=(2, SIG_FG, ((True,) * 4, (False, True))))
+    @example(inputs=(3, SIG_FG, ((0,) * 9, (0, 1, 2.0))))
+    def test_range_check_matches_oracle(self, inputs):
+        """Construction raises the exception of `oracles.table_error`, the
+        per-table length, `min` and `max` rule, with the same type and
+        message, or none when the oracle gives none."""
+        n, signature, tables = inputs
+        expected = oracles.table_error("H", signature, n, tables)
+        if expected is None:
+            assert FiniteAlgebra("H", signature, n, tables).tables == tables
+        else:
+            with pytest.raises(Exception) as raised:
+                FiniteAlgebra("H", signature, n, tables)
+            assert type(raised.value) is type(expected)
+            assert str(raised.value) == str(expected)
 
 
 class TestDirectProduct:
