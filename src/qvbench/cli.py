@@ -138,7 +138,7 @@ def _digits(n: int) -> tuple[str, ...]:
     return tuple(map(str, range(n)))
 
 
-def _json(value, newline: str) -> str:
+def _json(value, newline: str, end: str = "") -> str:
     """The text of `json.dumps(value, sort_keys=True, indent=2)` for a
     JSON-native value nested at the indent that `newline` carries, without
     the pure-Python encoder that `indent` selects: a list of plain ints is
@@ -152,9 +152,12 @@ def _json(value, newline: str) -> str:
     converts each cell, and a bool is written as JSON's `true` or `false`.
     The pieces go to one list, joined once, so a large table is copied
     once, not once per level of nesting; those copies needed fresh memory,
-    and their cost depended on what the process had freed before."""
+    and their cost depended on what the process had freed before.  `end`,
+    such as a report's final newline, is the last piece of that join, not
+    a second copy of the text."""
     out: list[str] = []
     _pieces(value, newline, out)
+    out.append(end)
     return "".join(out)
 
 
@@ -200,7 +203,7 @@ def emit_report(report: Report, format: str = "json") -> bytes:
             "summary": report.summary,
             "disclaimer": report.disclaimer,
         }
-        return (_json(payload, "\n") + "\n").encode()
+        return _json(payload, "\n", "\n").encode()
     lines = [f"{report.check} (qvbench {report.version})"]
     for k in sorted(report.params):
         lines.append(f"  {k} = {report.params[k]}")

@@ -582,19 +582,14 @@ def all_subuniverses(
     Closures stop once they outgrow max_size, since such a child is dropped
     anyway.
 
-    Failed extensions are inherited as in FCbO (Krajca, Outrata and
-    Vychodil, 2010).  When a node's try of x fails, the set D_x it reached
-    (the closure of S | {x}, or the part of it built before the closure
-    outgrew max_size, or S | {x} when the test before closing failed) is
-    recorded, and the node's children receive every failure recorded at it
-    or inherited by it, but never one recorded at a sibling.  A descendant T
-    of S tries x again only when D_x has no element below x outside T and
-    its least size is within max_size.  The skip is sound: closure is
-    monotone, so closure(T | {x}) contains D_x; an element of D_x below x
-    and outside T makes that child non-canonical, and since the least size
-    never falls as a set grows, a D_x beyond the bound puts the child beyond
-    it too.  So a skipped try would have failed, and the search still
-    reaches every returned set."""
+    A node's loop stops at the end of the fibre of the least first
+    coordinate c that S misses.  `direct_product` numbers (c, g) as
+    c * w + g with w = |G|, so that fibre is c * w .. c * w + w - 1.  For x
+    >= (c + 1) * w the child closure(S | {x}) either covers c, through an
+    element below x that S lacks, and is not canonical; or it misses c, and
+    so does every set below it, since canonical descendants add only
+    elements > x: none of them is subdirect.  Without `first_factor` the
+    one fibre is all of A and the loop runs to |A|."""
     n = A.size
     limit = n if max_size is None else max_size
     parts = first_factor or 1
@@ -614,41 +609,23 @@ def all_subuniverses(
     if base.bit_count() + parts - covered.bit_count() > limit:
         return []
     found = [elements] if covered.bit_count() == parts else []
-    # A node is (S, its elements, the first coordinates it covers, y,
-    # failed): failed[x] is None when a recorded D_x is beyond the bound,
-    # and otherwise the mask of the elements of D_x below x outside the set
-    # of the node that recorded it.  Children hold their parent's dict,
-    # which its loop completes before any child is popped, and copy it
-    # before they record.
-    stack = [(base, elements, covered, 0, {})]
+    # A node is (S, its elements, the first coordinates it covers, y).
+    stack = [(base, elements, covered, 0)]
     while stack:
-        S, elements, covered, y, inherited = stack.pop()
-        failed = dict(inherited)
+        S, elements, covered, y = stack.pop()
         least = len(elements) + parts - covered.bit_count()
-        for x in range(y, n):
+        gap = ~covered & (covered + 1)
+        for x in range(y, min(n, gap.bit_length() * width)):
             bit = 1 << x
-            if S & bit:
-                continue
-            if x in failed:
-                below = failed[x]
-                if below is None or below & ~S:
-                    continue
-            if least + (covered & coordinate[x] != 0) > limit:
-                failed[x] = None
+            if S & bit or least + (covered & coordinate[x] != 0) > limit:
                 continue
             grown = elements.copy()
             T = _close(tables, S | bit, grown, [x], limit)
             reached = covered | reduce(or_, map(coordinate.__getitem__, grown[len(elements):]), 0)
-            below = (T ^ S) & (bit - 1)
-            if T.bit_count() + parts - reached.bit_count() > limit:
-                failed[x] = None
-            elif below:
-                failed[x] = below
-            else:
-                failed.pop(x, None)
+            if T.bit_count() + parts - reached.bit_count() <= limit and not (T ^ S) & (bit - 1):
                 if reached.bit_count() == parts:
                     found.append(grown)
-                stack.append((T, grown, reached, x + 1, failed))
+                stack.append((T, grown, reached, x + 1))
     out = sorted(map(sorted, found), key=lambda S: (len(S), S))
     return [frozenset(S) for S in out]
 

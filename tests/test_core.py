@@ -30,6 +30,7 @@ from qvbench.core import (
     trivial_algebra,
 )
 from oracles import finer_or_equal, identity_congruence, is_congruence, permuted, related
+from qvbench.quasivariety import members_up_to
 
 
 def decode_product_element(sizes: list[int], e: int) -> tuple[int, ...]:
@@ -485,6 +486,25 @@ class TestSubuniverses:
         first_factor = data.draw(st.sampled_from([None, C.size]))
         expected = oracles.fcbo_subuniverses(P, max_size, first_factor)
         assert all_subuniverses(P, max_size, first_factor) == expected
+
+    @pytest.mark.parametrize("K, count", [(fx.DL, 16), (fx.MSLQ, 73), (fx.MONQ, 73)],
+                             ids=lambda v: getattr(v, "name", v))
+    @settings(max_examples=2, deadline=None)
+    @given(data=st.data())
+    def test_member_products_match_set_search(self, K, count, data):
+        """Where the coordinate stop bites: C x G for every class C of 5-7
+        elements (A006982 and A006966) and each generator G, with
+        `first_factor` and a drawn bound, against the set-based FCbO
+        search, which tries every extension.  The drawn factors of the
+        other tests have at most 4 elements."""
+        classes = [C for C in members_up_to(K, 7) if C.size >= 5]
+        assert len(classes) == count
+        for C in classes:
+            for G in K.generators:
+                P = direct_product([C, G])
+                max_size = data.draw(st.integers(C.size, P.size))
+                expected = oracles.fcbo_subuniverses(P, max_size, C.size)
+                assert all_subuniverses(P, max_size, C.size) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(A=closure_algebras(), data=st.data())
