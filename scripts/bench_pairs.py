@@ -21,6 +21,13 @@ the change's gain is shown: it won at least 9 in 10 pairs, and the gap
 between the medians is wider than the parent's interquartile range.  The
 quartiles are those of `statistics.quantiles(values, n=4)`, as in
 `bench/spread.py`.
+
+Beside them it prints the raw wall time of a pass, unscaled by the
+reference samples: per run, the median of the `run_s` samples that the run
+kept in `.bench_out/result-<workload>-seed<N>-trace0.json`, and per side
+the median and quartiles of those.  It is a diagnostic, not an end-to-end
+metric: a scaled time that moves where the raw time does not, or the other
+way round, points at the reference samples.
 """
 from __future__ import annotations
 
@@ -44,6 +51,12 @@ def bench_run(spec: dict, root: pathlib.Path, workload: str, seed: int) -> dict:
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"{root}: run of seed {seed} was not correct: {result}")
     return {m["name"]: result["metrics"][m["name"]]["value"] for m in spec["end_to_end"]}
+
+
+def raw_run_s(root: pathlib.Path, workload: str, seed: int) -> float:
+    """The median raw pass time of the untraced run of `seed` in `root`."""
+    record = json.loads((root / ".bench_out" / f"result-{workload}-seed{seed}-trace0.json").read_text())
+    return statistics.median(record["samples"]["run_s"])
 
 
 def summary(parent: list[float], change: list[float]) -> dict:
@@ -83,19 +96,27 @@ def main() -> int:
         seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(bench_run(spec, getattr(args, side), args.workload, seed))
+            root = getattr(args, side)
+            run = bench_run(spec, root, args.workload, seed)
+            run["raw run_s"] = raw_run_s(root, args.workload, seed)
+            runs[side].append(run)
         cells = "  ".join(
-            f"{m} {runs['parent'][-1][m]:.5g} -> {runs['change'][-1][m]:.5g}" for m in metrics
+            f"{m} {runs['parent'][-1][m]:.5g} -> {runs['change'][-1][m]:.5g}"
+            for m in (*metrics, "raw run_s")
         )
         print(f"pair {i + 1} (seed {seed}, {order[0]} first): {cells}", flush=True)
 
-    for m in metrics:
+    for m in (*metrics, "raw run_s"):
         s = summary([r[m] for r in runs["parent"]], [r[m] for r in runs["change"]])
         (p1, p_med, p3), (c1, c_med, c3) = s["parent"], s["change"]
-        print(f"{m}: parent {p_med:.5g} [{p1:.5g}, {p3:.5g}]  change {c_med:.5g} [{c1:.5g}, {c3:.5g}]"
-              f"  {(c_med - p_med) / p_med:+.1%}  lower in {s['wins']} of {s['pairs']}"
-              f"  gap {s['gap']:.5g} vs parent IQR {s['parent_iqr']:.5g}"
-              f"  gain shown: {'yes' if s['shown'] else 'no'}")
+        line = (f"{m}: parent {p_med:.5g} [{p1:.5g}, {p3:.5g}]  change {c_med:.5g} [{c1:.5g}, {c3:.5g}]"
+                f"  {(c_med - p_med) / p_med:+.1%}  lower in {s['wins']} of {s['pairs']}")
+        if m in metrics:
+            line += (f"  gap {s['gap']:.5g} vs parent IQR {s['parent_iqr']:.5g}"
+                     f"  gain shown: {'yes' if s['shown'] else 'no'}")
+        else:
+            line += "  (diagnostic, not an end-to-end metric)"
+        print(line)
     return 0
 
 

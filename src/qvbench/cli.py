@@ -12,10 +12,11 @@ Each command takes at most one size bound, echoed in its report's params:
 check-unique-witnesses, term-equiv and cross-validate; --ext-bound (default 6)
 for check-regular, check-extendable and amalgamate; --size (default 4) for
 enumerate; --product-cap (default 1000000) for free and reflect.  membership,
-cg and expand take none.  A product over the cap is a usage error in free
-and reflect, whose cap is that flag; in counit and cross-validate it leaves
-the member's instance unknown-within-bound, with the product's size and the
-cap in its certificate.
+cg and expand take none.  `counit --algebra` echoes no bound: its one
+instance is not about the members up to one.  A product over the cap is a
+usage error in free and reflect, whose cap is that flag; in counit and
+cross-validate it leaves the member's instance unknown-within-bound, with
+the product's size and the cap in its certificate.
 
 Only `counit` builds every reflection F: it prints each member's counit map
 and F's size, which a stopped generation does not know.  `unit` decides each
@@ -418,8 +419,9 @@ def run(command: str, ws: Workspace, flags: dict) -> tuple[Report, int]:
                 f"argument --{_flag(bound)}: must be an integer of at least 1, got {str(value)!r}"
             )
     verdicts, params = handler(ws, flags)
-    if bound:
-        params[_flag(bound)] = flags[bound]
+    # A handler whose verdicts its bound does not reach sets it to None.
+    if bound and params.setdefault(_flag(bound), flags[bound]) is None:
+        del params[_flag(bound)]
     instances = [_verdict_instance(*item) for item in verdicts]
     summary = f"{sum(v.holds for _, v, _ in verdicts)}/{len(verdicts)} hold"
     report = Report(check=command, params=params, instances=instances, summary=summary)
@@ -495,16 +497,18 @@ def cmd_unit(ws, flags):
 
 def cmd_counit(ws, flags):
     """Every member's counit up to the bound, or with --algebra one member's,
-    whose instance has no bound."""
+    whose instance has no bound: then the bound is not echoed either."""
     E, _ = _expansion_pair(ws, flags["expansion"])
+    params = {"expansion": flags["expansion"]}
     if flags.get("algebra"):
         B = ws.lookup("algebras", flags["algebra"])
         require_member(B, E.expanded)
         verdicts = [(B.name, counit_verdict(B, E), None)]
+        params["max-size"] = None
     else:
         bound = flags["max_size"]
         verdicts = [(B.name, v, bound) for B, v in check_counit_iso(E, bound)]
-    return verdicts, {"expansion": flags["expansion"]}
+    return verdicts, params
 
 
 def cmd_check_simple(ws, flags):

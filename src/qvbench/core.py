@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 from itertools import islice, permutations, product as iproduct
-from operator import or_
+from operator import eq, or_
 
 
 class FrozenRecordError(AttributeError):
@@ -241,6 +241,37 @@ def identity_homomorphism(A: FiniteAlgebra, language: Signature) -> Homomorphism
     return Homomorphism(A, A, language, tuple(range(A.size)))
 
 
+def _hom_plan(A: FiniteAlgebra, language: Signature, pinned=()) -> tuple:
+    """The plan of a `_hom_search` from A: the positions the sweep assigns,
+    in increasing order, and the operation instances each step tests, in
+    one list per arity: unary (i, a, r), binary (i, a, b, r) and higher
+    (i, args, r) for f(args) = r in A, with i the index of f in the
+    language.  Step p + 1 tests the instances whose last position not
+    pre-assigned is p, step 0 those whose positions are all pre-assigned:
+    A's constants in the language and the keys of `pinned`.  Nothing here
+    depends on the target, so a caller that searches from A into many
+    targets builds the plan once and passes it to each search."""
+    n = A.size
+    fixed = {A._ops[sym][1][0] for sym, k in language.symbols if k == 0}.union(pinned)
+    rank = [-1 if p in fixed else p for p in range(n)]
+    unary: list[list] = [[] for _ in range(n + 1)]
+    binary: list[list] = [[] for _ in range(n + 1)]
+    higher: list[list] = [[] for _ in range(n + 1)]
+    for i, (sym, k) in enumerate(language.symbols):
+        ta = A._ops[sym][1]
+        if k == 1:
+            for a, r in enumerate(ta):
+                unary[max(rank[a], rank[r]) + 1].append((i, a, r))
+        elif k == 2:
+            for flat, r in enumerate(ta):
+                a, b = divmod(flat, n)
+                binary[max(rank[a], rank[b], rank[r]) + 1].append((i, a, b, r))
+        elif k > 2:
+            for args, r in zip(iproduct(range(n), repeat=k), ta):
+                higher[max(rank[r], *map(rank.__getitem__, args)) + 1].append((i, args, r))
+    return [p for p in range(n) if p not in fixed], unary, binary, higher
+
+
 def _hom_search(
     A: FiniteAlgebra,
     B: FiniteAlgebra,
@@ -248,6 +279,8 @@ def _hom_search(
     injective: bool = False,
     pinned: dict[int, int] | None = None,
     limit: int | None = None,
+    domains: list | None = None,
+    plan: tuple | None = None,
 ) -> list[tuple[int, ...]]:
     """Backtracking search for language-homomorphisms A -> B, in lexicographic
     order of the map arrays.  Nullary symbols and `pinned` pre-assign values;
@@ -257,7 +290,14 @@ def _hom_search(
     the sweep step of the last position among args and res that is not
     pre-assigned, when all of them have values, or before the sweep when
     every one of them is pre-assigned.  A test reads B's flat table at the
-    row-major index of the images of args."""
+    row-major index of the images of args.  `_hom_plan` lists the tests of
+    each step; `plan`, when given, is its plan for A, the language and the
+    keys of `pinned`, which a caller reuses across targets.
+
+    With `domains`, the sweep tries at position p only the values of
+    domains[p], which must be in increasing order, so the search returns,
+    in the same order, the maps of the full search whose free positions
+    take values in their domains."""
     n, m = A.size, B.size
     mapping = [-1] * n
     for sym, k in language.symbols:
@@ -273,46 +313,27 @@ def _hom_search(
     used = {v for v in mapping if v != -1}
     if injective and len(used) != n - mapping.count(-1):
         return []
-
-    # Step p + 1 tests the instances whose last position is p, step 0 those
-    # tested before the sweep, as (B's table, arguments, result) in one list
-    # per arity: unary, binary (arguments a, b) and higher (an args tuple).
-    # rank[p] is p, or -1 when p is pre-assigned.
-    rank = [p if v == -1 else -1 for p, v in enumerate(mapping)]
-    unary: list[list] = [[] for _ in range(n + 1)]
-    binary: list[list] = [[] for _ in range(n + 1)]
-    higher: list[list] = [[] for _ in range(n + 1)]
-    for sym, k in language.symbols:
-        ta, tb = A._ops[sym][1], B._ops[sym][1]
-        if k == 1:
-            for a, r in enumerate(ta):
-                unary[max(rank[a], rank[r]) + 1].append((tb, a, r))
-        elif k == 2:
-            for flat, r in enumerate(ta):
-                a, b = divmod(flat, n)
-                binary[max(rank[a], rank[b], rank[r]) + 1].append((tb, a, b, r))
-        elif k > 2:
-            for args, r in zip(iproduct(range(n), repeat=k), ta):
-                higher[max(rank[r], *map(rank.__getitem__, args)) + 1].append((tb, args, r))
+    free, unary, binary, higher = plan or _hom_plan(A, language, pinned or ())
+    tables = [B._ops[sym][1] for sym, _ in language.symbols]
 
     def consistent(step: int) -> bool:
-        for tb, a, r in unary[step]:
-            if tb[mapping[a]] != mapping[r]:
+        for i, a, r in unary[step]:
+            if tables[i][mapping[a]] != mapping[r]:
                 return False
-        for tb, a, b, r in binary[step]:
-            if tb[mapping[a] * m + mapping[b]] != mapping[r]:
+        for i, a, b, r in binary[step]:
+            if tables[i][mapping[a] * m + mapping[b]] != mapping[r]:
                 return False
-        for tb, args, r in higher[step]:
+        for i, args, r in higher[step]:
             flat = 0
             for a in args:
                 flat = flat * m + mapping[a]
-            if tb[flat] != mapping[r]:
+            if tables[i][flat] != mapping[r]:
                 return False
         return True
 
     if not consistent(0):
         return []
-    free = [p for p in range(n) if rank[p] != -1]
+    values = domains or [range(m)] * n
     results: list[tuple[int, ...]] = []
 
     # Assigns free[i] onwards.  A test reads only pre-assigned positions and
@@ -324,7 +345,7 @@ def _hom_search(
             results.append(tuple(mapping))
             return limit is not None and len(results) >= limit
         p = free[i]
-        for v in range(m):
+        for v in values[p]:
             if injective and v in used:
                 continue
             mapping[p] = v
@@ -523,28 +544,33 @@ def subalgebra(A: FiniteAlgebra, subset) -> tuple[FiniteAlgebra, Homomorphism]:
     """The algebra on a closed subset (re-indexed by its sorted order) together
     with the inclusion embedding."""
     elems = sorted(set(subset))
-    index = {e: i for i, e in enumerate(elems)}
+    S = FiniteAlgebra(f"{A.name}|{len(elems)}", A.signature, len(elems), _subalgebra_tables(A, elems))
+    return S, Homomorphism(S, A, A.signature, tuple(elems))
+
+
+def _subalgebra_tables(A: FiniteAlgebra, elems: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The tables of `subalgebra` on the sorted elements `elems`, element
+    elems[i] numbered i; a ValueError when they are not closed."""
     n = A.size
+    index = [-1] * n
+    for i, e in enumerate(elems):
+        index[e] = i
     tables = []
     for (sym, k), table in zip(A.signature.symbols, A.tables):
         if k == 2:
-            rows = [x * n for x in elems]
-            values = [table[row + y] for row in rows for y in elems]
+            values = [index[table[row + y]] for row in [x * n for x in elems] for y in elems]
         else:
             values = []
             for args in iproduct(elems, repeat=k):
                 flat = 0
                 for a in args:
                     flat = flat * n + a
-                values.append(table[flat])
-        try:
-            tables.append(tuple(map(index.__getitem__, values)))
-        except KeyError:
-            i = next(i for i, v in enumerate(values) if v not in index)
-            args = next(islice(iproduct(elems, repeat=k), i, None))
-            raise ValueError(f"subset not closed under {sym} at {args}") from None
-    S = FiniteAlgebra(f"{A.name}|{len(elems)}", A.signature, len(elems), tuple(tables))
-    return S, Homomorphism(S, A, A.signature, tuple(elems))
+                values.append(index[table[flat]])
+        if -1 in values:
+            args = next(islice(iproduct(elems, repeat=k), values.index(-1), None))
+            raise ValueError(f"subset not closed under {sym} at {args}")
+        tables.append(tuple(values))
+    return tuple(tables)
 
 
 def all_subuniverses(
@@ -740,36 +766,60 @@ def canonical_tables(A: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
     return best
 
 
-def fingerprint(A: FiniteAlgebra):
-    """Cheap isomorphism invariant used to bucket candidates before the
-    backtracking check."""
-    per_symbol = []
+def fingerprint(A: FiniteAlgebra) -> tuple[tuple, list]:
+    """An isomorphism invariant of A, by which candidates are bucketed
+    before the search, and the element profiles it is made of: (the sorted
+    profiles, the profile of each element in order).  The profile of e
+    lists, for each symbol f, how often e occurs as a value in f's table
+    and whether f(e, ..., e) = e.  An isomorphism h: A -> B maps e to an
+    element of B with e's profile: h(f(x)) = f(h(x)) for every argument
+    tuple x and h is one-to-one on tuples, so the cells of f's table in A
+    that hold e correspond one to one with those in B that hold h(e), and
+    f(e, ..., e) = e exactly when f(h(e), ..., h(e)) = h(e)."""
     n = A.size
-    profiles = [[] for _ in range(n)]
+    columns = []
     for (_, k), table in zip(A.signature.symbols, A.tables):
         counts = [0] * n
         for v in table:
             counts[v] += 1
-        per_symbol.append(tuple(sorted(counts)))
         # f(e, ..., e) sits at flat index e * (n**(k-1) + ... + n + 1).
         step = sum(n**i for i in range(k))
-        for e in range(n):
-            profiles[e].append((counts[e], table[e * step] == e))
-    return (A.size, tuple(per_symbol), tuple(sorted(tuple(p) for p in profiles)))
+        diagonal = table[::step] if step else table * n
+        columns.append(zip(counts, map(eq, diagonal, range(n))))
+    profiles = list(zip(*columns)) if columns else [()] * n
+    return tuple(sorted(profiles)), profiles
 
 
-def find_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra) -> tuple[int, ...] | None:
+def _by_profile(profiles) -> dict:
+    """The elements of each profile, in increasing order."""
+    out: dict = {}
+    for e, p in enumerate(profiles):
+        out.setdefault(p, []).append(e)
+    return out
+
+
+def find_isomorphism(
+    A: FiniteAlgebra, B: FiniteAlgebra, plan: tuple | None = None, domains: list | None = None
+) -> tuple[int, ...] | None:
+    """The first isomorphism A -> B in lexicographic order of the map
+    arrays, or None.  The search maps each element of A only to the
+    elements of B with its profile (`fingerprint`); every isomorphism does,
+    so the restriction loses none.  A caller that already has the profiles
+    passes the domains, domains[e] the elements of B with e's profile in
+    increasing order, and may pass A's `_hom_plan` over its signature."""
     if A.signature != B.signature or A.size != B.size:
         return None
-    maps = _hom_search(A, B, A.signature, injective=True, limit=1)
+    if domains is None:
+        (invariant, profiles), (other, targets) = fingerprint(A), fingerprint(B)
+        if invariant != other:
+            return None
+        targets = _by_profile(targets)
+        domains = [targets[p] for p in profiles]
+    maps = _hom_search(A, B, A.signature, injective=True, limit=1, domains=domains, plan=plan)
     return maps[0] if maps else None
 
 
 def are_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
-    if A.size != B.size or A.signature != B.signature:
-        return False
-    if fingerprint(A) != fingerprint(B):
-        return False
     return find_isomorphism(A, B) is not None
 
 
@@ -778,26 +828,50 @@ class IsoRegistry:
     kept member of its fingerprint bucket is isomorphic to it, so the
     representative of a class is the first copy added, at every size.
 
-    `_answers` maps each candidate added so far to its representative, and
-    an exact copy (equal signature, size and tables; names are not
-    compared) gets that answer from one lookup, with no fingerprint or
-    search.  It is the answer the search would give: the representatives
-    are pairwise non-isomorphic, so a copy of A is isomorphic to A's
-    representative and to no other."""
+    `_answers` maps the key (signature, size, tables) of each candidate
+    added so far to its representative.  An exact copy, with the key of an
+    earlier candidate and perhaps another name, gets that answer from one
+    lookup, with no fingerprint or search; `copy_of` asks it with the key
+    alone, so that a caller looks a candidate up before it builds one.  It
+    is the answer the search would give: the representatives are pairwise
+    non-isomorphic, so a copy of A is isomorphic to A's representative and
+    to no other.
+
+    Any other candidate is tested against the members of its bucket, each
+    by a search from the member to the candidate that maps every element
+    only to the candidate's elements of its profile.  A bucket holds
+    [member, profiles, plan] lists: a member keeps its profiles for the
+    registry's lifetime, and its `_hom_plan` from its first test on, so
+    each later test from it plans nothing."""
 
     def __init__(self) -> None:
         self._buckets: dict = {}
         self._answers: dict = {}
         self.members: list[FiniteAlgebra] = []
 
+    def copy_of(self, signature: Signature, size: int, tables: tuple) -> FiniteAlgebra | None:
+        """The representative of an earlier candidate with these tables."""
+        return self._answers.get((signature, size, tables))
+
     def add(self, A: FiniteAlgebra) -> tuple[FiniteAlgebra, bool]:
-        rep = self._answers.get(A)
+        key = (A.signature, A.size, A.tables)
+        rep = self._answers.get(key)
         if rep is not None:
             return rep, False
-        bucket = self._buckets.setdefault(fingerprint(A), [])
-        rep = next((B for B in bucket if find_isomorphism(A, B) is not None), A)
+        invariant, profiles = fingerprint(A)
+        bucket = self._buckets.setdefault(invariant, [])
+        rep = A
+        if bucket:
+            targets = _by_profile(profiles)
+            for entry in bucket:
+                B, kept, plan = entry
+                if plan is None:
+                    plan = entry[2] = _hom_plan(B, B.signature)
+                if find_isomorphism(B, A, plan, [targets[p] for p in kept]) is not None:
+                    rep = B
+                    break
         if rep is A:
-            bucket.append(A)
+            bucket.append([A, profiles, None])
             self.members.append(A)
-        self._answers[A] = rep
+        self._answers[key] = rep
         return rep, rep is A

@@ -25,6 +25,7 @@ from .core import (
     IsoRegistry,
     Signature,
     SignatureError,
+    _subalgebra_tables,
     all_subuniverses,
     congruence_closure,
     direct_product,
@@ -34,7 +35,6 @@ from .core import (
     quotient,
     record,
     replace,
-    subalgebra,
     trivial_algebra,
 )
 from .logic import (
@@ -678,7 +678,12 @@ def _member_classes(K: Quasivariety, max_size: int) -> tuple[FiniteAlgebra, ...]
     homomorphism C -> G, and that projection is an isomorphism S -> C.  C is
     already a class of the registry, so adding S would change nothing.  A
     class C with max_size elements is therefore not searched at all: every
-    subdirect S has |S| >= |C|, so within the bound |S| = |C|."""
+    subdirect S has |S| >= |C|, so within the bound |S| = |C|.
+
+    Any other S is looked up before it is built: its tables, relabelled as
+    `subalgebra` relabels them, go to the registry's exact-copy lookup, and
+    only a candidate with new tables becomes a `FiniteAlgebra` and is added.
+    At DL 8, 84 of the 143 candidates are such copies."""
     registry = IsoRegistry()
     if K.is_generated:
         worklist = [registry.add(trivial_algebra(K.signature))[0]]
@@ -691,10 +696,11 @@ def _member_classes(K: Quasivariety, max_size: int) -> tuple[FiniteAlgebra, ...]
                 for sub in all_subuniverses(P, max_size=max_size, first_factor=C.size):
                     if len(sub) == C.size:
                         continue
-                    S, _ = subalgebra(P, sub)
-                    rep, added = registry.add(S)
-                    if added:
-                        worklist.append(rep)
+                    tables = _subalgebra_tables(P, sorted(sub))
+                    if registry.copy_of(P.signature, len(sub), tables) is None:
+                        S = FiniteAlgebra(f"{P.name}|{len(sub)}", P.signature, len(sub), tables)
+                        if registry.add(S)[1]:
+                            worklist.append(S)
     else:
         sides = _axiom_sides(K.signature, K.axioms)
         for size in range(1, max_size + 1):

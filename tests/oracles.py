@@ -155,9 +155,12 @@ def pp_witnesses(signature, phi, free):
     return witnesses
 
 
-def brute_homs(A, B, language):
+def brute_homs(A, B, language, injective=False):
+    """Every language-homomorphism A -> B, or with `injective` every
+    one-to-one one, by testing each map in lexicographic order."""
     out = []
-    for mapping in iproduct(range(B.size), repeat=A.size):
+    maps = permutations(range(B.size), A.size) if injective else iproduct(range(B.size), repeat=A.size)
+    for mapping in maps:
         ok = True
         for sym, k in language.symbols:
             for args in iproduct(range(A.size), repeat=k):
@@ -669,7 +672,7 @@ class IsoRegistry:
         self.members = []
 
     def add(self, A):
-        key = fingerprint(A)
+        key = fingerprint(A)[0]
         for rep in self._buckets.get(key, []):
             if find_isomorphism(A, rep) is not None:
                 return rep, False

@@ -1,5 +1,7 @@
-"""The summary that `scripts/bench_pairs.py` prints for each metric."""
+"""The summary that `scripts/bench_pairs.py` prints for each metric, and
+the raw pass time it reads beside them."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,15 @@ def test_quartiles_wins_and_gap():
 def test_rule(change, wins, shown):
     s = bench_pairs.summary(PARENT, change)
     assert (s["wins"], s["shown"]) == (wins, shown)
+
+
+def test_raw_run_s_is_the_median_of_the_kept_samples(tmp_path):
+    """The raw time of a run is the median of the unscaled `run_s` samples
+    in the result file of its workload and seed, not the scaled metric."""
+    out = tmp_path / ".bench_out"
+    out.mkdir()
+    samples = {"run_s": [0.30, 0.10, 0.20, 0.50], "run_scaled_s": [9.0, 9.0, 9.0, 9.0]}
+    (out / "result-enumerate-b8-seed3-trace0.json").write_text(json.dumps({"samples": samples}))
+    (out / "result-enumerate-b8-seed4-trace0.json").write_text(json.dumps({"samples": {"run_s": [7.0]}}))
+    assert bench_pairs.raw_run_s(tmp_path, "enumerate-b8", 3) == 0.25
+    assert bench_pairs.raw_run_s(tmp_path, "enumerate-b8", 4) == 7.0

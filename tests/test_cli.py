@@ -384,16 +384,30 @@ class TestReports:
         {"a": [[0, 1], [1, 0]], "b": [[], [0], [3, 4, 5]]},
     ])
     def test_emitter_int_lists(self, value):
-        """Lists of ints inside and outside the digit table's range: bools,
-        negative values, values at or past the list's length, empty and
-        one-element lists."""
+        """Lists that are not `Table`s, such as maps, are scanned for their
+        types: lists of plain ints, negative and large ones among them, are
+        written per cell, and lists that hold bools element by element."""
         assert cli._json(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
 
+    @pytest.mark.parametrize("cells, size", [
+        ((0,), 1), ((0, 0, 0), 1), ((1,), 2), ((0, 1, 1, 0), 2),
+        ((9, 10, 0, 10), 11), ((99, 100, 5, 100), 101),
+    ])
+    def test_emitter_tables(self, cells, size):
+        """A `Table` is written from the digit strings of range(size), with
+        no scan: one-cell tables, whose lookup gives a bare string, cells at
+        0 and at size - 1, and sizes where the digit count changes, alone
+        and nested as an algebra's tables are."""
+        table = cli.Table(cells, size)
+        for value in (table, {"tables": [table, cli.Table(cells[:1], size)]}):
+            assert cli._json(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
+
     def test_emitter_large_table(self):
-        """A 30,000-cell table at depth 3, like an operation table in a
-        report's instances."""
-        table = [(7 * i * i + 3 * i) % 173 for i in range(30_000)]
-        value = {"instances": [{"f": table, "g": table[:173]}]}
+        """A 30,000-cell `Table` at depth 3, like an operation table in a
+        report's instances, beside a plain list of its first cells, like a
+        map."""
+        cells = [(7 * i * i + 3 * i) % 173 for i in range(30_000)]
+        value = {"instances": [{"f": cli.Table(cells, 173), "g": cells[:173]}]}
         assert cli._json(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
 
     @settings(max_examples=100, deadline=None)
@@ -894,8 +908,7 @@ DECLARED_BOUND = {
     **dict.fromkeys(("membership", "cg", "expand"), None),
 }
 
-# Flags that make each command run quickly at its default bound.  `counit`
-# is given --algebra, whose instance has no bound, and still echoes one.
+# Flags that make each command run quickly at its default bound.
 COMMAND_FLAGS = {
     "membership": {"algebra": "Chain3", "in": "DL"},
     "cg": {"algebra": "Chain3", "in": "DL", "pairs": "(1,2)"},
@@ -903,7 +916,7 @@ COMMAND_FLAGS = {
     "expand": {"algebra": "Diamond", "expansion": "DLcompl"},
     "reflect": {"algebra": "Chain3", "expansion": "DLtoBOOL"},
     "unit": {"expansion": "DLtoBOOL"},
-    "counit": {"expansion": "DLtoBOOL", "algebra": "FourBA"},
+    "counit": {"expansion": "DLtoBOOL"},
     "check-simple": {"expansion": "DLcompl"},
     "check-beth": {"expansion": "DLcompl", "ops": "compl"},
     "check-regular": {"in": "BOOL", "source": "TwoBA", "target": "FourBA", "map": "0:0,1:3"},
@@ -940,3 +953,31 @@ class TestBoundTable:
                 run(command, ws, {**flags, flag.replace("-", "_"): 3})
             assert main(argv + [f"--{flag}", "3"]) == 3
             assert f"unrecognized arguments: --{flag} 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_counit_of_one_algebra_echoes_no_bound(self, tmp_path, fmt):
+        """`counit --algebra` decides one given member, and its instance has
+        no bound, so its params echo none, with --max-size or without, in
+        either format; the sweep over the members echoes the bound that its
+        instances carry."""
+        base = ["counit", "--workspace", WS, "--expansion", "DLtoBOOL", "--format", fmt]
+        for extra, bound in (
+            (["--algebra", "FourBA"], None),
+            (["--algebra", "FourBA", "--max-size", "3"], None),
+            ([], 4),
+            (["--max-size", "3"], 3),
+        ):
+            path = tmp_path / f"report.{fmt}"
+            assert main([*base, *extra, "--report", str(path)]) == 0
+            text = path.read_text()
+            if fmt == "json":
+                report = json.loads(text)
+                assert report["params"] == {"expansion": "DLtoBOOL"} | (
+                    {} if bound is None else {"max-size": bound}
+                )
+                assert {i["bound"] for i in report["instances"]} == {bound}
+            else:
+                params = [line for line in text.splitlines() if " = " in line]
+                assert params == ["  expansion = DLtoBOOL"] + (
+                    [] if bound is None else [f"  max-size = {bound}"]
+                )

@@ -123,6 +123,28 @@ def registry_batches(draw):
     return draw(st.permutations(batch))
 
 
+# One fingerprint, not isomorphic: 4 -> 2 -> 0 against 4 -> 3 -> 1 -> 0.
+SAME_FINGERPRINT = [
+    FiniteAlgebra("H", UNARY, 5, ((0, 0, 0, 1, 2),)),
+    FiniteAlgebra("H", UNARY, 5, ((0, 0, 0, 1, 3),)),
+]
+
+
+@st.composite
+def isomorphism_batches(draw):
+    """1-3 random algebras of sizes 1-6 over one drawn sub-signature of
+    CLOSURE_SIG, symbols of arities 0-3, each with up to two relabelled
+    copies, in random order."""
+    signature = draw(closure_signatures())
+    batch = []
+    for A in draw(st.lists(algebras(signature, max_size=6), min_size=1, max_size=3)):
+        batch += [A] + [
+            permuted(A, draw(st.permutations(range(A.size))))
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+    return draw(st.permutations(batch))
+
+
 class TestSignature:
     def test_duplicate_symbol_rejected(self):
         with pytest.raises(SignatureError):
@@ -620,19 +642,17 @@ class TestIsomorphism:
     @given(A=closure_algebras())
     def test_fingerprint_diagonal_matches_apply(self, A):
         """The fingerprint reads f(e, ..., e) from the flat table at symbols
-        of arity 0 to 3; each element's profile is that of `apply`."""
-        profiles = sorted(
+        of arity 0 to 3; each element's profile is that of `apply`, and the
+        invariant is the sorted profiles."""
+        profiles = [
             tuple((table.count(e), A.apply(sym, (e,) * k) == e)
                   for (sym, k), table in zip(A.signature.symbols, A.tables))
             for e in range(A.size)
-        )
-        assert core.fingerprint(A)[2] == tuple(profiles)
+        ]
+        assert core.fingerprint(A) == (tuple(sorted(profiles)), profiles)
 
     @settings(max_examples=60, deadline=None)
-    @example(batch=[  # one fingerprint, not isomorphic: 4 -> 2 -> 0 against 4 -> 3 -> 1 -> 0
-        FiniteAlgebra("H", UNARY, 5, ((0, 0, 0, 1, 2),)),
-        FiniteAlgebra("H", UNARY, 5, ((0, 0, 0, 1, 3),)),
-    ])
+    @example(batch=SAME_FINGERPRINT)
     @given(batch=registry_batches())
     def test_registry_matches_brute_force_canonical_form(self, batch):
         """An algebra is added iff no earlier one has its canonical form; it
@@ -649,3 +669,35 @@ class TestIsomorphism:
                 kept[form] = rep
             assert rep is kept[form]
         assert registry.members == list(kept.values())
+
+    @settings(max_examples=60, deadline=None)
+    @example(batch=[
+        *SAME_FINGERPRINT,
+        permuted(SAME_FINGERPRINT[1], (4, 3, 2, 1, 0)),
+        permuted(SAME_FINGERPRINT[0], (1, 2, 3, 4, 0)),
+    ])
+    @given(batch=isomorphism_batches())
+    def test_profile_restricted_search_matches_brute_force(self, batch):
+        """`find_isomorphism` maps each element only to the elements of its
+        profile.  For every ordered pair of the batch it returns the first
+        one-to-one homomorphism that the brute-force search finds, or None
+        when there is none.  The registry, which keeps each member's plan
+        and tests from the member to the candidate, keeps an algebra iff no
+        kept one is isomorphic to it by that search, and otherwise answers
+        with that kept one."""
+        isos = {}
+        for i, A in enumerate(batch):
+            for j, B in enumerate(batch):
+                same = A.signature == B.signature and A.size == B.size
+                maps = oracles.brute_homs(A, B, A.signature, injective=True) if same else []
+                isos[i, j] = bool(maps)
+                assert core.find_isomorphism(A, B) == (maps[0] if maps else None)
+        registry = IsoRegistry()
+        kept = []
+        for j, A in enumerate(batch):
+            rep, added = registry.add(A)
+            matches = [i for i in kept if isos[i, j]]
+            assert added == (not matches)
+            if added:
+                kept.append(j)
+            assert rep is batch[j if added else matches[0]]

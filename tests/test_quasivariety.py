@@ -612,36 +612,42 @@ class TestEnumerateMembers:
         assert self._closes(monkeypatch, fx.DL, 12) == (342, 24_380)
 
     def test_dl_member_search_builds_only_new_classes(self, monkeypatch):
-        """A cold enumeration of DL up to size 8 builds exactly 143
+        """A cold enumeration of DL up to size 8 builds exactly 59
         subalgebras.  Of the 219 subdirect subuniverses of some C x G found,
         76 have |C| elements; each is isomorphic to C, so it is not built.
-        The count is deterministic."""
+        Of the other 143, 84 have the tables of an earlier candidate and are
+        answered by the registry's lookup before they are built; building
+        them all first made 143.  The count is deterministic."""
         calls = 0
-        original = quasivariety.subalgebra
+        original = quasivariety.FiniteAlgebra
 
         def counting(*args):
             nonlocal calls
             calls += 1
             return original(*args)
 
-        monkeypatch.setattr(quasivariety, "subalgebra", counting)
+        monkeypatch.setattr(quasivariety, "FiniteAlgebra", counting)
         members = _member_classes.__wrapped__(fx.DL, 8)
         assert len(members) == 36
-        assert calls == 143
+        assert calls == 59
 
     @pytest.mark.parametrize("K, bound, classes, searches", [
         (fx.DL, 8, 36, 24), (fx.MSLQ, 6, 25, 20), (fx.MONQ, 6, 25, 20),
+        (fx.DL, 12, 342, 608), (MONAX, 6, 25, 924),
     ], ids=lambda v: getattr(v, "name", v))
     def test_member_search_isomorphism_work_is_pinned(
         self, monkeypatch, K, bound, classes, searches
     ):
-        """A cold enumeration makes exactly this many `find_isomorphism`
-        calls; the count is deterministic.  Of DL 8's 143 candidates, 84
-        have the tables of an earlier one and get its answer from the
-        registry's lookup, with no search.  The registry without that
-        lookup makes 108 calls at DL 8 and 74 at MSLQ 6 and MONQ 6, and one
-        that looks up only the classes it added, not the copies it found
-        isomorphic, fails here too."""
+        """A cold enumeration makes exactly this many isomorphism tests,
+        `find_isomorphism` calls from the registry; the count is
+        deterministic.  Of DL 8's 143 candidates, 84 have the tables of an
+        earlier one and get its answer from the registry's lookup, with no
+        search.  The registry without that lookup makes 108 calls at DL 8
+        and 74 at MSLQ 6 and MONQ 6, and one that looks up only the classes
+        it added, not the copies it found isomorphic, fails here too.  The
+        profile domains and the plans kept per class make each test
+        cheaper, not fewer: DL 12 and MONAX 6 made 608 and 924 before
+        them."""
         calls = 0
         original = core.find_isomorphism
 
