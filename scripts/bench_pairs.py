@@ -22,6 +22,13 @@ between the medians is wider than the parent's interquartile range.  The
 quartiles are those of `statistics.quantiles(values, n=4)`, as in
 `bench/spread.py`.
 
+Per end-to-end metric it also prints a no-regression line, from the
+metric's `bound` and `better` in BENCHMARK.json: "unresolved" when the
+parent's interquartile range exceeds the bound as a share of its median
+and not every change run reads better than every parent run; otherwise
+"no worse" when the change's median is within the bound of the parent's,
+on the worse side, and "worse" when it is not.
+
 Beside them it prints the raw wall time of a pass, unscaled by the
 reference samples: per run, the median of the `run_s` samples that the run
 kept in `.bench_out/result-<workload>-seed<N>-trace0.json`, and per side
@@ -78,6 +85,17 @@ def summary(parent: list[float], change: list[float]) -> dict:
     }
 
 
+def no_regression(parent: list[float], change: list[float], bound: float, better: str) -> str:
+    """"no worse", "worse" or "unresolved": the change's median against the
+    parent's, with `bound` a share of the parent's median and `better`
+    "lower" or "higher"."""
+    p1, p_med, p3 = statistics.quantiles(parent, n=4)
+    sign = 1 if better == "lower" else -1
+    if (p3 - p1) / p_med > bound and not all(sign * c < sign * p for c in change for p in parent):
+        return "unresolved"
+    return "no worse" if sign * (statistics.median(change) - p_med) <= bound * p_med else "worse"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=pathlib.Path)
@@ -90,6 +108,7 @@ def main() -> int:
         ap.error("quartiles need at least 2 pairs")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics = [m["name"] for m in spec["end_to_end"]]
+    limits = {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
 
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -117,6 +136,11 @@ def main() -> int:
         else:
             line += "  (diagnostic, not an end-to-end metric)"
         print(line)
+    for m in metrics:
+        bound, better = limits[m]
+        verdict = no_regression([r[m] for r in runs["parent"]], [r[m] for r in runs["change"]],
+                                bound, better)
+        print(f"{m}: {verdict} (bound {bound:.0%} of the parent's median, {better} is better)")
     return 0
 
 

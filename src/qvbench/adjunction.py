@@ -11,7 +11,7 @@ universal property, but no command runs it.  Each check returns a
 
 The unit and counit verdicts need no full reflection: the unit's from the
 seeds (`unit_collapse`), the counit's from a generation stopped at |B| + 1
-elements (`counit_collapse`).
+elements (`counit_collapse`), so neither takes the product cap.
 """
 from __future__ import annotations
 
@@ -129,12 +129,10 @@ def _reduct_verdict(B: FiniteAlgebra, E: ExpansionSpec) -> Verdict:
 
 
 def expand_algebra(
-    A: FiniteAlgebra, P: PpExpansionSpec, check: bool = True
+    A: FiniteAlgebra, P: PpExpansionSpec
 ) -> FiniteAlgebra | UndefinedAt | FunctionalityViolation:
-    """Interpret each added symbol by its induced operation; defined only when
-    every one of them is total on A."""
-    if check:
-        require_member(A, P.base)
+    """Interpret each added symbol by its induced operation on A, a member of
+    the base class; defined only when every one of them is total on A."""
     new_tables = []
     for sym, spec in P.ops:
         op = induced_partial_op(A, spec)
@@ -191,7 +189,7 @@ def pp_expansion_membership(
     if total:
         return PpMembership("in-class")
     for D in members_up_to(P.base, size_bound):
-        C = expand_algebra(D, P, check=False)
+        C = expand_algebra(D, P)
         if not isinstance(C, FiniteAlgebra):
             continue
         found = enumerate_embeddings(B, C, sig, limit=1)
@@ -206,7 +204,7 @@ def induced_expansion(P: PpExpansionSpec) -> ExpansionSpec:
     is total on every generator, which is required here."""
     expanded_gens = []
     for G in P.base.generators or ():
-        C = expand_algebra(G, P, check=False)
+        C = expand_algebra(G, P)
         if not isinstance(C, FiniteAlgebra):
             raise ValueError(
                 f"operations are not total on generator {G.name!r}; no generated presentation"
@@ -338,15 +336,6 @@ def universal_property_check(
     return Verdict("universal-property", "holds")
 
 
-@record
-class ProductTooLarge:
-    """A member whose reflection needs a product of `size` elements, over the
-    cap of `cap`: its instance is unknown within the bound, not a failure."""
-    algebra: FiniteAlgebra
-    size: int
-    cap: int
-
-
 def counit_verdict(B: FiniteAlgebra, E: ExpansionSpec) -> Verdict:
     """Bijectivity of the counit at B, a member of the expanded class (the
     counit is always surjective here, so bijective = injective), certified by
@@ -433,14 +422,12 @@ def counit_collapse(B: FiniteAlgebra, E: ExpansionSpec) -> CounitCollapse | None
     """The counit at an expanded member B, decided with a stop as
     `beth.unit_counit_verdict` says: None when it is an isomorphism, whose
     counit map then passes the self-checks of `counit`, else its
-    `CounitCollapse`.  Raises `CapExceeded` when the product is over the
-    cap."""
+    `CounitCollapse`.  Its cost is bounded by the stop and by the
+    homomorphisms `_coordinates` enumerates, so no product cap applies."""
     factors, homs = _coordinates(reduct(B, E.base.signature), E)
     seeds = [tuple(h(b) for h in homs) for b in range(B.size)]
     try:
-        gen = generate_in_product(
-            factors, seeds, E.expanded.signature, DEFAULT_PRODUCT_CAP, stop_after=B.size
-        )
+        gen = generate_in_product(factors, seeds, E.expanded.signature, stop_after=B.size)
     except GenerationStopped as stop:
         return _collapse(B, factors, homs, stop)
     if gen.algebra.size < B.size:

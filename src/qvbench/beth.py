@@ -31,7 +31,6 @@ from .logic import App, Term, Var, compile_term, term_variables
 from .adjunction import (
     ExpansionSpec,
     PpExpansionSpec,
-    ProductTooLarge,
     check_expansion,
     counit_collapse,
     expand_algebra,
@@ -39,7 +38,6 @@ from .adjunction import (
 )
 from .implicit import FunctionalityViolation, ImplicitOpSpec, induced_partial_op
 from .quasivariety import (
-    CapExceeded,
     NotFoundWithinBound,
     Quasivariety,
     Verdict,
@@ -106,7 +104,7 @@ def expansion_members(P: PpExpansionSpec, bound: int) -> tuple[FiniteAlgebra, ..
     by (size, tables) and named `S(base)[+]/n{size}#{index}`."""
     registry = IsoRegistry()
     for D in members_up_to(P.base, bound):
-        C = expand_algebra(D, P, check=False)
+        C = expand_algebra(D, P)
         if not isinstance(C, FiniteAlgebra):
             continue
         for sub in all_subuniverses(C, max_size=bound):
@@ -122,7 +120,7 @@ def _in_class(B: FiniteAlgebra, P: PpExpansionSpec):
     reduct is undefined.  B is a subalgebra of an expanded member, so its
     reduct is a base member and every pp graph of the larger member restricts
     to B's tables: totality is the only thing that can fail."""
-    C = expand_algebra(reduct(B, P.base.signature), P, check=False)
+    C = expand_algebra(reduct(B, P.base.signature), P)
     if isinstance(C, FiniteAlgebra):
         return None
     return ("undefined-at", C.op_symbol, C.args)
@@ -242,45 +240,34 @@ def unit_counit_verdict(E: ExpansionSpec, bound: int) -> Verdict:
     """The conjunction: unit componentwise injective and counit componentwise
     bijective, over the enumerated members, decided without full
     reflections.  A reduct functor that is not well defined fails first,
-    under `reduct-well-defined`.
+    under `reduct-well-defined`.  Otherwise the verdict holds or fails
+    within the bound alone: no product cap applies.
 
     The unit at A sends a to its seed tuple (h(a))_h, over the base
     homomorphisms h: A -> U(G), so it is injective exactly when they
     separate the points of A; with none, F(A) is trivial and the unit is
-    injective iff |A| = 1.  No product is built, so no cap applies.  A
-    failure's certificate is ("unit-not-mono", A, two elements with the
-    same seed).  The counit at B is onto, so it is an isomorphism exactly
-    when F(U B) has |B| elements; generation stops as soon as a (|B| + 1)-th
-    element would be interned, and a failure's certificate is
-    ("counit-not-iso", `adjunction.CounitCollapse`).  A counit whose product
-    exceeds the cap leaves the verdict unknown within the bound, unless
-    another member fails.  The `unit` command decides its instances the
-    same way (`check_unit_mono`).  Only the `counit` command builds every
-    reflection (`check_counit_iso`): it prints each member's counit map,
-    whose ids number the elements of the full F, and F's size."""
+    injective iff |A| = 1.  No product is built.  A failure's certificate
+    is ("unit-not-mono", A, two elements with the same seed).  The counit
+    at B is onto, so it is an isomorphism exactly when F(U B) has |B|
+    elements; generation stops as soon as a (|B| + 1)-th element would be
+    interned, which bounds its work however large the product, and a
+    failure's certificate is ("counit-not-iso",
+    `adjunction.CounitCollapse`).  The `unit` command decides its
+    instances the same way (`check_unit_mono`).  Only the `counit` command
+    builds every reflection (`check_counit_iso`): it prints each member's
+    counit map, whose ids number the elements of the full F, and F's size,
+    so only there can the product cap leave an instance unknown."""
     reduct_verdict = check_expansion(E, bound)
-    return _unit_counit(E, bound) if reduct_verdict.holds else reduct_verdict
-
-
-def _unit_counit(E: ExpansionSpec, bound: int) -> Verdict:
-    """`unit_counit_verdict` on a reduct functor already checked."""
+    if not reduct_verdict.holds:
+        return reduct_verdict
     for A in members_up_to(E.base, bound):
         pair = unit_collapse(A, E)
         if pair is not None:
             return Verdict("unit-mono-counit-iso", "fails", ("unit-not-mono", A, pair))
-    too_large = None
     for B in members_up_to(E.expanded, bound):
-        try:
-            collapse = counit_collapse(B, E)
-        except CapExceeded as exc:
-            too_large = too_large or ProductTooLarge(B, exc.size, exc.cap)
-            continue
+        collapse = counit_collapse(B, E)
         if collapse is not None:
             return Verdict("unit-mono-counit-iso", "fails", ("counit-not-iso", collapse))
-    if too_large is not None:
-        return Verdict(
-            "unit-mono-counit-iso", "unknown-within-bound", ("product-too-large", too_large)
-        )
     return Verdict("unit-mono-counit-iso", "holds")
 
 
@@ -351,31 +338,31 @@ def cross_validate_main_theorem(
     """Run the three characterizations at the same bound and report agreement:
     the verdicts `simple-pp-expansion` (only with a family P),
     `unit-mono-counit-iso`, `mono-reflective` and `consistency`, by name, in
-    that order.  The simplicity check is relative to the supplied family, so
-    its disagreement with the categorical checks can also mean the closure is
-    simple via a different family; the other two must always agree.  An
-    unknown verdict, such as a reflection over the product cap, contradicts
-    neither of the others.  All three presuppose a well-defined reduct
-    functor: when some expanded member has a reduct outside the base, both
-    categorical verdicts are that `reduct-well-defined` failure and
-    `consistency` fails.  Each verdict is computed once: `mono-reflective`
-    reuses the `unit_counit_verdict` after its fullness check."""
+    that order.  Each holds or fails within the bound, and two of them agree
+    when their statuses are equal.  The simplicity check is relative to the
+    supplied family, so its disagreement with the categorical checks can
+    also mean the closure is simple via a different family; the other two
+    must always agree.  All three presuppose a well-defined reduct functor:
+    when some expanded member has a reduct outside the base, both
+    categorical verdicts are the `reduct-well-defined` failure of
+    `unit_counit_verdict`, and `consistency` fails.  Each verdict is
+    computed once: `mono-reflective` reuses the `unit_counit_verdict` after
+    its fullness check."""
     verdicts = {} if P is None else {"simple-pp-expansion": check_simple(P, bound)}
-    reduct_verdict = check_expansion(E, bound)
-    if not reduct_verdict.holds:
-        verdicts["unit-mono-counit-iso"] = verdicts["mono-reflective"] = reduct_verdict
+    uc = verdicts["unit-mono-counit-iso"] = unit_counit_verdict(E, bound)
+    if uc.claim == "reduct-well-defined":
+        verdicts["mono-reflective"] = uc
         verdicts["consistency"] = Verdict("consistency", "fails", notes=(
             "the reduct functor is not well defined within the bound; "
             "the main theorem does not apply",
         ))
         return verdicts
-    uc = verdicts["unit-mono-counit-iso"] = _unit_counit(E, bound)
     mr = verdicts["mono-reflective"] = _not_full(E, bound) or replace(uc, claim="mono-reflective")
-    consistent = not _disagree(uc, mr)
+    consistent = uc.status == mr.status
     notes = []
     if P is None:
         notes.append("no operation family supplied; simplicity check not applicable")
-    elif _disagree(verdicts["simple-pp-expansion"], uc):
+    elif verdicts["simple-pp-expansion"].status != uc.status:
         consistent = False
         notes.append(
             "family-relative simplicity disagrees with the categorical checks; "
@@ -383,12 +370,6 @@ def cross_validate_main_theorem(
         )
     verdicts["consistency"] = Verdict("consistency", "holds" if consistent else "fails", notes=tuple(notes))
     return verdicts
-
-
-def _disagree(a: Verdict, b: Verdict) -> bool:
-    """Both verdicts are decided within the bound, and differ: an unknown
-    verdict contradicts neither."""
-    return a.status != b.status and "unknown-within-bound" not in (a.status, b.status)
 
 
 def check_simplicity_transfer(

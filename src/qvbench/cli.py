@@ -14,15 +14,16 @@ for check-regular, check-extendable and amalgamate; --size (default 4) for
 enumerate; --product-cap (default 1000000) for free and reflect.  membership,
 cg and expand take none.  `counit --algebra` echoes no bound: its one
 instance is not about the members up to one.  A product over the cap is a
-usage error in free and reflect, whose cap is that flag; in counit and
-cross-validate it leaves the member's instance unknown-within-bound, with
-the product's size and the cap in its certificate.
+usage error in free and reflect, whose cap is that flag.  Only in counit
+does it make a verdict unknown: the member's instance is unknown-within-bound,
+with the product's size and the cap in its certificate.
 
 Only `counit` builds every reflection F: it prints each member's counit map
 and F's size, which a stopped generation does not know.  `unit` decides each
 member from its seeds and certifies a failure by two elements with the same
-seed; `cross-validate` builds no F either, as `beth.unit_counit_verdict`
-says.
+seed; `cross-validate` and `term-equiv --transfer` build no F either, as
+`beth.unit_counit_verdict` says, so each of their verdicts holds or fails
+within --max-size alone.
 
 Every handler returns its named verdicts, each a (name, `Verdict`, bound)
 triple, with the bound None where the instance is about one given input,
@@ -42,7 +43,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
 
 from . import __version__
-from .core import FiniteAlgebra, Homomorphism, is_homomorphism, quotient, record
+from .core import FiniteAlgebra, Homomorphism, is_homomorphism, record
 from .adjunction import (
     ExpansionSpec,
     FreeExtension,
@@ -454,9 +455,9 @@ def cmd_cg(ws, flags):
     pairs = parse_pairs(flags["pairs"])
     _check_elements(A, [a for pair in pairs for a in pair], "pairs")
     theta = relative_congruence(A, pairs, K)
-    Q, _ = quotient(A, theta)
+    blocks = theta.blocks()
     v = Verdict("relative-congruence", "holds", {
-        "pairs": pairs, "partition": theta.partition, "blocks": theta.blocks(), "quotient-size": Q.size,
+        "pairs": pairs, "partition": theta.partition, "blocks": blocks, "quotient-size": len(blocks),
     })
     return [(A.name, v, None)], {"algebra": A.name, "quasivariety": K.name, "pairs": flags["pairs"]}
 
@@ -474,6 +475,7 @@ def cmd_expand(ws, flags):
     spec = ws.lookup("expansions", flags["expansion"])
     if not isinstance(spec, PpExpansionSpec):
         raise ValueError("expand needs a pp expansion (QV + { ... })")
+    require_member(A, spec.base)
     result = expand_algebra(A, spec)
     if isinstance(result, FiniteAlgebra):
         v = Verdict("expand", "holds", {"expanded": result})

@@ -224,20 +224,9 @@ def check_extendable(
     """Search for a member extending A on which the operation is defined at the
     image of `args`; tuples already in the domain extend trivially.  An
     `Extension` holds; the negative answer is bound-relative only."""
-    require_member(A, K)
-    op = induced_partial_op(A, s)
-    if isinstance(op, PartialOperation) and op.defined_at(args):
-        return Verdict("extendable", "holds", Extension(A, identity_homomorphism(A, K.signature)))
-    for B in members_up_to(K, size_bound):
-        if B.size < A.size:
-            continue
-        opB = induced_partial_op(B, s)
-        if not isinstance(opB, PartialOperation):
-            continue
-        for e in enumerate_embeddings(A, B, K.signature):
-            if opB.defined_at(e.apply_tuple(args)):
-                return Verdict("extendable", "holds", Extension(B, e))
-    return Verdict("extendable", "unknown-within-bound", NotFoundWithinBound(size_bound))
+    return _extension_search(
+        "extendable", s, K, A, size_bound, lambda op, e: op.defined_at(e.apply_tuple(args))
+    )
 
 
 def check_totalizable(
@@ -249,20 +238,30 @@ def check_totalizable(
     """Like check_extendable but the target must make the operation total on
     its whole universe (it then extends the original graph automatically,
     since pp graphs are preserved along embeddings)."""
+    return _extension_search("totalizable", s, K, A, size_bound, lambda op, e: op.is_total)
+
+
+def _extension_search(
+    claim: str, s: ImplicitOpSpec, K: Quasivariety, A: FiniteAlgebra, size_bound: int, accepts
+) -> Verdict:
+    """The first `Extension` (B, e) such that `accepts(op, e)` for the
+    induced operation op on B: A itself with its identity, then each member
+    B up to the bound with its embeddings of A, in lexicographic order."""
     require_member(A, K)
     op = induced_partial_op(A, s)
-    if isinstance(op, PartialOperation) and op.is_total:
-        return Verdict("totalizable", "holds", Extension(A, identity_homomorphism(A, K.signature)))
+    identity = identity_homomorphism(A, K.signature)
+    if isinstance(op, PartialOperation) and accepts(op, identity):
+        return Verdict(claim, "holds", Extension(A, identity))
     for B in members_up_to(K, size_bound):
         if B.size < A.size:
             continue
         opB = induced_partial_op(B, s)
-        if not isinstance(opB, PartialOperation) or not opB.is_total:
+        if not isinstance(opB, PartialOperation):
             continue
-        embeddings = enumerate_embeddings(A, B, K.signature)
-        if embeddings:
-            return Verdict("totalizable", "holds", Extension(B, embeddings[0]))
-    return Verdict("totalizable", "unknown-within-bound", NotFoundWithinBound(size_bound))
+        for e in enumerate_embeddings(A, B, K.signature):
+            if accepts(opB, e):
+                return Verdict(claim, "holds", Extension(B, e))
+    return Verdict(claim, "unknown-within-bound", NotFoundWithinBound(size_bound))
 
 
 @record

@@ -327,10 +327,12 @@ def generate_in_product(
 ) -> GenResult:
     """Close seed tuples under the componentwise operations of the factors,
     without materializing the full product.  The resulting universe is the set
-    of reached tuples in lexicographic order.  With `stop_after`, generation
-    raises `GenerationStopped` as soon as a (stop_after + 1)-th element would
-    be interned; a closure of at most `stop_after` elements is returned as
-    without it.
+    of reached tuples in lexicographic order.  A product of more than
+    `product_cap` elements raises `CapExceeded`.  With `stop_after`,
+    generation raises `GenerationStopped` as soon as a (stop_after + 1)-th
+    element would be interned, and a closure of at most `stop_after` elements
+    is returned as without it; the stop bounds the work, so the cap does not
+    apply.
 
     Reached tuples are visited in a fixed order.  The constants come first, in
     signature order, then the seeds in their given order.  Each reached tuple
@@ -369,8 +371,8 @@ def generate_in_product(
     no operation is applied twice to the same arguments.  A commutative
     symbol's f(x_a, x_b) for b popped after a is read from the half row of
     x_b, transposed."""
-    potential = math.prod(f.size for f in factors) if factors else 1
-    if potential > product_cap:
+    potential = math.prod(f.size for f in factors)
+    if potential > product_cap and stop_after is None:
         raise CapExceeded(potential, product_cap)
     for f in factors:
         if not f.signature.includes(signature):
@@ -394,18 +396,16 @@ def generate_in_product(
         return tuple(bits[0]) if width == 1 else tuple(map(max, *bits))
 
     # Reached elements are numbered in order of discovery; per id: its
-    # planes and its first producer.  No product holds more than
-    # `potential` elements, so without `stop_after` the limit never binds.
+    # planes and its first producer.
     keys: list = []
     origins: list[tuple] = []
     ids: dict = {}
     queue: list[int] = []
-    limit = potential if stop_after is None else stop_after
 
     def intern(key, origin: tuple) -> int:
         i = ids.get(key)
         if i is None:
-            if len(keys) == limit:
+            if len(keys) == stop_after:
                 raise GenerationStopped(
                     tuple(map(decode, keys + [key])), tuple(origins) + (origin,)
                 )

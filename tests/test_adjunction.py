@@ -1,8 +1,10 @@
+import math
 import subprocess
 import sys
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qvbench import adjunction
 from qvbench.adjunction import (
@@ -25,7 +27,7 @@ from qvbench.adjunction import (
     unit_collapse,
     universal_property_check,
 )
-from qvbench.beth import unit_counit_verdict
+from qvbench.beth import cross_validate_main_theorem, unit_counit_verdict
 from qvbench.core import (
     FiniteAlgebra,
     Homomorphism,
@@ -38,7 +40,7 @@ from qvbench.core import (
     reduct,
 )
 from qvbench.quasivariety import (
-    CapExceeded,
+    DEFAULT_PRODUCT_CAP,
     GenerationStopped,
     Quasivariety,
     generate_in_product,
@@ -96,12 +98,6 @@ class TestExpandAlgebra:
     def test_chain3_undefined_at_middle(self):
         result = expand_algebra(fx.CHAIN3, fx.PP_COMPL)
         assert result == UndefinedAt("not", (1,))
-
-    def test_non_member_rejected(self):
-        from tests.test_quasivariety import WRONG_DIAMOND
-
-        with pytest.raises(ValueError, match="not a member"):
-            expand_algebra(WRONG_DIAMOND, fx.PP_COMPL)
 
     def test_round_trip_idempotent(self):
         expanded = expand_algebra(fx.DIAMOND, fx.PP_COMPL)
@@ -358,10 +354,64 @@ SWAP_CYCLE = ExpansionSpec(
 )
 
 
+_S = Signature("S", (("f", 1),))
+_T = Signature("T", (("f", 1), ("g", 1)))
+
+
+def unary_pair(f: tuple[int, ...], g: tuple[int, ...]) -> ExpansionSpec:
+    """K = ISP(3, f) -> M = ISP(3, f, g) for unary f and g on {0, 1, 2},
+    each given by its table."""
+    K = Quasivariety("K", _S, generators=(FiniteAlgebra("ThreeF", _S, 3, (f,)),))
+    M = Quasivariety("M", _T, generators=(FiniteAlgebra("ThreeFG", _T, 3, (f, g)),))
+    return ExpansionSpec(K, M)
+
+
+# The sets workspace of tests/test_cli.py: sets, as an identity operation,
+# expanded by a second one.  Every map of an n-set into the 3-element
+# generator is a homomorphism, so F of an n-set has a product of 3^(3^n)
+# elements, over the default cap from n = 3.
+SETS_PAIR = unary_pair((0, 1, 2), (0, 1, 2))
+
+UNARY = st.tuples(*[st.integers(0, 2)] * 3)
+
+# The unary operations f with f(f(x)) = f(x): over a 3-element generator,
+# they leave enough homomorphisms for a member of size at most 5 to have a
+# product over the default cap for all but a few g.
+IDEMPOTENT = [t for t in iproduct(range(3), repeat=3) if all(t[v] == v for v in t)]
+
+
+@st.composite
+def unary_pairs(draw, fs=UNARY) -> ExpansionSpec:
+    """A `unary_pair` whose g is as often as not a term in f, x, f(x) or
+    f(f(x)), so that every counit holds, and otherwise any table."""
+    f = draw(fs)
+    g = draw(st.sampled_from([(0, 1, 2), f, tuple(f[v] for v in f)]) | UNARY)
+    return unary_pair(f, g)
+
+
+def product_size(B: FiniteAlgebra, E: ExpansionSpec) -> int:
+    """The size of the product that F(U B) is generated in."""
+    factors, _ = adjunction._coordinates(reduct(B, E.base.signature), E)
+    return math.prod(G.size for G in factors)
+
+
+def assert_counit_stop_matches(E: ExpansionSpec, bound: int) -> None:
+    """Per member B up to the bound, the stopped generation finds no
+    collapse exactly when the full reflection has |B| elements; the
+    reflection is built with the cap at its product's size, so that no cap
+    refuses it."""
+    for B in members_up_to(E.expanded, bound):
+        U = reduct(B, E.base.signature)
+        size = free_extension(U, E, product_cap=product_size(B, E)).algebra.size
+        assert (counit_collapse(B, E) is None) == (size == B.size), B.name
+
+
 def assert_matches_full_reflections(E: ExpansionSpec, bound: int) -> None:
     """Per member, the unit and counit verdicts decided from the seeds and
     with a stop agree with the ones read off the full reflections; each
-    failure's witnesses hold in the full F."""
+    failure's witnesses hold in the full F.  A product over the default cap
+    leaves `check_counit_iso` unknown, so it fails here: pairs past the cap
+    go through `assert_counit_stop_matches`."""
     units = zip(check_unit_mono(E, bound), reflection_units(E, bound), strict=True)
     for (A, v), (A_ref, unit) in units:
         pair = unit_collapse(A, E)
@@ -376,11 +426,7 @@ def assert_matches_full_reflections(E: ExpansionSpec, bound: int) -> None:
     counits = check_counit_iso(E, bound)
     for B, (B_swept, v) in zip(members_up_to(E.expanded, bound), counits, strict=True):
         assert B == B_swept
-        try:
-            collapse = counit_collapse(B, E)
-        except CapExceeded:
-            assert v.status == "unknown-within-bound"
-            continue
+        collapse = counit_collapse(B, E)
         assert (collapse is None) == v.holds, B.name
         if collapse is not None:
             assert v.certificate["reflected-size"] > B.size
@@ -456,6 +502,31 @@ class TestVerdictsWithoutFullReflections:
             assert len(calls) <= len(members_up_to(E.expanded, 4))
             assert all(reached <= stop + 1 for stop, reached in calls)
             calls.clear()
+
+    def test_sets_past_the_cap_match_full_reflections(self):
+        """The stopped generation takes no cap: from the 3-element set on,
+        each product is over the default cap, and every counit is still
+        decided, as the full reflection decides it."""
+        members = members_up_to(SETS_PAIR.expanded, 5)
+        assert [product_size(B, SETS_PAIR) for B in members] == [3 ** 3**n for n in range(1, 6)]
+        assert_counit_stop_matches(SETS_PAIR, 5)
+        assert unit_counit_verdict(SETS_PAIR, 5).holds
+
+    @settings(max_examples=60, deadline=None)
+    @given(E=unary_pairs(st.sampled_from(IDEMPOTENT)))
+    def test_generated_pairs_past_the_cap_match_full_reflections(self, E):
+        """Pairs with a 3-element generator, some member of which has a
+        product over the default cap."""
+        assume(any(product_size(B, E) > DEFAULT_PRODUCT_CAP for B in members_up_to(E.expanded, 5)))
+        assert_counit_stop_matches(E, 5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(E=unary_pairs(), bound=st.integers(1, 5))
+    def test_cross_validation_is_decided_within_the_bound(self, E, bound):
+        """Every verdict of `cross_validate_main_theorem` holds or fails:
+        the bound is its only limit."""
+        verdicts = cross_validate_main_theorem(E, None, bound)
+        assert {v.status for v in verdicts.values()} <= {"holds", "fails"}
 
     def test_nor_pair_decided_at_bound_six(self):
         """The NOR pair fails at M's one-element member: its F is all four

@@ -1,5 +1,5 @@
-"""The summary that `scripts/bench_pairs.py` prints for each metric, and
-the raw pass time it reads beside them."""
+"""The summary and the no-regression verdict that `scripts/bench_pairs.py`
+prints for each metric, and the raw pass time it reads beside them."""
 import importlib.util
 import json
 from pathlib import Path
@@ -50,3 +50,22 @@ def test_raw_run_s_is_the_median_of_the_kept_samples(tmp_path):
     (out / "result-enumerate-b8-seed4-trace0.json").write_text(json.dumps({"samples": {"run_s": [7.0]}}))
     assert bench_pairs.raw_run_s(tmp_path, "enumerate-b8", 3) == 0.25
     assert bench_pairs.raw_run_s(tmp_path, "enumerate-b8", 4) == 7.0
+
+
+@pytest.mark.parametrize("change, bound, better, verdict", [
+    # The parent's IQR of 5.5 is 38% of its median of 14.5: over a bound
+    # of 25%, equal runs cannot be told apart...
+    (PARENT, 0.25, "lower", "unresolved"),
+    # ...unless every change run reads better than every parent run.
+    ([v - 10 for v in PARENT], 0.25, "lower", "no worse"),
+    # Under a bound of 50%, the change's median may rise by 7.25.
+    ([v + 7 for v in PARENT], 0.5, "lower", "no worse"),
+    ([v + 8 for v in PARENT], 0.5, "lower", "worse"),
+    # Where higher is better, it may fall by as much.
+    ([v - 7 for v in PARENT], 0.5, "higher", "no worse"),
+    ([v - 8 for v in PARENT], 0.5, "higher", "worse"),
+    ([v + 10 for v in PARENT], 0.25, "higher", "no worse"),
+    ([v + 8 for v in PARENT], 0.25, "lower", "unresolved"),
+])
+def test_no_regression(change, bound, better, verdict):
+    assert bench_pairs.no_regression(PARENT, change, bound, better) == verdict

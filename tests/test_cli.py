@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qvbench import adjunction, beth, cli
 from qvbench.core import FiniteAlgebra, Homomorphism, Signature
+from qvbench.parser import parse_workspace
 from qvbench.cli import (
     Report,
     Verdict,
@@ -263,6 +264,13 @@ class TestCommands:
         report, code = run("expand", ws, {"algebra": "Chain3", "expansion": "DLcompl"})
         assert code == 1
         assert report.instances[0]["verdict"] == "fails"
+
+    def test_expand_non_member_rejected(self):
+        """`expand` checks its algebra at the command line, before
+        `expand_algebra`: one outside the base class is bad input."""
+        ws = parse_workspace(WORKSPACE_TEXT + OUTSIDE_ALGEBRAS)
+        with pytest.raises(ValueError, match="^'M3' is not a member of 'DL'$"):
+            run("expand", ws, {"algebra": "M3", "expansion": "DLcompl"})
 
     def test_unit_and_counit(self, ws):
         report, code = run("unit", ws, {"expansion": "DLtoBOOL", "max_size": 4})
@@ -727,12 +735,15 @@ class TestMainEntry:
 
     def test_cap_hit_is_unknown_within_bound(self, tmp_path, capsys):
         """A member whose reflection needs a product over the cap leaves its
-        instance unknown within the bound (exit 2) in counit and
-        cross-validate; `reflect`, whose cap is a flag, still refuses it as a
-        usage error (exit 3).  Every map of an n-set into the 3-element
+        instance unknown within the bound (exit 2) in counit, which builds
+        every reflection; `reflect`, whose cap is a flag, still refuses it
+        as a usage error (exit 3).  Every map of an n-set into the 3-element
         generator is a homomorphism, so the product has 3^(3^n) elements:
         19,683 for n = 2, over 10^6 from n = 3.  `unit` builds no product:
-        those maps separate the points of every set, so each unit holds."""
+        those maps separate the points of every set, so each unit holds.
+        `cross-validate` takes no cap: its counit generations stop after
+        |B| + 1 elements, and the identity operations generate nothing past
+        the seeds, so every verdict holds."""
         workspace = tmp_path / "sets.qvw"
         workspace.write_text(SETS_WORKSPACE)
         report = tmp_path / "unit.json"
@@ -741,22 +752,21 @@ class TestMainEntry:
         assert code == 0
         instances = json.loads(report.read_text())["instances"]
         assert [(i["verdict"], "certificate" in i) for i in instances] == [("holds", False)] * 4
+        report = tmp_path / "cross.json"
+        code = main(["cross-validate", "--workspace", str(workspace), "--expansion", "SetsToTwoOps",
+                     "--report", str(report)])
+        assert code == 0
+        instances = json.loads(report.read_text())["instances"]
+        assert [(i["name"], i["verdict"]) for i in instances] == [
+            ("unit-mono-counit-iso", "holds"), ("mono-reflective", "holds"), ("consistency", "holds"),
+        ]
         big = {2: 19_683, 3: 3**27, 4: 3**81}
-        for args in (["counit"], ["counit", "--algebra", "Three"], ["cross-validate"]):
+        for args in (["counit"], ["counit", "--algebra", "Three"]):
             report = tmp_path / "r.json"
             code = main([*args, "--workspace", str(workspace), "--expansion", "SetsToTwoOps",
                          "--report", str(report)])
             assert code == 2, args
             instances = json.loads(report.read_text())["instances"]
-            if args[0] == "cross-validate":
-                verdicts = {i["name"]: i for i in instances}
-                for name in ("unit-mono-counit-iso", "mono-reflective"):
-                    assert verdicts[name]["verdict"] == "unknown-within-bound"
-                    kind, member = verdicts[name]["certificate"]
-                    assert kind == "product-too-large"
-                    assert (member["algebra"]["size"], member["size"], member["cap"]) == (3, 3**27, 10**6)
-                assert verdicts["consistency"]["verdict"] == "holds"
-                continue
             # One member per size, in order; --algebra names the 3-element one.
             sizes = [3] if "--algebra" in args else [1, 2, 3, 4]
             assert len(instances) == len(sizes)

@@ -422,9 +422,16 @@ class TestStoppedGeneration:
             assert stop >= len(reached)
             assert got == generate_in_product(factors, seeds, signature, 10**6, "G")
 
-    def test_stop_does_not_lift_the_cap(self):
+    def test_stop_lifts_the_cap(self):
+        """The stop bounds the work, so the cap applies only without it: a
+        product of 8 elements over a cap of 7 is refused, and with a stop
+        it is generated as far as the stop."""
         with pytest.raises(CapExceeded):
+            generate_in_product([fx.CHAIN2] * 3, [], fx.BDL, 7)
+        with pytest.raises(GenerationStopped):
             generate_in_product([fx.CHAIN2] * 3, [], fx.BDL, 7, stop_after=1)
+        got = generate_in_product([fx.CHAIN2] * 3, [], fx.BDL, 7, "G", stop_after=2)
+        assert got == oracles.generate_in_product([fx.CHAIN2] * 3, [], fx.BDL, 8, "G")
 
 
 _x, _y, _z = Var("x"), Var("y"), Var("z")
