@@ -57,7 +57,6 @@ from .adjunction import (
     induced_expansion,
 )
 from .beth import (
-    PreconditionError,
     check_beth_companion,
     check_faithful_term_equivalence,
     check_regular_mono,
@@ -72,10 +71,9 @@ from .implicit import (
     check_extendable,
     check_unique_witnesses,
 )
-from .parser import ParseError, Workspace, parse_workspace
+from .parser import Workspace, parse_workspace
 from .quasivariety import (
     Amalgam,
-    CapExceeded,
     DEFAULT_PRODUCT_CAP,
     MembershipResult,
     NotFoundWithinBound,
@@ -239,15 +237,6 @@ def algebra_json(A: FiniteAlgebra) -> dict:
     }
 
 
-def hom_json(h: Homomorphism) -> dict:
-    return {
-        "source": algebra_json(h.source),
-        "target": algebra_json(h.target),
-        "language": h.language.name,
-        "map": list(h.mapping),
-    }
-
-
 def jsonable(obj):
     """The JSON form of a certificate: each kind of record with a shape of
     its own has a branch here, and any other record gives its fields."""
@@ -255,8 +244,6 @@ def jsonable(obj):
         return obj
     if isinstance(obj, FiniteAlgebra):
         return algebra_json(obj)
-    if isinstance(obj, Homomorphism):
-        return hom_json(obj)
     if isinstance(obj, Verdict):
         out = {"claim": obj.claim, "status": obj.status}
         if obj.certificate is not None:
@@ -683,7 +670,7 @@ def main(argv=None) -> int:
                 fh.write(payload)
         else:
             sys.stdout.buffer.write(payload)
-    except (ParseError, PreconditionError, CapExceeded, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except Exception:

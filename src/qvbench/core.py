@@ -670,73 +670,11 @@ class Congruence:
             least.setdefault(lab, i)
         return cls(A, tuple(least[lab] for lab in labels))
 
-    @classmethod
-    def total(cls, A: FiniteAlgebra) -> Congruence:
-        return cls(A, (0,) * A.size)
-
     def blocks(self) -> list[list[int]]:
         by_rep: dict[int, list[int]] = {}
         for i, rep in enumerate(self.partition):
             by_rep.setdefault(rep, []).append(i)
         return [by_rep[r] for r in sorted(by_rep)]
-
-
-def congruence_closure(A: FiniteAlgebra, pairs) -> Congruence:
-    """Least congruence containing the given pairs: union-find plus
-    compatibility re-propagation until fixpoint."""
-    parent = list(range(A.size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        return True
-
-    for a, b in pairs:
-        union(a, b)
-    changed = True
-    while changed:
-        changed = False
-        for sym, k in A.signature.symbols:
-            if k == 0:
-                continue
-            buckets: dict[tuple[int, ...], int] = {}
-            for args in iproduct(range(A.size), repeat=k):
-                key = tuple(find(a) for a in args)
-                v = A.apply(sym, args)
-                if key in buckets:
-                    if union(v, buckets[key]):
-                        changed = True
-                else:
-                    buckets[key] = v
-    return Congruence.from_labels(A, [find(i) for i in range(A.size)])
-
-
-def quotient(A: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, Homomorphism]:
-    """Block algebra plus canonical projection; blocks are numbered in order of
-    least representatives."""
-    if theta.algebra != A:
-        raise ValueError("congruence does not belong to this algebra")
-    reps = sorted(set(theta.partition))
-    index = {r: i for i, r in enumerate(reps)}
-    proj = tuple(index[theta.partition[a]] for a in range(A.size))
-    tables = []
-    for sym, k in A.signature.symbols:
-        table = []
-        for args in iproduct(reps, repeat=k):
-            table.append(proj[A.apply(sym, args)])
-        tables.append(tuple(table))
-    Q = FiniteAlgebra(f"{A.name}/~", A.signature, len(reps), tuple(tables))
-    return Q, Homomorphism(A, Q, A.signature, proj)
 
 
 def _permuted_tables(A: FiniteAlgebra, perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

@@ -225,7 +225,7 @@ def check_extendable(
     image of `args`; tuples already in the domain extend trivially.  An
     `Extension` holds; the negative answer is bound-relative only."""
     return _extension_search(
-        "extendable", s, K, A, size_bound, lambda op, e: op.defined_at(e.apply_tuple(args))
+        "extendable", s, K, A, size_bound, lambda op: lambda e: op.defined_at(e.apply_tuple(args))
     )
 
 
@@ -238,29 +238,32 @@ def check_totalizable(
     """Like check_extendable but the target must make the operation total on
     its whole universe (it then extends the original graph automatically,
     since pp graphs are preserved along embeddings)."""
-    return _extension_search("totalizable", s, K, A, size_bound, lambda op, e: op.is_total)
+    return _extension_search(
+        "totalizable", s, K, A, size_bound, lambda op: (lambda e: True) if op.is_total else None
+    )
 
 
 def _extension_search(
     claim: str, s: ImplicitOpSpec, K: Quasivariety, A: FiniteAlgebra, size_bound: int, accepts
 ) -> Verdict:
-    """The first `Extension` (B, e) such that `accepts(op, e)` for the
+    """The first `Extension` (B, e) that passes `accepts(op)` for the
     induced operation op on B: A itself with its identity, then each member
-    B up to the bound with its embeddings of A, in lexicographic order."""
+    B up to the bound with its embeddings of A, in lexicographic order.
+    `accepts(op)` is a test of embeddings, or None when no embedding into B
+    can pass, and then B's embeddings are not listed."""
     require_member(A, K)
     op = induced_partial_op(A, s)
     identity = identity_homomorphism(A, K.signature)
-    if isinstance(op, PartialOperation) and accepts(op, identity):
+    if isinstance(op, PartialOperation) and (test := accepts(op)) and test(identity):
         return Verdict(claim, "holds", Extension(A, identity))
     for B in members_up_to(K, size_bound):
         if B.size < A.size:
             continue
         opB = induced_partial_op(B, s)
-        if not isinstance(opB, PartialOperation):
-            continue
-        for e in enumerate_embeddings(A, B, K.signature):
-            if accepts(opB, e):
-                return Verdict(claim, "holds", Extension(B, e))
+        if isinstance(opB, PartialOperation) and (test := accepts(opB)):
+            for e in enumerate_embeddings(A, B, K.signature):
+                if test(e):
+                    return Verdict(claim, "holds", Extension(B, e))
     return Verdict(claim, "unknown-within-bound", NotFoundWithinBound(size_bound))
 
 

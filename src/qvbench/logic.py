@@ -204,11 +204,6 @@ def _compile_equation(signature: Signature, eq: Equation, variables) -> tuple[Ca
     return compile_term(signature, eq.left, variables), compile_term(signature, eq.right, variables)
 
 
-def eval_term(A: FiniteAlgebra, t: Term, assignment: dict[str, int]) -> int:
-    f = compile_term(A.signature, t, list(assignment))
-    return f(A.tables, A.size, list(assignment.values()))
-
-
 def compile_pp(signature: Signature, phi: PpFormula, free) -> Callable:
     """Compile the body of `phi` for the assigned variables `free`.  Returns
     `witnesses(tables, n, values)`: a generator, in lexicographic order, of the

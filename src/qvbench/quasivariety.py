@@ -27,12 +27,10 @@ from .core import (
     SignatureError,
     _subalgebra_tables,
     all_subuniverses,
-    congruence_closure,
     direct_product,
     enumerate_embeddings,
     enumerate_homomorphisms,
     is_embedding,
-    quotient,
     record,
     replace,
     trivial_algebra,
@@ -43,7 +41,6 @@ from .logic import (
     check_quasiequation,
     compile_term,
     equations_variables,
-    eval_term,
 )
 
 DEFAULT_PRODUCT_CAP = 10**6
@@ -164,39 +161,59 @@ def require_member(A: FiniteAlgebra, K: Quasivariety) -> None:
 
 
 def relative_congruence(A: FiniteAlgebra, pairs, K: Quasivariety) -> Congruence:
-    """Least congruence theta containing `pairs` with A/theta in K.
+    """Least congruence theta containing `pairs` with A/theta in K.  Such
+    congruences are closed under intersection, so it exists.
 
-    Axiomatic route: close the pairs, then while the quotient falsifies some
-    axiom (first axiom in list order, least violating assignment) merge the
-    offending conclusion values and re-close.  Generated route: intersect the
-    kernels of all homomorphisms into generators whose kernel contains the
-    pairs; the empty intersection is the total congruence.
-    """
+    Axiomatic route: a union-find fixpoint over A that makes only forced
+    merges, until none is left.  An operation forces the merge of its values
+    at argument tuples that are equal class by class; an axiom instance over
+    A whose premises are equal modulo the classes forces the merge of its
+    conclusion's two values.  Every such theta that contains the pairs and
+    the earlier merges makes each one, so the fixpoint is the least, in
+    whatever order the merges come.  At the fixpoint theta is a congruence,
+    and A/theta satisfies an axiom exactly when every instance over A does
+    modulo theta.  With no axioms this is the congruence closure of the
+    pairs.
+
+    Generated route: intersect the kernels of all homomorphisms into
+    generators whose kernel contains the pairs.  With none, every label is
+    (), which gives the total congruence."""
     pairs = list(pairs)
     if K.axioms is not None:
-        collected = list(pairs)
-        theta = congruence_closure(A, collected)
-        while True:
-            Q, proj = quotient(A, theta)
-            for q in K.axioms:
-                ok, cex = check_quasiequation(Q, q)
-                if not ok:
-                    c = eval_term(Q, q.conclusion.left, cex)
-                    d = eval_term(Q, q.conclusion.right, cex)
-                    rep_c = min(a for a in range(A.size) if proj(a) == c)
-                    rep_d = min(a for a in range(A.size) if proj(a) == d)
-                    collected.append((rep_c, rep_d))
-                    theta = congruence_closure(A, collected)
-                    break
-            else:
-                return theta
+        T, n = A.tables, A.size
+        parent = list(range(n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        def merge(a: int, b: int) -> bool:
+            a, b = find(a), find(b)
+            parent[max(a, b)] = min(a, b)
+            return a != b
+
+        for a, b in pairs:
+            merge(a, b)
+        axioms = _axiom_sides(A.signature, K.axioms)
+        changed = True
+        while changed:
+            changed = False
+            for table, (_, k) in zip(T, A.signature.symbols):
+                first: dict[tuple[int, ...], int] = {}
+                for flat, args in enumerate(iproduct(range(n), repeat=k)):
+                    changed |= merge(first.setdefault(tuple(map(find, args)), table[flat]), table[flat])
+            for arity, (*premises, left, right) in axioms:
+                for v in iproduct(range(n), repeat=arity):
+                    values = [find(side(T, n, v)) for side in premises]
+                    if values[::2] == values[1::2]:
+                        changed |= merge(left(T, n, v), right(T, n, v))
+        return Congruence.from_labels(A, [find(a) for a in range(n)])
     selected = []
     for G in K.generators:
         for h in enumerate_homomorphisms(A, G, K.signature):
             if all(h(a) == h(b) for a, b in pairs):
                 selected.append(h)
-    if not selected:
-        return Congruence.total(A)
     labels = [tuple(h(a) for h in selected) for a in range(A.size)]
     return Congruence.from_labels(A, labels)
 

@@ -547,6 +547,24 @@ def least_congruence(A, pairs):
     return tuple(next(b for b in range(n) if related[a][b]) for a in range(n))
 
 
+def congruence_closure(A, pairs) -> Congruence:
+    """`least_congruence` as a `Congruence`."""
+    return Congruence(A, least_congruence(A, pairs))
+
+
+def quotient(A, theta: Congruence) -> tuple[FiniteAlgebra, Homomorphism]:
+    """A/theta with its projection.  The blocks are numbered in the order of
+    their least elements, and each table is read at those elements."""
+    reps = sorted(set(theta.partition))
+    proj = tuple(reps.index(r) for r in theta.partition)
+    tables = tuple(
+        tuple(proj[A.apply(sym, args)] for args in iproduct(reps, repeat=k))
+        for sym, k in A.signature.symbols
+    )
+    Q = FiniteAlgebra(f"{A.name}/~", A.signature, len(reps), tables)
+    return Q, Homomorphism(A, Q, A.signature, proj)
+
+
 def closure_fixpoint(A, seed):
     """Least superset of `seed` closed under every table of A, by full scans
     until a scan adds nothing.  Reads only A's size, arities and tables."""

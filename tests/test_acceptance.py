@@ -28,10 +28,8 @@ from qvbench.core import (
     are_isomorphic,
     direct_product,
     all_subuniverses,
-    congruence_closure,
     generated_subalgebra,
     enumerate_homomorphisms,
-    quotient,
     subalgebra,
     trivial_algebra,
 )
@@ -44,8 +42,9 @@ from qvbench.quasivariety import (
 import fx
 import oracles
 from oracles import (
-    all_partitions, brute_homs, build_algebra, finer_or_equal, harness_unique_witness_expansions,
-    is_congruence, layered_term_values, naive_tuple_closure,
+    all_partitions, brute_homs, build_algebra, congruence_closure, finer_or_equal,
+    harness_unique_witness_expansions, is_congruence, layered_term_values, naive_tuple_closure,
+    quotient,
 )
 
 

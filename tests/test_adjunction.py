@@ -553,13 +553,18 @@ class TestInducedExpansion:
 
 
 def test_booleanization_demo_runs():
-    """The walk-through script runs and prints the counit dichotomy: among
-    the DL members, one whose counit is not iso and one whose counit is."""
+    """The walk-through script runs and prints the counit dichotomy: the
+    free Boolean extension of Chain3 has 4 elements, every meet-semilattice
+    member up to 4 has a mono unit, and among the DL members the counit is
+    not iso at DL/n4#3 alone."""
     proc = subprocess.run(
         [sys.executable, "scripts/booleanization_demo.py"], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     lines = [line.strip() for line in proc.stdout.splitlines()]
-    verdicts = [line.rsplit(": ", 1)[1] for line in lines if line.startswith("DL/")]
-    assert "NOT iso" in verdicts
-    assert "iso" in verdicts
+    assert "size 4, produced from 2 chain maps" in lines
+    assert [line for line in lines if line.startswith("MSLQ/")] == [
+        f"MSLQ/n{n}#{i}: mono" for n, i in ((1, 0), (2, 1), (3, 2), (4, 3), (4, 4))
+    ]
+    assert [line for line in lines if line.endswith("NOT iso")] == ["DL/n4#3: NOT iso"]
+    assert "DL/n4#4: iso" in lines

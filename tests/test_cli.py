@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qvbench import adjunction, beth, cli
-from qvbench.core import FiniteAlgebra, Homomorphism, Signature
-from qvbench.parser import parse_workspace
+from qvbench.core import FiniteAlgebra, Homomorphism, Signature, SignatureError
+from qvbench.parser import ParseError, parse_workspace
 from qvbench.cli import (
     Report,
     Verdict,
@@ -23,6 +23,7 @@ from qvbench.cli import (
     parse_tuple,
     run,
 )
+from qvbench.quasivariety import CapExceeded
 
 WS = "workspaces/fixtures.qvw"
 
@@ -544,6 +545,22 @@ class TestMainEntry:
         code = main(["membership", "--workspace", WS, "--algebra", "Chain3", "--in", "DL"])
         assert code == 4
         assert "KeyError: 'missing'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [
+        ParseError("bad token", 1, 2), beth.PreconditionError("not an embedding"),
+        CapExceeded(16, 3), SignatureError("bad symbol"), OSError("no file"),
+    ], ids=["parse", "precondition", "cap", "signature", "os"])
+    def test_library_errors_exit_three(self, error, monkeypatch, capsys):
+        """Every `ValueError` a handler raises, the package's own error
+        classes included, and every `OSError` is a usage error: exit 3 with
+        its message."""
+        def fail(ws, flags):
+            raise error
+
+        monkeypatch.setitem(cli.COMMANDS, "membership", (*cli.COMMANDS["membership"][:2], fail))
+        code = main(["membership", "--workspace", WS, "--algebra", "Chain3", "--in", "DL"])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_element_out_of_range_exit_three(self, capsys):
         code = main([

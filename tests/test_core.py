@@ -17,20 +17,18 @@ from qvbench.core import (
     all_subuniverses,
     are_isomorphic,
     canonical_tables,
-    congruence_closure,
     direct_product,
     enumerate_embeddings,
     enumerate_homomorphisms,
     generated_subalgebra,
     is_embedding,
     is_homomorphism,
-    quotient,
     reduct,
     subalgebra,
     trivial_algebra,
 )
 from oracles import finer_or_equal, identity_congruence, is_congruence, permuted, related
-from qvbench.quasivariety import members_up_to
+from qvbench.quasivariety import Quasivariety, members_up_to, relative_congruence
 
 
 def decode_product_element(sizes: list[int], e: int) -> tuple[int, ...]:
@@ -45,10 +43,6 @@ def product_projection(product: FiniteAlgebra, factors: list[FiniteAlgebra], i: 
     sizes = [f.size for f in factors]
     mapping = tuple(decode_product_element(sizes, e)[i] for e in range(product.size))
     return Homomorphism(product, factors[i], product.signature, mapping)
-
-
-def kernel(h: Homomorphism) -> Congruence:
-    return Congruence.from_labels(h.source, h.mapping)
 
 
 @st.composite
@@ -547,6 +541,12 @@ class TestSubuniverses:
             assert all_subuniverses(A, max_size) == [S for S in closed if len(S) <= limit]
 
 
+def congruence_closure(A, pairs):
+    """The least congruence of A containing the pairs: its least relative
+    congruence for the class with no axioms."""
+    return relative_congruence(A, pairs, Quasivariety("ALL", A.signature, axioms=()))
+
+
 class TestCongruences:
     def test_empty_pairs_identity(self):
         assert congruence_closure(fx.CHAIN3, []) == identity_congruence(fx.CHAIN3)
@@ -587,21 +587,6 @@ class TestCongruences:
         element = st.integers(0, A.size - 1)
         pairs = data.draw(st.lists(st.tuples(element, element), min_size=1, max_size=3))
         assert congruence_closure(A, pairs).partition == oracles.least_congruence(A, pairs)
-
-    def test_quotient_projection_kernel(self):
-        theta = congruence_closure(fx.CHAIN3, [(0, 1)])
-        Q, proj = quotient(fx.CHAIN3, theta)
-        assert Q.size == 2
-        assert is_homomorphism(proj)
-        assert set(proj.mapping) == set(range(Q.size))
-        assert kernel(proj) == theta
-        assert are_isomorphic(Q, fx.CHAIN2)
-
-    def test_quotient_identity_and_total(self):
-        Q1, _ = quotient(fx.DIAMOND, identity_congruence(fx.DIAMOND))
-        assert are_isomorphic(Q1, fx.DIAMOND)
-        Q2, _ = quotient(fx.DIAMOND, Congruence.total(fx.DIAMOND))
-        assert Q2.size == 1
 
 
 class TestReduct:

@@ -1,7 +1,10 @@
 import pytest
 
 import fx
-from qvbench.core import direct_product, enumerate_homomorphisms, is_embedding, replace
+from qvbench import implicit
+from qvbench.core import (
+    direct_product, enumerate_embeddings, enumerate_homomorphisms, is_embedding, replace,
+)
 from qvbench.implicit import (
     Extension,
     FunctionalityViolation,
@@ -21,7 +24,7 @@ from qvbench.implicit import (
 )
 from qvbench.logic import LogicError, PpFormula, satisfies_pp
 from qvbench.parser import parse_workspace
-from qvbench.quasivariety import NotFoundWithinBound, Verdict
+from qvbench.quasivariety import NotFoundWithinBound, Verdict, members_up_to
 
 from oracles import witness_projection_specs
 
@@ -191,6 +194,22 @@ class TestTotalizable:
         verdict = check_totalizable(fx.COMPL, fx.DL, fx.CHAIN4, 8)
         assert verdict.holds and isinstance(verdict.certificate, Extension)
         assert verdict.certificate.algebra.size == 8
+
+    def test_lists_embeddings_only_into_members_where_total(self, monkeypatch):
+        """Totalizing each of the 5 DL members up to 4 within 8 lists the
+        embeddings of A into B only where the operation is total on B: 3
+        `enumerate_embeddings` calls, where listing them into every member
+        that A fits in took 21."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return enumerate_embeddings(*args)
+
+        monkeypatch.setattr(implicit, "enumerate_embeddings", counting)
+        verdicts = [check_totalizable(fx.COMPL, fx.DL, A, 8) for A in members_up_to(fx.DL, 4)]
+        assert [v.certificate.algebra.size for v in verdicts] == [1, 2, 4, 4, 8]
+        assert len(calls) == 3
 
 
 class TestUniqueWitnesses:

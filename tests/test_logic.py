@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fx
-from qvbench.core import FiniteAlgebra, Signature, SignatureError, congruence_closure, quotient
+from qvbench.core import FiniteAlgebra, Signature, SignatureError
 from qvbench.implicit import (
     FunctionalityViolation,
     ImplicitOpSpec,
@@ -25,7 +25,6 @@ from qvbench.logic import (
     check_quasiequation,
     compile_pp,
     compile_term,
-    eval_term,
     satisfies_pp,
 )
 
@@ -172,6 +171,25 @@ class TestCompileTerm:
             with pytest.raises(SignatureError, match="applied to 1 arguments"):
                 compile_term(fx.BDL, App("meet", (Var("x"),)), ["x"], partial)
 
+    def test_meet_on_chain3(self):
+        f = compile_term(fx.BDL, MEET_XY, ["x", "y"])
+        assert f(fx.CHAIN3.tables, 3, [1, 2]) == 1
+
+    def test_variable(self):
+        assert compile_term(fx.BDL, Var("x"), ["x"])(fx.DIAMOND.tables, 4, [2]) == 2
+
+    def test_double_negation_on_twoba(self):
+        t = App("not", (App("not", (Var("x"),)),))
+        assert compile_term(fx.BA, t, ["x"])(fx.TWO_BA.tables, 2, [0]) == 0
+
+    def test_unbound_variable(self):
+        with pytest.raises(UnboundVariableError):
+            compile_term(fx.BDL, Var("q"), [])
+
+    def test_unknown_symbol(self):
+        with pytest.raises(SignatureError, match="unknown symbol"):
+            compile_term(fx.BDL, App("xor", (Var("x"), Var("x"))), ["x"])
+
 
 @st.composite
 def signatures(draw):
@@ -241,26 +259,6 @@ class TestDefine:
         tables = [[2], [1, 2, 0], [(a + 2 * b) % 3 for a in range(3) for b in range(3)], [0] * 27]
         f, g = defined(compile_term, MIXED, t, ["x", "y"], partial)
         assert f(tables, 3, [1, 2]) == g(tables, 3, [1, 2])
-
-
-class TestEvalTerm:
-    def test_meet_on_chain3(self):
-        assert eval_term(fx.CHAIN3, MEET_XY, {"x": 1, "y": 2}) == 1
-
-    def test_variable(self):
-        assert eval_term(fx.DIAMOND, Var("x"), {"x": 2}) == 2
-
-    def test_double_negation_on_twoba(self):
-        t = App("not", (App("not", (Var("x"),)),))
-        assert eval_term(fx.TWO_BA, t, {"x": 0}) == 0
-
-    def test_unbound_variable(self):
-        with pytest.raises(UnboundVariableError):
-            eval_term(fx.CHAIN2, Var("q"), {})
-
-    def test_unknown_symbol(self):
-        with pytest.raises(Exception, match="unknown symbol"):
-            eval_term(fx.CHAIN2, App("xor", (Var("x"), Var("x"))), {"x": 0})
 
 
 class TestSatisfiesPp:
@@ -434,6 +432,6 @@ class TestCheckQuasiequation:
         )
         ok_A, _ = check_quasiequation(A, q)
         if ok_A:
-            Q, _ = quotient(A, congruence_closure(A, [pair]))
+            Q, _ = oracles.quotient(A, oracles.congruence_closure(A, [pair]))
             ok_Q, _ = check_quasiequation(Q, q)
             assert ok_Q
